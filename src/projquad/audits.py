@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import sqrt
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .complexes import Complex
-from .errors import MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
+from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
 from .homology import ChainZ2, HomologyCalculator, boundary_squares_to_zero
 from .symmetry import (
@@ -41,8 +41,9 @@ def boundary_operator_audit(complex: Complex) -> ValidationReport:
     return ValidationReport.collect(violations)
 
 
-def sphere_check(complex: Complex, n: Optional[int] = None, calculator: Optional[HomologyCalculator] = None) -> ValidationReport:
-    """Pure dimension n, every ridge in exactly two top cells, sphere homology."""
+def sphere_check(complex: Complex, n: Optional[int] = None) -> ValidationReport:
+    """Pure dimension n, every ridge in exactly two top cells, and the mod-2
+    homology of the n-sphere: a mod-2 homology sphere, not a proven PL sphere."""
     violations = []
     if n is None:
         n = complex.dim
@@ -58,9 +59,8 @@ def sphere_check(complex: Complex, n: Optional[int] = None, calculator: Optional
             if counts[c.id] != 2:
                 violations.append(Violation("BadCofacetCount", n - 1, c.id, f"{counts[c.id]} cofacets, expected 2"))
     if not violations:
-        calc = calculator or HomologyCalculator(complex)
         expected = (2,) if n == 0 else (1,) + (0,) * (n - 1) + (1,)
-        got = calc.all_betti()
+        got = HomologyCalculator(complex).all_betti()
         if got != expected:
             violations.append(Violation("WrongHomology", None, None, f"betti {got}, expected {expected}"))
     return ValidationReport.collect(violations)
@@ -375,6 +375,64 @@ def _default_labels(complex: Complex, involution: Involution) -> dict[int, objec
     return {v: min(v, involution.vertex_pairing.get(v, v)) for v in complex.vertex_ids()}
 
 
+def _audit_shared(
+    audit: AuditCollector,
+    artifacts: dict,
+    complex: Complex,
+    involution: Involution,
+    colouring: TwoColouring,
+    labels: dict[int, object],
+    shape: Callable[[], object],
+) -> Optional[Graph]:
+    """The audits a coloured sphere and a coloured ball share, up to the
+    identified graph; `shape` adds the sphere or ball recognition entries.
+
+    Every audit runs only once the audits whose data it reads have passed:
+    the involution, the proper colouring and everything after the gate read
+    facet ids, so they need complex-valid; antisymmetry needs a valid
+    involution and a total colouring.  Returns the identified labelled graph,
+    or None when a gate or the identification stops the audit.
+    """
+    complex_ok = audit.add("complex-valid", complex.validate())
+    involution_ok = complex_ok and audit.add("involution-valid", validate_involution(complex, involution))
+    total = audit.add_flag("colouring-total", colouring.covers(complex.vertex_ids()), "some vertices are uncoloured")
+    audit.add("antipodal-free", antipodal_free_cells(complex, involution))
+    if complex_ok:
+        audit.add("colouring-proper", proper_on_maximal(complex, colouring))
+    if not (involution_ok and total):
+        return None
+    audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
+
+    audit.add("boundary-operator", boundary_operator_audit(complex))
+    shape()
+    assoc = associated_graph(complex, colouring)
+    artifacts["associated_graph"] = assoc
+    audit.add("parity", parity_audit(complex, assoc))
+    audit.add("quadrangulation", quadrangulation_check(complex, assoc))
+
+    orbit_ok = all(labels.get(v) == labels.get(w) for v, w in involution.vertex_pairing.items())
+    audit.add_flag("labels-on-orbits", orbit_ok, "labels are not constant on antipodal pairs")
+
+    try:
+        identified, _ = identify_antipodes(assoc, involution.vertex_pairing)
+    except LoopCreated as exc:  # a bichromatic cell joins a pair
+        audit.add_flag("graph-identification", False, f"{type(exc).__name__}: {exc}")
+        return None
+    graph = identified.relabel({r: labels[r] for r in identified.vertices})
+    artifacts["graph"] = graph
+    artifacts["orbit_reps"] = {labels[r]: r for r in identified.vertices}
+    return graph
+
+
+def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Optional[Graph]) -> None:
+    if expected_graph is not None:
+        audit.add_flag(
+            "graph-matches-expected",
+            graph == expected_graph,
+            "identified graph differs from the expected labelled graph",
+        )
+
+
 def verify_sphere_quadrangulation(
     complex: Complex,
     involution: Involution,
@@ -395,42 +453,12 @@ def verify_sphere_quadrangulation(
     artifacts: dict = {}
     if labels is None:
         labels = _default_labels(complex, involution)
-
-    structural_ok = audit.add("complex-valid", complex.validate())
-    structural_ok &= audit.add("involution-valid", validate_involution(complex, involution))
-    audit.add_flag(
-        "colouring-total",
-        colouring.covers(complex.vertex_ids()),
-        "some vertices are uncoloured",
+    graph = _audit_shared(
+        audit, artifacts, complex, involution, colouring, labels,
+        lambda: audit.add("sphere", sphere_check(complex)),
     )
-    audit.add("antipodal-free", antipodal_free_cells(complex, involution))
-    audit.add("colouring-proper", proper_on_maximal(complex, colouring))
-    audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
-    if not structural_ok:
+    if graph is None:
         return audit.done(), artifacts
-
-    audit.add("boundary-operator", boundary_operator_audit(complex))
-    calc = HomologyCalculator(complex)
-    audit.add("sphere", sphere_check(complex, calculator=calc))
-
-    assoc = associated_graph(complex, colouring)
-    artifacts["associated_graph"] = assoc
-    audit.add("parity", parity_audit(complex, assoc))
-    audit.add("quadrangulation", quadrangulation_check(complex, assoc))
-
-    orbit_ok = all(
-        labels.get(v) == labels.get(w) for v, w in involution.vertex_pairing.items()
-    )
-    audit.add_flag("labels-on-orbits", orbit_ok, "labels are not constant on antipodal pairs")
-
-    try:
-        identified, rep = identify_antipodes(assoc, involution.vertex_pairing)
-    except Exception as exc:  # LoopCreated when a bichromatic cell joins a pair
-        audit.add_flag("graph-identification", False, f"{type(exc).__name__}: {exc}")
-        return audit.done(), artifacts
-    graph = identified.relabel({r: labels[r] for r in identified.vertices})
-    artifacts["graph"] = graph
-    artifacts["orbit_reps"] = {labels[r]: r for r in identified.vertices}
     audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels, involution))
 
     try:
@@ -442,7 +470,8 @@ def verify_sphere_quadrangulation(
     artifacts["projection"] = projection
     audit.add("quotient-valid", q.validate())
     n = complex.dim
-    qb = HomologyCalculator(q).all_betti()
+    qcalc = HomologyCalculator(q)
+    qb = qcalc.all_betti()
     audit.add_flag("quotient-homology", qb == (1,) * (n + 1), f"betti {qb}, expected {(1,) * (n + 1)}")
 
     selected_up = bichromatic_edge_cells(complex, colouring)
@@ -453,22 +482,15 @@ def verify_sphere_quadrangulation(
     for e in sorted(selected_q):
         u, v = q.cell(1, e).vertices
         from_quotient.add_edge(u, v)
-    relabel_q = {projection[0][r]: labels[r] for r in identified.vertices}
+    relabel_q = {projection[0][r]: label for label, r in artifacts["orbit_reps"].items()}
     commute = from_quotient.relabel(relabel_q) == graph
     audit.add_flag("identification-commutes", commute, "identified graph differs from quotient-selected graph")
 
     audit.add("quotient-parity", parity_audit(q, edge_cells=selected_q))
     audit.add("quotient-quadrangulation", quadrangulation_check(q, edge_cells=selected_q))
-
-    if expected_graph is not None:
-        audit.add_flag(
-            "graph-matches-expected",
-            graph == expected_graph,
-            "identified graph differs from the expected labelled graph",
-        )
+    _matches_expected(audit, graph, expected_graph)
 
     if n_walks > 0:
-        qcalc = HomologyCalculator(q)
         walks = sample_closed_walks(q, selected_q, n_walks, seed=seed)
         bad = 0
         for walk in walks:
@@ -499,36 +521,16 @@ def verify_ball_quadrangulation(
     if labels is None:
         labels = _default_labels(ball, involution)
 
-    ok = audit.add("complex-valid", ball.validate())
-    audit.add("ball", ball_check(ball))
-    bcells = boundary_cells(ball)
-    matches = all(set(bcells.get(d, set())) == set(boundary.cells.get(d, frozenset())) for d in set(bcells) | set(boundary.cells))
-    audit.add_flag("boundary-matches", matches, "stated boundary differs from the free-ridge closure")
-    ok &= audit.add("involution-valid", validate_involution(ball, involution))
-    audit.add_flag("colouring-total", colouring.covers(ball.vertex_ids()), "some vertices are uncoloured")
-    audit.add("colouring-proper", proper_on_maximal(ball, colouring))
-    audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
-    audit.add("antipodal-free", antipodal_free_cells(ball, involution))
-    if not ok:
-        return audit.done(), artifacts
-    audit.add("boundary-operator", boundary_operator_audit(ball))
-
-    assoc = associated_graph(ball, colouring)
-    artifacts["associated_graph"] = assoc
-    audit.add("parity", parity_audit(ball, assoc))
-    audit.add("quadrangulation", quadrangulation_check(ball, assoc))
-
-    orbit_ok = all(labels.get(v) == labels.get(w) for v, w in involution.vertex_pairing.items())
-    audit.add_flag("labels-on-orbits", orbit_ok, "labels are not constant on antipodal pairs")
-
-    identified, _ = identify_antipodes(assoc, involution.vertex_pairing)
-    graph = identified.relabel({r: labels[r] for r in identified.vertices})
-    artifacts["graph"] = graph
-    artifacts["orbit_reps"] = {labels[r]: r for r in identified.vertices}
-    if expected_graph is not None:
-        audit.add_flag(
-            "graph-matches-expected",
-            graph == expected_graph,
-            "identified graph differs from the expected labelled graph",
+    def shape() -> None:
+        audit.add("ball", ball_check(ball))
+        bcells = boundary_cells(ball)
+        matches = all(
+            set(bcells.get(d, set())) == set(boundary.cells.get(d, frozenset()))
+            for d in set(bcells) | set(boundary.cells)
         )
+        audit.add_flag("boundary-matches", matches, "stated boundary differs from the free-ridge closure")
+
+    graph = _audit_shared(audit, artifacts, ball, involution, colouring, labels, shape)
+    if graph is not None:
+        _matches_expected(audit, graph, expected_graph)
     return audit.done(), artifacts

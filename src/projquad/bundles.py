@@ -125,9 +125,12 @@ def _labels_from_reps(bundle: Bundle) -> Optional[dict]:
     return labels
 
 
-def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> AuditReport:
-    """Re-run the full audit stack on a stored bundle and cross-check the
-    result against the stored graph and report."""
+def _reverify(
+    path: PathLike, *, seed: int = 0, n_walks: int = 0
+) -> tuple[Bundle, Optional[dict], AuditReport, dict]:
+    """Load a bundle and re-run the sphere audits on it with its stored labels
+    and graph.  The labels are None, and the report holds only a failing
+    orbit-reps-cover entry, when the stored representatives miss an orbit."""
     bundle = load_bundle(path)
     labels = _labels_from_reps(bundle)
     if labels is None:
@@ -136,8 +139,8 @@ def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> Audit
             False,
             (Violation(code="OrbitRepsIncomplete", detail="stored representatives do not cover every vertex orbit"),),
         )
-        return AuditReport((entry,))
-    report, _ = verify_sphere_quadrangulation(
+        return bundle, None, AuditReport((entry,)), {}
+    report, artifacts = verify_sphere_quadrangulation(
         bundle.complex,
         bundle.involution,
         bundle.colouring,
@@ -146,6 +149,15 @@ def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> Audit
         n_walks=n_walks,
         seed=seed,
     )
+    return bundle, labels, report, artifacts
+
+
+def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> AuditReport:
+    """Re-run the full audit stack on a stored bundle and cross-check the
+    result against the stored graph and report."""
+    bundle, labels, report, _ = _reverify(path, seed=seed, n_walks=n_walks)
+    if labels is None:
+        return report
     extra = []
     stored = {}
     consistent = True
@@ -188,17 +200,7 @@ def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> Audit
 def sphere_quad_from_bundle(path: PathLike) -> SphereQuad:
     """Reconstruct a verified SphereQuad from a stored bundle (re-auditing
     it; raises VerificationFailed if the stored data no longer passes)."""
-    bundle = load_bundle(path)
-    labels = _labels_from_reps(bundle)
-    if labels is None:
-        raise VerificationFailed("bundle orbit representatives do not cover the vertices", None)
-    report, artifacts = verify_sphere_quadrangulation(
-        bundle.complex,
-        bundle.involution,
-        bundle.colouring,
-        labels=labels,
-        expected_graph=bundle.graph,
-    )
+    bundle, labels, report, artifacts = _reverify(path)
     if not report.ok:
         raise VerificationFailed(f"bundle failed verification: {', '.join(report.failing())}", report)
     return SphereQuad(

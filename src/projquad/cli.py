@@ -8,12 +8,11 @@ Reports go to stdout as JSON; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bundles import load_bundle, sphere_quad_from_bundle, verify_bundle, write_bundle
+from .bundles import _read_json, load_bundle, sphere_quad_from_bundle, verify_bundle, write_bundle
 from .coloring import chromatic_number
 from .complexes import complex_from_json, dump_canonical
 from .constructions import (
@@ -54,29 +53,18 @@ def _emit(obj) -> None:
     sys.stdout.write(dump_canonical(obj))
 
 
-def _read_json_file(path: Path):
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
-
-
 def _graph_at(path_str: str):
     path = Path(path_str)
     if path.is_dir():
         return load_bundle(path).graph
-    return graph_from_json(_read_json_file(path))
+    return graph_from_json(_read_json(path))
 
 
 def _complex_at(path_str: str):
     path = Path(path_str)
     if path.is_dir():
         path = path / "complex.json"
-    return complex_from_json(_read_json_file(path))
+    return complex_from_json(_read_json(path))
 
 
 def _build_parser() -> _Parser:
@@ -127,7 +115,6 @@ def _build_parser() -> _Parser:
     p.add_argument("path", help="bundle directory or graph JSON file")
     p.add_argument("--budget-ms", type=int, default=None)
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("homology", help="mod-2 Betti numbers of a complex")
     p.add_argument("path", help="bundle directory or complex JSON file")
@@ -178,9 +165,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_chi(args: argparse.Namespace) -> int:
     graph = _graph_at(args.path)
     try:
-        result = chromatic_number(
-            graph, budget_ms=args.budget_ms, max_nodes=args.max_nodes, threads=args.threads
-        )
+        result = chromatic_number(graph, budget_ms=args.budget_ms, max_nodes=args.max_nodes)
     except BudgetExceeded as e:
         sys.stderr.write("budget exhausted before the search finished\n")
         _emit({"exhausted": False, "lower": e.lower, "upper": e.upper, "nodes": e.nodes})
@@ -213,7 +198,7 @@ def _run_hom_check(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if path.is_dir():
         path = path / "homomorphism.json"
-    hom = homomorphism_from_json(_read_json_file(path))
+    hom = homomorphism_from_json(_read_json(path))
     report = verify_homomorphism(hom)
     _emit({"ok": report.ok, "violations": report.to_json()})
     return 0 if report.ok else VIOLATION_EXIT

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .errors import BadParameters, BudgetExceeded
+from .errors import BudgetExceeded
 from .graphs import Graph, Label
 
 
@@ -31,57 +29,39 @@ class _StopSearch(Exception):
     pass
 
 
-class _Shared:
-    """Incumbent and budget state, shared across worker threads."""
-
-    def __init__(self, lb: int, deadline: Optional[float], max_nodes: Optional[int]) -> None:
-        self.lock = threading.Lock()
-        self.best_k: Optional[int] = None
-        self.best_col: Optional[list[int]] = None
-        self.best_branch = (1 << 60,)
-        self.lb = lb
-        self.deadline = deadline
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        self.out_of_budget = False
-
-    def improve(self, k: int, col: list[int], branch: tuple) -> None:
-        with self.lock:
-            if self.best_k is None or k < self.best_k or (k == self.best_k and branch < self.best_branch):
-                self.best_k = k
-                self.best_col = list(col)
-                self.best_branch = branch
-
-    def ub(self) -> int:
-        with self.lock:
-            return self.best_k if self.best_k is not None else 1 << 60
-
-    def charge(self, n: int) -> None:
-        with self.lock:
-            self.nodes += n
-            if self.max_nodes is not None and self.nodes > self.max_nodes:
-                self.out_of_budget = True
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            with self.lock:
-                self.out_of_budget = True
-        if self.out_of_budget:
-            raise _StopSearch()
-
-
 class _Search:
-    """One sequential searcher over the indexed graph."""
+    """Depth-first search over the indexed graph, with its incumbent and budget."""
 
-    def __init__(self, adj: list[set[int]], degrees: list[int], shared: _Shared, branch: tuple) -> None:
+    def __init__(
+        self,
+        adj: list[set[int]],
+        degrees: list[int],
+        lb: int,
+        incumbent: list[int],
+        deadline: Optional[float],
+        max_nodes: Optional[int],
+    ) -> None:
         self.adj = adj
         self.n = len(adj)
         self.degrees = degrees
-        self.shared = shared
-        self.branch = branch
+        self.lb = lb
+        self.best_k = max(incumbent) + 1
+        self.best_col = incumbent
+        self.deadline = deadline
+        self.max_nodes = max_nodes
+        self.nodes = 0
         self.col = [-1] * self.n
         self.sat: list[dict[int, int]] = [dict() for _ in range(self.n)]
         self.uncoloured = set(range(self.n))
         self.max_used = -1
         self.pending = 0
+
+    def charge(self, n: int) -> None:
+        self.nodes += n
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            raise _StopSearch()
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _StopSearch()
 
     def assign(self, v: int, c: int) -> None:
         self.col[v] = c
@@ -107,13 +87,15 @@ class _Search:
     def run(self) -> None:
         self.pending += 1
         if self.pending >= 128:
-            self.shared.charge(self.pending)
+            self.charge(self.pending)
             self.pending = 0
         if not self.uncoloured:
-            self.shared.improve(self.max_used + 1, self.col, self.branch)
+            if self.max_used + 1 < self.best_k:
+                self.best_k = self.max_used + 1
+                self.best_col = list(self.col)
             return
-        ub = self.shared.ub()
-        if self.max_used + 1 >= ub or self.shared.lb >= ub:
+        ub = self.best_k
+        if self.max_used + 1 >= ub or self.lb >= ub:
             return
         v = self.pick()
         limit = min(self.max_used + 1, ub - 2)
@@ -127,7 +109,7 @@ class _Search:
             self.run()
             self.unassign(v, c)
             self.max_used = prev_max
-            if self.shared.lb >= self.shared.ub():
+            if self.lb >= self.best_k:
                 return
 
 
@@ -169,7 +151,6 @@ def chromatic_number(
     graph: Graph,
     budget_ms: Optional[int] = None,
     max_nodes: Optional[int] = None,
-    threads: int = 1,
 ) -> ChiResult:
     """Exact chromatic number with certificate, clique bound, and budget.
 
@@ -177,11 +158,8 @@ def chromatic_number(
     branching always picks the most saturated vertex (ties: higher degree,
     then lower index) and tries colours in increasing order, never more than
     one beyond those already used.  Raises BudgetExceeded with the bracket
-    found so far when the node or time budget runs out.  `threads` splits the
-    root branches across a thread pool; the result is the same.
+    found so far when the node or time budget runs out.
     """
-    if threads < 1:
-        raise BadParameters("threads must be >= 1")
     verts = graph.sorted_vertices()
     n = len(verts)
     if n == 0:
@@ -195,64 +173,22 @@ def chromatic_number(
 
     clique = _greedy_clique(adj, degrees)
     lb = len(clique)
-    greedy = _greedy_colouring(adj, degrees)
-    ub0 = max(greedy) + 1
-
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
-    shared = _Shared(lb, deadline, max_nodes)
-    shared.improve(ub0, greedy, (0,))
+    search = _Search(adj, degrees, lb, _greedy_colouring(adj, degrees), deadline, max_nodes)
 
     exhausted = False
-    if ub0 > lb:
-        clique_set = set(clique)
-        rest = [v for v in range(n) if v not in clique_set]
-
-        def make_search(branch: tuple) -> _Search:
-            s = _Search(adj, degrees, shared, branch)
-            for c, v in enumerate(clique):
-                s.max_used = max(s.max_used, c)
-                s.assign(v, c)
-            return s
-
+    if search.best_k > lb:
+        for c, v in enumerate(clique):
+            search.max_used = c
+            search.assign(v, c)
         try:
-            if threads == 1 or not rest:
-                s = make_search((0,))
-                s.run()
-                shared.charge(s.pending)
-            else:
-                probe = make_search((0,))
-                v0 = probe.pick()
-                candidates = [
-                    c
-                    for c in range(min(probe.max_used + 1, shared.ub() - 2) + 1)
-                    if c not in probe.sat[v0]
-                ]
-
-                def work(idx_c: tuple[int, int]) -> None:
-                    idx, c = idx_c
-                    s = make_search((idx,))
-                    s.max_used = max(s.max_used, c)
-                    s.assign(v0, c)
-                    try:
-                        s.run()
-                        shared.charge(s.pending)
-                    except _StopSearch:
-                        pass
-
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    list(pool.map(work, list(enumerate(candidates))))
-                if shared.out_of_budget:
-                    raise _StopSearch()
-            exhausted = shared.ub() > lb
+            search.run()
+            search.charge(search.pending)
         except _StopSearch:
-            k = shared.best_k
-            col = shared.best_col
-            witness = {verts[i]: col[i] for i in range(n)} if col is not None else None
-            raise BudgetExceeded(lower=lb, upper=k, colouring=witness, nodes=shared.nodes)
+            witness = {verts[i]: search.best_col[i] for i in range(n)}
+            raise BudgetExceeded(lower=lb, upper=search.best_k, colouring=witness, nodes=search.nodes)
+        exhausted = search.best_k > lb
 
-    k = shared.best_k
-    col = shared.best_col
-    assert k is not None and col is not None
-    _validate(adj, col, k)
-    colouring = {verts[i]: col[i] for i in range(n)}
-    return ChiResult(k, colouring, tuple(verts[i] for i in clique), shared.nodes, exhausted)
+    _validate(adj, search.best_col, search.best_k)
+    colouring = {verts[i]: search.best_col[i] for i in range(n)}
+    return ChiResult(search.best_k, colouring, tuple(verts[i] for i in clique), search.nodes, exhausted)

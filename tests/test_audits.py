@@ -2,6 +2,7 @@ import pytest
 
 from projquad import (
     ComplexBuilder,
+    Involution,
     SimplicialBuilder,
     TwoColouring,
     ball_check,
@@ -13,10 +14,11 @@ from projquad import (
     quadrangulation_check,
     sample_closed_walks,
     sphere_check,
+    verify_ball_quadrangulation,
     verify_z2_map_to_box,
 )
 from projquad.errors import MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
-from projquad.symmetry import bichromatic_edge_cells
+from projquad.symmetry import BoundaryStructure, bichromatic_edge_cells
 
 
 def test_sphere_check_accepts_octahedron(octahedron):
@@ -48,6 +50,19 @@ def test_sphere_check_zero_dimensional():
 
 def test_ball_check_interval(interval_ball):
     assert ball_check(interval_ball).ok
+
+
+def test_ball_identification_loop_is_a_failing_entry():
+    # a single edge with its two ends paired: identifying them makes a loop
+    b = ComplexBuilder()
+    b.add_vertex()
+    b.add_vertex()
+    b.add_cell(1, (0, 1), (0, 1))
+    boundary = BoundaryStructure({0: frozenset({0, 1})}, Involution("boundary", {0: 1, 1: 0}))
+    col = TwoColouring(black=frozenset({0}), white=frozenset({1}))
+    report, artifacts = verify_ball_quadrangulation(b.build(), boundary, col)
+    assert report.failing() == ["antipodal-free", "graph-identification"]
+    assert "graph" not in artifacts
 
 
 def test_ball_check_rejects_sphere(octahedron):

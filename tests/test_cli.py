@@ -100,14 +100,6 @@ def test_chi_budget_exit(tmp_path, capsys):
     assert payload["lower"] <= payload["upper"]
 
 
-def test_chi_threads_agree(tmp_path, capsys):
-    out = tmp_path / "k7"
-    run(capsys, "build", "cylinder", "--r", "2", "--out", str(out))
-    _, one, _ = run(capsys, "chi", str(out), "--threads", "1")
-    _, four, _ = run(capsys, "chi", str(out), "--threads", "4")
-    assert json.loads(one) == json.loads(four)
-
-
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as e:
         main(["build", "cylinder"])  # missing required arguments
@@ -140,3 +132,65 @@ def test_verify_failure_exit(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 2
     assert json.loads(stdout)["ok"] is False
+
+
+def _dangling_facet(obj):
+    next(c for c in obj["cells"] if c["dim"] == 1)["facets"][0] = 99
+
+
+def _uncolour_vertex_9(obj):
+    for side in ("black", "white"):
+        obj[side] = [v for v in obj[side] if v != 9]
+
+
+def _colour_a_vertex_twice(obj):
+    obj["black"].append(obj["white"][0])
+
+
+def _pair_with_missing_vertex(obj):
+    obj["vertex_pairs"][0] = [0, 42]
+
+
+def _cell_pair_with_missing_cell(obj):
+    obj["cell_pairs"]["1"][0] = [0, 99]
+
+
+def _loop_edge(obj):
+    obj["edges"].append([0, 0])
+
+
+def _edge_to_unknown_vertex(obj):
+    obj["edges"].append([0, 5])
+
+
+# bundle file, change, command, exit code, audit entry that must fail
+TAMPERS = [
+    ("complex.json", _dangling_facet, "verify", 2, "complex-valid"),
+    ("colouring.json", _uncolour_vertex_9, "verify", 2, "colouring-total"),
+    ("colouring.json", _colour_a_vertex_twice, "verify", 65, None),
+    ("involution.json", _pair_with_missing_vertex, "verify", 2, "involution-valid"),
+    ("involution.json", _cell_pair_with_missing_cell, "verify", 2, "involution-valid"),
+    ("graph.json", _loop_edge, "verify", 65, None),
+    ("graph.json", _edge_to_unknown_vertex, "verify", 65, None),
+    ("graph.json", _edge_to_unknown_vertex, "chi", 65, None),
+]
+
+
+@pytest.mark.parametrize(
+    "fname,change,command,exit_code,failing",
+    TAMPERS,
+    ids=[f"{command}-{change.__name__.lstrip('_')}" for _, change, command, _, _ in TAMPERS],
+)
+def test_tampered_bundle_fails_closed(tmp_path, capsys, fname, change, command, exit_code, failing):
+    out = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))[0] == 0
+    path = out / fname
+    obj = json.loads(path.read_text())
+    change(obj)
+    path.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, command, str(out))
+    assert code == exit_code
+    assert "Traceback" not in err
+    if failing is not None:
+        report = json.loads(stdout)["report"]
+        assert failing in [e["name"] for e in report if not e["ok"]]

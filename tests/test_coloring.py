@@ -1,7 +1,6 @@
 import pytest
 
 from projquad import BudgetExceeded, Graph, chromatic_number, complete_graph, cycle_graph, kneser_graph, mycielski_graph
-from projquad.errors import BadParameters
 
 
 def check_certificate(graph, result):
@@ -61,19 +60,6 @@ def test_budget_raises():
             assert e.colouring[u] != e.colouring[w]
 
 
-def test_thread_determinism():
-    g = mycielski_graph(5)
-    r1 = chromatic_number(g, threads=1)
-    r4 = chromatic_number(g, threads=4)
-    assert r1.chi == r4.chi == 5
-    assert r1.colouring == r4.colouring
-
-
-def test_threads_validation():
-    with pytest.raises(BadParameters):
-        chromatic_number(cycle_graph(5), threads=0)
-
-
 def test_disconnected_graph():
     g = Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4)])
     r = chromatic_number(g)
@@ -83,6 +69,6 @@ def test_disconnected_graph():
 
 def test_tuple_labels():
     g = mycielski_graph(4)  # labels are nested tuples and "z"
-    r = chromatic_number(g, threads=2)
+    r = chromatic_number(g)
     assert r.chi == 4
     check_certificate(g, r)
