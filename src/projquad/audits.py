@@ -395,7 +395,11 @@ def _audit_shared(
     """
     complex_ok = audit.add("complex-valid", complex.validate())
     involution_ok = complex_ok and audit.add("involution-valid", validate_involution(complex, involution))
-    total = audit.add_flag("colouring-total", colouring.covers(complex.vertex_ids()), "some vertices are uncoloured")
+    total = audit.add_flag(
+        "colouring-total",
+        colouring.covers(complex.vertex_ids()),
+        "some vertex is uncoloured or some coloured id is not a vertex",
+    )
     audit.add("antipodal-free", antipodal_free_cells(complex, involution))
     if complex_ok:
         audit.add("colouring-proper", proper_on_maximal(complex, colouring))

@@ -1,8 +1,11 @@
 """Dense GF(2) linear algebra on bit-packed rows.
 
-Each row of a matrix is one Python int; column j is bit j.  Row reduction is
-word-parallel via XOR, which is fast enough for the chain complexes handled
-here (thousands of cells) without any third-party dependency.
+Each row of a matrix is one Python int; column j is bit j, so adding two rows
+is one word-parallel XOR.  Rank, `Gf2Solver` and `kernel_basis` share one
+elimination: each row is reduced against a dict of pivot rows keyed by the
+position of their lowest set bit, the scheme of persistent-homology codes such
+as PHAT (Bauer, Kerber, Reininghaus & Wagner 2017).  A row thus costs one
+dict lookup per reduction step, with no search over the other rows.
 """
 
 from __future__ import annotations
@@ -91,101 +94,79 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+def _eliminate(rows: Iterable[int], track: bool = False) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """Reduce the rows in order against a table of pivot rows.
+
+    The table maps the position of a pivot row's lowest set bit, counted
+    from 1 as `(r & -r).bit_length()`, to that row; keying by the position
+    rather than by the power of two keeps the hashed keys small.  A row is
+    XORed with the pivot at its lowest bit until it either finds a free slot
+    and becomes a pivot or reaches zero.  With `track`, the second dict gives
+    each pivot's combination of the input rows (a bitmask over row indices)
+    and the list holds the combinations of the rows that reached zero;
+    otherwise both are empty.
+    """
+    pivots: dict[int, int] = {}
+    combos: dict[int, int] = {}
+    zeros: list[int] = []
+    for i, r in enumerate(rows):
+        x = 1 << i if track else 0
+        while r:
+            c = (r & -r).bit_length()
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
+                if track:
+                    combos[c] = x
+                break
+            r ^= p
+            if track:
+                x ^= combos[c]
+        else:
+            if track:
+                zeros.append(x)
+    return pivots, combos, zeros
+
+
 def rank_gf2(matrix: BitMatrix) -> int:
-    """Rank by in-place elimination on a copy."""
-    rows = [r for r in matrix.data if r]
-    rank = 0
-    while rows:
-        pivot_row = min(rows, key=lambda r: (r & -r).bit_length())
-        pivot_bit = pivot_row & -pivot_row
-        rank += 1
-        nxt = []
-        for r in rows:
-            if r is pivot_row:
-                continue
-            if r & pivot_bit:
-                r ^= pivot_row
-            if r:
-                nxt.append(r)
-        rows = nxt
-    return rank
+    """Rank over GF(2): the number of pivots of the elimination."""
+    return len(_eliminate(matrix.data)[0])
 
 
 class Gf2Solver:
-    """Row-reduce A once, then answer `solve(b)` queries for x with x·A = b.
+    """Eliminate A once, then answer `solve(b)` queries for x with x·A = b.
 
-    Treats rows of A as the generating set: a query asks for a row vector x
-    such that x A = b.  Factoring keeps E with R = E A in row-reduced form so
-    each query costs one sweep over the pivots.
+    The rows of A are the generating set.  The elimination keeps each pivot
+    row together with its combination of the rows of A, so a query XORs the
+    pivot at b's lowest set bit into b until b is zero, or fails when no
+    pivot has that lowest bit.  The witness is one fixed solution among
+    possibly many, determined by A and b alone.
     """
 
     def __init__(self, matrix: BitMatrix) -> None:
         self.matrix = matrix
-        n = matrix.rows
-        # Work on [A | E] with E starting as identity over the row index.
-        work = list(matrix.data)
-        ident = [1 << i for i in range(n)]
-        pivot_cols: list[int] = []
-        pivot_rows: list[int] = []  # indices into work, in pivot order
-        used = [False] * n
-        col = 0
-        cols = matrix.cols
-        while col < cols and len(pivot_cols) < n:
-            sel = -1
-            for idx in range(n):
-                if not used[idx] and (work[idx] >> col) & 1:
-                    sel = idx
-                    break
-            if sel == -1:
-                col += 1
-                continue
-            used[sel] = True
-            prow, erow = work[sel], ident[sel]
-            for idx in range(n):
-                if idx != sel and (work[idx] >> col) & 1:
-                    work[idx] ^= prow
-                    ident[idx] ^= erow
-            pivot_cols.append(col)
-            pivot_rows.append(sel)
-            col += 1
-        self.pivot_cols = pivot_cols
-        # Rows of R (unit in their pivot column) and the matching rows of E;
-        # read after all eliminations so every row is fully reduced.
-        self.reduced = [work[i] for i in pivot_rows]
-        self.reduced_e = [ident[i] for i in pivot_rows]
-        self.rank = len(pivot_cols)
+        self._pivots, self._combos, _ = _eliminate(matrix.data, track=True)
+        self.rank = len(self._pivots)
 
     def solve(self, b: int) -> Optional[int]:
         """Return x (bitmask over matrix rows) with x·A = b, or None."""
-        residue = b
         x = 0
-        for (pcol, prow, erow) in zip(self.pivot_cols, self.reduced, self.reduced_e):
-            if (residue >> pcol) & 1:
-                residue ^= prow
-                x ^= erow
-        return x if residue == 0 else None
+        while b:
+            c = (b & -b).bit_length()
+            p = self._pivots.get(c)
+            if p is None:
+                return None
+            b ^= p
+            x ^= self._combos[c]
+        return x
 
     def in_row_space(self, b: int) -> bool:
         return self.solve(b) is not None
 
 
 def kernel_basis(matrix: BitMatrix) -> list[int]:
-    """Basis of {x : x·A = 0}, x as bitmasks over rows of A."""
-    n = matrix.rows
-    work = list(matrix.data)
-    ident = [1 << i for i in range(n)]
-    # Gaussian elimination tracking row operations; kernel rows are the fully
-    # zeroed work rows.
-    pivot_of_col: dict[int, int] = {}
-    for i in range(n):
-        r = work[i]
-        while r:
-            c = (r & -r).bit_length() - 1
-            p = pivot_of_col.get(c)
-            if p is None:
-                pivot_of_col[c] = i
-                break
-            work[i] ^= work[p]
-            ident[i] ^= ident[p]
-            r = work[i]
-    return [ident[i] for i in range(n) if work[i] == 0]
+    """Basis of {x : x·A = 0}, x as bitmasks over rows of A.
+
+    One vector per row that the elimination reduces to zero, in row order.
+    """
+    return _eliminate(matrix.data, track=True)[2]

@@ -134,8 +134,9 @@ class HomologyCalculator:
         """A witness (p+1)-chain with boundary equal to the input cycle, or None.
 
         The zero chain always bounds (empty witness).  Raises NotACycle when
-        the input has non-zero boundary.  Deterministic: free variables of the
-        underlying linear system are set to zero.
+        the input has non-zero boundary.  When several (p+1)-chains bound the
+        input, the witness is one of them, the same on every call for a given
+        complex and chain.
         """
         if not self.is_cycle(chain):
             raise NotACycle(f"{chain.dim}-chain has non-zero boundary")
@@ -175,10 +176,20 @@ def homologous(complex: Complex, c1: ChainZ2, c2: ChainZ2) -> bool:
 
 
 def boundary_squares_to_zero(complex: Complex, p: int) -> bool:
-    """The composition of consecutive boundary operators is zero (mod 2)."""
+    """The composition of consecutive boundary operators is zero (mod 2).
+
+    By parity: for each p-cell, the facet masks of its facets XOR to zero.
+    """
     if p < 2 or p > complex.dim:
         return True
-    return boundary_matrix(complex, p - 1).matmul(boundary_matrix(complex, p)).is_zero()
+    facet_masks = _facet_rows(complex, p - 1)
+    for cell in complex.cells_of(p):
+        acc = 0
+        for f in cell.facets:
+            acc ^= facet_masks[f]
+        if acc:
+            return False
+    return True
 
 
 def edge_chain(cell_ids: Iterable[int]) -> ChainZ2:

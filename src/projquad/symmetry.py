@@ -42,7 +42,8 @@ class TwoColouring:
         raise BadParameters(f"vertex {v} is uncoloured")
 
     def covers(self, vertices: Iterable[VertexId]) -> bool:
-        return all(v in self.black or v in self.white for v in vertices)
+        """Every vertex is coloured and every coloured id is a vertex."""
+        return self.black | self.white == set(vertices)
 
     def inverted(self) -> "TwoColouring":
         return TwoColouring(self.white, self.black)
@@ -154,6 +155,8 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
     extra_vertices = set(vp) - scope_cells.get(0, set())
     for v in sorted(extra_vertices):
         violations.append(Violation("PairedOutsideScope", 0, v, "vertex outside scope is paired"))
+    for d in sorted(set(involution.cell_pairing) - set(range(1, complex.dim + 1))):
+        violations.append(Violation("PairedOutsideScope", d, None, f"cell pairs at dimension {d}, outside 1..{complex.dim}"))
     for d in range(1, complex.dim + 1):
         pairing = involution.cell_pairing.get(d, {})
         in_scope = scope_cells.get(d, set())
@@ -350,7 +353,7 @@ def double(
         first = rep.violations[0]
         raise BoundaryNotSymmetric(f"{first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
     if not colouring.covers(ball.vertex_ids()):
-        raise BadParameters("colouring does not cover all vertices")
+        raise BadParameters("colouring does not colour exactly the ball's vertices")
     for v, w in vp.items():
         if colouring.of(v) == colouring.of(w):
             raise ColouringNotBoundaryAntisymmetric(f"boundary pair ({v}, {w}) share colour {colouring.of(v)}")

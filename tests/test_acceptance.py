@@ -20,6 +20,7 @@ from projquad import (
     SphereQuad,
     all_betti_z2,
     bichromatic_edge_cells,
+    boundary_matrix,
     boundary_squares_to_zero,
     chromatic_number,
     complete_graph,
@@ -217,6 +218,17 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion took {elapsed:.2f}s"
     print(f"betti spot checks, d o d = 0 corpus-wide, 200 rank oracles in {elapsed:.2f}s")
+
+
+def test_homology_ranks_match_numpy_oracle(corpus):
+    for name in ("cylinder-3", "tower-4", "schrijver-6-2"):
+        for cx in (corpus[name].sq.complex, corpus[name].sq.quotient):
+            calc = HomologyCalculator(cx)
+            for p in range(cx.dim + 2):
+                expected = 0
+                if 1 <= p <= cx.dim:
+                    expected = _numpy_rank_gf2(np.array(boundary_matrix(cx, p).to_lists(), dtype=np.uint8))
+                assert calc.rank(p) == expected, (name, cx.dim, p)
 
 
 def test_criterion_7_fineness(corpus):

@@ -147,12 +147,20 @@ def _colour_a_vertex_twice(obj):
     obj["black"].append(obj["white"][0])
 
 
+def _colour_a_missing_vertex(obj):
+    obj["black"].append(99)
+
+
 def _pair_with_missing_vertex(obj):
     obj["vertex_pairs"][0] = [0, 42]
 
 
 def _cell_pair_with_missing_cell(obj):
     obj["cell_pairs"]["1"][0] = [0, 99]
+
+
+def _cell_pairs_above_dimension(obj):
+    obj["cell_pairs"]["7"] = [[0, 1]]
 
 
 def _loop_edge(obj):
@@ -168,8 +176,10 @@ TAMPERS = [
     ("complex.json", _dangling_facet, "verify", 2, "complex-valid"),
     ("colouring.json", _uncolour_vertex_9, "verify", 2, "colouring-total"),
     ("colouring.json", _colour_a_vertex_twice, "verify", 65, None),
+    ("colouring.json", _colour_a_missing_vertex, "verify", 2, "colouring-total"),
     ("involution.json", _pair_with_missing_vertex, "verify", 2, "involution-valid"),
     ("involution.json", _cell_pair_with_missing_cell, "verify", 2, "involution-valid"),
+    ("involution.json", _cell_pairs_above_dimension, "verify", 2, "involution-valid"),
     ("graph.json", _loop_edge, "verify", 65, None),
     ("graph.json", _edge_to_unknown_vertex, "verify", 65, None),
     ("graph.json", _edge_to_unknown_vertex, "chi", 65, None),

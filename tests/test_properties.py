@@ -46,6 +46,11 @@ def bit_matrices(draw, max_rows=8, max_cols=8):
     return BitMatrix(rows, cols, data)
 
 
+# Up to 8 x 8, or rows up to 150 bits: wider than one 64-bit machine word.
+gf2_matrices = st.one_of(bit_matrices(), bit_matrices(max_rows=40, max_cols=150))
+row_masks = st.integers(0, (1 << 150) - 1)
+
+
 @st.composite
 def small_graphs(draw, max_n=7):
     n = draw(st.integers(1, max_n))
@@ -55,19 +60,19 @@ def small_graphs(draw, max_n=7):
 
 
 @settings(deadline=None)
-@given(bit_matrices())
+@given(gf2_matrices)
 def test_rank_matches_naive(m):
     assert rank_gf2(m) == naive_rank(m.data, m.cols)
 
 
 @settings(deadline=None)
-@given(bit_matrices())
+@given(gf2_matrices)
 def test_rank_is_transpose_invariant(m):
     assert rank_gf2(m) == rank_gf2(m.transpose())
 
 
 @settings(deadline=None)
-@given(bit_matrices(), st.integers(0, (1 << 8) - 1))
+@given(gf2_matrices, row_masks)
 def test_solver_solutions_reproduce_target(m, x_seed):
     x = x_seed & ((1 << m.rows) - 1)
     b = 0
@@ -84,7 +89,7 @@ def test_solver_solutions_reproduce_target(m, x_seed):
 
 
 @settings(deadline=None)
-@given(bit_matrices(), st.integers(0, (1 << 8) - 1))
+@given(gf2_matrices, row_masks)
 def test_solver_none_iff_outside_row_space(m, b_seed):
     b = b_seed & ((1 << m.cols) - 1)
     got = Gf2Solver(m).solve(b)
@@ -94,7 +99,7 @@ def test_solver_none_iff_outside_row_space(m, b_seed):
 
 
 @settings(deadline=None)
-@given(bit_matrices())
+@given(gf2_matrices)
 def test_kernel_basis_spans_left_kernel(m):
     basis = kernel_basis(m)
     assert len(basis) == m.rows - rank_gf2(m)

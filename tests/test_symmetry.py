@@ -29,6 +29,7 @@ def test_two_colouring_basics():
     assert col.of(0) == BLACK and col.of(1) == WHITE
     assert col.covers({0, 1, 2})
     assert not col.covers({0, 3})
+    assert not col.covers({0, 1})
     inv = col.inverted()
     assert inv.of(0) == WHITE
     with pytest.raises(BadParameters):
