@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import sqrt
 from typing import Callable, Optional, Sequence
 
 from .complexes import Complex
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
-from .homology import ChainZ2, HomologyCalculator, boundary_squares_to_zero
+from .homology import HomologyCalculator, boundary_squares_to_zero, edge_chain
 from .symmetry import (
     Involution,
     TwoColouring,
@@ -41,23 +40,30 @@ def boundary_operator_audit(complex: Complex) -> ValidationReport:
     return ValidationReport.collect(violations)
 
 
+def _pseudomanifold_violations(complex: Complex, n: int, ridge_cofacets: tuple[int, ...]) -> list[Violation]:
+    """Dimension n, pure, and every ridge in a number of top cells from
+    `ridge_cofacets`; a wrong dimension stops the check."""
+    if complex.dim != n:
+        return [Violation("WrongDimension", None, None, f"dimension {complex.dim}, expected {n}")]
+    violations = [
+        Violation("NotPure", d, i, f"maximal cell of dimension {d} < {n}")
+        for d, i in complex.maximal_cells()
+        if d != n
+    ]
+    if n >= 1:
+        expected = " or ".join(map(str, ridge_cofacets))
+        for i, k in enumerate(complex.cofacet_counts(n - 1)):
+            if k not in ridge_cofacets:
+                violations.append(Violation("BadCofacetCount", n - 1, i, f"{k} cofacets, expected {expected}"))
+    return violations
+
+
 def sphere_check(complex: Complex, n: Optional[int] = None) -> ValidationReport:
     """Pure dimension n, every ridge in exactly two top cells, and the mod-2
     homology of the n-sphere: a mod-2 homology sphere, not a proven PL sphere."""
-    violations = []
     if n is None:
         n = complex.dim
-    if complex.dim != n:
-        violations.append(Violation("WrongDimension", None, None, f"dimension {complex.dim}, expected {n}"))
-        return ValidationReport.collect(violations)
-    for d, i in complex.maximal_cells():
-        if d != n:
-            violations.append(Violation("NotPure", d, i, f"maximal cell of dimension {d} < {n}"))
-    if n >= 1:
-        counts = complex.cofacet_counts(n - 1)
-        for c in complex.cells_of(n - 1):
-            if counts[c.id] != 2:
-                violations.append(Violation("BadCofacetCount", n - 1, c.id, f"{counts[c.id]} cofacets, expected 2"))
+    violations = _pseudomanifold_violations(complex, n, (2,))
     if not violations:
         expected = (2,) if n == 0 else (1,) + (0,) * (n - 1) + (1,)
         got = HomologyCalculator(complex).all_betti()
@@ -66,23 +72,11 @@ def sphere_check(complex: Complex, n: Optional[int] = None) -> ValidationReport:
     return ValidationReport.collect(violations)
 
 
-def ball_check(complex: Complex, n: Optional[int] = None) -> ValidationReport:
-    """Pure dimension n, ridges in one or two top cells, contractible homology,
+def ball_check(complex: Complex) -> ValidationReport:
+    """Pure dimension, ridges in one or two top cells, contractible homology,
     and a boundary subcomplex that passes the sphere check one dimension down."""
-    violations = []
-    if n is None:
-        n = complex.dim
-    if complex.dim != n:
-        violations.append(Violation("WrongDimension", None, None, f"dimension {complex.dim}, expected {n}"))
-        return ValidationReport.collect(violations)
-    for d, i in complex.maximal_cells():
-        if d != n:
-            violations.append(Violation("NotPure", d, i, f"maximal cell of dimension {d} < {n}"))
-    if n >= 1:
-        counts = complex.cofacet_counts(n - 1)
-        for c in complex.cells_of(n - 1):
-            if counts[c.id] not in (1, 2):
-                violations.append(Violation("BadCofacetCount", n - 1, c.id, f"{counts[c.id]} cofacets"))
+    n = complex.dim
+    violations = _pseudomanifold_violations(complex, n, (1, 2))
     if violations:
         return ValidationReport.collect(violations)
     got = HomologyCalculator(complex).all_betti()
@@ -101,14 +95,13 @@ def ball_check(complex: Complex, n: Optional[int] = None) -> ValidationReport:
 
 # ---- quadrangulation laws ----
 
-def _complete_bipartite_reason(vertices: Sequence[int], pairs: set[frozenset[int]]) -> Optional[str]:
+def _complete_bipartite_reason(vertices: Sequence[int], pairs: set[tuple[int, int]]) -> Optional[str]:
     """None when the pair set makes the vertex set a complete bipartite graph
     with at least one edge; otherwise a human-readable reason."""
     if not pairs:
         return "no selected edges"
     adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for pair in pairs:
-        a, b = sorted(pair)
+    for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
     start = min(v for v in vertices if adj[v])
@@ -131,42 +124,18 @@ def _complete_bipartite_reason(vertices: Sequence[int], pairs: set[frozenset[int
     return None
 
 
-def _selected_pairs_of_cell(
-    complex: Complex,
-    d: int,
-    i: int,
-    graph: Optional[Graph],
-    edge_cells: Optional[frozenset[int]],
-) -> set[frozenset[int]]:
-    vs = complex.cell(d, i).vertices
-    if edge_cells is None:
-        assert graph is not None
-        return {frozenset(p) for p in combinations(vs, 2) if graph.has_edge(*p)}
-    out = set()
-    for e in complex.one_faces(d, i):
-        if e in edge_cells:
-            out.add(frozenset(complex.cell(1, e).vertices))
-    return out
-
-
-def quadrangulation_check(
-    complex: Complex,
-    graph: Optional[Graph] = None,
-    *,
-    edge_cells: Optional[frozenset[int]] = None,
-) -> ValidationReport:
+def quadrangulation_check(complex: Complex, edge_cells: frozenset[int]) -> ValidationReport:
     """Every maximal cell must span a complete bipartite selected subgraph
     with at least one edge.
 
-    With `edge_cells` the selection is the given set of 1-cells, judged
-    cell-locally (a maximal cell is tested against its own 1-faces); without
-    it, vertex pairs are looked up in `graph`.
+    The selection is a set of 1-cell ids, judged on each maximal cell's own
+    1-faces: a quotient can carry two parallel 1-cells on one vertex pair
+    with only one of them selected, so a vertex pair cannot stand for a cell.
     """
     violations = []
     for d, i in complex.maximal_cells():
-        vs = complex.cell(d, i).vertices
-        pairs = _selected_pairs_of_cell(complex, d, i, graph, edge_cells)
-        reason = _complete_bipartite_reason(vs, pairs)
+        pairs = {complex.cell(1, e).vertices for e in complex.one_faces(d, i) if e in edge_cells}
+        reason = _complete_bipartite_reason(complex.cell(d, i).vertices, pairs)
         if reason == "no selected edges":
             violations.append(Violation("NoEdge", d, i, reason))
         elif reason is not None:
@@ -174,25 +143,15 @@ def quadrangulation_check(
     return ValidationReport.collect(violations)
 
 
-def parity_audit(
-    complex: Complex,
-    graph: Optional[Graph] = None,
-    *,
-    edge_cells: Optional[frozenset[int]] = None,
-) -> ValidationReport:
-    """Each 2-cell must contain an even number of selected 1-cells (0 or 2)."""
+def parity_audit(complex: Complex, edge_cells: frozenset[int]) -> ValidationReport:
+    """Each 2-cell must contain an even number of selected 1-cells (0 or 2).
+
+    The selection is a set of 1-cell ids, judged on each 2-cell's own facets,
+    since parallel 1-cells in a quotient share a vertex pair.
+    """
     violations = []
-    if complex.dim < 2:
-        return ValidationReport.collect(violations)
-
-    def selected(e: int) -> bool:
-        if edge_cells is not None:
-            return e in edge_cells
-        assert graph is not None
-        return graph.has_edge(*complex.cell(1, e).vertices)
-
-    for c in complex.cells_of(2):
-        k = sum(1 for f in c.facets if selected(f))
+    for c in complex.cells_of(2) if complex.dim >= 2 else ():
+        k = sum(1 for f in c.facets if f in edge_cells)
         if k % 2:
             violations.append(Violation("OddSelection", 2, c.id, f"{k} of 3 edges selected"))
     return ValidationReport.collect(violations)
@@ -219,9 +178,8 @@ def _closed_walk_ok(endpoint_pairs: Sequence[tuple[int, int]]) -> bool:
 def cycle_parity_vs_homology(
     complex: Complex,
     walk_cells: Sequence[int],
+    edge_cells: frozenset[int],
     *,
-    graph: Optional[Graph] = None,
-    edge_cells: Optional[frozenset[int]] = None,
     calculator: Optional[HomologyCalculator] = None,
 ) -> dict:
     """Compare a closed walk's length parity with its mod-2 homology class.
@@ -229,8 +187,9 @@ def cycle_parity_vs_homology(
     The walk is a sequence of 1-cell ids; consecutive cells must chain into a
     closed vertex walk (NotAClosedWalk otherwise).  Returns the parity, the
     homology class (0 when the mod-2 sum of traversed cells bounds), whether
-    every traversed cell was a selected edge, and the consistency verdict:
-    even walks must bound and odd walks must not.
+    every traversed cell is in `edge_cells`, and the consistency verdict:
+    even walks must bound and odd walks must not.  Selection is by 1-cell id,
+    not by vertex pair, because parallel 1-cells in a quotient share a pair.
     """
     if not walk_cells:
         raise NotAClosedWalk("empty walk")
@@ -241,25 +200,15 @@ def cycle_parity_vs_homology(
     pairs = [tuple(complex.cell(1, e).vertices) for e in walk_cells]
     if not _closed_walk_ok(pairs):
         raise NotAClosedWalk("cells do not chain into a closed walk")
-    if edge_cells is not None:
-        selected = all(e in edge_cells for e in walk_cells)
-    elif graph is not None:
-        selected = all(graph.has_edge(*p) for p in pairs)
-    else:
-        selected = True
     calc = calculator or HomologyCalculator(complex)
-    support: set[int] = set()
-    for e in walk_cells:
-        support ^= {e}
-    chain = ChainZ2(1, frozenset(support))
-    bounds = calc.is_boundary(chain) is not None
+    bounds = calc.is_boundary(edge_chain(walk_cells)) is not None
     parity = len(walk_cells) % 2
     homology_class = 0 if bounds else 1
     return {
         "length": len(walk_cells),
         "parity": parity,
         "homology_class": homology_class,
-        "selected": selected,
+        "selected": all(e in edge_cells for e in walk_cells),
         "consistent": parity == homology_class,
     }
 
@@ -383,15 +332,16 @@ def _audit_shared(
     colouring: TwoColouring,
     labels: dict[int, object],
     shape: Callable[[], object],
-) -> Optional[Graph]:
+) -> Optional[tuple[Graph, frozenset[int]]]:
     """The audits a coloured sphere and a coloured ball share, up to the
     identified graph; `shape` adds the sphere or ball recognition entries.
 
     Every audit runs only once the audits whose data it reads have passed:
     the involution, the proper colouring and everything after the gate read
     facet ids, so they need complex-valid; antisymmetry needs a valid
-    involution and a total colouring.  Returns the identified labelled graph,
-    or None when a gate or the identification stops the audit.
+    involution and a total colouring.  Returns the identified labelled graph
+    and the selected (bichromatic) 1-cells, or None when a gate or the
+    identification stops the audit.
     """
     complex_ok = audit.add("complex-valid", complex.validate())
     involution_ok = complex_ok and audit.add("involution-valid", validate_involution(complex, involution))
@@ -409,23 +359,22 @@ def _audit_shared(
 
     audit.add("boundary-operator", boundary_operator_audit(complex))
     shape()
-    assoc = associated_graph(complex, colouring)
-    artifacts["associated_graph"] = assoc
-    audit.add("parity", parity_audit(complex, assoc))
-    audit.add("quadrangulation", quadrangulation_check(complex, assoc))
+    selected = bichromatic_edge_cells(complex, colouring)
+    audit.add("parity", parity_audit(complex, selected))
+    audit.add("quadrangulation", quadrangulation_check(complex, selected))
 
     orbit_ok = all(labels.get(v) == labels.get(w) for v, w in involution.vertex_pairing.items())
     audit.add_flag("labels-on-orbits", orbit_ok, "labels are not constant on antipodal pairs")
 
     try:
-        identified, _ = identify_antipodes(assoc, involution.vertex_pairing)
+        identified, _ = identify_antipodes(associated_graph(complex, colouring), involution.vertex_pairing)
     except LoopCreated as exc:  # a bichromatic cell joins a pair
         audit.add_flag("graph-identification", False, f"{type(exc).__name__}: {exc}")
         return None
     graph = identified.relabel({r: labels[r] for r in identified.vertices})
     artifacts["graph"] = graph
     artifacts["orbit_reps"] = {labels[r]: r for r in identified.vertices}
-    return graph
+    return graph, selected
 
 
 def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Optional[Graph]) -> None:
@@ -457,12 +406,13 @@ def verify_sphere_quadrangulation(
     artifacts: dict = {}
     if labels is None:
         labels = _default_labels(complex, involution)
-    graph = _audit_shared(
+    shared = _audit_shared(
         audit, artifacts, complex, involution, colouring, labels,
         lambda: audit.add("sphere", sphere_check(complex)),
     )
-    if graph is None:
+    if shared is None:
         return audit.done(), artifacts
+    graph, selected_up = shared
     audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels, involution))
 
     try:
@@ -478,7 +428,6 @@ def verify_sphere_quadrangulation(
     qb = qcalc.all_betti()
     audit.add_flag("quotient-homology", qb == (1,) * (n + 1), f"betti {qb}, expected {(1,) * (n + 1)}")
 
-    selected_up = bichromatic_edge_cells(complex, colouring)
     selected_q = frozenset(projection[1][e] for e in selected_up)
     artifacts["selected_quotient_cells"] = selected_q
 
@@ -490,15 +439,15 @@ def verify_sphere_quadrangulation(
     commute = from_quotient.relabel(relabel_q) == graph
     audit.add_flag("identification-commutes", commute, "identified graph differs from quotient-selected graph")
 
-    audit.add("quotient-parity", parity_audit(q, edge_cells=selected_q))
-    audit.add("quotient-quadrangulation", quadrangulation_check(q, edge_cells=selected_q))
+    audit.add("quotient-parity", parity_audit(q, selected_q))
+    audit.add("quotient-quadrangulation", quadrangulation_check(q, selected_q))
     _matches_expected(audit, graph, expected_graph)
 
     if n_walks > 0:
         walks = sample_closed_walks(q, selected_q, n_walks, seed=seed)
         bad = 0
         for walk in walks:
-            res = cycle_parity_vs_homology(q, walk, edge_cells=selected_q, calculator=qcalc)
+            res = cycle_parity_vs_homology(q, walk, selected_q, calculator=qcalc)
             if not (res["consistent"] and res["selected"]):
                 bad += 1
         audit.add_flag(
@@ -534,7 +483,7 @@ def verify_ball_quadrangulation(
         )
         audit.add_flag("boundary-matches", matches, "stated boundary differs from the free-ridge closure")
 
-    graph = _audit_shared(audit, artifacts, ball, involution, colouring, labels, shape)
-    if graph is not None:
-        _matches_expected(audit, graph, expected_graph)
+    shared = _audit_shared(audit, artifacts, ball, involution, colouring, labels, shape)
+    if shared is not None:
+        _matches_expected(audit, shared[0], expected_graph)
     return audit.done(), artifacts

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, complex_from_json, complex_to_json, dump_canonical
-from .constructions import SphereQuad
+from .constructions import SphereQuad, _finish_sphere
 from .errors import ParseError, VerificationFailed
 from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key
 from .homomorphisms import Homomorphism, homomorphism_from_json, homomorphism_to_json, verify_homomorphism
@@ -111,6 +111,8 @@ def load_bundle(path: PathLike) -> Bundle:
 
 
 def _labels_from_reps(bundle: Bundle) -> Optional[dict]:
+    """Vertex labels from the stored orbit representatives, or None when the
+    representatives miss an orbit."""
     labels: dict = {}
     for lab, rep in bundle.orbit_reps.items():
         if not 0 <= rep < bundle.complex.n_vertices:
@@ -125,22 +127,25 @@ def _labels_from_reps(bundle: Bundle) -> Optional[dict]:
     return labels
 
 
-def _reverify(
-    path: PathLike, *, seed: int = 0, n_walks: int = 0
-) -> tuple[Bundle, Optional[dict], AuditReport, dict]:
-    """Load a bundle and re-run the sphere audits on it with its stored labels
-    and graph.  The labels are None, and the report holds only a failing
-    orbit-reps-cover entry, when the stored representatives miss an orbit."""
-    bundle = load_bundle(path)
-    labels = _labels_from_reps(bundle)
-    if labels is None:
-        entry = AuditEntry(
+_REPS_MISS_AN_ORBIT = AuditReport(
+    (
+        AuditEntry(
             "orbit-reps-cover",
             False,
             (Violation(code="OrbitRepsIncomplete", detail="stored representatives do not cover every vertex orbit"),),
-        )
-        return bundle, None, AuditReport((entry,)), {}
-    report, artifacts = verify_sphere_quadrangulation(
+        ),
+    )
+)
+
+
+def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> AuditReport:
+    """Re-run the full audit stack on a stored bundle and cross-check the
+    result against the stored graph and report."""
+    bundle = load_bundle(path)
+    labels = _labels_from_reps(bundle)
+    if labels is None:
+        return _REPS_MISS_AN_ORBIT
+    report, _ = verify_sphere_quadrangulation(
         bundle.complex,
         bundle.involution,
         bundle.colouring,
@@ -149,22 +154,13 @@ def _reverify(
         n_walks=n_walks,
         seed=seed,
     )
-    return bundle, labels, report, artifacts
-
-
-def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> AuditReport:
-    """Re-run the full audit stack on a stored bundle and cross-check the
-    result against the stored graph and report."""
-    bundle, labels, report, _ = _reverify(path, seed=seed, n_walks=n_walks)
-    if labels is None:
-        return report
     extra = []
     stored = {}
     consistent = True
     detail = ""
     for item in bundle.report:
-        if isinstance(item, dict) and "name" in item and "ok" in item:
-            stored[item["name"]] = bool(item["ok"])
+        if isinstance(item, dict) and isinstance(item.get("name"), str) and isinstance(item.get("ok"), bool):
+            stored[item["name"]] = item["ok"]
         else:
             consistent = False
             detail = "malformed stored entry"
@@ -200,17 +196,15 @@ def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> Audit
 def sphere_quad_from_bundle(path: PathLike) -> SphereQuad:
     """Reconstruct a verified SphereQuad from a stored bundle (re-auditing
     it; raises VerificationFailed if the stored data no longer passes)."""
-    bundle, labels, report, artifacts = _reverify(path)
-    if not report.ok:
-        raise VerificationFailed(f"bundle failed verification: {', '.join(report.failing())}", report)
-    return SphereQuad(
-        complex=bundle.complex,
-        involution=bundle.involution,
-        colouring=bundle.colouring,
-        labels=labels,
-        graph=artifacts["graph"],
-        quotient=artifacts["quotient"],
-        projection=artifacts["projection"],
-        selected=artifacts["selected_quotient_cells"],
-        report=report,
+    bundle = load_bundle(path)
+    labels = _labels_from_reps(bundle)
+    if labels is None:
+        raise VerificationFailed("stored bundle: failing audits: orbit-reps-cover", _REPS_MISS_AN_ORBIT)
+    return _finish_sphere(
+        bundle.complex,
+        bundle.involution,
+        bundle.colouring,
+        labels,
+        expected_graph=bundle.graph,
+        what="stored bundle",
     )

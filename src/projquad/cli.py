@@ -187,6 +187,10 @@ def _run_chi(args: argparse.Namespace) -> int:
 
 def _run_homology(args: argparse.Namespace) -> int:
     complex = _complex_at(args.path)
+    report = complex.validate()
+    if not report.ok:
+        _emit({"ok": False, "violations": report.to_json()})
+        return VIOLATION_EXIT
     if args.dim is not None:
         _emit({"dim": args.dim, "betti": betti_z2(complex, args.dim)})
     else:

@@ -140,22 +140,14 @@ class Complex:
         """The 1-cells in the closure of a cell, sorted by id."""
         if dim < 1:
             return ()
-        return tuple(sorted(self.face_closure(dim, cell_id)[1]))
-
-    def edge_pairs(self) -> dict[frozenset[VertexId], list[int]]:
-        """Vertex pair -> ids of the 1-cells realizing it (parallel cells listed)."""
-        out: dict[frozenset[VertexId], list[int]] = {}
-        if self.dim >= 1:
-            for c in self._cells[1]:
-                out.setdefault(frozenset(c.vertices), []).append(c.id)
-        return out
-
-    def one_skeleton_graph(self):
-        """The 1-skeleton as a simple graph on VertexIds (parallel 1-cells collapse)."""
-        from .graphs import Graph
-
-        edges = sorted(tuple(sorted(pair)) for pair in self.edge_pairs())
-        return Graph(range(self.n_vertices), edges)
+        ids = {cell_id}
+        for d in range(dim, 1, -1):
+            layer = self._cells[d]
+            below: set[int] = set()
+            for i in ids:
+                below.update(layer[i].facets)
+            ids = below
+        return tuple(sorted(ids))
 
     # ---- subcomplexes ----
 
@@ -356,9 +348,6 @@ class SimplicialBuilder:
         self._by_vertices[frozenset((v,))] = (0, v)
         return v
 
-    def find(self, vertices: Iterable[int]) -> Optional[tuple[int, int]]:
-        return self._by_vertices.get(frozenset(vertices))
-
     def add_simplex(self, vertices: Sequence[int]) -> tuple[int, int]:
         verts = tuple(sorted(set(vertices)))
         if len(verts) != len(tuple(vertices)):
@@ -407,6 +396,8 @@ def complex_from_json(obj: dict) -> Complex:
         if [int(e["id"]) for e in vertex_entries] != list(range(len(vertex_entries))):
             raise ParseError("vertex ids must be dense 0-based")
         labels = [e.get("label") for e in vertex_entries]
+        if any(lab is not None and not isinstance(lab, str) for lab in labels):
+            raise ParseError("vertex labels must be strings")
         raw_coords = [tuple(float(x) for x in e["coords"]) if "coords" in e else None for e in vertex_entries]
         coords = raw_coords if any(c is not None for c in raw_coords) else None
         layers: list[list[dict]] = [[] for _ in range(dim + 1)]

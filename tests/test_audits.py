@@ -97,11 +97,9 @@ def test_quadrangulation_check_fails_without_selected_edges(octahedron):
 
 
 def test_quadrangulation_check_against_graph(octahedron):
-    # the 1-skeleton graph makes each face induce a triangle, which is not
+    # selecting the whole 1-skeleton makes each face a triangle, which is not
     # complete bipartite
-    g = octahedron.one_skeleton_graph()
-    rep = quadrangulation_check(octahedron, g)
-    # each triangle induces a triangle, not complete bipartite
+    rep = quadrangulation_check(octahedron, frozenset(range(octahedron.n_cells(1))))
     assert not rep.ok
     assert any(v.code == "NotCompleteBipartite" for v in rep.violations)
 

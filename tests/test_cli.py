@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -171,7 +172,36 @@ def _edge_to_unknown_vertex(obj):
     obj["edges"].append([0, 5])
 
 
-# bundle file, change, command, exit code, audit entry that must fail
+def _null_cell_pairs(obj):
+    obj["cell_pairs"] = None
+
+
+def _int_cell_pairs(obj):
+    obj["cell_pairs"] = 3
+
+
+def _string_cell_pairs(obj):
+    obj["cell_pairs"] = "x"
+
+
+def _list_as_label(obj):
+    obj["vertices"][0]["label"] = []
+
+
+def _dict_as_entry_name(obj):
+    obj[0]["name"] = {}
+
+
+def _string_as_entry_verdict(obj):
+    obj[0]["ok"] = "false"
+
+
+def _negative_facet_id(obj):
+    next(c for c in obj["cells"] if c["dim"] == 1)["facets"][0] = -1
+
+
+# bundle file, change, command, exit code, audit entry (or for homology,
+# violation code) that must fail
 TAMPERS = [
     ("complex.json", _dangling_facet, "verify", 2, "complex-valid"),
     ("colouring.json", _uncolour_vertex_9, "verify", 2, "colouring-total"),
@@ -183,6 +213,15 @@ TAMPERS = [
     ("graph.json", _loop_edge, "verify", 65, None),
     ("graph.json", _edge_to_unknown_vertex, "verify", 65, None),
     ("graph.json", _edge_to_unknown_vertex, "chi", 65, None),
+    ("involution.json", _null_cell_pairs, "verify", 65, None),
+    ("involution.json", _null_cell_pairs, "chi", 65, None),
+    ("involution.json", _int_cell_pairs, "verify", 65, None),
+    ("involution.json", _string_cell_pairs, "verify", 65, None),
+    ("complex.json", _list_as_label, "verify", 65, None),
+    ("report.json", _dict_as_entry_name, "verify", 2, "report-consistent"),
+    ("report.json", _string_as_entry_verdict, "verify", 2, "report-consistent"),
+    ("complex.json", _negative_facet_id, "homology", 2, "DanglingFacet"),
+    ("complex.json", _dangling_facet, "homology", 2, "DanglingFacet"),
 ]
 
 
@@ -202,5 +241,60 @@ def test_tampered_bundle_fails_closed(tmp_path, capsys, fname, change, command, 
     assert code == exit_code
     assert "Traceback" not in err
     if failing is not None:
-        report = json.loads(stdout)["report"]
-        assert failing in [e["name"] for e in report if not e["ok"]]
+        payload = json.loads(stdout)
+        assert payload["ok"] is False
+        if command == "homology":
+            assert failing in [v["code"] for v in payload["violations"]]
+        else:
+            assert failing in [e["name"] for e in payload["report"] if not e["ok"]]
+
+
+def _nodes(obj, path=()):
+    """Paths to every value inside a JSON value, containers included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(obj, path, rng: random.Random) -> str:
+    """Change the value at `path` in place; returns a description."""
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    leaf = parent[key]
+    kinds = ["set", "delete"] + (["step"] if type(leaf) is int else [])
+    kind = rng.choice(kinds)
+    if kind == "delete":
+        del parent[key]
+        return f"delete {list(path)}"
+    if kind == "step":
+        parent[key] = leaf + rng.choice((-1, 1))
+    else:
+        parent[key] = rng.choice((None, -1, 10**6, "x", [], {}, True, 1.5))
+    return f"{kind} {list(path)} -> {parent[key]!r}"
+
+
+def test_mutated_bundles_never_crash(tmp_path, capsys):
+    out = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))[0] == 0
+    files = {p.name: json.loads(p.read_text()) for p in sorted(out.iterdir())}
+    rng = random.Random(0)
+    failures = []
+    for _ in range(200):
+        name = rng.choice(sorted(files))
+        mutated = json.loads(json.dumps(files[name]))
+        paths = list(_nodes(mutated))
+        what = f"{name}: " + _mutate(mutated, rng.choice(paths), rng)
+        (out / name).write_text(json.dumps(mutated))
+        for argv in (["verify", str(out), "--walks", "20"], ["chi", str(out)], ["homology", str(out)]):
+            try:
+                code = main(argv)
+            except Exception as exc:  # every escape from main is a failure
+                code = f"{type(exc).__name__}: {exc}"
+            capsys.readouterr()
+            if code not in (0, 2, 65, 70):
+                failures.append(f"{argv[0]} after {what}: {code}")
+        (out / name).write_text(json.dumps(files[name]))
+    assert not failures, "\n".join(failures[:20])
