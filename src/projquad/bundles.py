@@ -97,7 +97,7 @@ def load_bundle(path: PathLike) -> Bundle:
         raise ParseError("orbit_reps must be a list of [label, vertex] pairs")
     orbit_reps: dict = {}
     for pair in reps_raw:
-        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], int)):
+        if not (isinstance(pair, list) and len(pair) == 2 and type(pair[1]) is int):
             raise ParseError("orbit_reps must be a list of [label, vertex] pairs")
         orbit_reps[_label_from_json(pair[0])] = pair[1]
     report = _read_json(root / "report.json")
@@ -138,10 +138,9 @@ _REPS_MISS_AN_ORBIT = AuditReport(
 )
 
 
-def verify_bundle(path: PathLike, *, seed: int = 0, n_walks: int = 100) -> AuditReport:
-    """Re-run the full audit stack on a stored bundle and cross-check the
-    result against the stored graph and report."""
-    bundle = load_bundle(path)
+def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> AuditReport:
+    """Re-run the full audit stack on a loaded bundle and cross-check the
+    result against its stored graph and report."""
     labels = _labels_from_reps(bundle)
     if labels is None:
         return _REPS_MISS_AN_ORBIT

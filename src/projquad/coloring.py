@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .errors import BudgetExceeded
+from .errors import BoundContradiction, BudgetExceeded
 from .graphs import Graph, Label
 
 
@@ -15,7 +15,9 @@ class ChiResult:
     """Exact chromatic number with a validated colouring certificate.
 
     `exhausted` is True when optimality was proven by exhausting the search
-    for one colour fewer (rather than by the clique bound matching).
+    for one colour fewer (rather than by a lower bound matching).  `proof`
+    names the lower bound that meets `chi`: "clique" when the clique does,
+    else "topological" when the topological bound does, else "exhaustive".
     """
 
     chi: int
@@ -23,6 +25,7 @@ class ChiResult:
     clique: tuple[Label, ...]
     nodes: int
     exhausted: bool
+    proof: str
 
 
 class _StopSearch(Exception):
@@ -151,19 +154,49 @@ def chromatic_number(
     graph: Graph,
     budget_ms: Optional[int] = None,
     max_nodes: Optional[int] = None,
+    topological_bound: Optional[int] = None,
 ) -> ChiResult:
-    """Exact chromatic number with certificate, clique bound, and budget.
+    """Exact chromatic number with certificate, lower bounds, and budget.
 
     Deterministic for a given graph: vertices are indexed in label order,
     branching always picks the most saturated vertex (ties: higher degree,
     then lower index) and tries colours in increasing order, never more than
-    one beyond those already used.  Raises BudgetExceeded with the bracket
-    found so far when the node or time budget runs out.
+    one beyond those already used.  The search starts from a greedy
+    (DSATUR) colouring and stops as soon as a lower bound meets the best
+    colouring, so no search runs when the greedy colouring already meets it.
+    The budgets bound the search only.  Raises BudgetExceeded with the
+    bracket found so far when the node or time budget runs out.
+
+    The lower bound is the larger of a greedy clique and `topological_bound`,
+    a bound proved elsewhere and taken on trust: a proper colouring found
+    with fewer colours raises BoundContradiction, but a false bound that no
+    colouring found falls below is reported as met.
+
+    `projquad chi` passes the topological bound chi >= n + 2 of a stored
+    bundle whose complex has dimension n, and only when every audit entry of
+    the re-verified bundle passes.  The bound is the chain
+
+        chi(G) >= ind B(G) + 2 >= h(B(G)) + 2 >= n + 2
+
+    (Matousek and Ziegler, "Topological lower bounds for the chromatic
+    number: a hierarchy", 2004; Kaiser and Stehlik, arXiv:1310.5875), where
+    B(G) is the box complex, ind its Z2-index and h its Stiefel-Whitney
+    height.  Its hypotheses and the audits that discharge them:
+
+    - the complex X is a mod-2 homology n-sphere, hence of Stiefel-Whitney
+      height n under any free involution: `sphere`;
+    - the involution on X is free: `involution-valid` and `antipodal-free`;
+    - the vertex map v -> (label(v), colour(v)) is an equivariant simplicial
+      map X -> B(G), so that h(B(G)) >= h(X): `box-map`;
+    - B(G) is built from the graph being coloured, the stored graph.json:
+      `graph-matches-expected`.
     """
     verts = graph.sorted_vertices()
     n = len(verts)
     if n == 0:
-        return ChiResult(0, {}, (), 0, False)
+        if topological_bound is not None and topological_bound > 0:
+            raise BoundContradiction(f"the empty graph contradicts the topological bound {topological_bound}")
+        return ChiResult(0, {}, (), 0, False, "clique")
     index = {v: i for i, v in enumerate(verts)}
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in graph.edges():
@@ -172,11 +205,10 @@ def chromatic_number(
     degrees = [len(a) for a in adj]
 
     clique = _greedy_clique(adj, degrees)
-    lb = len(clique)
+    lb = max(len(clique), topological_bound or 0)
     deadline = time.monotonic() + budget_ms / 1000.0 if budget_ms is not None else None
     search = _Search(adj, degrees, lb, _greedy_colouring(adj, degrees), deadline, max_nodes)
 
-    exhausted = False
     if search.best_k > lb:
         for c, v in enumerate(clique):
             search.max_used = c
@@ -185,10 +217,21 @@ def chromatic_number(
             search.run()
             search.charge(search.pending)
         except _StopSearch:
-            witness = {verts[i]: search.best_col[i] for i in range(n)}
-            raise BudgetExceeded(lower=lb, upper=search.best_k, colouring=witness, nodes=search.nodes)
-        exhausted = search.best_k > lb
+            if search.best_k >= lb:  # else the bound is contradicted, below
+                witness = {verts[i]: search.best_col[i] for i in range(n)}
+                raise BudgetExceeded(lower=lb, upper=search.best_k, colouring=witness, nodes=search.nodes)
 
-    _validate(adj, search.best_col, search.best_k)
+    chi = search.best_k
+    _validate(adj, search.best_col, chi)
+    if chi < lb:
+        raise BoundContradiction(f"a proper {chi}-colouring contradicts the topological bound {topological_bound}")
+    if chi == len(clique):
+        proof = "clique"
+    elif chi == lb:
+        proof = "topological"
+    else:
+        proof = "exhaustive"
     colouring = {verts[i]: search.best_col[i] for i in range(n)}
-    return ChiResult(search.best_k, colouring, tuple(verts[i] for i in clique), search.nodes, exhausted)
+    return ChiResult(
+        chi, colouring, tuple(verts[i] for i in clique), search.nodes, proof == "exhaustive", proof
+    )

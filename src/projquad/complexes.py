@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -390,38 +390,42 @@ def complex_to_json(complex: Complex) -> dict:
 
 
 def complex_from_json(obj: dict) -> Complex:
+    """Parse a complex; ids, dimensions, vertices and facets must be JSON
+    integers (not booleans or floats), and the stated dimension must be that
+    of the highest cell."""
     try:
-        dim = int(obj["dimension"])
-        vertex_entries = sorted(obj["vertices"], key=lambda e: int(e["id"]))
-        if [int(e["id"]) for e in vertex_entries] != list(range(len(vertex_entries))):
-            raise ParseError("vertex ids must be dense 0-based")
+        dim = obj["dimension"]
+        if type(dim) is not int:
+            raise ParseError(f"dimension {dim!r} is not an integer")
+        vertex_entries = sorted(obj["vertices"], key=lambda e: e["id"])
+        ids = [e["id"] for e in vertex_entries]
+        if ids != list(range(len(ids))) or {*map(type, ids)} - {int}:
+            raise ParseError("vertex ids must be dense 0-based integers")
         labels = [e.get("label") for e in vertex_entries]
         if any(lab is not None and not isinstance(lab, str) for lab in labels):
             raise ParseError("vertex labels must be strings")
         raw_coords = [tuple(float(x) for x in e["coords"]) if "coords" in e else None for e in vertex_entries]
         coords = raw_coords if any(c is not None for c in raw_coords) else None
-        layers: list[list[dict]] = [[] for _ in range(dim + 1)]
+        layers: dict[int, list[dict]] = {}
         for e in obj["cells"]:
-            d = int(e["dim"])
-            if not 0 <= d <= dim:
-                raise ParseError(f"cell dimension {d} outside stated dimension {dim}")
-            layers[d].append(e)
+            d = e["dim"]
+            if type(d) is not int or not 0 <= d <= dim:
+                raise ParseError(f"cell dimension {d!r} outside stated dimension {dim}")
+            layers.setdefault(d, []).append(e)
+        top = max(layers, default=0)
+        if dim > top:
+            raise ParseError(f"stated dimension {dim} is above the highest cell dimension {top}")
         cells: list[list[Cell]] = []
-        for d, layer in enumerate(layers):
-            layer.sort(key=lambda e: int(e["id"]))
-            if [int(e["id"]) for e in layer] != list(range(len(layer))):
-                raise ParseError(f"{d}-cell ids must be dense 0-based")
-            cells.append(
-                [
-                    Cell(
-                        id=int(e["id"]),
-                        dim=d,
-                        vertices=tuple(int(v) for v in e["vertices"]),
-                        facets=tuple(int(f) for f in e.get("facets", ())),
-                    )
-                    for e in layer
-                ]
-            )
+        for d in range(dim + 1):
+            layer = sorted(layers.get(d, ()), key=lambda e: e["id"])
+            ids = [e["id"] for e in layer]
+            if ids != list(range(len(ids))) or {*map(type, ids)} - {int}:
+                raise ParseError(f"{d}-cell ids must be dense 0-based integers")
+            vertices = [tuple(e["vertices"]) for e in layer]
+            facets = [tuple(e.get("facets", ())) for e in layer]
+            if {*map(type, chain.from_iterable(vertices)), *map(type, chain.from_iterable(facets))} - {int}:
+                raise ParseError(f"{d}-cell vertices and facets must be integers")
+            cells.append([Cell(i, d, vs, fs) for i, (vs, fs) in enumerate(zip(vertices, facets))])
         return Complex(cells, labels, coords)
     except ParseError:
         raise

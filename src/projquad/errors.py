@@ -112,6 +112,10 @@ class BudgetExceeded(ProjquadError):
         self.nodes = nodes
 
 
+class BoundContradiction(ProjquadError):
+    """A lower bound given to the solver exceeds a proper colouring it found."""
+
+
 # ---- file parsing ----
 
 class ParseError(ProjquadError):

@@ -54,10 +54,10 @@ class TwoColouring:
     @classmethod
     def from_json(cls, obj: dict) -> "TwoColouring":
         try:
-            return cls(
-                frozenset(int(v) for v in obj["black"]),
-                frozenset(int(v) for v in obj["white"]),
-            )
+            black, white = list(obj["black"]), list(obj["white"])
+            if {*map(type, black), *map(type, white)} - {int}:
+                raise ParseError("coloured vertex ids must be integers")
+            return cls(frozenset(black), frozenset(white))
         except (KeyError, TypeError, ValueError, BadParameters) as exc:
             raise ParseError(f"malformed colouring JSON: {exc}") from exc
 
@@ -104,8 +104,10 @@ class Involution:
         try:
             vp: dict[int, int] = {}
             for a, b in obj["vertex_pairs"]:
-                vp[int(a)] = int(b)
-                vp[int(b)] = int(a)
+                if type(a) is not int or type(b) is not int:
+                    raise ParseError(f"vertex pair ({a!r}, {b!r}) is not a pair of integers")
+                vp[a] = b
+                vp[b] = a
             cell_pairs = obj.get("cell_pairs", {})
             if not isinstance(cell_pairs, dict):
                 raise ParseError("cell_pairs must be an object keyed by dimension")
@@ -113,8 +115,10 @@ class Involution:
             for key, pairs in cell_pairs.items():
                 m: dict[int, int] = {}
                 for a, b in pairs:
-                    m[int(a)] = int(b)
-                    m[int(b)] = int(a)
+                    if type(a) is not int or type(b) is not int:
+                        raise ParseError(f"cell pair ({a!r}, {b!r}) is not a pair of integers")
+                    m[a] = b
+                    m[b] = a
                 cp[int(key)] = m
             return cls(str(obj["scope"]), vp, cp)
         except (KeyError, TypeError, ValueError, BadParameters) as exc:

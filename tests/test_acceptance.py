@@ -5,6 +5,7 @@ pass/fail line per criterion.  A module-scoped corpus of constructed bundles
 is shared across the criteria so each pipeline runs exactly once.
 """
 
+import json
 import time
 from math import pi, sin
 from typing import NamedTuple, Optional
@@ -40,6 +41,8 @@ from projquad import (
     verify_homomorphism,
     write_bundle,
 )
+from projquad.cli import main
+from projquad.graphs import _label_to_json, label_key
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -109,15 +112,29 @@ def test_criterion_2_towers_match_mycielski_family(corpus):
     print(f"towers: chi 4 in {t4:.2f}s, chi 5 in {t5:.2f}s, chi 6 confirmed")
 
 
-def test_criterion_3_solved_bundles_respect_dimension_bound(corpus):
+def test_criterion_3_solved_bundles_respect_dimension_bound(corpus, tmp_path_factory, capsys):
+    # `projquad chi` settles every stored bundle by its clique or by the
+    # topological bound dim+2, with no search; the exact search on the bare
+    # graph is the independent check of that bound wherever it settles.
+    base = tmp_path_factory.mktemp("chi")
     solved = []
     for name, item in corpus.items():
+        bound = item.sq.complex.dim + 2
+        bundle = write_bundle(base / name, item.sq, homomorphism=item.hom)
+        assert main(["chi", str(bundle)]) == 0, name
+        settled = json.loads(capsys.readouterr().out)
+        assert settled["proof"] == ("clique" if name.startswith("cylinder") else "topological"), name
+        assert settled["nodes"] == 0, name
+        assert settled["chi"] >= bound, name
         try:
             result = chromatic_number(item.sq.graph, max_nodes=150_000)
         except BudgetExceeded:
             continue
-        bound = item.sq.complex.dim + 2
         assert result.chi >= bound, f"{name}: chi {result.chi} < dim+2 = {bound}"
+        assert settled["chi"] == result.chi, name
+        assert settled["clique"] == [_label_to_json(v) for v in result.clique], name
+        colouring = [[_label_to_json(v), result.colouring[v]] for v in sorted(result.colouring, key=label_key)]
+        assert settled["colouring"] == colouring, name
         solved.append(name)
     assert len(solved) >= 8, f"only {solved} terminated"
     print(f"dimension bound holds on all {len(solved)} solved bundles: {solved}")

@@ -94,11 +94,46 @@ def test_chi_budget_exit(tmp_path, capsys):
     run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out / "a"))
     run(capsys, "build", "mycielski-lift", "--src", str(out / "a"), "--r", "2", "--out", str(out / "b"))
     run(capsys, "build", "mycielski-lift", "--src", str(out / "b"), "--r", "2", "--out", str(out / "c"))
-    code, stdout, err = run(capsys, "chi", str(out / "c"), "--budget-ms", "0")
+    # A bundle would settle chi by its topological bound without a search;
+    # its bare graph file runs the exact search, which the budget stops.
+    code, stdout, err = run(capsys, "chi", str(out / "c" / "graph.json"), "--budget-ms", "0")
     assert code == 70
     payload = json.loads(stdout)
     assert payload["exhausted"] is False
     assert payload["lower"] <= payload["upper"]
+
+
+def test_chi_of_a_verified_bundle_is_topological(tmp_path, capsys):
+    out = tmp_path / "c5"
+    run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))
+    code, stdout, _ = run(capsys, "chi", str(out))
+    assert code == 0
+    payload = json.loads(stdout)
+    assert (payload["chi"], payload["proof"], payload["nodes"], payload["exhausted"]) == (3, "topological", 0, False)
+    # the bare graph file gets the plain search, which proves the same chi
+    code, stdout, _ = run(capsys, "chi", str(out / "graph.json"))
+    assert code == 0
+    bare = json.loads(stdout)
+    assert (bare["chi"], bare["proof"], bare["exhausted"]) == (3, "exhaustive", True)
+    assert (bare["clique"], bare["colouring"]) == (payload["clique"], payload["colouring"])
+
+
+def test_chi_ignores_the_bound_of_a_failing_bundle(tmp_path, capsys):
+    out = tmp_path / "c5"
+    run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))
+    path = out / "graph.json"
+    obj = json.loads(path.read_text())
+    obj["edges"] = obj["edges"][:-1]  # the 5-cycle becomes a path
+    path.write_text(json.dumps(obj))
+    code, stdout, _ = run(capsys, "verify", str(out), "--walks", "0")
+    assert code == 2
+    assert "graph-matches-expected" in [e["name"] for e in json.loads(stdout)["report"] if not e["ok"]]
+    code, stdout, err = run(capsys, "chi", str(out))
+    assert code == 0
+    assert "graph-matches-expected" in err
+    payload = json.loads(stdout)
+    assert payload["chi"] == 2
+    assert payload["proof"] != "topological"
 
 
 def test_usage_errors(capsys):
@@ -200,6 +235,22 @@ def _negative_facet_id(obj):
     next(c for c in obj["cells"] if c["dim"] == 1)["facets"][0] = -1
 
 
+def _inflated_dimension(obj):
+    obj["dimension"] = 1_000_000
+
+
+def _true_as_coloured_vertex(obj):
+    obj["black"][obj["black"].index(1)] = True
+
+
+def _float_in_vertex_pair(obj):
+    obj["vertex_pairs"][1][0] = 1.5
+
+
+def _true_as_orbit_rep(obj):
+    obj["orbit_reps"][1][1] = True
+
+
 # bundle file, change, command, exit code, audit entry (or for homology,
 # violation code) that must fail
 TAMPERS = [
@@ -222,6 +273,12 @@ TAMPERS = [
     ("report.json", _string_as_entry_verdict, "verify", 2, "report-consistent"),
     ("complex.json", _negative_facet_id, "homology", 2, "DanglingFacet"),
     ("complex.json", _dangling_facet, "homology", 2, "DanglingFacet"),
+    ("complex.json", _inflated_dimension, "homology", 65, None),
+    ("complex.json", _inflated_dimension, "verify", 65, None),
+    ("complex.json", _inflated_dimension, "chi", 65, None),
+    ("colouring.json", _true_as_coloured_vertex, "verify", 65, None),
+    ("involution.json", _float_in_vertex_pair, "verify", 65, None),
+    ("graph.json", _true_as_orbit_rep, "verify", 65, None),
 ]
 
 

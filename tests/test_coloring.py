@@ -1,6 +1,15 @@
 import pytest
 
-from projquad import BudgetExceeded, Graph, chromatic_number, complete_graph, cycle_graph, kneser_graph, mycielski_graph
+from projquad import (
+    BoundContradiction,
+    BudgetExceeded,
+    Graph,
+    chromatic_number,
+    complete_graph,
+    cycle_graph,
+    kneser_graph,
+    mycielski_graph,
+)
 
 
 def check_certificate(graph, result):
@@ -72,3 +81,35 @@ def test_tuple_labels():
     r = chromatic_number(g)
     assert r.chi == 4
     check_certificate(g, r)
+
+
+def test_proof_names_the_bound_that_meets_chi():
+    assert chromatic_number(complete_graph(5)).proof == "clique"
+    assert chromatic_number(mycielski_graph(4)).proof == "exhaustive"
+    # a bound that meets the greedy colouring settles chi without a search
+    g = mycielski_graph(5)
+    r = chromatic_number(g, topological_bound=5)
+    assert (r.chi, r.proof, r.nodes, r.exhausted) == (5, "topological", 0, False)
+    check_certificate(g, r)
+    exact = chromatic_number(g)
+    assert (r.colouring, r.clique) == (exact.colouring, exact.clique)
+    # the clique comes first when both bounds meet chi
+    assert chromatic_number(complete_graph(4), topological_bound=4).proof == "clique"
+    # a weaker bound leaves the search to prove optimality
+    weak = chromatic_number(g, topological_bound=3)
+    assert (weak.chi, weak.proof, weak.exhausted, weak.nodes) == (5, "exhaustive", True, exact.nodes)
+
+
+def test_bound_above_a_found_colouring_raises():
+    with pytest.raises(BoundContradiction):
+        chromatic_number(cycle_graph(6), topological_bound=3)
+    with pytest.raises(BoundContradiction):
+        chromatic_number(mycielski_graph(4), topological_bound=5)
+    with pytest.raises(BoundContradiction):
+        chromatic_number(Graph(), topological_bound=2)
+
+
+def test_budget_bracket_uses_the_bound():
+    with pytest.raises(BudgetExceeded) as info:
+        chromatic_number(mycielski_graph(5), max_nodes=5, topological_bound=4)
+    assert info.value.lower == 4

@@ -228,3 +228,21 @@ def test_euler_poincare_over_gf2(complex):
     assert complex.euler_characteristic() == alternating
     for p in range(complex.dim + 2):
         assert boundary_squares_to_zero(complex, p)
+
+
+@settings(deadline=None, max_examples=30)
+@given(small_graphs(max_n=5), st.data())
+def test_true_external_bound_keeps_chi(g, data):
+    chi = brute_chi(g)
+    k = data.draw(st.integers(0, chi))
+    result = chromatic_number(g, topological_bound=k)
+    assert result.chi == chi
+    if chi == len(result.clique):
+        assert result.proof == "clique"
+    elif chi == k:
+        assert result.proof == "topological"
+    else:
+        assert result.proof == "exhaustive"
+    assert result.exhausted == (result.proof == "exhaustive")
+    for u, v in g.edges():
+        assert result.colouring[u] != result.colouring[v]
