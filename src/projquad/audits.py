@@ -6,7 +6,7 @@ import random
 from math import sqrt
 from typing import Callable, Optional, Sequence
 
-from .complexes import Complex
+from .complexes import Complex, face_closure
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
 from .homology import HomologyCalculator, boundary_squares_to_zero, edge_chain
@@ -134,7 +134,8 @@ def quadrangulation_check(complex: Complex, edge_cells: frozenset[int]) -> Valid
     """
     violations = []
     for d, i in complex.maximal_cells():
-        pairs = {complex.cell(1, e).vertices for e in complex.one_faces(d, i) if e in edge_cells}
+        one_faces = face_closure(complex, [(d, i)]).get(1, ())
+        pairs = {complex.cell(1, e).vertices for e in one_faces if e in edge_cells}
         reason = _complete_bipartite_reason(complex.cell(d, i).vertices, pairs)
         if reason == "no selected edges":
             violations.append(Violation("NoEdge", d, i, reason))
@@ -218,12 +219,11 @@ def sample_closed_walks(
     edge_cells: frozenset[int],
     count: int,
     seed: int = 0,
-    max_len: Optional[int] = None,
 ) -> list[list[int]]:
-    """Deterministic random closed walks along the selected 1-cells."""
+    """Deterministic random closed walks along the selected 1-cells; a walk
+    that has not closed after 4 * n_vertices + 8 steps is dropped."""
     rng = random.Random(seed)
-    if max_len is None:
-        max_len = 4 * complex.n_vertices + 8
+    max_len = 4 * complex.n_vertices + 8
     incident: dict[int, list[tuple[int, int]]] = {}
     for e in sorted(edge_cells):
         u, v = complex.cell(1, e).vertices
@@ -287,8 +287,9 @@ def verify_z2_map_to_box(
 
 # ---- geometric fineness ----
 
-def fineness_check(complex: Complex, colouring: TwoColouring, n: Optional[int] = None) -> dict:
-    """Whether every bichromatic 1-cell is strictly shorter than 2/sqrt(n+3).
+def fineness_check(complex: Complex, colouring: TwoColouring) -> dict:
+    """Whether every bichromatic 1-cell is strictly shorter than 2/sqrt(n+3),
+    where n is the dimension of the complex.
 
     Vertices must carry coordinates of unit norm (tolerance 1e-9).  On a
     verified quadrangulation this bound certifies that the quotient graph
@@ -296,8 +297,7 @@ def fineness_check(complex: Complex, colouring: TwoColouring, n: Optional[int] =
     """
     if not complex.has_coords:
         raise MissingCoordinates("fineness needs coordinates on every vertex")
-    if n is None:
-        n = complex.dim
+    n = complex.dim
     for v in complex.vertex_ids():
         u = complex.coords(v)
         norm = sqrt(sum(x * x for x in u))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadDimension,
@@ -33,6 +33,74 @@ class Cell:
     dim: int
     vertices: tuple[VertexId, ...]  # sorted, length dim+1, distinct
     facets: tuple[int, ...]  # ids of (dim-1)-cells, length dim+1; empty for dim 0
+
+
+def _cell_violations(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
+    """How one cell breaks the cell law, given the vertex count and the cells
+    one dimension down.
+
+    A d-cell has d+1 distinct, sorted, known vertices, a 0-cell sits on the
+    vertex of its own id, and a d-cell with d >= 1 has d+1 distinct existing
+    facets whose vertex sets are exactly its d-subsets.  Only an unsorted
+    vertex tuple lets the later rules be checked too.
+    """
+    d, i, vs, fs = cell.dim, cell.id, cell.vertices, cell.facets
+    if len(vs) != d + 1:
+        yield Violation("VertexArityMismatch", d, i, f"{len(vs)} vertices")
+        return
+    vset = frozenset(vs)
+    if len(vset) != d + 1:
+        yield Violation("DuplicateVertexInCell", d, i, str(vs))
+        return
+    if list(vs) != sorted(vs):
+        yield Violation("UnsortedVertices", d, i, str(vs))
+    if min(vs) < 0 or max(vs) >= n_vertices:
+        yield Violation("UnknownVertex", d, i, str(vs))
+    elif d == 0:
+        if i != vs[0]:
+            yield Violation("VertexCellMismatch", d, i, "0-cell id differs from vertex id")
+    elif len(fs) != d + 1:
+        yield Violation("VertexArityMismatch", d, i, f"{len(fs)} facets")
+    elif len(set(fs)) != d + 1:
+        yield Violation("DuplicateFacet", d, i, str(fs))
+    elif min(fs) < 0 or max(fs) >= len(lower_cells):
+        yield Violation("DanglingFacet", d, i, str(fs))
+    else:
+        # d+1 distinct d-subsets of a (d+1)-set are all of its d-subsets.
+        got = {frozenset(lower_cells[f].vertices) for f in fs}
+        if len(got) != d + 1 or any(len(s) != d or not s <= vset for s in got):
+            yield Violation("FacetCoverageViolation", d, i, "facets do not realize the p-subsets")
+
+
+# The exception ComplexBuilder.add_cell raises for the first broken rule.
+_BUILDER_ERRORS = {
+    "VertexArityMismatch": VertexArityMismatch,
+    "DuplicateVertexInCell": DuplicateVertexInCell,
+    "UnknownVertex": UnknownVertex,
+    "DuplicateFacet": FacetCoverageError,
+    "DanglingFacet": DanglingFacet,
+    "FacetCoverageViolation": FacetCoverageError,
+}
+
+
+def face_closure(complex: Complex | ComplexBuilder, cells: Iterable[CellKey]) -> dict[int, set[int]]:
+    """The given (dim, id) cells with all their faces, as {dim: ids} for
+    every dim from 0 to the highest given one ({} when none is given).
+
+    Walks facet lists one dimension at a time and reads only `.cell(d, i)`,
+    so a Complex and a ComplexBuilder serve alike.
+    """
+    roots = list(cells)
+    top = max(roots)[0] if roots else -1
+    out: list[set[int]] = [set() for _ in range(top + 1)]
+    for d, i in roots:
+        out[d].add(i)
+    cell = complex.cell
+    for d in range(top, 0, -1):
+        below = out[d - 1]
+        for i in out[d]:
+            below.update(cell(d, i).facets)
+    return dict(enumerate(out))
 
 
 class Complex:
@@ -121,41 +189,7 @@ class Complex:
     def is_pure(self) -> bool:
         return all(d == self.dim for d, _ in self.maximal_cells())
 
-    def face_closure(self, dim: int, cell_id: int) -> dict[int, set[int]]:
-        """All faces of one cell (itself included), as {dim: {ids}}."""
-        out: dict[int, set[int]] = {d: set() for d in range(dim + 1)}
-        out[dim].add(cell_id)
-        frontier = [(dim, cell_id)]
-        while frontier:
-            d, i = frontier.pop()
-            if d == 0:
-                continue
-            for f in self._cells[d][i].facets:
-                if f not in out[d - 1]:
-                    out[d - 1].add(f)
-                    frontier.append((d - 1, f))
-        return out
-
-    def one_faces(self, dim: int, cell_id: int) -> tuple[int, ...]:
-        """The 1-cells in the closure of a cell, sorted by id."""
-        if dim < 1:
-            return ()
-        ids = {cell_id}
-        for d in range(dim, 1, -1):
-            layer = self._cells[d]
-            below: set[int] = set()
-            for i in ids:
-                below.update(layer[i].facets)
-            ids = below
-        return tuple(sorted(ids))
-
     # ---- subcomplexes ----
-
-    def skeleton(self, k: int) -> "Complex":
-        """The k-skeleton; cell ids are preserved."""
-        if not 0 <= k <= self.dim:
-            raise BadDimension(f"skeleton dimension {k} outside [0, {self.dim}]")
-        return Complex(self._cells[: k + 1], self._labels, self._coords)
 
     def subcomplex(self, cells: dict[int, Iterable[int]]) -> tuple["Complex", dict[int, dict[int, int]]]:
         """Extract the subcomplex on the given cell ids (must be facet-closed).
@@ -199,35 +233,9 @@ class Complex:
         if self.n_cells(0) != self.n_vertices:
             violations.append(Violation("VertexCellMismatch", 0, None, "0-cells do not match vertex set"))
         for d in range(self.dim + 1):
+            lower = self._cells[d - 1] if d else ()
             for c in self._cells[d]:
-                if len(c.vertices) != d + 1:
-                    violations.append(Violation("VertexArityMismatch", d, c.id, f"{len(c.vertices)} vertices"))
-                    continue
-                if len(set(c.vertices)) != d + 1:
-                    violations.append(Violation("DuplicateVertexInCell", d, c.id, str(c.vertices)))
-                    continue
-                if tuple(sorted(c.vertices)) != c.vertices:
-                    violations.append(Violation("UnsortedVertices", d, c.id, str(c.vertices)))
-                if any(not 0 <= v < self.n_vertices for v in c.vertices):
-                    violations.append(Violation("UnknownVertex", d, c.id, str(c.vertices)))
-                    continue
-                if d == 0:
-                    if c.id != c.vertices[0]:
-                        violations.append(Violation("VertexCellMismatch", 0, c.id, "0-cell id differs from vertex id"))
-                    continue
-                if len(c.facets) != d + 1:
-                    violations.append(Violation("VertexArityMismatch", d, c.id, f"{len(c.facets)} facets"))
-                    continue
-                if len(set(c.facets)) != d + 1:
-                    violations.append(Violation("DuplicateFacet", d, c.id, str(c.facets)))
-                    continue
-                if any(not 0 <= f < self.n_cells(d - 1) for f in c.facets):
-                    violations.append(Violation("DanglingFacet", d, c.id, str(c.facets)))
-                    continue
-                want = {frozenset(s) for s in combinations(c.vertices, d)}
-                got = [frozenset(self._cells[d - 1][f].vertices) for f in c.facets]
-                if set(got) != want or len(set(got)) != d + 1:
-                    violations.append(Violation("FacetCoverageViolation", d, c.id, "facets do not realize the p-subsets"))
+                violations.extend(_cell_violations(c, self.n_vertices, lower))
         return ValidationReport.collect(violations)
 
     # ---- equality (structural) ----
@@ -300,29 +308,12 @@ class ComplexBuilder:
     def add_cell(self, dim: int, vertices: Sequence[VertexId], facets: Sequence[int] = ()) -> int:
         if dim < 1:
             raise BadDimension("use add_vertex for 0-cells")
-        verts = tuple(sorted(vertices))
-        if len(verts) != dim + 1:
-            raise VertexArityMismatch(f"{dim}-cell needs {dim + 1} vertices, got {len(verts)}")
-        if len(set(verts)) != dim + 1:
-            raise DuplicateVertexInCell(str(verts))
-        for v in verts:
-            if not 0 <= v < len(self._labels):
-                raise UnknownVertex(str(v))
-        facet_ids = tuple(facets)
-        if len(facet_ids) != dim + 1:
-            raise VertexArityMismatch(f"{dim}-cell needs {dim + 1} facets, got {len(facet_ids)}")
+        lower = self._cells[dim - 1] if dim <= len(self._cells) else []
+        cell = Cell(id=self.n_cells(dim), dim=dim, vertices=tuple(sorted(vertices)), facets=tuple(facets))
+        for v in _cell_violations(cell, self.n_vertices, lower):
+            raise _BUILDER_ERRORS[v.code](f"{v.code} in new {dim}-cell: {v.detail}")
         while len(self._cells) <= dim:
             self._cells.append([])
-        lower = self._cells[dim - 1]
-        got: list[frozenset[int]] = []
-        for f in facet_ids:
-            if not 0 <= f < len(lower):
-                raise DanglingFacet(f"{dim - 1}-cell {f} does not exist")
-            got.append(frozenset(lower[f].vertices))
-        want = {frozenset(s) for s in combinations(verts, dim)}
-        if set(got) != want or len(set(got)) != dim + 1:
-            raise FacetCoverageError(f"facets of new {dim}-cell do not cover its vertex subsets")
-        cell = Cell(id=len(self._cells[dim]), dim=dim, vertices=verts, facets=facet_ids)
         self._cells[dim].append(cell)
         return cell.id
 
@@ -391,8 +382,9 @@ def complex_to_json(complex: Complex) -> dict:
 
 def complex_from_json(obj: dict) -> Complex:
     """Parse a complex; ids, dimensions, vertices and facets must be JSON
-    integers (not booleans or floats), and the stated dimension must be that
-    of the highest cell."""
+    integers (not booleans or floats), coordinates JSON numbers (not
+    booleans or strings), and the stated dimension must be that of the
+    highest cell."""
     try:
         dim = obj["dimension"]
         if type(dim) is not int:
@@ -404,7 +396,10 @@ def complex_from_json(obj: dict) -> Complex:
         labels = [e.get("label") for e in vertex_entries]
         if any(lab is not None and not isinstance(lab, str) for lab in labels):
             raise ParseError("vertex labels must be strings")
-        raw_coords = [tuple(float(x) for x in e["coords"]) if "coords" in e else None for e in vertex_entries]
+        stated = [tuple(e["coords"]) if "coords" in e else None for e in vertex_entries]
+        if {*map(type, chain.from_iterable(filter(None, stated)))} - {int, float}:
+            raise ParseError("vertex coordinates must be numbers")
+        raw_coords = [tuple(map(float, c)) if c is not None else None for c in stated]
         coords = raw_coords if any(c is not None for c in raw_coords) else None
         layers: dict[int, list[dict]] = {}
         for e in obj["cells"]:

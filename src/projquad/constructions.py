@@ -15,7 +15,7 @@ from .audits import (
     verify_ball_quadrangulation,
     verify_sphere_quadrangulation,
 )
-from .complexes import Complex, ComplexBuilder, SimplicialBuilder
+from .complexes import Complex, ComplexBuilder, SimplicialBuilder, face_closure
 from .errors import (
     BadParameters,
     InputNotQuadrangulation,
@@ -72,7 +72,6 @@ def _finish_sphere(
     labels: dict,
     *,
     expected_graph: Optional[Graph] = None,
-    extra_entries: Sequence[AuditEntry] = (),
     n_walks: int = 0,
     seed: int = 0,
     what: str = "sphere construction",
@@ -86,8 +85,6 @@ def _finish_sphere(
         n_walks=n_walks,
         seed=seed,
     )
-    if extra_entries:
-        report = AuditReport(tuple(report.entries) + tuple(extra_entries))
     if not report.ok:
         raise VerificationFailed(f"{what}: failing audits: {', '.join(report.failing())}", report)
     return SphereQuad(
@@ -237,10 +234,7 @@ def _ray_blocked(point: tuple, triangles: list[tuple], own: int, tol: float = 1e
 def _visibility_entry(complex: Complex, ring_cells: list[tuple[int, int]], expected: set[frozenset]) -> AuditEntry:
     """Check that the ring faces fully visible from the origin are exactly
     the expected ones (sampled at the centroid and three interior points)."""
-    face_ids: set[int] = set()
-    for d, i in ring_cells:
-        face_ids |= complex.face_closure(d, i)[2]
-    faces = sorted(face_ids)
+    faces = sorted(face_closure(complex, ring_cells)[2])
     triangles = []
     for f in faces:
         vs = complex.cell(2, f).vertices
@@ -394,11 +388,10 @@ def _fresh_orbit_label(graph: Graph):
     return f"{base}-{idx}"
 
 
-def suspension(sq: SphereQuad, label=None, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
+def suspension(sq: SphereQuad, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
     """Join with two new poles (one per colour); the quotient graph gains a
-    universal vertex under the given (or next available) label."""
-    if label is None:
-        label = _fresh_orbit_label(sq.graph)
+    universal vertex under the next available label."""
+    label = _fresh_orbit_label(sq.graph)
     old = sq.complex
     if old.has_coords:
         old = Complex(
@@ -453,28 +446,7 @@ def suspension(sq: SphereQuad, label=None, *, n_walks: int = 0, seed: int = 0) -
 
 # ---- the level-cone lift of a sphere into a ball one dimension up ----
 
-def _builder_closure(builder: ComplexBuilder, items: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
-    out: dict[int, set[int]] = {}
-    stack = list(items)
-    while stack:
-        d, i = stack.pop()
-        layer = out.setdefault(d, set())
-        if i in layer:
-            continue
-        layer.add(i)
-        if d > 0:
-            for f in builder.cell(d, i).facets:
-                stack.append((d - 1, f))
-    return out
-
-
-def mycielski_lift(
-    sq: SphereQuad,
-    r: int,
-    precedence: Optional[Sequence] = None,
-    *,
-    what: Optional[str] = None,
-) -> BallQuad:
+def mycielski_lift(sq: SphereQuad, r: int, precedence: Optional[Sequence] = None) -> BallQuad:
     """Thicken a symmetric coloured sphere inward, level by level, into a
     ball whose boundary-identified graph is the r-level cone extension of
     the input's identified graph.
@@ -522,7 +494,7 @@ def mycielski_lift(
                 for c in builder.cells_of(d):
                     if vtop in c.vertices and all(v in active for v in c.vertices):
                         star.append((d, c.id))
-            cone_set = _builder_closure(builder, star)
+            cone_set = face_closure(builder, star)
             coords = None
             if has_coords:
                 scale = 1.0 - i / (r + 2)
@@ -549,7 +521,7 @@ def mycielski_lift(
         z_coords = (0.0,) * len(pos[0])
     z = builder.add_vertex("z", z_coords)
     (black if vertex_of[(order[0], 2)] in black else white).add(z)
-    _cone_over(builder, z, _builder_closure(builder, core))
+    _cone_over(builder, z, face_closure(builder, core))
     new_labels[z] = "z"
 
     ball = builder.build()
@@ -564,7 +536,7 @@ def mycielski_lift(
         colouring,
         new_labels,
         expected_graph=mycielskian(graph, r),
-        what=what or f"level-cone lift r={r}",
+        what=f"level-cone lift r={r}",
     )
 
 

@@ -50,23 +50,6 @@ class BitMatrix:
                 r &= r - 1
         return BitMatrix(self.cols, self.rows, out)
 
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        out = [0] * self.rows
-        for i, r in enumerate(self.data):
-            acc = 0
-            rr = r
-            while rr:
-                k = (rr & -rr).bit_length() - 1
-                acc ^= other.data[k]
-                rr &= rr - 1
-            out[i] = acc
-        return BitMatrix(self.rows, other.cols, out)
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.data)
-
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
 
@@ -159,9 +142,6 @@ class Gf2Solver:
             b ^= p
             x ^= self._combos[c]
         return x
-
-    def in_row_space(self, b: int) -> bool:
-        return self.solve(b) is not None
 
 
 def kernel_basis(matrix: BitMatrix) -> list[int]:

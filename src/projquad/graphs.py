@@ -106,19 +106,9 @@ class Graph:
             out.add_vertex(new[v])
         if len(set(new.values())) != len(new):
             raise BadParameters("relabel map is not injective")
-        for u, v in self.edges():
-            out.add_edge(new[u], new[v])
-        return out
-
-    def induced(self, keep: Iterable[Label]) -> "Graph":
-        wanted = set(keep)
-        for v in wanted:
-            if v not in self._adj:
-                raise UnknownVertex(repr(v))
-        out = Graph(v for v in self._order if v in wanted)
-        for u, v in self.edges():
-            if u in wanted and v in wanted:
-                out.add_edge(u, v)
+        for u in self._order:
+            for v in self._adj[u]:
+                out.add_edge(new[u], new[v])
         return out
 
     def copy(self) -> "Graph":
@@ -129,7 +119,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return set(self._order) == set(other._order) and set(self.edges()) == set(other.edges())
+        return self._adj == other._adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

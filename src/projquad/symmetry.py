@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 from typing import Iterable, Optional
 
-from .complexes import Cell, Complex, VertexId
+from .complexes import Cell, Complex, VertexId, face_closure
 from .errors import (
     BadParameters,
     BoundaryNotSymmetric,
@@ -44,9 +44,6 @@ class TwoColouring:
     def covers(self, vertices: Iterable[VertexId]) -> bool:
         """Every vertex is coloured and every coloured id is a vertex."""
         return self.black | self.white == set(vertices)
-
-    def inverted(self) -> "TwoColouring":
-        return TwoColouring(self.white, self.black)
 
     def to_json(self) -> dict:
         return {"black": sorted(self.black), "white": sorted(self.white)}
@@ -259,16 +256,12 @@ def identify_antipodes(graph: Graph, vertex_pairing: dict[VertexId, VertexId]) -
 
 
 def boundary_cells(complex: Complex) -> dict[int, set[int]]:
-    """The face closure of the top-dimension-minus-one cells with one cofacet."""
+    """The face closure of the top-dimension-minus-one cells with one cofacet,
+    as {dim: ids} for every dim below the top (dim 0 for a 0-complex)."""
     n = complex.dim
-    out: dict[int, set[int]] = {d: set() for d in range(max(n, 1))}
-    if n >= 1:
-        counts = complex.cofacet_counts(n - 1)
-        for c in complex.cells_of(n - 1):
-            if counts[c.id] == 1:
-                for d, ids in complex.face_closure(n - 1, c.id).items():
-                    out[d] |= ids
-    return out
+    counts = complex.cofacet_counts(n - 1) if n >= 1 else ()
+    closure = face_closure(complex, ((n - 1, i) for i, k in enumerate(counts) if k == 1))
+    return {d: closure.get(d, set()) for d in range(max(n, 1))}
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,6 @@ class ValidationReport:
     def to_json(self) -> list:
         return [v.to_json() for v in self.violations]
 
-    @classmethod
-    def from_json(cls, obj: list) -> "ValidationReport":
-        return cls.collect(
-            Violation(v["code"], v.get("cell_dim"), v.get("cell_id"), v.get("detail", ""))
-            for v in obj
-        )
-
 
 @dataclass(frozen=True)
 class AuditEntry:

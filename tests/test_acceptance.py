@@ -190,6 +190,46 @@ def test_criterion_5_parity_and_sampled_walks(corpus):
     print(f"parity audits and 100 sampled walks clean on all {len(corpus)} bundles")
 
 
+def _lift_closes(sphere, preimages: dict[int, list[int]], walk: list[int]) -> bool:
+    """Lift a closed walk of quotient 1-cells to the double cover, starting
+    at an end of a preimage of its first cell, and say whether the lift
+    returns to its start.  Each step takes the one preimage at the current
+    sphere vertex; a start that does not chain is retried from the other end."""
+    for start in sphere.cell(1, preimages[walk[0]][0]).vertices:
+        cur = start
+        for q in walk:
+            here = [e for e in preimages[q] if cur in sphere.cell(1, e).vertices]
+            if not here:
+                break
+            assert len(here) == 1
+            a, b = sphere.cell(1, here[0]).vertices
+            cur = b if cur == a else a
+        else:
+            return cur == start
+    raise AssertionError(f"walk {walk} does not lift from either end of its first cell")
+
+
+def test_double_cover_lift_closes_exactly_on_null_homologous_walks(corpus):
+    closed = opened = 0
+    for name, item in corpus.items():
+        sq = item.sq
+        preimages: dict[int, list[int]] = {}
+        for e, q in sq.projection[1].items():
+            preimages.setdefault(q, []).append(e)
+        assert all(len(es) == 2 for es in preimages.values()), name
+        calc = HomologyCalculator(sq.quotient)
+        walks = sample_closed_walks(sq.quotient, sq.selected, 100, seed=0)
+        assert len(walks) == 100, name
+        for walk in walks:
+            res = cycle_parity_vs_homology(sq.quotient, walk, edge_cells=sq.selected, calculator=calc)
+            lifted = _lift_closes(sq.complex, preimages, walk)
+            assert lifted == (res["homology_class"] == 0), f"{name}: walk {walk}"
+            closed += lifted
+            opened += not lifted
+    assert closed and opened
+    print(f"{closed} lifts closed and {opened} opened, each as homology predicts")
+
+
 def _numpy_rank_gf2(dense: np.ndarray) -> int:
     a = dense.copy()
     rank = 0

@@ -251,6 +251,14 @@ def _true_as_orbit_rep(obj):
     obj["orbit_reps"][1][1] = True
 
 
+def _true_as_coordinate(obj):
+    obj["vertices"][0]["coords"][0] = True
+
+
+def _string_as_coordinate(obj):
+    obj["vertices"][0]["coords"][1] = "0.5"
+
+
 # bundle file, change, command, exit code, audit entry (or for homology,
 # violation code) that must fail
 TAMPERS = [
@@ -279,6 +287,8 @@ TAMPERS = [
     ("colouring.json", _true_as_coloured_vertex, "verify", 65, None),
     ("involution.json", _float_in_vertex_pair, "verify", 65, None),
     ("graph.json", _true_as_orbit_rep, "verify", 65, None),
+    ("complex.json", _true_as_coordinate, "verify", 65, None),
+    ("complex.json", _string_as_coordinate, "verify", 65, None),
 ]
 
 

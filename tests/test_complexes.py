@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from projquad import Cell, Complex, ComplexBuilder, SimplicialBuilder, complex_from_json, complex_to_json, dump_canonical
+from projquad import (
+    Cell,
+    Complex,
+    ComplexBuilder,
+    SimplicialBuilder,
+    complex_from_json,
+    complex_to_json,
+    dump_canonical,
+    face_closure,
+)
 from projquad.errors import (
     DanglingFacet,
     DuplicateVertexInCell,
@@ -42,6 +51,30 @@ def test_builder_rejects_bad_cells():
         b.add_cell(1, (0, 1), (0, 9))
 
 
+@pytest.mark.parametrize(
+    "vertices,facets,code,error",
+    [
+        ((0, 1, 2), (0, 1), "VertexArityMismatch", VertexArityMismatch),
+        ((0, 0), (0, 0), "DuplicateVertexInCell", DuplicateVertexInCell),
+        ((0, 7), (0, 7), "UnknownVertex", UnknownVertex),
+        ((0, 1), (0,), "VertexArityMismatch", VertexArityMismatch),
+        ((0, 1), (1, 1), "DuplicateFacet", FacetCoverageError),
+        ((0, 1), (0, 9), "DanglingFacet", DanglingFacet),
+        ((0, 1), (0, 2), "FacetCoverageViolation", FacetCoverageError),
+    ],
+)
+def test_builder_and_validate_share_the_cell_law(vertices, facets, code, error):
+    b = ComplexBuilder()
+    for _ in range(3):
+        b.add_vertex()
+    with pytest.raises(error, match=code):
+        b.add_cell(1, vertices, facets)
+    assert b.n_cells(1) == 0
+    bad = Cell(0, 1, tuple(sorted(vertices)), tuple(facets))
+    report = Complex([b.build().cells_of(0), [bad]], [None] * 3).validate()
+    assert [v.code for v in report.violations] == [code]
+
+
 def test_facet_coverage_enforced():
     b = ComplexBuilder()
     for _ in range(3):
@@ -75,11 +108,16 @@ def test_simplicial_builder_closure_and_reuse():
 
 def test_face_closure_and_one_faces(octahedron):
     top = octahedron.cells_of(2)[0]
-    closure = octahedron.face_closure(2, top.id)
+    closure = face_closure(octahedron, [(2, top.id)])
     assert closure[2] == {top.id}
-    assert len(closure[1]) == 3
+    assert closure[1] == set(top.facets)
     assert closure[0] == set(top.vertices)
-    assert set(octahedron.one_faces(2, top.id)) == closure[1]
+    # a builder walks the same way, and several roots give one merged closure
+    assert face_closure(ComplexBuilder.from_complex(octahedron), [(2, top.id)]) == closure
+    both = face_closure(octahedron, [(2, 0), (2, 1), (0, 5)])
+    assert both[2] == {0, 1}
+    assert both[0] == set(octahedron.cell(2, 0).vertices) | set(octahedron.cell(2, 1).vertices) | {5}
+    assert face_closure(octahedron, []) == {}
 
 
 def test_maximal_cells_and_purity(octahedron, interval_ball):
@@ -96,11 +134,8 @@ def test_euler_characteristic(octahedron, projective_plane):
     assert projective_plane.euler_characteristic() == 1
 
 
-def test_skeleton_and_subcomplex(octahedron):
-    sk = octahedron.skeleton(1)
-    assert sk.dim == 1
-    assert sk.n_cells(1) == 12
-    sub, id_map = octahedron.subcomplex(octahedron.face_closure(2, 0))
+def test_subcomplex_of_a_closure(octahedron):
+    sub, id_map = octahedron.subcomplex(face_closure(octahedron, [(2, 0)]))
     assert sub.dim == 2
     assert sub.n_cells(2) == 1
     assert sub.validate().ok
@@ -138,6 +173,14 @@ def test_json_rejects_garbage():
         complex_from_json({"vertices": []})
     with pytest.raises(ParseError):
         complex_from_json({"dimension": 1, "vertices": "nope", "cells": []})
+
+
+def test_json_integer_coordinates_read_as_floats(octahedron):
+    # booleans and strings are rejected (see the tamper rows of test_cli)
+    obj = complex_to_json(octahedron)
+    obj["vertices"][0]["coords"] = [1, 0, 0]
+    coords = complex_from_json(obj).coords(0)
+    assert coords == (1.0, 0.0, 0.0) and {type(x) for x in coords} == {float}
 
 
 def test_dump_canonical_is_stable():

@@ -38,15 +38,6 @@ def test_matrix_basics():
     assert t.to_lists() == [[1, 0], [0, 1], [1, 1]]
 
 
-def test_matmul_and_is_zero():
-    a = from_rows([[1, 1], [0, 1]])
-    b = from_rows([[1, 0], [1, 0]])
-    prod = a.matmul(b)
-    assert prod.to_lists() == [[0, 0], [1, 0]]
-    assert not prod.is_zero()
-    assert a.matmul(from_rows([[0, 0], [0, 0]])).is_zero()
-
-
 def test_rank_known_cases():
     assert rank_gf2(from_rows([[1, 0], [0, 1]])) == 2
     assert rank_gf2(from_rows([[1, 1], [1, 1]])) == 1
@@ -75,8 +66,7 @@ def test_solver_finds_combinations():
             combo = [a ^ b for a, b in zip(combo, rows[i])]
     assert combo == [1, 0, 1]
     assert solver.solve(0b111) is None
-    assert solver.in_row_space(0b011)
-    assert not solver.in_row_space(0b100)
+    assert solver.solve(0b100) is None
 
 
 def test_solver_zero_target_gives_zero_witness():

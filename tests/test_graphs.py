@@ -35,12 +35,11 @@ def test_graph_equality_and_relabel():
     h = g.relabel(lambda v: (v + 1) % 5)
     assert h == g
     assert g.relabel({v: f"n{v}" for v in g.vertices}) != g
-
-
-def test_induced_subgraph():
-    g = complete_graph(6)
-    h = g.induced({0, 1, 2})
-    assert h.n == 3 and h.m == 3
+    assert h.m == g.m and h.edges() == g.edges()
+    # equality ignores insertion order but not an isolated vertex
+    assert Graph([1, 0], [(1, 0)]) == Graph([0, 1], [(0, 1)])
+    assert Graph([0, 1, 2], [(0, 1)]) != Graph([0, 1], [(0, 1)])
+    assert Graph([0, 1, 2], [(0, 1)]) != Graph([0, 1, 2], [(1, 2)])
 
 
 def test_kneser_and_schrijver():

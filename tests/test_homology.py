@@ -10,6 +10,7 @@ from projquad import (
     boundary_of,
     boundary_squares_to_zero,
     edge_chain,
+    face_closure,
     homologous,
     is_boundary,
 )
@@ -121,7 +122,7 @@ def test_projective_plane_essential_cycle(projective_plane):
 def test_homologous(octahedron):
     calc = HomologyCalculator(octahedron)
     tri = octahedron.cell(2, 0)
-    link = ChainZ2(1, frozenset(octahedron.one_faces(2, 0)))
+    link = ChainZ2(1, frozenset(face_closure(octahedron, [(2, 0)])[1]))
     assert homologous(octahedron, link, ChainZ2(1, frozenset()))
     assert calc.betti(1) == 0
 

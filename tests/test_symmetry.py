@@ -11,6 +11,7 @@ from projquad import (
     complete_graph,
     cycle_graph,
     double,
+    face_closure,
     identify_antipodes,
     quotient,
     validate_involution,
@@ -30,8 +31,6 @@ def test_two_colouring_basics():
     assert col.covers({0, 1, 2})
     assert not col.covers({0, 3})
     assert not col.covers({0, 1})
-    inv = col.inverted()
-    assert inv.of(0) == WHITE
     with pytest.raises(BadParameters):
         TwoColouring(black=frozenset({0}), white=frozenset({0}))
     with pytest.raises(BadParameters):
@@ -184,11 +183,8 @@ def test_double_octahedron_hemisphere(octahedron, octahedron_involution):
     # cut the octahedron along its equator: keep the two triangles with both
     # poles on one side is not a ball; instead double the closed star of a
     # vertex (a disc) along the antipody of its boundary square.
-    star = octahedron.face_closure(2, 0)
-    for t in range(octahedron.n_cells(2)):
-        if 2 in octahedron.cell(2, t).vertices:
-            for d, ids in octahedron.face_closure(2, t).items():
-                star.setdefault(d, set()).update(ids)
+    triangles = [(2, t) for t in range(octahedron.n_cells(2)) if 2 in octahedron.cell(2, t).vertices]
+    star = face_closure(octahedron, [(2, 0)] + triangles)
     disc, id_map = octahedron.subcomplex(star)
     assert disc.validate().ok
     bc = boundary_cells(disc)
