@@ -40,11 +40,9 @@ def boundary_operator_audit(complex: Complex) -> ValidationReport:
     return ValidationReport.collect(violations)
 
 
-def _pseudomanifold_violations(complex: Complex, n: int, ridge_cofacets: tuple[int, ...]) -> list[Violation]:
-    """Dimension n, pure, and every ridge in a number of top cells from
-    `ridge_cofacets`; a wrong dimension stops the check."""
-    if complex.dim != n:
-        return [Violation("WrongDimension", None, None, f"dimension {complex.dim}, expected {n}")]
+def _pseudomanifold_violations(complex: Complex, ridge_cofacets: tuple[int, ...]) -> list[Violation]:
+    """Pure, and every ridge in a number of top cells from `ridge_cofacets`."""
+    n = complex.dim
     violations = [
         Violation("NotPure", d, i, f"maximal cell of dimension {d} < {n}")
         for d, i in complex.maximal_cells()
@@ -58,12 +56,12 @@ def _pseudomanifold_violations(complex: Complex, n: int, ridge_cofacets: tuple[i
     return violations
 
 
-def sphere_check(complex: Complex, n: Optional[int] = None) -> ValidationReport:
-    """Pure dimension n, every ridge in exactly two top cells, and the mod-2
-    homology of the n-sphere: a mod-2 homology sphere, not a proven PL sphere."""
-    if n is None:
-        n = complex.dim
-    violations = _pseudomanifold_violations(complex, n, (2,))
+def sphere_check(complex: Complex) -> ValidationReport:
+    """Pure dimension n = complex.dim, every ridge in exactly two top cells,
+    and the mod-2 homology of the n-sphere: a mod-2 homology sphere, not a
+    proven PL sphere."""
+    n = complex.dim
+    violations = _pseudomanifold_violations(complex, (2,))
     if not violations:
         expected = (2,) if n == 0 else (1,) + (0,) * (n - 1) + (1,)
         got = HomologyCalculator(complex).all_betti()
@@ -76,7 +74,7 @@ def ball_check(complex: Complex) -> ValidationReport:
     """Pure dimension, ridges in one or two top cells, contractible homology,
     and a boundary subcomplex that passes the sphere check one dimension down."""
     n = complex.dim
-    violations = _pseudomanifold_violations(complex, n, (1, 2))
+    violations = _pseudomanifold_violations(complex, (1, 2))
     if violations:
         return ValidationReport.collect(violations)
     got = HomologyCalculator(complex).all_betti()
@@ -88,7 +86,7 @@ def ball_check(complex: Complex) -> ValidationReport:
             violations.append(Violation("NoBoundary", None, None, "no free ridges; this is a closed complex"))
         else:
             sub, _ = complex.subcomplex(bcells)
-            for v in sphere_check(sub, n - 1).violations:
+            for v in sphere_check(sub).violations:
                 violations.append(Violation("BoundaryNotSphere", v.cell_dim, v.cell_id, f"{v.code}: {v.detail}"))
     return ValidationReport.collect(violations)
 
@@ -255,33 +253,27 @@ def verify_z2_map_to_box(
     colouring: TwoColouring,
     graph: Graph,
     labels: dict[int, object],
-    involution: Optional[Involution] = None,
 ) -> ValidationReport:
     """The vertex map v -> (label(v), colour(v)) must send every cell of the
-    complex to a cell of the graph's box complex, injectively on each cell,
-    and must intertwine the involution with the side swap."""
+    complex injectively to a cell of the graph's box complex.
+
+    Only the maximal cells are read.  On a complex that passes
+    `complex-valid`, every cell's vertex set lies inside a maximal cell's,
+    and both injectivity and box membership pass to subsets (the box complex
+    is closed under taking subsets), so the maximal cells decide the map.
+    Equivariance is not checked here: `labels-on-orbits` and
+    `colouring-antisymmetric` check it.
+    """
     violations = []
-    if involution is not None:
-        for v, w in sorted(involution.vertex_pairing.items()):
-            if v < w:
-                if labels.get(v) != labels.get(w):
-                    violations.append(Violation("NotEquivariant", 0, v, f"pair ({v}, {w}) have different labels"))
-                if colouring.of(v) == colouring.of(w):
-                    violations.append(Violation("NotEquivariant", 0, v, f"pair ({v}, {w}) share a colour"))
-    cache: dict[tuple[frozenset, frozenset], bool] = {}
-    for d in range(complex.dim + 1):
-        for c in complex.cells_of(d):
-            images = {(labels[v], colouring.of(v)) for v in c.vertices}
-            if len(images) != len(c.vertices):
-                violations.append(Violation("NotSimplicialMap", d, c.id, "vertices collide in the image"))
-                continue
-            a1 = frozenset(labels[v] for v in c.vertices if v in colouring.black)
-            a2 = frozenset(labels[v] for v in c.vertices if v in colouring.white)
-            key = (a1, a2)
-            if key not in cache:
-                cache[key] = box_membership(graph, a1, a2)
-            if not cache[key]:
-                violations.append(Violation("NotInBoxComplex", d, c.id, f"({sorted(map(str, a1))}, {sorted(map(str, a2))})"))
+    for d, i in complex.maximal_cells():
+        vertices = complex.cell(d, i).vertices
+        if len({(labels[v], colouring.of(v)) for v in vertices}) != len(vertices):
+            violations.append(Violation("NotSimplicialMap", d, i, "vertices collide in the image"))
+            continue
+        a1 = frozenset(labels[v] for v in vertices if v in colouring.black)
+        a2 = frozenset(labels[v] for v in vertices if v in colouring.white)
+        if not box_membership(graph, a1, a2):
+            violations.append(Violation("NotInBoxComplex", d, i, f"({sorted(map(str, a1))}, {sorted(map(str, a2))})"))
     return ValidationReport.collect(violations)
 
 
@@ -319,10 +311,6 @@ def fineness_check(complex: Complex, colouring: TwoColouring) -> dict:
 
 
 # ---- composite verifications ----
-
-def _default_labels(complex: Complex, involution: Involution) -> dict[int, object]:
-    return {v: min(v, involution.vertex_pairing.get(v, v)) for v in complex.vertex_ids()}
-
 
 def _audit_shared(
     audit: AuditCollector,
@@ -391,7 +379,7 @@ def verify_sphere_quadrangulation(
     involution: Involution,
     colouring: TwoColouring,
     *,
-    labels: Optional[dict[int, object]] = None,
+    labels: dict[int, object],
     expected_graph: Optional[Graph] = None,
     seed: int = 0,
     n_walks: int = 0,
@@ -404,8 +392,6 @@ def verify_sphere_quadrangulation(
     """
     audit = AuditCollector()
     artifacts: dict = {}
-    if labels is None:
-        labels = _default_labels(complex, involution)
     shared = _audit_shared(
         audit, artifacts, complex, involution, colouring, labels,
         lambda: audit.add("sphere", sphere_check(complex)),
@@ -413,7 +399,7 @@ def verify_sphere_quadrangulation(
     if shared is None:
         return audit.done(), artifacts
     graph, selected_up = shared
-    audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels, involution))
+    audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels))
 
     try:
         q, projection = quotient(complex, involution)
@@ -464,15 +450,13 @@ def verify_ball_quadrangulation(
     boundary: BoundaryStructure,
     colouring: TwoColouring,
     *,
-    labels: Optional[dict[int, object]] = None,
+    labels: dict[int, object],
     expected_graph: Optional[Graph] = None,
 ) -> tuple[AuditReport, dict]:
     """Audit a coloured ball whose boundary carries a free involution."""
     audit = AuditCollector()
     artifacts: dict = {}
     involution = boundary.involution
-    if labels is None:
-        labels = _default_labels(ball, involution)
 
     def shape() -> None:
         audit.add("ball", ball_check(ball))

@@ -186,8 +186,10 @@ def chromatic_number(
     - the complex X is a mod-2 homology n-sphere, hence of Stiefel-Whitney
       height n under any free involution: `sphere`;
     - the involution on X is free: `involution-valid` and `antipodal-free`;
-    - the vertex map v -> (label(v), colour(v)) is an equivariant simplicial
-      map X -> B(G), so that h(B(G)) >= h(X): `box-map`;
+    - the vertex map v -> (label(v), colour(v)) is a simplicial map
+      X -> B(G): `box-map`; it is equivariant, so that h(B(G)) >= h(X),
+      because labels are constant on antipodal pairs and the colouring
+      swaps them: `labels-on-orbits` and `colouring-antisymmetric`;
     - B(G) is built from the graph being coloured, the stored graph.json:
       `graph-matches-expected`.
     """

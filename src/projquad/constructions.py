@@ -446,7 +446,7 @@ def suspension(sq: SphereQuad, *, n_walks: int = 0, seed: int = 0) -> SphereQuad
 
 # ---- the level-cone lift of a sphere into a ball one dimension up ----
 
-def mycielski_lift(sq: SphereQuad, r: int, precedence: Optional[Sequence] = None) -> BallQuad:
+def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     """Thicken a symmetric coloured sphere inward, level by level, into a
     ball whose boundary-identified graph is the r-level cone extension of
     the input's identified graph.
@@ -455,17 +455,15 @@ def mycielski_lift(sq: SphereQuad, r: int, precedence: Optional[Sequence] = None
     down: the new vertex for g sits under g's deepest copy, coned over the
     closed star of that copy among active vertices (cells created earlier in
     the same round participate).  A final apex over the two innermost levels
-    closes the ball.  The optional precedence sequence fixes the order in
-    which graph vertices are processed within each round.
+    closes the ball.  Within each round the graph vertices are processed in
+    label order.
     """
     if r < 1:
         raise BadParameters("needs r >= 1")
     if not sq.report.ok:
         raise InputNotQuadrangulation("input sphere failed its audits")
     graph = sq.graph
-    order = list(precedence) if precedence is not None else sorted(graph.vertices, key=label_key)
-    if sorted(map(label_key, order)) != sorted(map(label_key, graph.vertices)) or len(order) != len(set(order)):
-        raise BadParameters("precedence must enumerate the identified graph's vertices exactly once")
+    order = sorted(graph.vertices, key=label_key)
 
     T = sq.complex
     builder = ComplexBuilder.from_complex(T)

@@ -28,18 +28,6 @@ class BitMatrix:
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def set(self, i: int, j: int, value: int) -> None:
-        if value & 1:
-            self.data[i] |= 1 << j
-        else:
-            self.data[i] &= ~(1 << j)
-
-    def row(self, i: int) -> int:
-        return self.data[i]
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, list(self.data))
-
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):

@@ -22,9 +22,6 @@ class ChainZ2:
             raise DimensionMismatch(f"chain dims {self.dim} != {other.dim}")
         return ChainZ2(self.dim, self.support ^ other.support)
 
-    def __add__(self, other: "ChainZ2") -> "ChainZ2":
-        return self.__xor__(other)
-
     @property
     def is_zero(self) -> bool:
         return not self.support
@@ -42,13 +39,6 @@ class ChainZ2:
             support.add((mask & -mask).bit_length() - 1)
             mask &= mask - 1
         return cls(dim, frozenset(support))
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "cells": sorted(self.support)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChainZ2":
-        return cls(int(obj["dim"]), frozenset(int(i) for i in obj["cells"]))
 
 
 def _facet_rows(complex: Complex, p: int) -> list[int]:

@@ -16,11 +16,13 @@ import pytest
 from projquad import (
     BitMatrix,
     BudgetExceeded,
+    Graph,
     Homomorphism,
     HomologyCalculator,
     SphereQuad,
     all_betti_z2,
     bichromatic_edge_cells,
+    box_membership,
     boundary_matrix,
     boundary_squares_to_zero,
     chromatic_number,
@@ -39,6 +41,7 @@ from projquad import (
     schrijver_homomorphism,
     schrijver_pipeline,
     verify_homomorphism,
+    verify_z2_map_to_box,
     write_bundle,
 )
 from projquad.cli import main
@@ -228,6 +231,38 @@ def test_double_cover_lift_closes_exactly_on_null_homologous_walks(corpus):
             opened += not lifted
     assert closed and opened
     print(f"{closed} lifts closed and {opened} opened, each as homology predicts")
+
+
+def _box_map_ok_on_every_cell(complex, colouring, graph, labels) -> bool:
+    """The cell rule of the box-map audit applied to every cell, not only to
+    the maximal ones: injective on the cell, image in the box complex."""
+    for d in range(complex.dim + 1):
+        for c in complex.cells_of(d):
+            if len({(labels[v], colouring.of(v)) for v in c.vertices}) != len(c.vertices):
+                return False
+            a1 = {labels[v] for v in c.vertices if v in colouring.black}
+            a2 = {labels[v] for v in c.vertices if v in colouring.white}
+            if not box_membership(graph, a1, a2):
+                return False
+    return True
+
+
+def test_box_map_on_maximal_cells_agrees_with_every_cell(corpus):
+    for name, item in corpus.items():
+        sq = item.sq
+        edges = sq.graph.edges()
+        without_edge = Graph(sq.graph.vertices, edges[1:])
+        u, v = sq.complex.cell(*sq.complex.maximal_cells()[0]).vertices[:2]
+        merged = {w: sq.labels[u] if label == sq.labels[v] else label for w, label in sq.labels.items()}
+        cases = {
+            "as built": (sq.graph, sq.labels),
+            f"without edge {edges[0]}": (without_edge, sq.labels),
+            f"label of {v} merged into {u}'s": (sq.graph, merged),
+        }
+        for case, (graph, labels) in cases.items():
+            ok = verify_z2_map_to_box(sq.complex, sq.colouring, graph, labels).ok
+            assert ok == _box_map_ok_on_every_cell(sq.complex, sq.colouring, graph, labels), f"{name}, {case}"
+            assert ok == (case == "as built"), f"{name}, {case}"
 
 
 def _numpy_rank_gf2(dense: np.ndarray) -> int:

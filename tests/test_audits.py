@@ -2,6 +2,7 @@ import pytest
 
 from projquad import (
     ComplexBuilder,
+    Graph,
     Involution,
     SimplicialBuilder,
     TwoColouring,
@@ -23,10 +24,6 @@ from projquad.symmetry import BoundaryStructure, bichromatic_edge_cells
 
 def test_sphere_check_accepts_octahedron(octahedron):
     assert sphere_check(octahedron).ok
-    assert sphere_check(octahedron, n=2).ok
-    rep = sphere_check(octahedron, n=3)
-    assert not rep.ok
-    assert any(v.code == "WrongDimension" for v in rep.violations)
 
 
 def test_sphere_check_rejects_projective_plane(projective_plane):
@@ -45,7 +42,7 @@ def test_sphere_check_zero_dimensional():
     b.add_vertex()
     b.add_vertex()
     two_points = b.build()
-    assert sphere_check(two_points, n=0).ok
+    assert sphere_check(two_points).ok
 
 
 def test_ball_check_interval(interval_ball):
@@ -60,7 +57,7 @@ def test_ball_identification_loop_is_a_failing_entry():
     b.add_cell(1, (0, 1), (0, 1))
     boundary = BoundaryStructure({0: frozenset({0, 1})}, Involution("boundary", {0: 1, 1: 0}))
     col = TwoColouring(black=frozenset({0}), white=frozenset({1}))
-    report, artifacts = verify_ball_quadrangulation(b.build(), boundary, col)
+    report, artifacts = verify_ball_quadrangulation(b.build(), boundary, col, labels={0: 0, 1: 0})
     assert report.failing() == ["antipodal-free", "graph-identification"]
     assert "graph" not in artifacts
 
@@ -146,7 +143,37 @@ def test_sample_closed_walks_deterministic(octahedron):
 
 def test_box_map_on_odd_cycle():
     sq = odd_cycle_sphere(2)
-    assert verify_z2_map_to_box(sq.complex, sq.colouring, sq.graph, sq.labels, involution=sq.involution).ok
+    assert verify_z2_map_to_box(sq.complex, sq.colouring, sq.graph, sq.labels).ok
+
+
+def _octahedron_into_k33(missing=()):
+    # the upper vertices black, the lower ones white: every face maps into
+    # the box complex of K_{3,3} between {0, 1, 2} and {3, 4, 5}; the labels
+    # are not constant on antipodal pairs, which `labels-on-orbits` checks
+    col = TwoColouring(black=frozenset({0, 1, 2}), white=frozenset({3, 4, 5}))
+    graph = Graph(range(6), [(a, b) for a in (0, 1, 2) for b in (3, 4, 5) if (a, b) not in missing])
+    return col, graph, {v: v for v in range(6)}
+
+
+def _faces(octahedron, report):
+    return sorted(octahedron.cell(2, v.cell_id).vertices for v in report.violations)
+
+
+def test_box_map_flags_a_missing_graph_edge(octahedron):
+    assert verify_z2_map_to_box(octahedron, *_octahedron_into_k33()).ok
+    col, graph, labels = _octahedron_into_k33(missing={(0, 5)})
+    rep = verify_z2_map_to_box(octahedron, col, graph, labels)
+    assert {v.code for v in rep.violations} == {"NotInBoxComplex"}
+    # exactly the two faces holding the edge {0, 5}
+    assert _faces(octahedron, rep) == [(0, 1, 5), (0, 4, 5)]
+
+
+def test_box_map_flags_merged_labels(octahedron):
+    col, graph, labels = _octahedron_into_k33()
+    labels[1] = 0  # two black vertices of one face share an image
+    rep = verify_z2_map_to_box(octahedron, col, graph, labels)
+    assert {v.code for v in rep.violations} == {"NotSimplicialMap"}
+    assert _faces(octahedron, rep) == [(0, 1, 2), (0, 1, 5)]
 
 
 def test_fineness_requires_coordinates(projective_plane):

@@ -135,6 +135,21 @@ def test_chi_ignores_the_bound_of_a_failing_bundle(tmp_path, capsys):
     assert payload["chi"] == 2
     assert payload["proof"] != "topological"
 
+    # an antipodal pair of one colour breaks the equivariance of the box map
+    out = tmp_path / "c5-recoloured"
+    run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))
+    path = out / "colouring.json"
+    obj = json.loads(path.read_text())
+    obj["white"].remove(0)
+    obj["black"] = sorted(obj["black"] + [0])
+    path.write_text(json.dumps(obj))
+    code, stdout, _ = run(capsys, "verify", str(out), "--walks", "0")
+    assert code == 2
+    assert "colouring-antisymmetric" in [e["name"] for e in json.loads(stdout)["report"] if not e["ok"]]
+    code, stdout, _ = run(capsys, "chi", str(out))
+    assert code == 0
+    assert json.loads(stdout)["proof"] != "topological"
+
 
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as e:

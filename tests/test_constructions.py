@@ -77,21 +77,10 @@ def test_lift_level_one_is_cone():
     assert ball.graph == mycielskian(cycle_graph(3), 1)
 
 
-def test_lift_rejects_bad_precedence():
+def test_lift_rejects_zero_levels():
     base = odd_cycle_sphere(2)
-    with pytest.raises(BadParameters):
-        mycielski_lift(base, 2, precedence=[0, 1, 2])
     with pytest.raises(BadParameters):
         mycielski_lift(base, 0)
-
-
-def test_lift_respects_precedence():
-    base = odd_cycle_sphere(2)
-    a = mycielski_lift(base, 2, precedence=[0, 1, 2, 3, 4])
-    b = mycielski_lift(base, 2, precedence=[4, 3, 2, 1, 0])
-    # both are verified balls over the same graph, but different complexes
-    assert a.graph == b.graph
-    assert a.report.ok and b.report.ok
 
 
 def test_tower_matches_reference_graphs():
