@@ -6,7 +6,7 @@ import random
 from math import sqrt
 from typing import Callable, Optional, Sequence
 
-from .complexes import Complex, face_closure
+from .complexes import Complex
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
 from .homology import HomologyCalculator, boundary_squares_to_zero, edge_chain
@@ -22,6 +22,7 @@ from .symmetry import (
     identify_antipodes,
     proper_on_maximal,
     quotient,
+    sum_left_to_right,
     validate_involution,
 )
 from .validation import AuditCollector, AuditReport, ValidationReport, Violation
@@ -131,10 +132,15 @@ def quadrangulation_check(complex: Complex, edge_cells: frozenset[int]) -> Valid
     with only one of them selected, so a vertex pair cannot stand for a cell.
     """
     violations = []
+    cell = complex.cell
     for d, i in complex.maximal_cells():
-        one_faces = face_closure(complex, [(d, i)]).get(1, ())
-        pairs = {complex.cell(1, e).vertices for e in one_faces if e in edge_cells}
-        reason = _complete_bipartite_reason(complex.cell(d, i).vertices, pairs)
+        # The walk stops at the 1-cells: a 1-cell is its own 1-face, and a
+        # 0-cell has none.
+        one_faces = {i} if d >= 1 else set()
+        for k in range(d, 1, -1):
+            one_faces = {f for c in one_faces for f in cell(k, c).facets}
+        pairs = {cell(1, e).vertices for e in one_faces if e in edge_cells}
+        reason = _complete_bipartite_reason(cell(d, i).vertices, pairs)
         if reason == "no selected edges":
             violations.append(Violation("NoEdge", d, i, reason))
         elif reason is not None:
@@ -292,14 +298,14 @@ def fineness_check(complex: Complex, colouring: TwoColouring) -> dict:
     n = complex.dim
     for v in complex.vertex_ids():
         u = complex.coords(v)
-        norm = sqrt(sum(x * x for x in u))
+        norm = sqrt(sum_left_to_right(x * x for x in u))
         if abs(norm - 1.0) > UNIT_TOL:
             raise NotOnUnitSphere(f"vertex {v} has norm {norm!r}")
     longest = 0.0
     for e in sorted(bichromatic_edge_cells(complex, colouring)):
         u, v = complex.cell(1, e).vertices
         cu, cv = complex.coords(u), complex.coords(v)
-        length = sqrt(sum((a - b) ** 2 for a, b in zip(cu, cv)))
+        length = sqrt(sum_left_to_right((a - b) ** 2 for a, b in zip(cu, cv)))
         longest = max(longest, length)
     threshold = 2.0 / sqrt(n + 3)
     return {

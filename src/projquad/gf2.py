@@ -6,6 +6,7 @@ elimination: each row is reduced against a dict of pivot rows keyed by the
 position of their lowest set bit, the scheme of persistent-homology codes such
 as PHAT (Bauer, Kerber, Reininghaus & Wagner 2017).  A row thus costs one
 dict lookup per reduction step, with no search over the other rows.
+`HomologyCalculator` reads the pivot keys of that elimination to clear rows.
 """
 
 from __future__ import annotations

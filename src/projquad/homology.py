@@ -1,13 +1,26 @@
-"""Mod-2 chain complexes, Betti numbers, and boundary-membership queries."""
+"""Mod-2 chain complexes, Betti numbers, and boundary-membership queries.
+
+Ranks of boundary operators use clearing, the "twist" of Chen & Kerber
+("Persistent homology computation with a twist", 2011), as in PHAT (Bauer,
+Kerber, Reininghaus & Wagner 2017).  Eliminate the facet rows of d_{p+1}
+((p+1)-cells as rows, p-cells as bits).  Each pivot row is a sum of rows, so
+a p-boundary, and its lowest bit is a p-cell s.  When d_p o d_{p+1} = 0, the
+d_p row of s is the sum of the d_p rows of the higher-indexed p-cells in that
+boundary.  The pivot keys are distinct, so by downward induction over the
+p-cells the rows of d_p that are not pivot keys of d_{p+1} span the same
+space as all its rows.  The rows of the pivot keys can therefore be set to
+zero before d_p is reduced, and the rank does not change; reduced, they would
+only have reached zero, often after many XORs.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .complexes import Complex
+from .complexes import Cell, Complex
 from .errors import BadDimension, DimensionMismatch, NotACycle
-from .gf2 import BitMatrix, Gf2Solver, rank_gf2
+from .gf2 import BitMatrix, Gf2Solver, _eliminate
 
 
 @dataclass(frozen=True)
@@ -74,32 +87,52 @@ def boundary_of(complex: Complex, chain: ChainZ2) -> ChainZ2:
 
 
 class HomologyCalculator:
-    """Caches facet-row matrices, ranks, and solvers for one complex."""
+    """Caches cleared facet-row matrices, pivot keys and solvers for one complex.
+
+    Ranks are computed from the top dimension down.  Before the rows of d_p
+    are reduced, the row of every p-cell that is a pivot key of the reduced
+    d_{p+1} is set to zero (see the module docstring for why the rank does
+    not change).  The lemma needs d_p o d_{p+1} = 0, which a valid complex
+    need not satisfy (two faces of one 3-cell may name parallel 1-cells), so
+    dimension p is cleared only after that composite is checked on the rows
+    of d_p; when the check fails every row is reduced.  Ranks thus equal the
+    plain ranks on every input.  A cleared row keeps its index and never
+    becomes a pivot, so `solver(p)` on the cleared matrix still answers with
+    bitmasks over the original p-cell ids.
+    """
 
     def __init__(self, complex: Complex) -> None:
         self.complex = complex
         self._rows: dict[int, BitMatrix] = {}
-        self._ranks: dict[int, int] = {}
+        self._pivot_keys: dict[int, list[int]] = {}
         self._solvers: dict[int, Gf2Solver] = {}
 
     def _facet_matrix(self, p: int) -> BitMatrix:
-        """Rows = p-cells, columns = (p-1)-cells (transpose of boundary_matrix)."""
+        """Rows = p-cells, columns = (p-1)-cells (transpose of boundary_matrix),
+        with the rows cleared by the pivots of d_{p+1} set to zero."""
         if p not in self._rows:
-            if 1 <= p <= self.complex.dim:
-                self._rows[p] = BitMatrix(
-                    self.complex.n_cells(p), self.complex.n_cells(p - 1), _facet_rows(self.complex, p)
-                )
+            dim = self.complex.dim
+            if 1 <= p <= dim:
+                rows = _facet_rows(self.complex, p)
+                if p < dim and _squares_to_zero(self.complex.cells_of(p + 1), rows):
+                    for c in self._pivots(p + 1):
+                        rows[c - 1] = 0
+                self._rows[p] = BitMatrix(self.complex.n_cells(p), self.complex.n_cells(p - 1), rows)
             else:
-                rows = self.complex.n_cells(p) if 0 <= p <= self.complex.dim else 0
-                cols = self.complex.n_cells(p - 1) if 1 <= p <= self.complex.dim + 1 else 0
+                rows = self.complex.n_cells(p) if 0 <= p <= dim else 0
+                cols = self.complex.n_cells(p - 1) if 1 <= p <= dim + 1 else 0
                 self._rows[p] = BitMatrix(rows, cols)
         return self._rows[p]
 
+    def _pivots(self, p: int) -> list[int]:
+        """Pivot keys of the cleared d_p: key c is the (p-1)-cell c - 1."""
+        if p not in self._pivot_keys:
+            self._pivot_keys[p] = list(_eliminate(self._facet_matrix(p).data)[0])
+        return self._pivot_keys[p]
+
     def rank(self, p: int) -> int:
         """Rank of the boundary operator on p-chains (0 outside 1..dim)."""
-        if p not in self._ranks:
-            self._ranks[p] = rank_gf2(self._facet_matrix(p))
-        return self._ranks[p]
+        return len(self._pivots(p))
 
     def solver(self, p: int) -> Gf2Solver:
         """Solver for x·F = b where rows of F are boundaries of p-cells."""
@@ -165,6 +198,17 @@ def homologous(complex: Complex, c1: ChainZ2, c2: ChainZ2) -> bool:
     return HomologyCalculator(complex).homologous(c1, c2)
 
 
+def _squares_to_zero(cells: Iterable[Cell], facet_masks: list[int]) -> bool:
+    """For each cell, the masks of its facets XOR to zero."""
+    for cell in cells:
+        acc = 0
+        for f in cell.facets:
+            acc ^= facet_masks[f]
+        if acc:
+            return False
+    return True
+
+
 def boundary_squares_to_zero(complex: Complex, p: int) -> bool:
     """The composition of consecutive boundary operators is zero (mod 2).
 
@@ -172,14 +216,7 @@ def boundary_squares_to_zero(complex: Complex, p: int) -> bool:
     """
     if p < 2 or p > complex.dim:
         return True
-    facet_masks = _facet_rows(complex, p - 1)
-    for cell in complex.cells_of(p):
-        acc = 0
-        for f in cell.facets:
-            acc ^= facet_masks[f]
-        if acc:
-            return False
-    return True
+    return _squares_to_zero(complex.cells_of(p), _facet_rows(complex, p - 1))
 
 
 def edge_chain(cell_ids: Iterable[int]) -> ChainZ2:

@@ -110,6 +110,8 @@ class Involution:
                 raise ParseError("cell_pairs must be an object keyed by dimension")
             cp: dict[int, dict[int, int]] = {}
             for key, pairs in cell_pairs.items():
+                if key != str(int(key)):
+                    raise ParseError(f"cell_pairs key {key!r} is not a dimension in canonical form")
                 m: dict[int, int] = {}
                 for a, b in pairs:
                     if type(a) is not int or type(b) is not int:
@@ -315,6 +317,19 @@ def quotient(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
     return Complex(layers, labels), projection
 
 
+def sum_left_to_right(terms: Iterable[float]) -> float:
+    """The float sum of the terms, added in order.
+
+    From Python 3.12 on, `sum()` of floats is compensated and can differ in
+    the last bit, which would make written coordinates depend on the Python
+    version.
+    """
+    acc = 0.0
+    for t in terms:
+        acc += t
+    return acc
+
+
 def double(
     ball: Complex,
     boundary_involution: Involution,
@@ -369,7 +384,7 @@ def double(
         for v in interior0:
             u = ball.coords(v)
             raw.append(tuple(-x for x in u) + (-1.0,))
-        norms = [sqrt(sum(x * x for x in u)) for u in raw]
+        norms = [sqrt(sum_left_to_right(x * x for x in u)) for u in raw]
         if all(nm > 1e-12 for nm in norms):
             coords = [tuple(x / nm for x in u) for u, nm in zip(raw, norms)]
 

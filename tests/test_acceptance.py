@@ -24,12 +24,14 @@ from projquad import (
     bichromatic_edge_cells,
     box_membership,
     boundary_matrix,
+    boundary_of,
     boundary_squares_to_zero,
     chromatic_number,
     complete_graph,
     cycle_parity_vs_homology,
     cylinder_complete,
     double_to_sphere,
+    edge_chain,
     fineness_check,
     mycielski_graph,
     mycielski_tower,
@@ -313,7 +315,7 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
 
 
 def test_homology_ranks_match_numpy_oracle(corpus):
-    for name in ("cylinder-3", "tower-4", "schrijver-6-2"):
+    for name in ("cylinder-3", "tower-4", "tower-5", "schrijver-6-2", "schrijver-7-2"):
         for cx in (corpus[name].sq.complex, corpus[name].sq.quotient):
             calc = HomologyCalculator(cx)
             for p in range(cx.dim + 2):
@@ -321,6 +323,29 @@ def test_homology_ranks_match_numpy_oracle(corpus):
                 if 1 <= p <= cx.dim:
                     expected = _numpy_rank_gf2(np.array(boundary_matrix(cx, p).to_lists(), dtype=np.uint8))
                 assert calc.rank(p) == expected, (name, cx.dim, p)
+
+
+def test_cleared_ranks_equal_plain_ranks_on_the_corpus(corpus):
+    for name, item in corpus.items():
+        for cx in (item.sq.complex, item.sq.quotient):
+            calc = HomologyCalculator(cx)
+            for p in range(1, cx.dim + 1):
+                assert calc.rank(p) == rank_gf2(boundary_matrix(cx, p)), (name, cx.dim, p)
+
+
+def test_boundary_witnesses_bound_their_walks(corpus):
+    witnessed = 0
+    for name, item in corpus.items():
+        sq = item.sq
+        calc = HomologyCalculator(sq.quotient)
+        for walk in sample_closed_walks(sq.quotient, sq.selected, 100, seed=0):
+            chain = edge_chain(walk)
+            witness = calc.is_boundary(chain)
+            if witness is not None:
+                assert boundary_of(sq.quotient, witness) == chain, f"{name}: walk {walk}"
+                witnessed += 1
+    assert witnessed
+    print(f"{witnessed} boundary witnesses checked")
 
 
 def test_criterion_7_fineness(corpus):

@@ -214,6 +214,13 @@ def _cell_pairs_above_dimension(obj):
     obj["cell_pairs"]["7"] = [[0, 1]]
 
 
+def _padded_dimension_key(obj):
+    # "01" would land on dimension 1 too and, read last, hide the fixed point.
+    pairs = obj["cell_pairs"].pop("1")
+    obj["cell_pairs"]["1"] = [[0, 0]]
+    obj["cell_pairs"]["01"] = pairs
+
+
 def _loop_edge(obj):
     obj["edges"].append([0, 0])
 
@@ -284,6 +291,8 @@ TAMPERS = [
     ("involution.json", _pair_with_missing_vertex, "verify", 2, "involution-valid"),
     ("involution.json", _cell_pair_with_missing_cell, "verify", 2, "involution-valid"),
     ("involution.json", _cell_pairs_above_dimension, "verify", 2, "involution-valid"),
+    ("involution.json", _padded_dimension_key, "verify", 65, None),
+    ("involution.json", _padded_dimension_key, "chi", 65, None),
     ("graph.json", _loop_edge, "verify", 65, None),
     ("graph.json", _edge_to_unknown_vertex, "verify", 65, None),
     ("graph.json", _edge_to_unknown_vertex, "chi", 65, None),

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from projquad import (
     ChainZ2,
+    ComplexBuilder,
     HomologyCalculator,
     SimplicialBuilder,
     all_betti_z2,
@@ -13,7 +16,10 @@ from projquad import (
     face_closure,
     homologous,
     is_boundary,
+    rank_gf2,
 )
+from projquad.cli import main
+from projquad.complexes import complex_to_json
 from projquad.errors import BadDimension, DimensionMismatch, NotACycle
 
 
@@ -56,6 +62,38 @@ def test_boundary_matrix_orientation(octahedron):
 def test_boundary_squares_to_zero(octahedron, projective_plane):
     assert boundary_squares_to_zero(octahedron, 2)
     assert boundary_squares_to_zero(projective_plane, 2)
+
+
+def _tetrahedron_with_split_edge():
+    """A valid 3-cell whose two 2-faces through {0, 1} name two parallel
+    1-cells on that pair, so that d_2 o d_3 != 0."""
+    b = ComplexBuilder()
+    for i in range(4):
+        b.add_vertex(f"t{i}")
+    edge = {pair: b.add_cell(1, pair, pair) for pair in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
+    twin = b.add_cell(1, (0, 1), (0, 1))
+    faces = [
+        b.add_cell(2, (0, 1, 2), (edge[0, 1], edge[0, 2], edge[1, 2])),
+        b.add_cell(2, (0, 1, 3), (twin, edge[0, 3], edge[1, 3])),
+        b.add_cell(2, (0, 2, 3), (edge[0, 2], edge[0, 3], edge[2, 3])),
+        b.add_cell(2, (1, 2, 3), (edge[1, 2], edge[1, 3], edge[2, 3])),
+    ]
+    b.add_cell(3, (0, 1, 2, 3), faces)
+    return b.build()
+
+
+def test_ranks_without_a_chain_complex_are_the_plain_ranks(tmp_path, capsys):
+    # Clearing d_2 by the pivot of d_3 would drop its rank from 4 to 3.
+    cx = _tetrahedron_with_split_edge()
+    assert cx.validate().ok
+    assert not boundary_squares_to_zero(cx, 3)
+    calc = HomologyCalculator(cx)
+    assert [calc.rank(p) for p in (1, 2, 3)] == [3, 4, 1]
+    assert [calc.rank(p) for p in (1, 2, 3)] == [rank_gf2(boundary_matrix(cx, p)) for p in (1, 2, 3)]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_to_json(cx)))
+    assert main(["homology", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"betti": [1, 0, -1, 0]}
 
 
 def test_boundary_of_triangle(octahedron):

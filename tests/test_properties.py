@@ -8,8 +8,10 @@ from projquad import (
     BitMatrix,
     Gf2Solver,
     Graph,
+    HomologyCalculator,
     SimplicialBuilder,
     all_betti_z2,
+    boundary_matrix,
     box_membership,
     boundary_squares_to_zero,
     chromatic_number,
@@ -204,19 +206,16 @@ def test_graph_json_roundtrip(labels, data):
 
 
 @st.composite
-def random_complexes(draw):
+def random_complexes(draw, max_dim=2):
     n = draw(st.integers(1, 6))
     sb = SimplicialBuilder()
     for i in range(n):
         sb.add_vertex(f"w{i}")
-    tris = list(combinations(range(n), 3))
-    segs = list(combinations(range(n), 2))
-    if tris:
-        for t in draw(st.lists(st.sampled_from(tris), unique=True, max_size=8)):
-            sb.add_simplex(t)
-    if segs:
-        for e in draw(st.lists(st.sampled_from(segs), unique=True, max_size=8)):
-            sb.add_simplex(e)
+    for d in range(max_dim, 0, -1):
+        simplices = list(combinations(range(n), d + 1))
+        if simplices:
+            for s in draw(st.lists(st.sampled_from(simplices), unique=True, max_size=8)):
+                sb.add_simplex(s)
     return sb.build()
 
 
@@ -228,6 +227,15 @@ def test_euler_poincare_over_gf2(complex):
     assert complex.euler_characteristic() == alternating
     for p in range(complex.dim + 2):
         assert boundary_squares_to_zero(complex, p)
+
+
+@settings(deadline=None, max_examples=80)
+@given(random_complexes(max_dim=3))
+def test_cleared_ranks_equal_plain_ranks(complex):
+    calc = HomologyCalculator(complex)
+    for p in range(1, complex.dim + 1):
+        assert calc.rank(p) == rank_gf2(boundary_matrix(complex, p)), p
+        assert rank_gf2(calc.solver(p).matrix) == calc.rank(p), p
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,8 +1,11 @@
+from math import sqrt
+
 import pytest
 
 from projquad import (
     BLACK,
     WHITE,
+    ComplexBuilder,
     Involution,
     TwoColouring,
     all_betti_z2,
@@ -177,6 +180,21 @@ def test_double_interval_gives_circle(interval_ball):
     assert q.n_vertices == 2
     assert q.n_cells(1) == 2
     assert all_betti_z2(q) == (1, 1)
+
+
+def test_double_normalizes_by_the_norm_summed_left_to_right():
+    # sum() of these squares is compensated from Python 3.12 on and gives
+    # 0.11 instead of 0.11000000000000001, which moved the written vertex.
+    b = ComplexBuilder()
+    for c in ((0.1, 0.3, 0.1), (0.0, 0.0, 1.0), (-0.1, -0.3, -0.1)):
+        b.add_vertex(None, c)
+    b.add_cell(1, (0, 1), (0, 1))
+    b.add_cell(1, (1, 2), (1, 2))
+    inv = Involution("boundary", {0: 2, 2: 0}, {})
+    col = TwoColouring(black=frozenset({0, 1}), white=frozenset({2}))
+    doubled, _, _ = double(b.build(), inv, col)
+    norm = sqrt(0.1 * 0.1 + 0.3 * 0.3 + 0.1 * 0.1)
+    assert doubled.coords(0) == (0.1 / norm, 0.3 / norm, 0.1 / norm, 0.0)
 
 
 def test_double_octahedron_hemisphere(octahedron, octahedron_involution):
