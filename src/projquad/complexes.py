@@ -7,9 +7,10 @@ immutable once built.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, combinations
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -429,5 +430,55 @@ def complex_from_json(obj: dict) -> Complex:
 
 
 def dump_canonical(obj) -> str:
-    """Canonical JSON text: sorted keys, stable float repr, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """Canonical JSON text: exactly `json.dumps(obj, sort_keys=True,
+    indent=1) + "\\n"`, written by a small recursive encoder: json's C
+    encoder does not indent, so json.dumps with an indent runs the
+    pure-Python one.
+
+    Values must be of type str, int, float, bool, None, list, tuple or dict
+    (subclasses are not accepted) and dict keys must be str; anything else
+    raises TypeError.  Floats keep json's `NaN` and `±Infinity`.  Cycles are
+    not detected.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(o, newline: str) -> str:
+    """The canonical text of `o` when its enclosing line break is `newline`
+    (a newline and the indentation of `o`'s own line)."""
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = newline + " "
+        if {*map(type, o)} == {int}:
+            items = map(int.__repr__, o)
+        else:
+            items = [_encode(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = newline + " "
+        # encode_basestring_ascii raises TypeError for a key that is not a str.
+        items = [encode_basestring_ascii(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is float:
+        if o != o:
+            return "NaN"
+        if o == inf:
+            return "Infinity"
+        if o == -inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

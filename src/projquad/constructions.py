@@ -198,34 +198,26 @@ def odd_cycle_sphere(k: int, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
 def _ray_blocked(point: tuple, triangles: list[tuple], own: int, tol: float = 1e-9) -> bool:
     """Whether segment (origin, point) strictly crosses any listed triangle
     other than triangle index `own` before reaching the point."""
-    px, py, pz = point
+    # Solve s*P = A + u*(B-A) + v*(C-A) by Cramer's rule on the columns
+    # (q, e, f) = (-P, B-A, C-A) with right-hand side r = -A, each 3x3
+    # determinant expanded along its first row.  The operand order is that
+    # of the plain matrix expansion; the visibility verdicts rest on these
+    # exact floats.
+    qx, qy, qz = -point[0], -point[1], -point[2]
     for idx, (a, b, c) in enumerate(triangles):
         if idx == own:
             continue
-        # Solve s*P = A + u*(B-A) + v*(C-A) by Cramer's rule.
-        e1 = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        e2 = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-        mat = ((-px, e1[0], e2[0]), (-py, e1[1], e2[1]), (-pz, e1[2], e2[2]))
-        det = (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
+        ex, ey, ez = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+        fx, fy, fz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+        ef, qf, qe = ey * fz - fy * ez, qy * fz - fy * qz, qy * ez - ey * qz
+        det = qx * ef - ex * qf + fx * qe
         if abs(det) < tol:
             continue
-        rhs = (-a[0], -a[1], -a[2])
-
-        def solve(col: int) -> float:
-            cols = [list(row) for row in mat]
-            for r in range(3):
-                cols[r][col] = rhs[r]
-            return (
-                cols[0][0] * (cols[1][1] * cols[2][2] - cols[1][2] * cols[2][1])
-                - cols[0][1] * (cols[1][0] * cols[2][2] - cols[1][2] * cols[2][0])
-                + cols[0][2] * (cols[1][0] * cols[2][1] - cols[1][1] * cols[2][0])
-            ) / det
-
-        s, u, v = solve(0), solve(1), solve(2)
+        rx, ry, rz = -a[0], -a[1], -a[2]
+        rf, qr = ry * fz - fy * rz, qy * rz - ry * qz
+        s = (rx * ef - ex * rf + fx * (ry * ez - ey * rz)) / det
+        u = (qx * rf - rx * qf + fx * qr) / det
+        v = (qx * (ey * rz - ry * ez) - ex * qr + rx * qe) / det
         if u > -tol and v > -tol and u + v < 1 + tol and tol < s < 1 - tol:
             return True
     return False

@@ -86,11 +86,12 @@ class Graph:
         return len(self._adj[v])
 
     def edges(self) -> tuple[tuple[Label, Label], ...]:
+        key = {v: label_key(v) for v in self._order}
         seen = set()
         for u in self._order:
             for v in self._adj[u]:
-                seen.add((u, v) if label_key(u) < label_key(v) else (v, u))
-        return tuple(sorted(seen, key=lambda e: (label_key(e[0]), label_key(e[1]))))
+                seen.add((u, v) if key[u] < key[v] else (v, u))
+        return tuple(sorted(seen, key=lambda e: (key[e[0]], key[e[1]])))
 
     def sorted_vertices(self) -> tuple[Label, ...]:
         return tuple(sorted(self._order, key=label_key))

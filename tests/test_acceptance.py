@@ -363,6 +363,17 @@ def test_criterion_7_fineness(corpus):
     )
 
 
+def test_bundle_files_are_the_json_module_text(tmp_path_factory, corpus):
+    # Every bundle file is, byte for byte, the text of json's own indented
+    # encoder, whichever Python wrote it.
+    base = tmp_path_factory.mktemp("json-text")
+    for name, item in corpus.items():
+        bundle = write_bundle(base / name, item.sq, homomorphism=item.hom)
+        for path in sorted(bundle.iterdir()):
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", f"{name}/{path.name}"
+
+
 def test_criterion_8_deterministic_outputs(tmp_path_factory, corpus):
     base = tmp_path_factory.mktemp("repeat")
 

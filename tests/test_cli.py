@@ -4,6 +4,8 @@ import random
 import pytest
 
 from projquad.cli import main
+from projquad.coloring import chromatic_number
+from projquad.graphs import graph_from_json
 
 
 def run(capsys, *argv):
@@ -367,13 +369,23 @@ def _mutate(obj, path, rng: random.Random) -> str:
     return f"{kind} {list(path)} -> {parent[key]!r}"
 
 
-def test_mutated_bundles_never_crash(tmp_path, capsys):
-    out = tmp_path / "c5"
-    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))[0] == 0
+def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int) -> None:
+    """Build a bundle by the `build` argvs in turn (each after the first
+    reads the one before), then apply `cases` seeded one-value mutations.
+
+    No mutant may crash `verify`, `chi` or `homology`, and wherever `chi`
+    claims a topological proof, the exact search on the mutant's own
+    graph.json, with no bound, must give the same chromatic number.
+    """
+    out = None
+    for step, argv in enumerate(builds):
+        src = [] if out is None else ["--src", str(out)]
+        out = tmp_path / f"step-{step}"
+        assert run(capsys, "build", argv[0], *src, *argv[1:], "--out", str(out))[0] == 0
     files = {p.name: json.loads(p.read_text()) for p in sorted(out.iterdir())}
-    rng = random.Random(0)
+    rng = random.Random(seed)
     failures = []
-    for _ in range(200):
+    for _ in range(cases):
         name = rng.choice(sorted(files))
         mutated = json.loads(json.dumps(files[name]))
         paths = list(_nodes(mutated))
@@ -384,8 +396,31 @@ def test_mutated_bundles_never_crash(tmp_path, capsys):
                 code = main(argv)
             except Exception as exc:  # every escape from main is a failure
                 code = f"{type(exc).__name__}: {exc}"
-            capsys.readouterr()
+            stdout = capsys.readouterr().out
             if code not in (0, 2, 65, 70):
                 failures.append(f"{argv[0]} after {what}: {code}")
+            elif argv[0] == "chi" and code == 0:
+                settled = json.loads(stdout)
+                if settled["proof"] == "topological":
+                    exact = chromatic_number(graph_from_json(json.loads((out / "graph.json").read_text()))).chi
+                    if settled["chi"] != exact:
+                        failures.append(f"chi after {what}: topological chi {settled['chi']}, exact chi {exact}")
         (out / name).write_text(json.dumps(files[name]))
     assert not failures, "\n".join(failures[:20])
+
+
+def test_mutated_bundles_never_crash(tmp_path, capsys):
+    _mutants_never_crash_nor_lie(tmp_path, capsys, [("odd-cycle", "--k", "2")], cases=200, seed=0)
+
+
+@pytest.mark.parametrize(
+    "builds, cases",
+    [
+        ([("cylinder", "--r", "3")], 100),
+        ([("odd-cycle", "--k", "2"), ("mycielski-lift", "--r", "2")], 200),
+        ([("schrijver", "--n", "6", "--k", "2")], 200),
+    ],
+    ids=["cylinder-3", "tower-4", "schrijver-6-2"],
+)
+def test_mutated_corpus_bundles_never_crash_nor_lie(tmp_path, capsys, builds, cases):
+    _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases=cases, seed=0)

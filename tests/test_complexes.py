@@ -190,6 +190,12 @@ def test_dump_canonical_is_stable():
     assert a.endswith("\n")
 
 
+@pytest.mark.parametrize("obj", [{1: 0}, {"a": 1, 2: 0}, {1, 2}, {"a": [{"b": {0}}]}])
+def test_dump_canonical_takes_str_keys_and_json_values_only(obj):
+    with pytest.raises(TypeError):
+        dump_canonical(obj)
+
+
 def test_validate_flags_label_collision():
     cells = [[Cell(0, 0, (0,), ()), Cell(1, 0, (1,), ())]]
     c = Complex(cells, ["same", "same"])

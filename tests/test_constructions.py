@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projquad import (
     all_betti_z2,
@@ -17,6 +18,7 @@ from projquad import (
     suspension,
     verify_homomorphism,
 )
+from projquad import constructions
 from projquad.errors import BadParameters, UnsupportedParameters
 
 
@@ -159,3 +161,97 @@ def test_lift_ball_boundary_is_input():
         assert ball.boundary.cells[d] == frozenset(range(base.complex.n_cells(d)))
         for i in range(base.complex.n_cells(d)):
             assert ball.complex.cell(d, i).vertices == base.complex.cell(d, i).vertices
+
+
+def _ray_blocked_oracle(point: tuple, triangles: list[tuple], own: int, tol: float = 1e-9) -> bool:
+    """The closure-based ray test that `constructions._ray_blocked` was
+    first written as; its scalar form must give the same verdicts."""
+    px, py, pz = point
+    for idx, (a, b, c) in enumerate(triangles):
+        if idx == own:
+            continue
+        # Solve s*P = A + u*(B-A) + v*(C-A) by Cramer's rule.
+        e1 = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+        e2 = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+        mat = ((-px, e1[0], e2[0]), (-py, e1[1], e2[1]), (-pz, e1[2], e2[2]))
+        det = (
+            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
+            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
+            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
+        )
+        if abs(det) < tol:
+            continue
+        rhs = (-a[0], -a[1], -a[2])
+
+        def solve(col: int) -> float:
+            cols = [list(row) for row in mat]
+            for r in range(3):
+                cols[r][col] = rhs[r]
+            return (
+                cols[0][0] * (cols[1][1] * cols[2][2] - cols[1][2] * cols[2][1])
+                - cols[0][1] * (cols[1][0] * cols[2][2] - cols[1][2] * cols[2][0])
+                + cols[0][2] * (cols[1][0] * cols[2][1] - cols[1][1] * cols[2][0])
+            ) / det
+
+        s, u, v = solve(0), solve(1), solve(2)
+        if u > -tol and v > -tol and u + v < 1 + tol and tol < s < 1 - tol:
+            return True
+    return False
+
+
+def test_ray_test_agrees_with_oracle_on_every_cylinder_call(monkeypatch):
+    calls = []
+    ray_blocked = constructions._ray_blocked
+
+    def recorded(point, triangles, own):
+        verdict = ray_blocked(point, triangles, own)
+        calls.append((point, triangles, own, verdict))
+        return verdict
+
+    monkeypatch.setattr(constructions, "_ray_blocked", recorded)
+    for r in (2, 3, 4, 5):
+        entry = next(e for e in cylinder_complete(r).report.entries if e.name == "visibility-inner-boundary")
+        assert entry.ok, r
+    assert len(calls) > 400 and any(verdict for *_, verdict in calls)
+    for point, triangles, own, verdict in calls:
+        assert verdict == _ray_blocked_oracle(point, triangles, own)
+
+
+coordinates = st.floats(-2.0, 2.0)
+vectors = st.tuples(coordinates, coordinates, coordinates)
+
+
+@st.composite
+def near_degenerate_triangles(draw):
+    """A point P and a triangle (A, A+E, A+F) with F = alpha*E + beta*P +
+    eps*W, eps chosen so that det(-P, E, F) = -eps * P.(E x W) comes out
+    near +-1e-9, the tolerance below which the ray test skips a triangle.
+    A = s*P - u*E - v*F puts the crossing at (s, u, v), in or out of range."""
+    p, e, w = draw(vectors), draw(vectors), draw(vectors)
+    alpha, beta = draw(coordinates), draw(coordinates)
+    s, u, v = draw(st.floats(-0.2, 1.2)), draw(st.floats(-0.2, 1.2)), draw(st.floats(-0.2, 1.2))
+    target = draw(st.floats(0.25e-9, 4e-9)) * draw(st.sampled_from([-1, 1]))
+    cross = (e[1] * w[2] - e[2] * w[1], e[2] * w[0] - e[0] * w[2], e[0] * w[1] - e[1] * w[0])
+    base = -(p[0] * cross[0] + p[1] * cross[1] + p[2] * cross[2])
+    eps = target / base if abs(base) > 1e-3 else 0.0
+    f = tuple(alpha * e[t] + beta * p[t] + eps * w[t] for t in range(3))
+    a = tuple(s * p[t] - u * e[t] - v * f[t] for t in range(3))
+    b = tuple(a[t] + e[t] for t in range(3))
+    c = tuple(a[t] + f[t] for t in range(3))
+    return p, (a, b, c)
+
+
+@settings(deadline=None)
+@given(
+    vectors,
+    st.lists(st.tuples(vectors, vectors, vectors), max_size=6),
+    st.lists(near_degenerate_triangles(), max_size=4),
+    st.integers(-1, 10),
+)
+def test_ray_test_agrees_with_oracle_on_drawn_triangles(point, triangles, near, own):
+    # Near-degenerate triangles are tested against their own ray direction.
+    for p, triangle in near:
+        assert constructions._ray_blocked(p, [triangle], own) == _ray_blocked_oracle(p, [triangle], own)
+        assert constructions._ray_blocked(p, [triangle], -1) == _ray_blocked_oracle(p, [triangle], -1)
+    triangles = triangles + [t for _, t in near]
+    assert constructions._ray_blocked(point, triangles, own) == _ray_blocked_oracle(point, triangles, own)

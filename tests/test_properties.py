@@ -1,5 +1,6 @@
 """Randomized invariants checked with hypothesis."""
 
+import json
 from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from projquad import (
     boundary_squares_to_zero,
     chromatic_number,
     common_neighbours,
+    dump_canonical,
     graph_from_json,
     graph_to_json,
     kernel_basis,
@@ -23,6 +25,7 @@ from projquad import (
     odd_girth,
     rank_gf2,
 )
+from projquad.graphs import label_key
 
 
 def naive_rank(rows: list[int], cols: int) -> int:
@@ -254,3 +257,66 @@ def test_true_external_bound_keeps_chi(g, data):
     assert result.exhausted == (result.proof == "exhaustive")
     for u, v in g.edges():
         assert result.colouring[u] != result.colouring[v]
+
+
+nested_labels = st.recursive(
+    st.one_of(st.integers(-5, 40), st.text("abcz", max_size=3)),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@given(st.sets(nested_labels, min_size=1, max_size=8), st.data())
+def test_edges_order_is_the_per_comparison_label_key_order(labels, data):
+    verts = list(labels)
+    pairs = list(combinations(verts, 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(verts, edges)
+    seen = set()
+    for u in g.vertices:
+        for v in g.neighbors(u):
+            seen.add((u, v) if label_key(u) < label_key(v) else (v, u))
+    assert g.edges() == tuple(sorted(seen, key=lambda e: (label_key(e[0]), label_key(e[1]))))
+
+
+# Strings with the characters json escapes (quote, backslash, control
+# characters, non-ASCII up to astral and lone surrogates) and the floats it
+# spells specially or at the ends of the range.
+json_strings = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'), st.characters()),
+    max_size=6,
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, 1e300, 5e-324, float("nan"), float("inf"), -float("inf")]),
+    json_strings,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(-(2**70), 2**70), max_size=5),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def deeply_nested(draw):
+    value = draw(json_values)
+    key = draw(json_strings)
+    for kind in draw(st.lists(st.sampled_from(["list", "tuple", "dict"]), min_size=70, max_size=90)):
+        value = {key: value} if kind == "dict" else [value, key] if kind == "list" else (key, value)
+    return value
+
+
+@settings(deadline=None)
+@given(st.one_of(json_values, deeply_nested()))
+def test_dump_canonical_is_the_json_module_text(value):
+    assert dump_canonical(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
