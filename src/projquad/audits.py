@@ -371,13 +371,12 @@ def _audit_shared(
     return graph, selected
 
 
-def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Optional[Graph]) -> None:
-    if expected_graph is not None:
-        audit.add_flag(
-            "graph-matches-expected",
-            graph == expected_graph,
-            "identified graph differs from the expected labelled graph",
-        )
+def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Graph) -> None:
+    audit.add_flag(
+        "graph-matches-expected",
+        graph == expected_graph,
+        "identified graph differs from the expected labelled graph",
+    )
 
 
 def verify_sphere_quadrangulation(
@@ -386,18 +385,18 @@ def verify_sphere_quadrangulation(
     colouring: TwoColouring,
     *,
     labels: dict[int, object],
-    expected_graph: Optional[Graph] = None,
+    expected_graph: Graph,
     seed: int = 0,
     n_walks: int = 0,
 ) -> tuple[AuditReport, dict]:
     """Run the full audit stack on a symmetric coloured sphere.
 
-    Returns the audit report and an artifact dict containing the quotient
-    complex, the per-dimension projection, the selected quotient 1-cells,
-    and the identified labelled graph.
+    Returns the audit report and an artifact dict containing the audited
+    labels, the quotient complex, the per-dimension projection, the selected
+    quotient 1-cells, and the identified labelled graph.
     """
     audit = AuditCollector()
-    artifacts: dict = {}
+    artifacts: dict = {"labels": labels}
     shared = _audit_shared(
         audit, artifacts, complex, involution, colouring, labels,
         lambda: audit.add("sphere", sphere_check(complex)),
@@ -457,7 +456,7 @@ def verify_ball_quadrangulation(
     colouring: TwoColouring,
     *,
     labels: dict[int, object],
-    expected_graph: Optional[Graph] = None,
+    expected_graph: Graph,
 ) -> tuple[AuditReport, dict]:
     """Audit a coloured ball whose boundary carries a free involution."""
     audit = AuditCollector()

@@ -16,8 +16,8 @@ from typing import Optional, Union
 
 from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, complex_from_json, complex_to_json, dump_canonical
-from .constructions import SphereQuad, _finish_sphere
-from .errors import ParseError, VerificationFailed
+from .constructions import SphereQuad, _sphere_quad
+from .errors import ParseError
 from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key
 from .homomorphisms import Homomorphism, homomorphism_from_json, homomorphism_to_json, verify_homomorphism
 from .symmetry import Involution, TwoColouring
@@ -138,13 +138,36 @@ _REPS_MISS_AN_ORBIT = AuditReport(
 )
 
 
-def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> AuditReport:
-    """Re-run the full audit stack on a loaded bundle and cross-check the
-    result against its stored graph and report."""
+def _report_consistent(stored: list, rerun: AuditReport) -> AuditEntry:
+    """The stored report is the trail of a passing build: every stored entry
+    is an object with a string name and `"ok": true`, and the stored names
+    are the re-run names in order.  `walk-parity` is dropped from both lists,
+    since the build chose its own walk count."""
+    rerun_names = [e.name for e in rerun.entries if e.name != "walk-parity"]
+    if not all(isinstance(e, dict) and isinstance(e.get("name"), str) and e.get("ok") is True for e in stored):
+        detail = "a stored entry is malformed or records a failure"
+    elif [e["name"] for e in stored if e["name"] != "walk-parity"] != rerun_names:
+        detail = "stored entry names differ from the re-run audits"
+    else:
+        return AuditEntry("report-consistent", True)
+    return AuditEntry("report-consistent", False, (Violation(code="StoredReportMismatch", detail=detail),))
+
+
+def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple[AuditReport, dict]:
+    """The one verdict on a stored bundle, read by `verify`, `chi` and
+    `sphere_quad_from_bundle`.
+
+    Runs `verify_sphere_quadrangulation` with the labels of the stored orbit
+    representatives and the stored graph as the expected graph, then
+    `report-consistent` (see `_report_consistent`) and, for a stored
+    homomorphism, `homomorphism-valid` and `homomorphism-source-matches`.
+    Returns the report and the sphere artifacts; when the representatives
+    miss an orbit, one failing `orbit-reps-cover` entry and no artifacts.
+    """
     labels = _labels_from_reps(bundle)
     if labels is None:
-        return _REPS_MISS_AN_ORBIT
-    report, _ = verify_sphere_quadrangulation(
+        return _REPS_MISS_AN_ORBIT, {}
+    report, artifacts = verify_sphere_quadrangulation(
         bundle.complex,
         bundle.involution,
         bundle.colouring,
@@ -153,57 +176,20 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> Audit
         n_walks=n_walks,
         seed=seed,
     )
-    extra = []
-    stored = {}
-    consistent = True
-    detail = ""
-    for item in bundle.report:
-        if isinstance(item, dict) and isinstance(item.get("name"), str) and isinstance(item.get("ok"), bool):
-            stored[item["name"]] = item["ok"]
-        else:
-            consistent = False
-            detail = "malformed stored entry"
-    if not all(v for v in stored.values()):
-        consistent = False
-        detail = "stored report records a failure"
-    for e in report.entries:
-        if e.name in stored and stored[e.name] != e.ok:
-            consistent = False
-            detail = f"entry {e.name} disagrees with the stored report"
-    extra.append(
-        AuditEntry(
-            "report-consistent",
-            consistent,
-            () if consistent else (Violation(code="StoredReportMismatch", detail=detail),),
-        )
-    )
+    extra = [_report_consistent(bundle.report, report)]
     if bundle.homomorphism is not None:
         hom_report = verify_homomorphism(bundle.homomorphism)
         extra.append(AuditEntry("homomorphism-valid", hom_report.ok, hom_report.violations))
-        extra.append(
-            AuditEntry(
-                "homomorphism-source-matches",
-                bundle.homomorphism.source == bundle.graph,
-                ()
-                if bundle.homomorphism.source == bundle.graph
-                else (Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json"),),
-            )
-        )
-    return AuditReport(tuple(report.entries) + tuple(extra))
+        same = bundle.homomorphism.source == bundle.graph
+        mismatch = Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json")
+        extra.append(AuditEntry("homomorphism-source-matches", same, () if same else (mismatch,)))
+    return AuditReport(tuple(report.entries) + tuple(extra)), artifacts
 
 
 def sphere_quad_from_bundle(path: PathLike) -> SphereQuad:
-    """Reconstruct a verified SphereQuad from a stored bundle (re-auditing
-    it; raises VerificationFailed if the stored data no longer passes)."""
+    """Reconstruct a SphereQuad from a stored bundle that passes
+    `verify_bundle` without walks, the checks of `verify --walks 0`; raises
+    VerificationFailed naming the failing audits otherwise."""
     bundle = load_bundle(path)
-    labels = _labels_from_reps(bundle)
-    if labels is None:
-        raise VerificationFailed("stored bundle: failing audits: orbit-reps-cover", _REPS_MISS_AN_ORBIT)
-    return _finish_sphere(
-        bundle.complex,
-        bundle.involution,
-        bundle.colouring,
-        labels,
-        expected_graph=bundle.graph,
-        what="stored bundle",
-    )
+    report, artifacts = verify_bundle(bundle, n_walks=0)
+    return _sphere_quad(bundle.complex, bundle.involution, bundle.colouring, report, artifacts, "stored bundle")

@@ -169,7 +169,7 @@ def _run_build(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    report = verify_bundle(load_bundle(args.bundle), seed=args.seed, n_walks=args.walks)
+    report, _ = verify_bundle(load_bundle(args.bundle), seed=args.seed, n_walks=args.walks)
     _emit({"ok": report.ok, "report": report.to_json()})
     return 0 if report.ok else VIOLATION_EXIT
 
@@ -179,7 +179,7 @@ def _run_chi(args: argparse.Namespace) -> int:
     bound = None
     if bundle is not None:
         # Walks are not a hypothesis of the bound, so none are sampled.
-        report = verify_bundle(bundle, n_walks=0)
+        report, _ = verify_bundle(bundle, n_walks=0)
         if report.ok:
             bound = bundle.complex.dim + 2
         else:

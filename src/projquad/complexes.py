@@ -384,8 +384,8 @@ def complex_to_json(complex: Complex) -> dict:
 def complex_from_json(obj: dict) -> Complex:
     """Parse a complex; ids, dimensions, vertices and facets must be JSON
     integers (not booleans or floats), coordinates JSON numbers (not
-    booleans or strings), and the stated dimension must be that of the
-    highest cell."""
+    booleans or strings) in tuples of one length, and the stated dimension
+    must be that of the highest cell."""
     try:
         dim = obj["dimension"]
         if type(dim) is not int:
@@ -400,6 +400,8 @@ def complex_from_json(obj: dict) -> Complex:
         stated = [tuple(e["coords"]) if "coords" in e else None for e in vertex_entries]
         if {*map(type, chain.from_iterable(filter(None, stated)))} - {int, float}:
             raise ParseError("vertex coordinates must be numbers")
+        if len({len(c) for c in stated if c is not None}) > 1:
+            raise ParseError("vertex coordinates must all have one length")
         raw_coords = [tuple(map(float, c)) if c is not None else None for c in stated]
         coords = raw_coords if any(c is not None for c in raw_coords) else None
         layers: dict[int, list[dict]] = {}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, pi, sin
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .audits import (
     verify_ball_quadrangulation,
@@ -65,33 +65,24 @@ class BallQuad:
     report: AuditReport
 
 
-def _finish_sphere(
+def _sphere_quad(
     complex: Complex,
     involution: Involution,
     colouring: TwoColouring,
-    labels: dict,
-    *,
-    expected_graph: Optional[Graph] = None,
-    n_walks: int = 0,
-    seed: int = 0,
-    what: str = "sphere construction",
+    report: AuditReport,
+    artifacts: dict,
+    what: str,
 ) -> SphereQuad:
-    report, artifacts = verify_sphere_quadrangulation(
-        complex,
-        involution,
-        colouring,
-        labels=labels,
-        expected_graph=expected_graph,
-        n_walks=n_walks,
-        seed=seed,
-    )
+    """The SphereQuad of a passing sphere report and its artifacts (as
+    `verify_sphere_quadrangulation` returns them); raises VerificationFailed
+    naming the failing audits otherwise."""
     if not report.ok:
         raise VerificationFailed(f"{what}: failing audits: {', '.join(report.failing())}", report)
     return SphereQuad(
         complex=complex,
         involution=involution,
         colouring=colouring,
-        labels=labels,
+        labels=artifacts["labels"],
         graph=artifacts["graph"],
         quotient=artifacts["quotient"],
         projection=artifacts["projection"],
@@ -100,15 +91,32 @@ def _finish_sphere(
     )
 
 
+def _finish_sphere(
+    complex: Complex,
+    involution: Involution,
+    colouring: TwoColouring,
+    labels: dict,
+    *,
+    expected_graph: Graph,
+    n_walks: int,
+    seed: int,
+    what: str,
+) -> SphereQuad:
+    report, artifacts = verify_sphere_quadrangulation(
+        complex, involution, colouring, labels=labels, expected_graph=expected_graph, n_walks=n_walks, seed=seed
+    )
+    return _sphere_quad(complex, involution, colouring, report, artifacts, what)
+
+
 def _finish_ball(
     complex: Complex,
     boundary: BoundaryStructure,
     colouring: TwoColouring,
     labels: dict,
     *,
-    expected_graph: Optional[Graph] = None,
+    expected_graph: Graph,
     extra_entries: Sequence[AuditEntry] = (),
-    what: str = "ball construction",
+    what: str,
 ) -> BallQuad:
     report, artifacts = verify_ball_quadrangulation(
         complex, boundary, colouring, labels=labels, expected_graph=expected_graph

@@ -32,7 +32,7 @@ def test_bundle_with_homomorphism(tmp_path):
     bundle = load_bundle(out)
     assert bundle.homomorphism is not None
     assert bundle.homomorphism.target == hom.target
-    report = verify_bundle(load_bundle(out), n_walks=10)
+    report, _ = verify_bundle(load_bundle(out), n_walks=10)
     assert report.ok
     names = [e.name for e in report.entries]
     assert "homomorphism-valid" in names
@@ -42,8 +42,9 @@ def test_bundle_with_homomorphism(tmp_path):
 def test_verify_bundle_passes(tmp_path):
     sq = odd_cycle_sphere(3)
     out = write_bundle(tmp_path / "c7", sq)
-    report = verify_bundle(load_bundle(out), n_walks=30)
+    report, artifacts = verify_bundle(load_bundle(out), n_walks=30)
     assert report.ok
+    assert (artifacts["labels"], artifacts["graph"], artifacts["quotient"]) == (sq.labels, sq.graph, sq.quotient)
     walk_entry = report.entry("walk-parity")
     assert walk_entry is not None and walk_entry.ok
 
@@ -58,7 +59,7 @@ def test_verify_bundle_detects_tampered_colouring(tmp_path):
     obj["white"].append(v)
     obj["white"].sort()
     path.write_text(json.dumps(obj))
-    report = verify_bundle(load_bundle(out), n_walks=0)
+    report, _ = verify_bundle(load_bundle(out), n_walks=0)
     assert not report.ok
 
 
@@ -69,7 +70,7 @@ def test_verify_bundle_detects_tampered_graph(tmp_path):
     obj = json.loads(path.read_text())
     obj["edges"] = obj["edges"][:-1]
     path.write_text(json.dumps(obj))
-    report = verify_bundle(load_bundle(out), n_walks=0)
+    report, _ = verify_bundle(load_bundle(out), n_walks=0)
     assert not report.ok
 
 

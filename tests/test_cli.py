@@ -283,6 +283,40 @@ def _string_as_coordinate(obj):
     obj["vertices"][0]["coords"][1] = "0.5"
 
 
+def _ragged_coordinates(obj):
+    del obj["vertices"][2]["coords"][0]
+
+
+def _drop_entry_10(obj):
+    del obj[10]
+
+
+def _empty_report(obj):
+    obj.clear()
+
+
+def _invented_report(obj):
+    obj[:] = [{"name": "made-up", "ok": True}]
+
+
+def _extra_invented_entry(obj):
+    obj.append({"name": "made-up", "ok": True})
+
+
+def _record_a_failure(obj):
+    obj[0]["ok"] = False
+
+
+def _unmap_a_vertex(obj):
+    obj["pairs"].pop()
+
+
+def _tamper(path, change):
+    obj = json.loads(path.read_text())
+    change(obj)
+    path.write_text(json.dumps(obj))
+
+
 # bundle file, change, command, exit code, audit entry (or for homology,
 # violation code) that must fail
 TAMPERS = [
@@ -315,6 +349,12 @@ TAMPERS = [
     ("graph.json", _true_as_orbit_rep, "verify", 65, None),
     ("complex.json", _true_as_coordinate, "verify", 65, None),
     ("complex.json", _string_as_coordinate, "verify", 65, None),
+    ("complex.json", _ragged_coordinates, "verify", 65, None),
+    ("complex.json", _ragged_coordinates, "chi", 65, None),
+    ("report.json", _drop_entry_10, "verify", 2, "report-consistent"),
+    ("report.json", _empty_report, "verify", 2, "report-consistent"),
+    ("report.json", _invented_report, "verify", 2, "report-consistent"),
+    ("report.json", _extra_invented_entry, "verify", 2, "report-consistent"),
 ]
 
 
@@ -326,10 +366,7 @@ TAMPERS = [
 def test_tampered_bundle_fails_closed(tmp_path, capsys, fname, change, command, exit_code, failing):
     out = tmp_path / "c5"
     assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))[0] == 0
-    path = out / fname
-    obj = json.loads(path.read_text())
-    change(obj)
-    path.write_text(json.dumps(obj))
+    _tamper(out / fname, change)
     code, stdout, err = run(capsys, command, str(out))
     assert code == exit_code
     assert "Traceback" not in err
@@ -340,6 +377,51 @@ def test_tampered_bundle_fails_closed(tmp_path, capsys, fname, change, command, 
             assert failing in [v["code"] for v in payload["violations"]]
         else:
             assert failing in [e["name"] for e in payload["report"] if not e["ok"]]
+
+
+REPORT_REWRITES = [_drop_entry_10, _empty_report, _invented_report, _extra_invented_entry]
+
+
+@pytest.mark.parametrize("change", REPORT_REWRITES, ids=[c.__name__.lstrip("_") for c in REPORT_REWRITES])
+def test_chi_takes_no_bound_from_a_rewritten_report(tmp_path, capsys, change):
+    out = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))[0] == 0
+    _tamper(out / "report.json", change)
+    code, stdout, err = run(capsys, "chi", str(out))
+    assert code == 0
+    assert "report-consistent" in err
+    assert json.loads(stdout)["proof"] != "topological"
+
+
+# source build, tampered file, change, build step on the source, failing entry
+REJECTED_SOURCES = [
+    (("odd-cycle", "--k", "2"), "report.json", _record_a_failure, ("suspend",), "report-consistent"),
+    (("odd-cycle", "--k", "2"), "report.json", _drop_entry_10, ("suspend",), "report-consistent"),
+    (
+        ("schrijver", "--n", "6", "--k", "2"),
+        "homomorphism.json",
+        _unmap_a_vertex,
+        ("mycielski-lift", "--r", "2"),
+        "homomorphism-valid",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source,fname,change,step,failing",
+    REJECTED_SOURCES,
+    ids=[f"{step[0]}-{change.__name__.lstrip('_')}" for _, _, change, step, _ in REJECTED_SOURCES],
+)
+def test_build_rejects_a_source_that_verify_rejects(tmp_path, capsys, source, fname, change, step, failing):
+    src, out = tmp_path / "src", tmp_path / "out"
+    assert run(capsys, "build", *source, "--out", str(src))[0] == 0
+    _tamper(src / fname, change)
+    assert run(capsys, "verify", str(src), "--walks", "0")[0] == 2
+    code, stdout, err = run(capsys, "build", step[0], "--src", str(src), *step[1:], "--out", str(out))
+    assert code == 2
+    assert "Traceback" not in err
+    assert failing in [e["name"] for e in json.loads(stdout)["report"] if not e["ok"]]
+    assert not out.exists()
 
 
 def _nodes(obj, path=()):
@@ -407,6 +489,28 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
                         failures.append(f"chi after {what}: topological chi {settled['chi']}, exact chi {exact}")
         (out / name).write_text(json.dumps(files[name]))
     assert not failures, "\n".join(failures[:20])
+
+
+def test_build_src_rejects_exactly_what_verify_rejects(tmp_path, capsys):
+    """`build --src` judges its source as `verify --walks 0` does: over
+    seeded one-value mutants of a c5 bundle, `build suspend --src` exits
+    with the code of `verify --walks 0`."""
+    src = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(src))[0] == 0
+    files = {p.name: json.loads(p.read_text()) for p in sorted(src.iterdir())}
+    rng = random.Random(1)
+    differ = []
+    for case in range(100):
+        name = rng.choice(sorted(files))
+        mutated = json.loads(json.dumps(files[name]))
+        what = f"{name}: " + _mutate(mutated, rng.choice(list(_nodes(mutated))), rng)
+        (src / name).write_text(json.dumps(mutated))
+        verified = run(capsys, "verify", str(src), "--walks", "0")[0]
+        built = run(capsys, "build", "suspend", "--src", str(src), "--out", str(tmp_path / f"up-{case}"))[0]
+        if built != verified:
+            differ.append(f"{what}: verify exits {verified}, build exits {built}")
+        (src / name).write_text(json.dumps(files[name]))
+    assert not differ, "\n".join(differ)
 
 
 def test_mutated_bundles_never_crash(tmp_path, capsys):
