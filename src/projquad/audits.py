@@ -9,10 +9,12 @@ from typing import Callable, Optional, Sequence
 from .complexes import Complex
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
-from .homology import HomologyCalculator, boundary_squares_to_zero, edge_chain
+from .homology import HomologyCalculator, edge_chain
 from .symmetry import (
     Involution,
+    InvolutionReport,
     TwoColouring,
+    _quotient_refusal,
     antipodal_free_cells,
     antisymmetric_on_pairs,
     associated_graph,
@@ -21,7 +23,6 @@ from .symmetry import (
     BoundaryStructure,
     identify_antipodes,
     proper_on_maximal,
-    quotient,
     sum_left_to_right,
     validate_involution,
 )
@@ -32,11 +33,12 @@ UNIT_TOL = 1e-9
 
 # ---- homology-flavoured structural checks ----
 
-def boundary_operator_audit(complex: Complex) -> ValidationReport:
-    """The composite of consecutive boundary operators vanishes mod 2."""
+def boundary_operator_audit(calc: HomologyCalculator) -> ValidationReport:
+    """The composite of consecutive boundary operators of `calc.complex`
+    vanishes mod 2; the calculator keeps each verdict for its clearing guard."""
     violations = []
-    for p in range(2, complex.dim + 1):
-        if not boundary_squares_to_zero(complex, p):
+    for p in range(2, calc.complex.dim + 1):
+        if not calc.squares_to_zero(p):
             violations.append(Violation("BoundaryNotSquareZero", p, None, f"d_{p-1} o d_{p} != 0"))
     return ValidationReport.collect(violations)
 
@@ -57,28 +59,31 @@ def _pseudomanifold_violations(complex: Complex, ridge_cofacets: tuple[int, ...]
     return violations
 
 
-def sphere_check(complex: Complex) -> ValidationReport:
-    """Pure dimension n = complex.dim, every ridge in exactly two top cells,
-    and the mod-2 homology of the n-sphere: a mod-2 homology sphere, not a
-    proven PL sphere."""
+def sphere_check(calc: HomologyCalculator) -> ValidationReport:
+    """Pure dimension n = dim of `calc.complex`, every ridge in exactly two
+    top cells, and the mod-2 homology of the n-sphere: a mod-2 homology
+    sphere, not a proven PL sphere."""
+    complex = calc.complex
     n = complex.dim
     violations = _pseudomanifold_violations(complex, (2,))
     if not violations:
         expected = (2,) if n == 0 else (1,) + (0,) * (n - 1) + (1,)
-        got = HomologyCalculator(complex).all_betti()
+        got = calc.all_betti()
         if got != expected:
             violations.append(Violation("WrongHomology", None, None, f"betti {got}, expected {expected}"))
     return ValidationReport.collect(violations)
 
 
-def ball_check(complex: Complex) -> ValidationReport:
-    """Pure dimension, ridges in one or two top cells, contractible homology,
-    and a boundary subcomplex that passes the sphere check one dimension down."""
+def ball_check(calc: HomologyCalculator) -> ValidationReport:
+    """Pure dimension, ridges in one or two top cells, contractible homology
+    of `calc.complex`, and a boundary subcomplex that passes the sphere check
+    one dimension down."""
+    complex = calc.complex
     n = complex.dim
     violations = _pseudomanifold_violations(complex, (1, 2))
     if violations:
         return ValidationReport.collect(violations)
-    got = HomologyCalculator(complex).all_betti()
+    got = calc.all_betti()
     if got != (1,) + (0,) * n:
         violations.append(Violation("WrongHomology", None, None, f"betti {got}, expected {(1,) + (0,) * n}"))
     if n >= 1:
@@ -87,7 +92,7 @@ def ball_check(complex: Complex) -> ValidationReport:
             violations.append(Violation("NoBoundary", None, None, "no free ridges; this is a closed complex"))
         else:
             sub, _ = complex.subcomplex(bcells)
-            for v in sphere_check(sub).violations:
+            for v in sphere_check(HomologyCalculator(sub)).violations:
                 violations.append(Violation("BoundaryNotSphere", v.cell_dim, v.cell_id, f"{v.code}: {v.detail}"))
     return ValidationReport.collect(violations)
 
@@ -325,34 +330,39 @@ def _audit_shared(
     involution: Involution,
     colouring: TwoColouring,
     labels: dict[int, object],
-    shape: Callable[[], object],
-) -> Optional[tuple[Graph, frozenset[int]]]:
+    shape: Callable[[HomologyCalculator], object],
+) -> Optional[tuple[Graph, frozenset[int], InvolutionReport, ValidationReport]]:
     """The audits a coloured sphere and a coloured ball share, up to the
-    identified graph; `shape` adds the sphere or ball recognition entries.
+    identified graph; `shape` adds the sphere or ball recognition entries
+    and reads the calculator that `boundary-operator` filled.
 
     Every audit runs only once the audits whose data it reads have passed:
     the involution, the proper colouring and everything after the gate read
     facet ids, so they need complex-valid; antisymmetry needs a valid
-    involution and a total colouring.  Returns the identified labelled graph
-    and the selected (bichromatic) 1-cells, or None when a gate or the
-    identification stops the audit.
+    involution and a total colouring.  Returns the identified labelled graph,
+    the selected (bichromatic) 1-cells and the involution-valid and
+    antipodal-free reports, or None when a gate or the identification stops
+    the audit.
     """
     complex_ok = audit.add("complex-valid", complex.validate())
-    involution_ok = complex_ok and audit.add("involution-valid", validate_involution(complex, involution))
+    judged = validate_involution(complex, involution) if complex_ok else None
+    involution_ok = judged is not None and audit.add("involution-valid", judged)
     total = audit.add_flag(
         "colouring-total",
         colouring.covers(complex.vertex_ids()),
         "some vertex is uncoloured or some coloured id is not a vertex",
     )
-    audit.add("antipodal-free", antipodal_free_cells(complex, involution))
+    antipodal = antipodal_free_cells(complex, involution)
+    audit.add("antipodal-free", antipodal)
     if complex_ok:
         audit.add("colouring-proper", proper_on_maximal(complex, colouring))
     if not (involution_ok and total):
         return None
     audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
 
-    audit.add("boundary-operator", boundary_operator_audit(complex))
-    shape()
+    calc = HomologyCalculator(complex)
+    audit.add("boundary-operator", boundary_operator_audit(calc))
+    shape(calc)
     selected = bichromatic_edge_cells(complex, colouring)
     audit.add("parity", parity_audit(complex, selected))
     audit.add("quadrangulation", quadrangulation_check(complex, selected))
@@ -368,7 +378,7 @@ def _audit_shared(
     graph = identified.relabel({r: labels[r] for r in identified.vertices})
     artifacts["graph"] = graph
     artifacts["orbit_reps"] = {labels[r]: r for r in identified.vertices}
-    return graph, selected
+    return graph, selected, judged, antipodal
 
 
 def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Graph) -> None:
@@ -394,26 +404,39 @@ def verify_sphere_quadrangulation(
     Returns the audit report and an artifact dict containing the audited
     labels, the quotient complex, the per-dimension projection, the selected
     quotient 1-cells, and the identified labelled graph.
+
+    The quotient is the one `validate_involution` built in the pass behind
+    `involution-valid`.  The `quotient` entry fails, as `quotient` would
+    raise, when the involution lacks full scope or `antipodal-free` has
+    failed.  `quotient-valid` is then a lemma, not a second validation: it
+    rests on `complex-valid`, `involution-valid` and `antipodal-free`.  Two
+    vertices of one cell meet in the quotient only if they are antipodal, so
+    the projection is injective on each cell: every quotient cell has d+1
+    distinct vertices, and its facets are d+1 distinct cells (two facets in
+    one orbit would put a vertex and its antipode in the cell) whose vertex
+    sets are the projected d-subsets of the cell.  The quotient's labels are
+    those of the orbit representatives, a subset of the sphere's unique
+    labels.
     """
     audit = AuditCollector()
     artifacts: dict = {"labels": labels}
     shared = _audit_shared(
         audit, artifacts, complex, involution, colouring, labels,
-        lambda: audit.add("sphere", sphere_check(complex)),
+        lambda calc: audit.add("sphere", sphere_check(calc)),
     )
     if shared is None:
         return audit.done(), artifacts
-    graph, selected_up = shared
+    graph, selected_up, judged, antipodal = shared
     audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels))
 
-    try:
-        q, projection = quotient(complex, involution)
-    except Exception as exc:  # NotFree / LoopsWouldForm / BadParameters
-        audit.add_flag("quotient", False, f"{type(exc).__name__}: {exc}")
+    refusal = _quotient_refusal(involution, antipodal)
+    if refusal is not None:
+        audit.add_flag("quotient", False, f"{type(refusal).__name__}: {refusal}")
         return audit.done(), artifacts
+    q, projection = judged.quotient
     artifacts["quotient"] = q
     artifacts["projection"] = projection
-    audit.add("quotient-valid", q.validate())
+    audit.add("quotient-valid", ValidationReport())
     n = complex.dim
     qcalc = HomologyCalculator(q)
     qb = qcalc.all_betti()
@@ -463,8 +486,8 @@ def verify_ball_quadrangulation(
     artifacts: dict = {}
     involution = boundary.involution
 
-    def shape() -> None:
-        audit.add("ball", ball_check(ball))
+    def shape(calc: HomologyCalculator) -> None:
+        audit.add("ball", ball_check(calc))
         bcells = boundary_cells(ball)
         matches = all(
             set(bcells.get(d, set())) == set(boundary.cells.get(d, frozenset()))

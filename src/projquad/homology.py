@@ -87,25 +87,44 @@ def boundary_of(complex: Complex, chain: ChainZ2) -> ChainZ2:
 
 
 class HomologyCalculator:
-    """Caches cleared facet-row matrices, pivot keys and solvers for one complex.
+    """Caches the d o d = 0 verdicts, cleared facet-row matrices, pivot keys
+    and solvers for one complex.
 
     Ranks are computed from the top dimension down.  Before the rows of d_p
     are reduced, the row of every p-cell that is a pivot key of the reduced
     d_{p+1} is set to zero (see the module docstring for why the rank does
     not change).  The lemma needs d_p o d_{p+1} = 0, which a valid complex
     need not satisfy (two faces of one 3-cell may name parallel 1-cells), so
-    dimension p is cleared only after that composite is checked on the rows
-    of d_p; when the check fails every row is reduced.  Ranks thus equal the
-    plain ranks on every input.  A cleared row keeps its index and never
-    becomes a pivot, so `solver(p)` on the cleared matrix still answers with
-    bitmasks over the original p-cell ids.
+    dimension p is cleared only after `squares_to_zero(p + 1)` holds; when it
+    fails every row is reduced.  Ranks thus equal the plain ranks on every
+    input.  A cleared row keeps its index and never becomes a pivot, so
+    `solver(p)` on the cleared matrix still answers with bitmasks over the
+    original p-cell ids.
     """
 
     def __init__(self, complex: Complex) -> None:
         self.complex = complex
+        self._raw_rows: dict[int, list[int]] = {}
+        self._square_zero: dict[int, bool] = {}
         self._rows: dict[int, BitMatrix] = {}
         self._pivot_keys: dict[int, list[int]] = {}
         self._solvers: dict[int, Gf2Solver] = {}
+
+    def squares_to_zero(self, p: int) -> bool:
+        """Whether d_{p-1} o d_p = 0 (true outside 2..dim), computed once
+        per p; the boundary-operator audit and the clearing of dimension
+        p - 1 both read it."""
+        if p not in self._square_zero:
+            self._square_zero[p] = not 2 <= p <= self.complex.dim or _squares_to_zero(
+                self.complex.cells_of(p), self._unreduced_rows(p - 1)
+            )
+        return self._square_zero[p]
+
+    def _unreduced_rows(self, p: int) -> list[int]:
+        """The facet rows of the p-cells, kept until `_facet_matrix(p)` takes them."""
+        if p not in self._raw_rows:
+            self._raw_rows[p] = _facet_rows(self.complex, p)
+        return self._raw_rows[p]
 
     def _facet_matrix(self, p: int) -> BitMatrix:
         """Rows = p-cells, columns = (p-1)-cells (transpose of boundary_matrix),
@@ -113,8 +132,10 @@ class HomologyCalculator:
         if p not in self._rows:
             dim = self.complex.dim
             if 1 <= p <= dim:
-                rows = _facet_rows(self.complex, p)
-                if p < dim and _squares_to_zero(self.complex.cells_of(p + 1), rows):
+                clear = self.squares_to_zero(p + 1)  # reads the rows before they are cleared
+                rows = self._unreduced_rows(p)
+                del self._raw_rows[p]
+                if clear:
                     for c in self._pivots(p + 1):
                         rows[c - 1] = 0
                 self._rows[p] = BitMatrix(self.complex.n_cells(p), self.complex.n_cells(p - 1), rows)
@@ -214,9 +235,7 @@ def boundary_squares_to_zero(complex: Complex, p: int) -> bool:
 
     By parity: for each p-cell, the facet masks of its facets XOR to zero.
     """
-    if p < 2 or p > complex.dim:
-        return True
-    return _squares_to_zero(complex.cells_of(p), _facet_rows(complex, p - 1))
+    return HomologyCalculator(complex).squares_to_zero(p)
 
 
 def edge_chain(cell_ids: Iterable[int]) -> ChainZ2:

@@ -124,24 +124,47 @@ class Involution:
             raise ParseError(f"malformed involution JSON: {exc}") from exc
 
 
-def validate_involution(complex: Complex, involution: Involution) -> ValidationReport:
+@dataclass(frozen=True)
+class InvolutionReport(ValidationReport):
+    """The verdict of `validate_involution`, with the quotient that the same
+    pass built: the quotient complex and the per-dimension projection from
+    old cell ids to new ones when the involution has full scope and no
+    violation, else None."""
+
+    quotient: Optional[tuple[Complex, dict[int, dict[int, int]]]] = None
+
+
+def validate_involution(complex: Complex, involution: Involution) -> InvolutionReport:
     """Check that the pairing is a free simplicial involution on its scope.
 
     For full scope every vertex and every cell must be paired; for boundary
     scope the paired cells must be exactly the boundary subcomplex.  In both
-    cases pairs must be fixed-point free, self-inverse, and respect the
-    vertex and facet structure.
+    cases every paired id must be in range, not fixed, and mapped back by its
+    partner.  The vertex and facet images are checked once per pair, from its
+    lower id: once both pairings are self-inverse, the image of the higher
+    cell is the lower cell.  A pair that breaks the image rules is therefore
+    reported once, at its lower id.
+
+    For a full-scope involution the same loop projects each pair to one cell
+    of the quotient (see `quotient`), and the report carries the quotient
+    when no violation is found.
     """
     violations: list[Violation] = []
     vp = involution.vertex_pairing
+    full = involution.scope == "full"
+    vertex_reps: list[VertexId] = []
+    projection: dict[int, dict[int, int]] = {0: {}}
     for v, w in sorted(vp.items()):
         if v == w:
             violations.append(Violation("FixedPoint", 0, v, "vertex paired with itself"))
         elif vp.get(w) != v:
             violations.append(Violation("NotInvolution", 0, v, f"{v} -> {w} -> {vp.get(w)}"))
+        elif v < w:
+            projection[0][v] = projection[0][w] = len(vertex_reps)
+            vertex_reps.append(v)
         if not (0 <= w < complex.n_vertices):
             violations.append(Violation("UnknownVertex", 0, v, f"pair target {w} does not exist"))
-    if involution.scope == "full":
+    if full:
         scope_cells = {d: set(range(complex.n_cells(d))) for d in range(complex.dim + 1)}
     else:
         scope_cells = {d: set(ids) for d, ids in boundary_cells(complex).items()}
@@ -153,6 +176,7 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
         violations.append(Violation("PairedOutsideScope", 0, v, "vertex outside scope is paired"))
     for d in sorted(set(involution.cell_pairing) - set(range(1, complex.dim + 1))):
         violations.append(Violation("PairedOutsideScope", d, None, f"cell pairs at dimension {d}, outside 1..{complex.dim}"))
+    layers: list[list[Cell]] = [[Cell(id=i, dim=0, vertices=(i,), facets=()) for i in range(len(vertex_reps))]]
     for d in range(1, complex.dim + 1):
         pairing = involution.cell_pairing.get(d, {})
         in_scope = scope_cells.get(d, set())
@@ -160,6 +184,11 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
             violations.append(Violation("UnpairedCell", d, i, "scope cell not paired"))
         for i in sorted(set(pairing) - in_scope):
             violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
+        n_cells = complex.n_cells(d)
+        lower = vp if d == 1 else involution.cell_pairing.get(d - 1, {})
+        to_vertex, to_facet = projection[0], projection[d - 1]
+        here: dict[int, int] = {}
+        layer: list[Cell] = []
         for i, j in sorted(pairing.items()):
             if i == j:
                 violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
@@ -167,28 +196,38 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
             if pairing.get(j) != i:
                 violations.append(Violation("NotInvolution", d, i, f"{i} -> {j} -> {pairing.get(j)}"))
                 continue
-            if not (0 <= i < complex.n_cells(d) and 0 <= j < complex.n_cells(d)):
+            if not (0 <= i < n_cells and 0 <= j < n_cells):
                 violations.append(Violation("DanglingFacet", d, i, f"pair {i} -> {j} names a cell that does not exist"))
+                continue
+            if i > j:
                 continue
             src, dst = complex.cell(d, i), complex.cell(d, j)
             try:
-                image = tuple(sorted(vp[v] for v in src.vertices))
+                image = tuple(sorted(map(vp.__getitem__, src.vertices)))
             except KeyError as exc:
                 violations.append(Violation("NotSimplicial", d, i, f"vertex {exc.args[0]} of cell is unpaired"))
                 continue
             if image != dst.vertices:
                 violations.append(Violation("NotSimplicial", d, i, f"vertex image {image} != {dst.vertices}"))
                 continue
-            if d >= 1:
-                lower = involution.vertex_pairing if d == 1 else involution.cell_pairing.get(d - 1, {})
-                try:
-                    facet_image = {lower[f] for f in src.facets}
-                except KeyError as exc:
-                    violations.append(Violation("NotSimplicial", d, i, f"facet {exc.args[0]} is unpaired"))
-                    continue
-                if facet_image != set(dst.facets):
-                    violations.append(Violation("NotSimplicial", d, i, "facet images do not match pair's facets"))
-    return ValidationReport.collect(violations)
+            try:
+                facet_image = set(map(lower.__getitem__, src.facets))
+            except KeyError as exc:
+                violations.append(Violation("NotSimplicial", d, i, f"facet {exc.args[0]} is unpaired"))
+                continue
+            if facet_image != set(dst.facets):
+                violations.append(Violation("NotSimplicial", d, i, "facet images do not match pair's facets"))
+                continue
+            if full and not violations:
+                here[i] = here[j] = len(layer)
+                vertices = tuple(sorted(map(to_vertex.__getitem__, src.vertices)))
+                facets = tuple(map(to_facet.__getitem__, src.facets))
+                layer.append(Cell(id=len(layer), dim=d, vertices=vertices, facets=facets))
+        projection[d] = here
+        layers.append(layer)
+    if not full or violations:
+        return InvolutionReport(ValidationReport.collect(violations).violations)
+    return InvolutionReport(quotient=(Complex(layers, [complex.label(v) for v in vertex_reps]), projection))
 
 
 def antipodal_free_cells(complex: Complex, involution: Involution) -> ValidationReport:
@@ -274,47 +313,44 @@ class BoundaryStructure:
     involution: Involution
 
 
+def _quotient_refusal(involution: Involution, antipodal: ValidationReport) -> Optional[Exception]:
+    """Why an involution that passes `validate_involution` has no quotient,
+    given the report of `antipodal_free_cells`: it does not have full scope,
+    or some cell holds an antipodal pair (the first violation is named).
+    None when the quotient exists."""
+    if involution.scope != "full":
+        return BadParameters("quotient needs a full-scope involution")
+    if not antipodal.ok:
+        first = antipodal.violations[0]
+        return LoopsWouldForm(f"{first.cell_dim}-cell {first.cell_id} contains an antipodal pair")
+    return None
+
+
 def quotient(complex: Complex, involution: Involution) -> tuple[Complex, dict[int, dict[int, int]]]:
     """Identify each cell with its antipode; representatives keep labels.
 
     Returns the quotient complex and the per-dimension projection from old
-    cell ids to new ones.  Coordinates are dropped (the quotient does not
-    embed).  Raises NotFree on a fixed point and LoopsWouldForm when a cell
-    contains an antipodal vertex pair.
+    cell ids to new ones, as built by `validate_involution`.  Coordinates are
+    dropped (the quotient does not embed).  Raises BadParameters for a
+    boundary-scope involution or an unpaired vertex, NotFree on a fixed
+    point, LoopsWouldForm when a cell contains an antipodal vertex pair, and
+    BadParameters when `validate_involution` finds any other violation.
     """
-    if involution.scope != "full":
-        raise BadParameters("quotient needs a full-scope involution")
-    vp = involution.vertex_pairing
-    for v in complex.vertex_ids():
-        if vp.get(v) == v:
-            raise NotFree(f"vertex {v} is its own antipode")
-        if v not in vp:
-            raise BadParameters(f"vertex {v} is unpaired")
-    report = antipodal_free_cells(complex, involution)
-    if not report.ok:
-        first = report.violations[0]
-        raise LoopsWouldForm(f"{first.cell_dim}-cell {first.cell_id} contains an antipodal pair")
-
-    projection: dict[int, dict[int, int]] = {}
-    reps0 = sorted(v for v in complex.vertex_ids() if v < vp[v])
-    new_id0 = {old: new for new, old in enumerate(reps0)}
-    projection[0] = {v: new_id0[min(v, vp[v])] for v in complex.vertex_ids()}
-    labels = [complex.label(v) for v in reps0]
-
-    layers: list[list[Cell]] = [[Cell(id=i, dim=0, vertices=(i,), facets=()) for i in range(len(reps0))]]
-    for d in range(1, complex.dim + 1):
-        pairing = involution.cell_pairing[d]
-        reps = sorted(i for i in range(complex.n_cells(d)) if i < pairing[i])
-        new_id = {old: new for new, old in enumerate(reps)}
-        projection[d] = {i: new_id[min(i, pairing[i])] for i in range(complex.n_cells(d))}
-        layer = []
-        for old in reps:
-            c = complex.cell(d, old)
-            verts = tuple(sorted(projection[0][v] for v in c.vertices))
-            facets = tuple(projection[d - 1][f] for f in c.facets)
-            layer.append(Cell(id=new_id[old], dim=d, vertices=verts, facets=facets))
-        layers.append(layer)
-    return Complex(layers, labels), projection
+    if involution.scope == "full":
+        vp = involution.vertex_pairing
+        for v in complex.vertex_ids():
+            if vp.get(v) == v:
+                raise NotFree(f"vertex {v} is its own antipode")
+            if v not in vp:
+                raise BadParameters(f"vertex {v} is unpaired")
+    refusal = _quotient_refusal(involution, antipodal_free_cells(complex, involution))
+    if refusal is not None:
+        raise refusal
+    judged = validate_involution(complex, involution)
+    if judged.quotient is None:
+        first = judged.violations[0]
+        raise BadParameters(f"invalid involution: {first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
+    return judged.quotient
 
 
 def sum_left_to_right(terms: Iterable[float]) -> float:

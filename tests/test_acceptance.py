@@ -20,6 +20,7 @@ from projquad import (
     Homomorphism,
     HomologyCalculator,
     SphereQuad,
+    TwoColouring,
     all_betti_z2,
     bichromatic_edge_cells,
     box_membership,
@@ -33,6 +34,7 @@ from projquad import (
     double_to_sphere,
     edge_chain,
     fineness_check,
+    load_bundle,
     mycielski_graph,
     mycielski_tower,
     odd_cycle_sphere,
@@ -42,10 +44,13 @@ from projquad import (
     schrijver_graph,
     schrijver_homomorphism,
     schrijver_pipeline,
+    verify_bundle,
     verify_homomorphism,
+    verify_sphere_quadrangulation,
     verify_z2_map_to_box,
     write_bundle,
 )
+from projquad import homology
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
@@ -312,6 +317,51 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion took {elapsed:.2f}s"
     print(f"betti spot checks, d o d = 0 corpus-wide, 200 rank oracles in {elapsed:.2f}s")
+
+
+def test_each_boundary_composite_is_checked_once_per_complex(corpus, monkeypatch):
+    # The boundary-operator audit and the sphere's clearing guard share one
+    # verdict per p; the quotient's calculator checks its own composites.
+    checked = []
+    squares_to_zero = homology._squares_to_zero
+
+    def counted(cells, facet_masks):
+        checked.append(cells[0].dim)
+        return squares_to_zero(cells, facet_masks)
+
+    monkeypatch.setattr(homology, "_squares_to_zero", counted)
+    sq = corpus["cylinder-3"].sq
+    report, _ = verify_sphere_quadrangulation(
+        sq.complex, sq.involution, sq.colouring, labels=sq.labels, expected_graph=sq.graph, n_walks=10
+    )
+    assert report.ok
+    assert sorted(checked) == [2, 2, 3, 3]
+
+
+def _lemma_holds(report, artifacts) -> bool:
+    """A passing `quotient-valid` comes with a quotient that `validate` accepts."""
+    entry = report.entry("quotient-valid")
+    return entry is None or not entry.ok or artifacts["quotient"].validate().ok
+
+
+def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, digon_sphere_bits):
+    # `quotient-valid` follows from complex-valid, involution-valid and
+    # antipodal-free; the validation it replaces must accept the quotient.
+    base = tmp_path_factory.mktemp("lemma")
+    for name, item in corpus.items():
+        bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
+        report, artifacts = verify_bundle(bundle, n_walks=0)
+        assert report.entry("quotient-valid").ok, name
+        assert _lemma_holds(report, artifacts), name
+    # Both edges of the digon hold its antipodal pair, and an all-black
+    # colouring selects no edge, so it passes the identification and only
+    # the antipodal-free gate keeps its quotient from the lemma.
+    complex, involution, _ = digon_sphere_bits
+    black = TwoColouring(black=frozenset({0, 1}), white=frozenset())
+    report, artifacts = verify_sphere_quadrangulation(
+        complex, involution, black, labels={0: "x", 1: "x"}, expected_graph=Graph(["x"])
+    )
+    assert _lemma_holds(report, artifacts)
 
 
 def test_homology_ranks_match_numpy_oracle(corpus):

@@ -3,6 +3,7 @@ import pytest
 from projquad import (
     ComplexBuilder,
     Graph,
+    HomologyCalculator,
     Involution,
     SimplicialBuilder,
     TwoColouring,
@@ -16,6 +17,7 @@ from projquad import (
     sample_closed_walks,
     sphere_check,
     verify_ball_quadrangulation,
+    verify_sphere_quadrangulation,
     verify_z2_map_to_box,
 )
 from projquad.errors import MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
@@ -23,17 +25,17 @@ from projquad.symmetry import BoundaryStructure, bichromatic_edge_cells
 
 
 def test_sphere_check_accepts_octahedron(octahedron):
-    assert sphere_check(octahedron).ok
+    assert sphere_check(HomologyCalculator(octahedron)).ok
 
 
 def test_sphere_check_rejects_projective_plane(projective_plane):
-    rep = sphere_check(projective_plane)
+    rep = sphere_check(HomologyCalculator(projective_plane))
     assert not rep.ok
     assert any(v.code == "WrongHomology" for v in rep.violations)
 
 
 def test_sphere_check_rejects_ball(interval_ball):
-    rep = sphere_check(interval_ball)
+    rep = sphere_check(HomologyCalculator(interval_ball))
     assert not rep.ok
 
 
@@ -42,11 +44,11 @@ def test_sphere_check_zero_dimensional():
     b.add_vertex()
     b.add_vertex()
     two_points = b.build()
-    assert sphere_check(two_points).ok
+    assert sphere_check(HomologyCalculator(two_points)).ok
 
 
 def test_ball_check_interval(interval_ball):
-    assert ball_check(interval_ball).ok
+    assert ball_check(HomologyCalculator(interval_ball)).ok
 
 
 def test_ball_identification_loop_is_a_failing_entry():
@@ -64,8 +66,24 @@ def test_ball_identification_loop_is_a_failing_entry():
     assert "graph" not in artifacts
 
 
+def test_quotient_entry_fails_on_an_antipodal_pair_in_a_cell(digon_sphere_bits):
+    # An all-black colouring selects no edge, so the digon passes the
+    # identification and reaches the quotient; both its edges hold the pair.
+    complex, inv, _ = digon_sphere_bits
+    black = TwoColouring(black=frozenset({0, 1}), white=frozenset())
+    report, artifacts = verify_sphere_quadrangulation(
+        complex, inv, black, labels={0: "x", 1: "x"}, expected_graph=Graph(["x"])
+    )
+    assert report.entry("involution-valid").ok
+    assert not report.entry("antipodal-free").ok
+    last = report.entries[-1]
+    assert (last.name, last.ok) == ("quotient", False)
+    assert [v.detail for v in last.violations] == ["LoopsWouldForm: 1-cell 0 contains an antipodal pair"]
+    assert "quotient" not in artifacts
+
+
 def test_ball_check_rejects_sphere(octahedron):
-    rep = ball_check(octahedron)
+    rep = ball_check(HomologyCalculator(octahedron))
     assert not rep.ok
     assert any(v.code == "NoBoundary" for v in rep.violations)
 
@@ -75,12 +93,12 @@ def test_ball_check_triangle_disc():
     for _ in range(3):
         sb.add_vertex()
     sb.add_simplex((0, 1, 2))
-    assert ball_check(sb.build()).ok
+    assert ball_check(HomologyCalculator(sb.build())).ok
 
 
 def test_boundary_operator_audit(octahedron, projective_plane):
-    assert boundary_operator_audit(octahedron).ok
-    assert boundary_operator_audit(projective_plane).ok
+    assert boundary_operator_audit(HomologyCalculator(octahedron)).ok
+    assert boundary_operator_audit(HomologyCalculator(projective_plane)).ok
 
 
 def test_quadrangulation_check_on_odd_cycle():

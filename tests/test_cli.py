@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import main
 from projquad.coloring import chromatic_number
+from projquad.errors import ProjquadError
 from projquad.graphs import graph_from_json
 
 
@@ -212,6 +214,29 @@ def _cell_pair_with_missing_cell(obj):
     obj["cell_pairs"]["1"][0] = [0, 99]
 
 
+def _cell_id_in_two_pairs(obj):
+    # top-dimension pairs [q, r], [p, s] with q < p become [s, p], [p, q],
+    # [q, r], read as {s: p, p: q, q: r, r: q}: every id is paired, q and r
+    # are a true pair and no higher cell has p or s as a facet, so only the
+    # involution law, checked at p and s, breaks
+    pairs = obj["cell_pairs"][max(obj["cell_pairs"], key=int)]
+    (q, r), (p, s) = pairs[0], pairs[1]
+    pairs[:2] = [[s, p], [p, q], [q, r]]
+
+
+def _unpair_an_edge(obj):
+    del obj["cell_pairs"]["1"][0]
+
+
+def _edge_paired_with_itself(obj):
+    pair = obj["cell_pairs"]["1"][0]
+    pair[1] = pair[0]
+
+
+def _edge_paired_with_missing_edge(obj):
+    obj["cell_pairs"]["1"][0][1] = 10**6
+
+
 def _cell_pairs_above_dimension(obj):
     obj["cell_pairs"]["7"] = [[0, 1]]
 
@@ -317,66 +342,99 @@ def _tamper(path, change):
     path.write_text(json.dumps(obj))
 
 
-# bundle file, change, command, exit code, audit entry (or for homology,
-# violation code) that must fail
+# `build` argvs of each tampered bundle, each after the first reading the one before
+SOURCES = {
+    "c5": [("odd-cycle", "--k", "2")],
+    "tower-4": [("odd-cycle", "--k", "2"), ("mycielski-lift", "--r", "2")],
+}
+
+
+def _build(tmp_path, capsys, builds):
+    """Run the `build` argvs in turn; returns the last bundle's directory."""
+    out = None
+    for step, argv in enumerate(builds):
+        src = [] if out is None else ["--src", str(out)]
+        out = tmp_path / f"step-{step}"
+        assert run(capsys, "build", argv[0], *src, *argv[1:], "--out", str(out))[0] == 0
+    return out
+
+
+# bundle, bundle file, change, command, exit code, audit entry (or for
+# homology, violation code) that must fail; `chi` names the failing audits
+# on stderr and answers without the topological bound
 TAMPERS = [
-    ("complex.json", _dangling_facet, "verify", 2, "complex-valid"),
-    ("colouring.json", _uncolour_vertex_9, "verify", 2, "colouring-total"),
-    ("colouring.json", _colour_a_vertex_twice, "verify", 65, None),
-    ("colouring.json", _colour_a_missing_vertex, "verify", 2, "colouring-total"),
-    ("involution.json", _pair_with_missing_vertex, "verify", 2, "involution-valid"),
-    ("involution.json", _cell_pair_with_missing_cell, "verify", 2, "involution-valid"),
-    ("involution.json", _cell_pairs_above_dimension, "verify", 2, "involution-valid"),
-    ("involution.json", _padded_dimension_key, "verify", 65, None),
-    ("involution.json", _padded_dimension_key, "chi", 65, None),
-    ("graph.json", _loop_edge, "verify", 65, None),
-    ("graph.json", _edge_to_unknown_vertex, "verify", 65, None),
-    ("graph.json", _edge_to_unknown_vertex, "chi", 65, None),
-    ("involution.json", _null_cell_pairs, "verify", 65, None),
-    ("involution.json", _null_cell_pairs, "chi", 65, None),
-    ("involution.json", _int_cell_pairs, "verify", 65, None),
-    ("involution.json", _string_cell_pairs, "verify", 65, None),
-    ("complex.json", _list_as_label, "verify", 65, None),
-    ("report.json", _dict_as_entry_name, "verify", 2, "report-consistent"),
-    ("report.json", _string_as_entry_verdict, "verify", 2, "report-consistent"),
-    ("complex.json", _negative_facet_id, "homology", 2, "DanglingFacet"),
-    ("complex.json", _dangling_facet, "homology", 2, "DanglingFacet"),
-    ("complex.json", _inflated_dimension, "homology", 65, None),
-    ("complex.json", _inflated_dimension, "verify", 65, None),
-    ("complex.json", _inflated_dimension, "chi", 65, None),
-    ("colouring.json", _true_as_coloured_vertex, "verify", 65, None),
-    ("involution.json", _float_in_vertex_pair, "verify", 65, None),
-    ("graph.json", _true_as_orbit_rep, "verify", 65, None),
-    ("complex.json", _true_as_coordinate, "verify", 65, None),
-    ("complex.json", _string_as_coordinate, "verify", 65, None),
-    ("complex.json", _ragged_coordinates, "verify", 65, None),
-    ("complex.json", _ragged_coordinates, "chi", 65, None),
-    ("report.json", _drop_entry_10, "verify", 2, "report-consistent"),
-    ("report.json", _empty_report, "verify", 2, "report-consistent"),
-    ("report.json", _invented_report, "verify", 2, "report-consistent"),
-    ("report.json", _extra_invented_entry, "verify", 2, "report-consistent"),
+    ("c5", "complex.json", _dangling_facet, "verify", 2, "complex-valid"),
+    ("c5", "colouring.json", _uncolour_vertex_9, "verify", 2, "colouring-total"),
+    ("c5", "colouring.json", _colour_a_vertex_twice, "verify", 65, None),
+    ("c5", "colouring.json", _colour_a_missing_vertex, "verify", 2, "colouring-total"),
+    ("c5", "involution.json", _pair_with_missing_vertex, "verify", 2, "involution-valid"),
+    ("c5", "involution.json", _cell_pair_with_missing_cell, "verify", 2, "involution-valid"),
+    ("c5", "involution.json", _cell_pairs_above_dimension, "verify", 2, "involution-valid"),
+    ("c5", "involution.json", _padded_dimension_key, "verify", 65, None),
+    ("c5", "involution.json", _padded_dimension_key, "chi", 65, None),
+    ("c5", "graph.json", _loop_edge, "verify", 65, None),
+    ("c5", "graph.json", _edge_to_unknown_vertex, "verify", 65, None),
+    ("c5", "graph.json", _edge_to_unknown_vertex, "chi", 65, None),
+    ("c5", "involution.json", _null_cell_pairs, "verify", 65, None),
+    ("c5", "involution.json", _null_cell_pairs, "chi", 65, None),
+    ("c5", "involution.json", _int_cell_pairs, "verify", 65, None),
+    ("c5", "involution.json", _string_cell_pairs, "verify", 65, None),
+    ("c5", "complex.json", _list_as_label, "verify", 65, None),
+    ("c5", "report.json", _dict_as_entry_name, "verify", 2, "report-consistent"),
+    ("c5", "report.json", _string_as_entry_verdict, "verify", 2, "report-consistent"),
+    ("c5", "complex.json", _negative_facet_id, "homology", 2, "DanglingFacet"),
+    ("c5", "complex.json", _dangling_facet, "homology", 2, "DanglingFacet"),
+    ("c5", "complex.json", _inflated_dimension, "homology", 65, None),
+    ("c5", "complex.json", _inflated_dimension, "verify", 65, None),
+    ("c5", "complex.json", _inflated_dimension, "chi", 65, None),
+    ("c5", "colouring.json", _true_as_coloured_vertex, "verify", 65, None),
+    ("c5", "involution.json", _float_in_vertex_pair, "verify", 65, None),
+    ("c5", "graph.json", _true_as_orbit_rep, "verify", 65, None),
+    ("c5", "complex.json", _true_as_coordinate, "verify", 65, None),
+    ("c5", "complex.json", _string_as_coordinate, "verify", 65, None),
+    ("c5", "complex.json", _ragged_coordinates, "verify", 65, None),
+    ("c5", "complex.json", _ragged_coordinates, "chi", 65, None),
+    ("c5", "report.json", _drop_entry_10, "verify", 2, "report-consistent"),
+    ("c5", "report.json", _empty_report, "verify", 2, "report-consistent"),
+    ("c5", "report.json", _invented_report, "verify", 2, "report-consistent"),
+    ("c5", "report.json", _extra_invented_entry, "verify", 2, "report-consistent"),
+    ("tower-4", "involution.json", _cell_id_in_two_pairs, "verify", 2, "involution-valid"),
+    ("tower-4", "involution.json", _cell_id_in_two_pairs, "chi", 0, "involution-valid"),
+    ("tower-4", "involution.json", _unpair_an_edge, "verify", 2, "involution-valid"),
+    ("tower-4", "involution.json", _unpair_an_edge, "chi", 0, "involution-valid"),
+    ("tower-4", "involution.json", _edge_paired_with_itself, "verify", 2, "involution-valid"),
+    ("tower-4", "involution.json", _edge_paired_with_itself, "chi", 0, "involution-valid"),
+    ("tower-4", "involution.json", _edge_paired_with_missing_edge, "verify", 2, "involution-valid"),
+    ("tower-4", "involution.json", _edge_paired_with_missing_edge, "chi", 0, "involution-valid"),
 ]
 
 
 @pytest.mark.parametrize(
-    "fname,change,command,exit_code,failing",
+    "bundle,fname,change,command,exit_code,failing",
     TAMPERS,
-    ids=[f"{command}-{change.__name__.lstrip('_')}" for _, change, command, _, _ in TAMPERS],
+    ids=[f"{command}-{change.__name__.lstrip('_')}" for _, _, change, command, _, _ in TAMPERS],
 )
-def test_tampered_bundle_fails_closed(tmp_path, capsys, fname, change, command, exit_code, failing):
-    out = tmp_path / "c5"
-    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))[0] == 0
+def test_tampered_bundle_fails_closed(tmp_path, capsys, bundle, fname, change, command, exit_code, failing):
+    out = _build(tmp_path, capsys, SOURCES[bundle])
     _tamper(out / fname, change)
     code, stdout, err = run(capsys, command, str(out))
     assert code == exit_code
     assert "Traceback" not in err
-    if failing is not None:
-        payload = json.loads(stdout)
-        assert payload["ok"] is False
-        if command == "homology":
-            assert failing in [v["code"] for v in payload["violations"]]
-        else:
-            assert failing in [e["name"] for e in payload["report"] if not e["ok"]]
+    if failing is None:
+        return
+    payload = json.loads(stdout)
+    if command == "chi":
+        assert payload["proof"] != "topological"
+        assert failing in err.split("failing audits: ")[1].strip().split(", ")
+        return
+    assert payload["ok"] is False
+    if command == "homology":
+        assert failing in [v["code"] for v in payload["violations"]]
+        return
+    entries = payload["report"]
+    assert failing in [e["name"] for e in entries if not e["ok"]]
+    if failing == "involution-valid":
+        assert not [e["name"] for e in entries if e["name"].startswith("quotient")]
 
 
 REPORT_REWRITES = [_drop_entry_10, _empty_report, _invented_report, _extra_invented_entry]
@@ -451,19 +509,28 @@ def _mutate(obj, path, rng: random.Random) -> str:
     return f"{kind} {list(path)} -> {parent[key]!r}"
 
 
+def _quotient_lemma_holds(bundle_dir) -> bool:
+    """`quotient-valid` passes only on a quotient that `Complex.validate`
+    accepts; the entry's lemma is checked against the validation it replaces."""
+    try:
+        report, artifacts = verify_bundle(load_bundle(bundle_dir), n_walks=0)
+    except ProjquadError:  # the CLI's exit code for it is judged separately
+        return True
+    entry = report.entry("quotient-valid")
+    return entry is None or not entry.ok or artifacts["quotient"].validate().ok
+
+
 def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int) -> None:
     """Build a bundle by the `build` argvs in turn (each after the first
     reads the one before), then apply `cases` seeded one-value mutations.
 
     No mutant may crash `verify`, `chi` or `homology`, and wherever `chi`
     claims a topological proof, the exact search on the mutant's own
-    graph.json, with no bound, must give the same chromatic number.
+    graph.json, with no bound, must give the same chromatic number.  Where
+    `quotient-valid` passes by its lemma, the quotient must pass
+    `Complex.validate`.
     """
-    out = None
-    for step, argv in enumerate(builds):
-        src = [] if out is None else ["--src", str(out)]
-        out = tmp_path / f"step-{step}"
-        assert run(capsys, "build", argv[0], *src, *argv[1:], "--out", str(out))[0] == 0
+    out = _build(tmp_path, capsys, builds)
     files = {p.name: json.loads(p.read_text()) for p in sorted(out.iterdir())}
     rng = random.Random(seed)
     failures = []
@@ -473,6 +540,8 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
         paths = list(_nodes(mutated))
         what = f"{name}: " + _mutate(mutated, rng.choice(paths), rng)
         (out / name).write_text(json.dumps(mutated))
+        if not _quotient_lemma_holds(out):
+            failures.append(f"quotient-valid passes after {what}, but the quotient fails validate()")
         for argv in (["verify", str(out), "--walks", "20"], ["chi", str(out)], ["homology", str(out)]):
             try:
                 code = main(argv)

@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from projquad import bundles, load_bundle, odd_cycle_sphere, write_bundle
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -36,3 +38,14 @@ def test_every_traced_target_resolves():
         if not callable(vars(owner).get(member) if owner is not None else None):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"traced by perfbench/spans.py but not defined: {missing}"
+
+
+def test_a_traced_verify_times_the_involution_pass(tmp_path):
+    # The pass that judges the involution and projects the quotient runs
+    # under one of the traced symmetry names, so a trace shows its time.
+    path = write_bundle(tmp_path / "odd-cycle-2", odd_cycle_sphere(2))
+    with _load_spans().Tracer().installed() as tracer:
+        report, _ = bundles.verify_bundle(load_bundle(path), n_walks=0)
+    assert report.ok
+    names = ("symmetry.validate_involution", "symmetry.quotient")
+    assert max(tracer.spans.get(name, (0, 0.0))[1] for name in names) > 0, tracer.spans
