@@ -74,10 +74,11 @@ def sphere_check(calc: HomologyCalculator) -> ValidationReport:
     return ValidationReport.collect(violations)
 
 
-def ball_check(calc: HomologyCalculator) -> ValidationReport:
+def ball_check(calc: HomologyCalculator, *, boundary: Optional[dict[int, set[int]]] = None) -> ValidationReport:
     """Pure dimension, ridges in one or two top cells, contractible homology
     of `calc.complex`, and a boundary subcomplex that passes the sphere check
-    one dimension down."""
+    one dimension down.  `boundary` is `boundary_cells(calc.complex)` when
+    the caller has found it already; it is found here otherwise."""
     complex = calc.complex
     n = complex.dim
     violations = _pseudomanifold_violations(complex, (1, 2))
@@ -87,7 +88,7 @@ def ball_check(calc: HomologyCalculator) -> ValidationReport:
     if got != (1,) + (0,) * n:
         violations.append(Violation("WrongHomology", None, None, f"betti {got}, expected {(1,) + (0,) * n}"))
     if n >= 1:
-        bcells = boundary_cells(complex)
+        bcells = boundary_cells(complex) if boundary is None else boundary
         if not bcells.get(n - 1):
             violations.append(Violation("NoBoundary", None, None, "no free ridges; this is a closed complex"))
         else:
@@ -330,11 +331,21 @@ def _audit_shared(
     involution: Involution,
     colouring: TwoColouring,
     labels: dict[int, object],
-    shape: Callable[[HomologyCalculator], object],
+    shape: Callable[[HomologyCalculator, Optional[dict[int, set[int]]]], object],
 ) -> Optional[tuple[Graph, frozenset[int], InvolutionReport, ValidationReport]]:
     """The audits a coloured sphere and a coloured ball share, up to the
     identified graph; `shape` adds the sphere or ball recognition entries
-    and reads the calculator that `boundary-operator` filled.
+    and reads the calculator that `boundary-operator` filled.  For a
+    boundary-scope involution, `boundary_cells` runs once, and its result
+    goes to `validate_involution` and to `shape` (None otherwise).
+
+    `complex-valid` is `complex.validate()`.  On a complex from
+    `ComplexBuilder.build` that report was handed over by the builder
+    (see `build`): every cell passed the same cell law, `_cell_violations`,
+    when it was added, and labels and 0-cells are kept lawful as they are
+    added, so the builder's verdict is the report a full validation would
+    give.  Any other complex, such as a doubled sphere, a quotient or a
+    parsed one, is validated in full.
 
     Every audit runs only once the audits whose data it reads have passed:
     the involution, the proper colouring and everything after the gate read
@@ -345,7 +356,8 @@ def _audit_shared(
     the audit.
     """
     complex_ok = audit.add("complex-valid", complex.validate())
-    judged = validate_involution(complex, involution) if complex_ok else None
+    bcells = boundary_cells(complex) if complex_ok and involution.scope == "boundary" else None
+    judged = validate_involution(complex, involution, boundary=bcells) if complex_ok else None
     involution_ok = judged is not None and audit.add("involution-valid", judged)
     total = audit.add_flag(
         "colouring-total",
@@ -362,7 +374,7 @@ def _audit_shared(
 
     calc = HomologyCalculator(complex)
     audit.add("boundary-operator", boundary_operator_audit(calc))
-    shape(calc)
+    shape(calc, bcells)
     selected = bichromatic_edge_cells(complex, colouring)
     audit.add("parity", parity_audit(complex, selected))
     audit.add("quadrangulation", quadrangulation_check(complex, selected))
@@ -422,7 +434,7 @@ def verify_sphere_quadrangulation(
     artifacts: dict = {"labels": labels}
     shared = _audit_shared(
         audit, artifacts, complex, involution, colouring, labels,
-        lambda calc: audit.add("sphere", sphere_check(calc)),
+        lambda calc, _: audit.add("sphere", sphere_check(calc)),
     )
     if shared is None:
         return audit.done(), artifacts
@@ -486,9 +498,10 @@ def verify_ball_quadrangulation(
     artifacts: dict = {}
     involution = boundary.involution
 
-    def shape(calc: HomologyCalculator) -> None:
-        audit.add("ball", ball_check(calc))
-        bcells = boundary_cells(ball)
+    def shape(calc: HomologyCalculator, bcells: Optional[dict[int, set[int]]]) -> None:
+        if bcells is None:  # the involution is not boundary-scope
+            bcells = boundary_cells(ball)
+        audit.add("ball", ball_check(calc, boundary=bcells))
         matches = all(
             set(bcells.get(d, set())) == set(boundary.cells.get(d, frozenset()))
             for d in set(bcells) | set(boundary.cells)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .audits import verify_sphere_quadrangulation
-from .complexes import Complex, complex_from_json, complex_to_json, dump_canonical
+from .complexes import Complex, complex_from_json, dump_canonical, dump_complex
 from .constructions import SphereQuad, _sphere_quad
 from .errors import ParseError
 from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key
@@ -48,7 +48,9 @@ def _orbit_reps(sq: SphereQuad) -> dict:
 
 def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorphism] = None) -> Path:
     """Write the sphere (with its audit report) as a directory of canonical
-    JSON files; returns the directory path."""
+    JSON files; returns the directory path.  A `homomorphism.json` left in
+    the directory by an earlier bundle is removed when there is no
+    homomorphism to write."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     reps = _orbit_reps(sq)
@@ -57,7 +59,6 @@ def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorp
         [_label_to_json(lab), reps[lab]] for lab in sorted(reps, key=label_key)
     ]
     files = {
-        "complex.json": complex_to_json(sq.complex),
         "involution.json": sq.involution.to_json(),
         "colouring.json": sq.colouring.to_json(),
         "graph.json": graph_obj,
@@ -65,6 +66,9 @@ def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorp
     }
     if homomorphism is not None:
         files["homomorphism.json"] = homomorphism_to_json(homomorphism)
+    else:
+        (out / "homomorphism.json").unlink(missing_ok=True)
+    (out / "complex.json").write_text(dump_complex(sq.complex), encoding="utf-8")
     for name, obj in files.items():
         (out / name).write_text(dump_canonical(obj), encoding="utf-8")
     return out

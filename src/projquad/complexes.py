@@ -2,15 +2,17 @@
 
 Cells carry their own facet lists, so two distinct cells may share a vertex
 set (parallel cells); this is what antipodal quotients produce.  A complex is
-immutable once built.
+immutable once built, so its `validate()` report is kept once made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from math import inf
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -124,6 +126,7 @@ class Complex:
         )
         self._maximal: Optional[tuple[CellKey, ...]] = None
         self._cofacet_counts: dict[int, tuple[int, ...]] = {}
+        self._report: Optional[ValidationReport] = None
 
     # ---- basic accessors ----
 
@@ -220,6 +223,12 @@ class Complex:
     # ---- validation ----
 
     def validate(self) -> ValidationReport:
+        """Unique labels, one 0-cell per vertex, and the cell law on every
+        cell.  The report is made once: a complex is immutable.  A complex
+        from `ComplexBuilder.build` starts with the builder's verdict, which
+        is this report (see `build`)."""
+        if self._report is not None:
+            return self._report
         violations: list[Violation] = []
         seen_labels: dict[str, int] = {}
         for v in range(self.n_vertices):
@@ -237,7 +246,8 @@ class Complex:
             lower = self._cells[d - 1] if d else ()
             for c in self._cells[d]:
                 violations.extend(_cell_violations(c, self.n_vertices, lower))
-        return ValidationReport.collect(violations)
+        self._report = ValidationReport.collect(violations)
+        return self._report
 
     # ---- equality (structural) ----
 
@@ -264,10 +274,13 @@ class ComplexBuilder:
         self._cells: list[list[Cell]] = [[]]
         self._any_coords = False
         self._label_set: set[str] = set()
+        # Whether every cell so far has passed the cell law (see `build`).
+        self._lawful = True
 
     @classmethod
     def from_complex(cls, complex: Complex) -> "ComplexBuilder":
         b = cls()
+        b._lawful = complex.validate().ok
         b._labels = list(complex.labels)
         b._label_set = {lab for lab in b._labels if lab is not None}
         b._coords = [complex.coords(v) for v in complex.vertex_ids()]
@@ -319,8 +332,21 @@ class ComplexBuilder:
         return cell.id
 
     def build(self) -> Complex:
+        """The complex, carrying an empty `validate()` report when every cell
+        has passed the cell law: from `from_complex` on a valid complex, or
+        a fresh builder, then `add_vertex` and `add_cell` only.
+
+        That report is what `validate()` would find.  Labels stay unique
+        (`fresh_label`), each vertex gets the 0-cell of its id, and
+        `add_cell` has judged each new cell with `_cell_violations` against
+        the vertex count and the layer below at the time.  Both only grow by
+        appending, so the verdict stands in the finished complex.
+        """
         coords = self._coords if self._any_coords else None
-        return Complex(self._cells, self._labels, coords)
+        complex = Complex(self._cells, self._labels, coords)
+        if self._lawful:
+            complex._report = ValidationReport()
+        return complex
 
 
 class SimplicialBuilder:
@@ -364,7 +390,7 @@ class SimplicialBuilder:
 
 # ---- JSON interchange ----
 
-def complex_to_json(complex: Complex) -> dict:
+def _vertex_entries(complex: Complex) -> list[dict]:
     vertices = []
     for v in complex.vertex_ids():
         entry: dict = {"id": v}
@@ -374,11 +400,55 @@ def complex_to_json(complex: Complex) -> dict:
         if c is not None:
             entry["coords"] = list(c)
         vertices.append(entry)
+    return vertices
+
+
+def complex_to_json(complex: Complex) -> dict:
     cells = []
     for d in range(complex.dim + 1):
         for c in complex.cells_of(d):
             cells.append({"id": c.id, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)})
-    return {"dimension": complex.dim, "vertices": vertices, "cells": cells}
+    return {"dimension": complex.dim, "vertices": _vertex_entries(complex), "cells": cells}
+
+
+def dump_complex(complex: Complex) -> str:
+    """`dump_canonical(complex_to_json(complex))`, without the dict step.
+
+    The header and the vertex list go through `dump_canonical`.  Each cell
+    whose id, vertices and facets are all of type int is one `%` on the
+    format of its (facet count, vertex count) shape, since `%d` spells an
+    int as json does; any other cell is encoded from its dict, so a bool, a
+    float or None reads as json would write it, and a value json rejects
+    raises TypeError here too.
+    """
+    head = dump_canonical({"dimension": complex.dim, "vertices": _vertex_entries(complex)})
+    texts = []
+    for d in range(complex.dim + 1):
+        layer = complex.cells_of(d)
+        ids = map(attrgetter("id"), layer)
+        vertices = chain.from_iterable(map(attrgetter("vertices"), layer))
+        facets = chain.from_iterable(map(attrgetter("facets"), layer))
+        if {*map(type, ids), *map(type, vertices), *map(type, facets)} <= {int}:
+            for c in layer:
+                vs, fs = c.vertices, c.facets
+                texts.append(_cell_format(len(fs), len(vs)) % (d, *fs, c.id, *vs))
+        else:
+            for c in layer:
+                cell = {"id": c.id, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)}
+                texts.append("\n  " + _encode(cell, "\n  "))
+    cells = "[" + ",".join(texts) + "\n ]" if texts else "[]"
+    return '{\n "cells": ' + cells + "," + head[1:]
+
+
+@lru_cache(maxsize=None)
+def _cell_format(n_facets: int, n_vertices: int) -> str:
+    """The canonical text of a cell in the cell list, led by its line break,
+    with `%d` for its dim, facets, id and vertices in that order."""
+
+    def ints(n: int) -> str:
+        return "[\n    " + ",\n    ".join(["%d"] * n) + "\n   ]" if n else "[]"
+
+    return '\n  {\n   "dim": %d,\n   "facets": ' + ints(n_facets) + ',\n   "id": %d,\n   "vertices": ' + ints(n_vertices) + "\n  }"
 
 
 def complex_from_json(obj: dict) -> Complex:
@@ -435,7 +505,9 @@ def dump_canonical(obj) -> str:
     """Canonical JSON text: exactly `json.dumps(obj, sort_keys=True,
     indent=1) + "\\n"`, written by a small recursive encoder: json's C
     encoder does not indent, so json.dumps with an indent runs the
-    pure-Python one.
+    pure-Python one.  `complex.json` is written by `dump_complex`, which
+    gives this function's text of `complex_to_json(c)` without the dicts
+    and is tested against it.
 
     Values must be of type str, int, float, bool, None, list, tuple or dict
     (subclasses are not accepted) and dict keys must be str; anything else

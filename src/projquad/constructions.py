@@ -32,8 +32,8 @@ from .symmetry import (
     BoundaryStructure,
     Involution,
     TwoColouring,
+    _double,
     boundary_cells,
-    double,
 )
 from .validation import AuditEntry, AuditReport
 
@@ -341,8 +341,15 @@ def cylinder_complete(r: int) -> BallQuad:
 # ---- doubling a ball into a sphere ----
 
 def double_to_sphere(ball: BallQuad, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
-    """Glue a mirrored copy onto the ball; the identified graph is unchanged."""
-    complex, involution, colouring = double(ball.complex, ball.boundary.involution, ball.colouring)
+    """Glue a mirrored copy onto the ball; the identified graph is unchanged.
+
+    The checks of `double` are not repeated: the ball's audit has passed
+    `involution-valid` on the boundary involution, `colouring-total`,
+    `colouring-antisymmetric` and `boundary-matches`, so the stated
+    boundary cells are the ball's boundary."""
+    complex, involution, colouring = _double(
+        ball.complex, ball.boundary.cells, ball.boundary.involution, ball.colouring
+    )
     labels = dict(ball.labels)
     for v in ball.complex.vertex_ids():
         w = involution.vertex(v)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .complexes import Cell, Complex, VertexId, face_closure
 from .errors import (
@@ -134,11 +134,18 @@ class InvolutionReport(ValidationReport):
     quotient: Optional[tuple[Complex, dict[int, dict[int, int]]]] = None
 
 
-def validate_involution(complex: Complex, involution: Involution) -> InvolutionReport:
+def validate_involution(
+    complex: Complex,
+    involution: Involution,
+    *,
+    boundary: Optional[dict[int, set[int]]] = None,
+) -> InvolutionReport:
     """Check that the pairing is a free simplicial involution on its scope.
 
     For full scope every vertex and every cell must be paired; for boundary
-    scope the paired cells must be exactly the boundary subcomplex.  In both
+    scope the paired cells must be exactly the boundary subcomplex, which is
+    `boundary` when the caller has found `boundary_cells(complex)` already,
+    and is found here otherwise.  In both
     cases every paired id must be in range, not fixed, and mapped back by its
     partner.  The vertex and facet images are checked once per pair, from its
     lower id: once both pairings are self-inverse, the image of the higher
@@ -167,7 +174,8 @@ def validate_involution(complex: Complex, involution: Involution) -> InvolutionR
     if full:
         scope_cells = {d: set(range(complex.n_cells(d))) for d in range(complex.dim + 1)}
     else:
-        scope_cells = {d: set(ids) for d, ids in boundary_cells(complex).items()}
+        found = boundary_cells(complex) if boundary is None else boundary
+        scope_cells = {d: set(ids) for d, ids in found.items()}
     missing_vertices = scope_cells.get(0, set()) - set(vp)
     for v in sorted(missing_vertices):
         violations.append(Violation("UnpairedCell", 0, v, "scope vertex not paired"))
@@ -379,12 +387,17 @@ def double(
     embeds one dimension up: boundary vertices at height 0, interior copies
     at heights +1/-1 (the second copy mirrored through the origin), all
     radially normalized to the unit sphere.
+
+    Raises BadParameters unless the involution has boundary scope and the
+    colouring colours exactly the ball's vertices, BoundaryNotSymmetric
+    when `validate_involution` rejects the involution, and
+    ColouringNotBoundaryAntisymmetric when a boundary pair shares a colour.
     """
     if boundary_involution.scope != "boundary":
         raise BadParameters("doubling needs a boundary-scope involution")
     bcells = boundary_cells(ball)
     vp = boundary_involution.vertex_pairing
-    rep = validate_involution(ball, boundary_involution)
+    rep = validate_involution(ball, boundary_involution, boundary=bcells)
     if not rep.ok:
         first = rep.violations[0]
         raise BoundaryNotSymmetric(f"{first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
@@ -393,7 +406,18 @@ def double(
     for v, w in vp.items():
         if colouring.of(v) == colouring.of(w):
             raise ColouringNotBoundaryAntisymmetric(f"boundary pair ({v}, {w}) share colour {colouring.of(v)}")
+    return _double(ball, bcells, boundary_involution, colouring)
 
+
+def _double(
+    ball: Complex,
+    bcells: dict[int, AbstractSet[int]],
+    boundary_involution: Involution,
+    colouring: TwoColouring,
+) -> tuple[Complex, Involution, TwoColouring]:
+    """`double` on a ball whose boundary cells are `bcells`, with no checks:
+    the involution and the colouring must be ones that `double` accepts."""
+    vp = boundary_involution.vertex_pairing
     n = ball.dim
     interior0 = [v for v in ball.vertex_ids() if v not in vp]
     copy2_vid = {v: ball.n_vertices + k for k, v in enumerate(interior0)}

@@ -16,6 +16,7 @@ import pytest
 from projquad import (
     BitMatrix,
     BudgetExceeded,
+    Complex,
     Graph,
     Homomorphism,
     HomologyCalculator,
@@ -29,9 +30,12 @@ from projquad import (
     boundary_squares_to_zero,
     chromatic_number,
     complete_graph,
+    complex_to_json,
     cycle_parity_vs_homology,
     cylinder_complete,
     double_to_sphere,
+    dump_canonical,
+    dump_complex,
     edge_chain,
     fineness_check,
     load_bundle,
@@ -50,7 +54,7 @@ from projquad import (
     verify_z2_map_to_box,
     write_bundle,
 )
-from projquad import homology
+from projquad import constructions, homology
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
@@ -422,6 +426,37 @@ def test_bundle_files_are_the_json_module_text(tmp_path_factory, corpus):
         for path in sorted(bundle.iterdir()):
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", f"{name}/{path.name}"
+
+
+def test_complex_json_is_the_reference_text_on_the_corpus(corpus):
+    for name, item in corpus.items():
+        assert dump_complex(item.sq.complex) == dump_canonical(complex_to_json(item.sq.complex)), name
+
+
+def test_builders_hand_over_the_report_a_full_validation_gives(monkeypatch):
+    # Every ball of the corpus comes from ComplexBuilder.build, as do the
+    # odd-cycle spheres; the report each carries into its audit must be the
+    # one a fresh Complex over the same cells gets from validate().  A
+    # doubled sphere is made by Complex(...) and carries none.
+    handed: dict[str, list] = {"_finish_ball": [], "_finish_sphere": []}
+    for finish, seen in handed.items():
+        original = getattr(constructions, finish)
+
+        def recording(complex, *args, original=original, seen=seen, **kwargs):
+            seen.append((complex, complex._report))
+            return original(complex, *args, **kwargs)
+
+        monkeypatch.setattr(constructions, finish, recording)
+    for build in BUILDS.values():
+        _run_build(build)
+    balls, spheres = handed["_finish_ball"], handed["_finish_sphere"]
+    assert len(balls) == 18
+    assert all(report is not None for _, report in balls)
+    assert [report is not None for _, report in spheres] == [complex.dim == 1 for complex, _ in spheres]
+    for complex, report in balls + spheres:
+        if report is not None:
+            cells = [complex.cells_of(d) for d in range(complex.dim + 1)]
+            assert report == Complex(cells, complex.labels).validate()
 
 
 def test_criterion_8_deterministic_outputs(tmp_path_factory, corpus):

@@ -109,3 +109,15 @@ def test_repeat_builds_byte_identical(tmp_path):
     b = write_bundle(tmp_path / "b", odd_cycle_sphere(2, n_walks=40, seed=9))
     for name in EXPECTED_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_a_bundle_without_homomorphism_removes_a_stale_one(tmp_path):
+    # Writing a bundle over a Schrijver bundle's directory must not leave the
+    # old homomorphism.json behind: its source is not the new graph.
+    sq, hom = schrijver_pipeline(6, 2)
+    out = write_bundle(tmp_path / "d", sq, homomorphism=hom)
+    assert (out / "homomorphism.json").exists()
+    write_bundle(out, odd_cycle_sphere(2))
+    assert {p.name for p in out.iterdir()} == EXPECTED_FILES
+    report, _ = verify_bundle(load_bundle(out), n_walks=0)
+    assert report.ok, report.failing()

@@ -8,9 +8,13 @@ from projquad import (
     ComplexBuilder,
     SimplicialBuilder,
     complex_from_json,
+    Graph,
+    TwoColouring,
     complex_to_json,
     dump_canonical,
+    dump_complex,
     face_closure,
+    verify_sphere_quadrangulation,
 )
 from projquad.errors import (
     DanglingFacet,
@@ -146,6 +150,50 @@ def test_from_complex_preserves_ids(octahedron):
     b = ComplexBuilder.from_complex(octahedron)
     rebuilt = b.build()
     assert rebuilt == octahedron
+
+
+def test_from_complex_over_a_broken_cell_hands_over_no_report(octahedron, octahedron_involution):
+    # The last 2-cell lists one facet twice, so the builder has no verdict to
+    # hand over, and complex-valid validates the built complex in full.
+    layers = [list(octahedron.cells_of(d)) for d in range(3)]
+    last = layers[2][-1]
+    layers[2][-1] = Cell(last.id, 2, last.vertices, (last.facets[0],) * 3)
+    broken = Complex(layers, octahedron.labels)
+    built = ComplexBuilder.from_complex(broken).build()
+    assert built._report is None
+    colouring = TwoColouring(frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    labels = {v: v % 3 for v in range(6)}
+    report, _ = verify_sphere_quadrangulation(
+        built, octahedron_involution, colouring, labels=labels, expected_graph=Graph(range(3))
+    )
+    entry = report.entry("complex-valid")
+    assert not entry.ok
+    assert [v.code for v in entry.violations] == ["DuplicateFacet"]
+    assert ComplexBuilder.from_complex(octahedron).build()._report == octahedron.validate()
+
+
+class _IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, None, "1", _IntSubclass(1), 2**80, -3])
+def test_dump_complex_writes_or_refuses_a_cell_value_as_the_reference(value):
+    # %d would print True or 1.0 as 1; the writer spells them as json does,
+    # and refuses what json refuses.
+    complex = Complex([[Cell(0, 0, (0,), ()), Cell(1, 0, (value,), (value,))]], ["a", None], [(0.5,), None])
+    try:
+        reference = dump_canonical(complex_to_json(complex))
+    except TypeError:
+        with pytest.raises(TypeError):
+            dump_complex(complex)
+    else:
+        assert dump_complex(complex) == reference
+
+
+@pytest.mark.parametrize("layers", [[], [[]]])
+def test_dump_complex_of_an_empty_complex(layers):
+    complex = Complex(layers, [])
+    assert dump_complex(complex) == dump_canonical(complex_to_json(complex))
 
 
 def test_fresh_label_appends_ticks():

@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from projquad import (
     BitMatrix,
+    Cell,
+    Complex,
+    ComplexBuilder,
     Gf2Solver,
     Graph,
     HomologyCalculator,
@@ -17,7 +20,9 @@ from projquad import (
     boundary_squares_to_zero,
     chromatic_number,
     common_neighbours,
+    complex_to_json,
     dump_canonical,
+    dump_complex,
     graph_from_json,
     graph_to_json,
     kernel_basis,
@@ -25,6 +30,7 @@ from projquad import (
     odd_girth,
     rank_gf2,
 )
+from projquad.errors import ProjquadError
 from projquad.graphs import label_key
 
 
@@ -320,3 +326,80 @@ def deeply_nested(draw):
 @given(st.one_of(json_values, deeply_nested()))
 def test_dump_canonical_is_the_json_module_text(value):
     assert dump_canonical(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+class IntSubclass(int):
+    """An int that is not of type int, which json's encoder refuses."""
+
+
+cell_ints = st.one_of(st.integers(-2, 7), st.integers(-(2**80), 2**80))
+# Values that are no int: json writes the first four in their own way, and
+# refuses an int subclass.
+cell_values = st.one_of(
+    cell_ints, st.booleans(), st.floats(), st.none(), json_strings, st.builds(IntSubclass, st.integers(0, 7))
+)
+
+
+@st.composite
+def raw_complexes(draw, values=cell_ints):
+    """Complexes made by `Complex(...)` with no law on their cells: lengths
+    that break the cell law, dangling ids, parallel cells, 0-cells with or
+    without facets, labels that are None, repeated or not ASCII, and
+    coordinates on some, all or no vertices."""
+    n = draw(st.integers(0, 5))
+    labels = draw(st.lists(st.one_of(st.none(), st.sampled_from(["a", "é"]), json_strings), min_size=n, max_size=n))
+    coord = st.one_of(st.none(), st.lists(st.floats(), max_size=3).map(tuple))
+    coords = draw(st.one_of(st.none(), st.lists(coord, min_size=n, max_size=n)))
+    ints = st.lists(values, max_size=4).map(tuple)
+    layers = []
+    for d in range(draw(st.integers(0, 3)) + 1):
+        layer = [Cell(i, d, vs, fs) for i, vs, fs in draw(st.lists(st.tuples(values, ints, ints), max_size=4))]
+        if layer and draw(st.booleans()):
+            layer.append(Cell(len(layer), d, layer[-1].vertices, layer[-1].facets))
+        layers.append(layer)
+    return Complex(layers, labels, coords)
+
+
+def _text_or_type_error(write, complex):
+    try:
+        return write(complex)
+    except TypeError:
+        return TypeError
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(raw_complexes(), raw_complexes(cell_values), random_complexes(max_dim=3)))
+def test_dump_complex_is_the_reference_text(complex):
+    reference = _text_or_type_error(lambda c: dump_canonical(complex_to_json(c)), complex)
+    assert _text_or_type_error(dump_complex, complex) == reference
+
+
+@st.composite
+def built_complexes(draw):
+    """A builder's complex, from a fresh builder or from `from_complex` on a
+    complex that may break the cell law, after random `add_vertex` and
+    `add_cell` calls (a call the builder refuses adds nothing)."""
+    source = draw(st.one_of(st.none(), random_complexes(max_dim=3), raw_complexes()))
+    b = ComplexBuilder() if source is None else ComplexBuilder.from_complex(source)
+    for _ in range(draw(st.integers(0, 4))):
+        b.add_vertex(draw(st.one_of(st.none(), st.sampled_from(["w0", "w1", "x"]))))
+    for _ in range(draw(st.integers(0, 10))):
+        dim = draw(st.integers(1, 3))
+        vertices = draw(st.lists(st.integers(-1, b.n_vertices), max_size=4))
+        facets = draw(st.lists(st.integers(-1, b.n_cells(dim - 1)), max_size=4))
+        try:
+            b.add_cell(dim, vertices, facets)
+        except ProjquadError:
+            pass
+    return source, b.build()
+
+
+@settings(deadline=None, max_examples=200)
+@given(built_complexes())
+def test_a_builder_hands_over_the_report_a_full_validation_gives(built):
+    source, complex = built
+    handed = complex._report
+    fresh = Complex([complex.cells_of(d) for d in range(complex.dim + 1)], complex.labels).validate()
+    assert (handed is not None) == (source is None or source.validate().ok)
+    assert handed is None or handed == fresh
+    assert complex.validate() == fresh

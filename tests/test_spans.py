@@ -10,7 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from projquad import bundles, load_bundle, odd_cycle_sphere, write_bundle
+from projquad import bundles, cylinder_complete, double_to_sphere, load_bundle, odd_cycle_sphere, write_bundle
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -49,3 +49,15 @@ def test_a_traced_verify_times_the_involution_pass(tmp_path):
     assert report.ok
     names = ("symmetry.validate_involution", "symmetry.quotient")
     assert max(tracer.spans.get(name, (0, 0.0))[1] for name in names) > 0, tracer.spans
+
+
+def test_a_built_ball_is_judged_once_and_its_boundary_found_once():
+    # cylinder-3: `cylinder_complete` finds the boundary it states, and the
+    # ball audit finds it once more and shares it with the involution check,
+    # `ball` and `boundary-matches`.  The involution is judged once on the
+    # ball and once on the doubled sphere; doubling does not judge it again.
+    with _load_spans().Tracer().installed() as tracer:
+        double_to_sphere(cylinder_complete(3))
+    names = ("symmetry.validate_involution", "symmetry.boundary_cells", "symmetry.double")
+    calls = {name: tracer.spans.get(name, (0,))[0] for name in names}
+    assert calls == {"symmetry.validate_involution": 2, "symmetry.boundary_cells": 2, "symmetry.double": 0}
