@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from math import sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import Complex
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
@@ -324,6 +324,12 @@ def fineness_check(complex: Complex, colouring: TwoColouring) -> dict:
 
 # ---- composite verifications ----
 
+def _no_edges(cells: Iterable[tuple[int, int]]) -> ValidationReport:
+    """The `quadrangulation_check` report that fails exactly the given
+    (dim, id) cells, each for having no selected edge."""
+    return ValidationReport.collect(Violation("NoEdge", d, i, "no selected edges") for d, i in cells)
+
+
 def _audit_shared(
     audit: AuditCollector,
     artifacts: dict,
@@ -332,7 +338,7 @@ def _audit_shared(
     colouring: TwoColouring,
     labels: dict[int, object],
     shape: Callable[[HomologyCalculator, Optional[dict[int, set[int]]]], object],
-) -> Optional[tuple[Graph, frozenset[int], InvolutionReport, ValidationReport]]:
+) -> Optional[tuple[Graph, frozenset[int], InvolutionReport, ValidationReport, ValidationReport, bool]]:
     """The audits a coloured sphere and a coloured ball share, up to the
     identified graph; `shape` adds the sphere or ball recognition entries
     and reads the calculator that `boundary-operator` filled.  For a
@@ -350,10 +356,23 @@ def _audit_shared(
     Every audit runs only once the audits whose data it reads have passed:
     the involution, the proper colouring and everything after the gate read
     facet ids, so they need complex-valid; antisymmetry needs a valid
-    involution and a total colouring.  Returns the identified labelled graph,
-    the selected (bichromatic) 1-cells and the involution-valid and
-    antipodal-free reports, or None when a gate or the identification stops
-    the audit.
+    involution and a total colouring.
+
+    `quadrangulation` is a lemma of `colouring-proper`, not a second walk
+    over the cells.  It runs only after complex-valid, involution-valid and
+    colouring-total have passed, and its selection is the bichromatic
+    1-cells.  On a lawful complex the 1-faces of a cell of dimension at
+    least 1 cover every pair of its vertices and no other pair, so a maximal
+    cell's selected pairs are black x white: complete bipartite, with an
+    edge exactly when both colours occur.  The entry is therefore one
+    `NoEdge` ("no selected edges") for each `MonochromaticCell`, at the same
+    cells, and `NotCompleteBipartite` cannot occur; `quadrangulation_check`
+    is the check it replaces and stays its test oracle.
+
+    Returns the identified labelled graph, the selected (bichromatic)
+    1-cells, the involution-valid, antipodal-free and colouring-proper
+    reports and the colouring-antisymmetric verdict, or None when a gate or
+    the identification stops the audit.
     """
     complex_ok = audit.add("complex-valid", complex.validate())
     bcells = boundary_cells(complex) if complex_ok and involution.scope == "boundary" else None
@@ -367,17 +386,18 @@ def _audit_shared(
     antipodal = antipodal_free_cells(complex, involution)
     audit.add("antipodal-free", antipodal)
     if complex_ok:
-        audit.add("colouring-proper", proper_on_maximal(complex, colouring))
+        proper = proper_on_maximal(complex, colouring)
+        audit.add("colouring-proper", proper)
     if not (involution_ok and total):
         return None
-    audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
+    antisymmetric = audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
 
     calc = HomologyCalculator(complex)
     audit.add("boundary-operator", boundary_operator_audit(calc))
     shape(calc, bcells)
     selected = bichromatic_edge_cells(complex, colouring)
     audit.add("parity", parity_audit(complex, selected))
-    audit.add("quadrangulation", quadrangulation_check(complex, selected))
+    audit.add("quadrangulation", _no_edges((v.cell_dim, v.cell_id) for v in proper.violations))
 
     orbit_ok = all(labels.get(v) == labels.get(w) for v, w in involution.vertex_pairing.items())
     audit.add_flag("labels-on-orbits", orbit_ok, "labels are not constant on antipodal pairs")
@@ -390,7 +410,7 @@ def _audit_shared(
     graph = identified.relabel({r: labels[r] for r in identified.vertices})
     artifacts["graph"] = graph
     artifacts["orbit_reps"] = {labels[r]: r for r in identified.vertices}
-    return graph, selected, judged, antipodal
+    return graph, selected, judged, antipodal, proper, antisymmetric
 
 
 def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Graph) -> None:
@@ -429,6 +449,16 @@ def verify_sphere_quadrangulation(
     sets are the projected d-subsets of the cell.  The quotient's labels are
     those of the orbit representatives, a subset of the sphere's unique
     labels.
+
+    `quotient-quadrangulation` is a lemma too when `colouring-antisymmetric`
+    passes.  The projection is injective on each cell and maps maximal cells
+    onto maximal cells, and a quotient 1-cell is selected exactly when its
+    lift in the cell is bichromatic, since e and its antipode are both
+    bichromatic or both not.  So the entry is one `NoEdge` at each quotient
+    maximal cell that is the image of a monochromatic sphere cell, as for
+    `quadrangulation` (see `_audit_shared`).  Without antisymmetry the
+    selection need not lift, and `quadrangulation_check` runs on the
+    quotient.
     """
     audit = AuditCollector()
     artifacts: dict = {"labels": labels}
@@ -438,7 +468,7 @@ def verify_sphere_quadrangulation(
     )
     if shared is None:
         return audit.done(), artifacts
-    graph, selected_up, judged, antipodal = shared
+    graph, selected_up, judged, antipodal, proper, antisymmetric = shared
     audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels))
 
     refusal = _quotient_refusal(involution, antipodal)
@@ -466,7 +496,11 @@ def verify_sphere_quadrangulation(
     audit.add_flag("identification-commutes", commute, "identified graph differs from quotient-selected graph")
 
     audit.add("quotient-parity", parity_audit(q, selected_q))
-    audit.add("quotient-quadrangulation", quadrangulation_check(q, selected_q))
+    if antisymmetric:
+        images = {(v.cell_dim, projection[v.cell_dim][v.cell_id]) for v in proper.violations}
+        audit.add("quotient-quadrangulation", _no_edges(images))
+    else:
+        audit.add("quotient-quadrangulation", quadrangulation_check(q, selected_q))
     _matches_expected(audit, graph, expected_graph)
 
     if n_walks > 0:

@@ -49,6 +49,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+def _count(text: str) -> int:
+    """The argparse type of a count (walks, search nodes, milliseconds): an
+    integer of at least 0, so that a negative count is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 def _emit(obj) -> None:
     sys.stdout.write(dump_canonical(obj))
 
@@ -78,7 +90,7 @@ def _build_parser() -> _Parser:
 
     def common(p: _Parser) -> None:
         p.add_argument("--out", required=True, help="bundle directory to write")
-        p.add_argument("--walks", type=int, default=0, help="closed walks to sample during the build audit")
+        p.add_argument("--walks", type=_count, default=0, help="closed walks to sample during the build audit")
         p.add_argument("--seed", type=int, default=0, help="seed for walk sampling")
 
     p = kinds.add_parser("odd-cycle", help="the doubled odd cycle (projective line)")
@@ -111,7 +123,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-run all audits on a bundle")
     p.add_argument("bundle", help="bundle directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--walks", type=int, default=100)
+    p.add_argument("--walks", type=_count, default=100)
 
     p = sub.add_parser(
         "chi",
@@ -125,8 +137,8 @@ def _build_parser() -> _Parser:
         ),
     )
     p.add_argument("path", help="bundle directory or graph JSON file")
-    p.add_argument("--budget-ms", type=int, default=None, help="time budget of the search (not of the re-verification)")
-    p.add_argument("--max-nodes", type=int, default=None, help="node budget of the search")
+    p.add_argument("--budget-ms", type=_count, default=None, help="time budget of the search (not of the re-verification)")
+    p.add_argument("--max-nodes", type=_count, default=None, help="node budget of the search")
 
     p = sub.add_parser("homology", help="mod-2 Betti numbers of a complex")
     p.add_argument("path", help="bundle directory or complex JSON file")

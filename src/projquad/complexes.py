@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from math import inf
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -38,15 +38,51 @@ class Cell:
     facets: tuple[int, ...]  # ids of (dim-1)-cells, length dim+1; empty for dim 0
 
 
-def _cell_violations(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
+def _cell_violations(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> tuple[Violation, ...]:
     """How one cell breaks the cell law, given the vertex count and the cells
-    one dimension down.
+    one dimension down; empty for a lawful cell.
 
     A d-cell has d+1 distinct, sorted, known vertices, a 0-cell sits on the
     vertex of its own id, and a d-cell with d >= 1 has d+1 distinct existing
-    facets whose vertex sets are exactly its d-subsets.  Only an unsorted
-    vertex tuple lets the later rules be checked too.
+    facets whose vertex sets are exactly its d-subsets.
+
+    An accept test runs first.  A 0-cell passes it when its vertices are
+    `(id,)` with 0 <= id < n_vertices.  A d-cell with d >= 1 passes it when
+    its d+1 vertices strictly increase inside [0, n_vertices), its d+1 facet
+    ids lie in range, and the sorted vertex tuples of its facets equal the
+    d+1 one-vertex deletions of its vertex tuple (`combinations(vs, d)`,
+    which lists them in sorted order).  Passing implies every rule: the
+    deletions are distinct, so the facets are too, and equal tuples are equal
+    vertex sets.  A cell that fails the test goes through `_rule_chain`,
+    which gives the verdict; a lawful cell can fail the test, say when a
+    cell below it lists its vertices unsorted.
     """
+    d, i, vs, fs = cell.dim, cell.id, cell.vertices, cell.facets
+    try:
+        if d == 0:
+            if vs == (i,) and 0 <= i < n_vertices:
+                return ()
+        elif (
+            d > 0
+            and len(vs) == d + 1
+            and len(fs) == d + 1
+            and 0 <= vs[0]
+            and vs[-1] < n_vertices
+            and all(map(lt, vs, vs[1:]))
+            and 0 <= min(fs)
+            and max(fs) < len(lower_cells)
+            and sorted([lower_cells[f].vertices for f in fs]) == list(combinations(vs, d))
+        ):
+            return ()
+    except TypeError:
+        pass  # values that do not compare: the chain judges them, or raises as it always has
+    return tuple(_rule_chain(cell, n_vertices, lower_cells))
+
+
+def _rule_chain(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
+    """The cell law rule by rule, as `_cell_violations` reports it for a
+    cell that fails the accept test.  Only an unsorted vertex tuple lets the
+    later rules be checked too."""
     d, i, vs, fs = cell.dim, cell.id, cell.vertices, cell.facets
     if len(vs) != d + 1:
         yield Violation("VertexArityMismatch", d, i, f"{len(vs)} vertices")
@@ -242,10 +278,11 @@ class Complex:
                     seen_labels[lab] = v
         if self.n_cells(0) != self.n_vertices:
             violations.append(Violation("VertexCellMismatch", 0, None, "0-cells do not match vertex set"))
-        for d in range(self.dim + 1):
+        n = self.n_vertices
+        for d, layer in enumerate(self._cells):
             lower = self._cells[d - 1] if d else ()
-            for c in self._cells[d]:
-                violations.extend(_cell_violations(c, self.n_vertices, lower))
+            for c in layer:
+                violations.extend(_cell_violations(c, n, lower))
         self._report = ValidationReport.collect(violations)
         return self._report
 
@@ -285,7 +322,8 @@ class ComplexBuilder:
         b._label_set = {lab for lab in b._labels if lab is not None}
         b._coords = [complex.coords(v) for v in complex.vertex_ids()]
         b._any_coords = any(c is not None for c in b._coords)
-        b._cells = [list(complex.cells_of(d)) for d in range(complex.dim + 1)]
+        # A complex with no cell layers still leaves the builder its 0-cell layer.
+        b._cells = [list(complex.cells_of(d)) for d in range(complex.dim + 1)] or [[]]
         return b
 
     @property

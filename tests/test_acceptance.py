@@ -6,6 +6,7 @@ is shared across the criteria so each pipeline runs exactly once.
 """
 
 import json
+import random
 import time
 from math import pi, sin
 from typing import NamedTuple, Optional
@@ -43,6 +44,7 @@ from projquad import (
     mycielski_tower,
     odd_cycle_sphere,
     parity_audit,
+    quadrangulation_check,
     rank_gf2,
     sample_closed_walks,
     schrijver_graph,
@@ -366,6 +368,79 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
         complex, involution, black, labels={0: "x", 1: "x"}, expected_graph=Graph(["x"])
     )
     assert _lemma_holds(report, artifacts)
+
+
+def _quadrangulation_entries_match_the_check(report, complex, colouring, artifacts) -> list[str]:
+    """Each quadrangulation entry in the report equals `quadrangulation_check`
+    on the complex it judges and that complex's selected 1-cells; returns
+    the names of the entries compared."""
+    checks = {"quadrangulation": lambda: quadrangulation_check(complex, bichromatic_edge_cells(complex, colouring))}
+    if "quotient" in artifacts:
+        checks["quotient-quadrangulation"] = lambda: quadrangulation_check(
+            artifacts["quotient"], artifacts["selected_quotient_cells"]
+        )
+    compared = []
+    for name, check in checks.items():
+        entry = report.entry(name)
+        if entry is not None:
+            expected = check()
+            assert (entry.ok, entry.violations) == (expected.ok, expected.violations), name
+            compared.append(name)
+    return compared
+
+
+def _flip(colouring: TwoColouring, vertices) -> TwoColouring:
+    flipped = set(vertices)
+    return TwoColouring(black=colouring.black ^ flipped, white=colouring.white ^ flipped)
+
+
+def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
+    # `quadrangulation` is a lemma of colouring-proper, and
+    # `quotient-quadrangulation` one when colouring-antisymmetric passes;
+    # each must report exactly what the cell-by-cell check finds.
+    for name, item in corpus.items():
+        sq = item.sq
+        artifacts = {"quotient": sq.quotient, "selected_quotient_cells": sq.selected}
+        compared = _quadrangulation_entries_match_the_check(sq.report, sq.complex, sq.colouring, artifacts)
+        assert compared == ["quadrangulation", "quotient-quadrangulation"], name
+
+    balls = []
+    original = constructions._finish_ball
+
+    def recording(*args, **kwargs):
+        ball = original(*args, **kwargs)
+        balls.append(ball)
+        return ball
+
+    monkeypatch.setattr(constructions, "_finish_ball", recording)
+    for build in BUILDS.values():
+        _run_build(build)
+    assert len(balls) == 18
+    for ball in balls:
+        assert _quadrangulation_entries_match_the_check(ball.report, ball.complex, ball.colouring, {}) == [
+            "quadrangulation"
+        ]
+
+    # Colour mutants: flipping both vertices of an antipodal pair keeps the
+    # colouring antisymmetric and makes monochromatic cells; flipping one
+    # vertex breaks antisymmetry, so the quotient entry is the check itself.
+    seen = {"mono": 0, "lemma": 0, "fallback": 0}
+    for name in ("odd-cycle-2", "cylinder-3", "tower-4", "schrijver-6-2"):
+        sq = corpus[name].sq
+        rng = random.Random(name)
+        pairs = sorted((v, w) for v, w in sq.involution.vertex_pairing.items() if v < w)
+        flips = [rng.choice(pairs) for _ in range(3)] + [(v,) for v in rng.sample(sorted(sq.labels), 3)]
+        for flip in flips:
+            colouring = _flip(sq.colouring, flip)
+            report, artifacts = verify_sphere_quadrangulation(
+                sq.complex, sq.involution, colouring, labels=sq.labels, expected_graph=sq.graph
+            )
+            compared = _quadrangulation_entries_match_the_check(report, sq.complex, colouring, artifacts)
+            assert "quadrangulation" in compared, (name, flip)
+            seen["mono"] += not report.entry("quadrangulation").ok
+            if "quotient-quadrangulation" in compared:
+                seen["lemma" if len(flip) == 2 else "fallback"] += not report.entry("quotient-quadrangulation").ok
+    assert all(seen.values()), seen
 
 
 def test_homology_ranks_match_numpy_oracle(corpus):

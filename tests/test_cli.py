@@ -164,6 +164,35 @@ def test_usage_errors(capsys):
     assert e.value.code == 64
 
 
+COUNT_ARGS = [
+    ("verify", "BUNDLE", "--walks", "-3"),
+    ("build", "odd-cycle", "--k", "2", "--out", "NEW", "--walks", "-2"),
+    ("chi", "BUNDLE", "--max-nodes", "-1"),
+    ("chi", "GRAPH", "--max-nodes", "-1"),
+    ("chi", "GRAPH", "--budget-ms", "-5"),
+    ("verify", "BUNDLE", "--walks", "three"),
+]
+
+
+@pytest.mark.parametrize("argv", COUNT_ARGS, ids=[" ".join(a) for a in COUNT_ARGS])
+def test_a_count_that_is_negative_or_no_integer_is_a_usage_error(tmp_path, capsys, argv):
+    bundle = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(bundle))[0] == 0
+    paths = {"BUNDLE": str(bundle), "GRAPH": str(bundle / "graph.json"), "NEW": str(tmp_path / "new")}
+    with pytest.raises(SystemExit) as e:
+        main([paths.get(a, a) for a in argv])
+    assert e.value.code == 64
+    assert "expected an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_zero_count_is_valid(tmp_path, capsys):
+    bundle = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(bundle), "--walks", "0")[0] == 0
+    assert run(capsys, "verify", str(bundle), "--walks", "0")[0] == 0
+    assert run(capsys, "chi", str(bundle), "--max-nodes", "0", "--budget-ms", "0")[0] == 0
+
+
 def test_bad_parameters_exit(tmp_path, capsys):
     code, _, err = run(capsys, "build", "cylinder", "--r", "0", "--out", str(tmp_path / "x"))
     assert code == 64

@@ -79,6 +79,21 @@ def test_builder_and_validate_share_the_cell_law(vertices, facets, code, error):
     assert [v.code for v in report.violations] == [code]
 
 
+def test_the_cell_law_refuses_a_vertex_cell_of_negative_id():
+    # (-1,) is the vertex tuple of a 0-cell with id -1, but no vertex -1 exists.
+    report = Complex([[Cell(-1, 0, (-1,), ())]], ["a"]).validate()
+    assert [v.code for v in report.violations] == ["UnknownVertex"]
+
+
+def test_the_cell_law_accepts_a_cell_over_an_unsorted_facet():
+    # The edge lists its vertices unsorted, so the triangle above it fails
+    # the one-comparison accept test; the rule chain still finds it lawful.
+    v = [Cell(i, 0, (i,), ()) for i in range(3)]
+    edges = [Cell(0, 1, (1, 0), (0, 1)), Cell(1, 1, (1, 2), (1, 2)), Cell(2, 1, (0, 2), (0, 2))]
+    report = Complex([v, edges, [Cell(0, 2, (0, 1, 2), (0, 1, 2))]], [None] * 3).validate()
+    assert [(c.code, c.cell_dim) for c in report.violations] == [("UnsortedVertices", 1)]
+
+
 def test_facet_coverage_enforced():
     b = ComplexBuilder()
     for _ in range(3):
@@ -170,6 +185,14 @@ def test_from_complex_over_a_broken_cell_hands_over_no_report(octahedron, octahe
     assert not entry.ok
     assert [v.code for v in entry.violations] == ["DuplicateFacet"]
     assert ComplexBuilder.from_complex(octahedron).build()._report == octahedron.validate()
+
+
+def test_from_complex_on_a_complex_without_layers_can_add_a_vertex():
+    b = ComplexBuilder.from_complex(Complex([], []))
+    assert b.add_vertex("a") == 0
+    built = b.build()
+    assert built.cells_of(0) == (Cell(0, 0, (0,), ()),)
+    assert built.validate().ok
 
 
 class _IntSubclass(int):
