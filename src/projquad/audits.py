@@ -274,10 +274,23 @@ def verify_z2_map_to_box(
     and both injectivity and box membership pass to subsets (the box complex
     is closed under taking subsets), so the maximal cells decide the map.
     Equivariance is not checked here: `labels-on-orbits` and
-    `colouring-antisymmetric` check it.
+    `colouring-antisymmetric` check it.  The `box-map` entry of
+    `verify_sphere_quadrangulation` runs this check only when its lemma's
+    hypotheses fail, and is tested against it.
     """
+    return _box_map_violations(complex, colouring, graph, labels, complex.maximal_cells())
+
+
+def _box_map_violations(
+    complex: Complex,
+    colouring: TwoColouring,
+    graph: Graph,
+    labels: dict[int, object],
+    cells: Iterable[tuple[int, int]],
+) -> ValidationReport:
+    """The cell rule of `verify_z2_map_to_box` on the given (dim, id) cells."""
     violations = []
-    for d, i in complex.maximal_cells():
+    for d, i in cells:
         vertices = complex.cell(d, i).vertices
         if len({(labels[v], colouring.of(v)) for v in vertices}) != len(vertices):
             violations.append(Violation("NotSimplicialMap", d, i, "vertices collide in the image"))
@@ -330,6 +343,23 @@ def _no_edges(cells: Iterable[tuple[int, int]]) -> ValidationReport:
     return ValidationReport.collect(Violation("NoEdge", d, i, "no selected edges") for d, i in cells)
 
 
+def _antipodal_free(complex: Complex, involution: Involution) -> ValidationReport:
+    """`antipodal_free_cells` on a complex that passes `complex-valid`.
+
+    The 1-faces of a lawful cell of dimension at least 1 cover every pair of
+    its vertices, so a cell that holds a vertex v together with its partner
+    (v itself for a fixed point) has a 1-face that does too.  When no 1-cell
+    holds such a pair the report is empty; otherwise `antipodal_free_cells`
+    gives it.
+    """
+    vp = involution.vertex_pairing
+    for c in complex.cells_of(1) if complex.dim >= 1 else ():
+        u, w = c.vertices
+        if vp.get(u) in c.vertices or vp.get(w) in c.vertices:
+            return antipodal_free_cells(complex, involution)
+    return ValidationReport()
+
+
 def _audit_shared(
     audit: AuditCollector,
     artifacts: dict,
@@ -338,7 +368,7 @@ def _audit_shared(
     colouring: TwoColouring,
     labels: dict[int, object],
     shape: Callable[[HomologyCalculator, Optional[dict[int, set[int]]]], object],
-) -> Optional[tuple[Graph, frozenset[int], InvolutionReport, ValidationReport, ValidationReport, bool]]:
+) -> Optional[tuple[Graph, frozenset[int], InvolutionReport, ValidationReport, ValidationReport, bool, bool]]:
     """The audits a coloured sphere and a coloured ball share, up to the
     identified graph; `shape` adds the sphere or ball recognition entries
     and reads the calculator that `boundary-operator` filled.  For a
@@ -350,13 +380,26 @@ def _audit_shared(
     (see `build`): every cell passed the same cell law, `_cell_violations`,
     when it was added, and labels and 0-cells are kept lawful as they are
     added, so the builder's verdict is the report a full validation would
-    give.  Any other complex, such as a doubled sphere, a quotient or a
-    parsed one, is validated in full.
+    give.  Any other complex, such as a doubled sphere or a parsed one, is
+    judged on one cell of each antipodal pair when the involution has full
+    scope and `validate_involution` passes it first: the pairing carries a
+    lawful cell onto a lawful partner (see `Complex._validate_by_pairs`).
+    When that judgement fails, or the involution fails or has boundary
+    scope, the complex is validated in full.  The early involution report
+    is the `involution-valid` entry, which is still added only once
+    complex-valid has passed.
 
     Every audit runs only once the audits whose data it reads have passed:
     the involution, the proper colouring and everything after the gate read
     facet ids, so they need complex-valid; antisymmetry needs a valid
-    involution and a total colouring.
+    involution and a total colouring.  The early involution check reads
+    facet ids too; on a complex that fails complex-valid its report is
+    dropped, like that of every other check that reads them.
+
+    `antipodal-free` is judged on the 1-cells once complex-valid has passed:
+    a lawful cell's 1-faces cover every pair of its vertices, so some cell
+    holds a vertex and its partner only if some 1-cell does.  When one
+    does, `antipodal_free_cells` gives the entry (see `_antipodal_free`).
 
     `quadrangulation` is a lemma of `colouring-proper`, not a second walk
     over the cells.  It runs only after complex-valid, involution-valid and
@@ -371,19 +414,24 @@ def _audit_shared(
 
     Returns the identified labelled graph, the selected (bichromatic)
     1-cells, the involution-valid, antipodal-free and colouring-proper
-    reports and the colouring-antisymmetric verdict, or None when a gate or
-    the identification stops the audit.
+    reports and the colouring-antisymmetric and labels-on-orbits verdicts,
+    or None when a gate or the identification stops the audit.
     """
+    early = validate_involution(complex, involution) if involution.scope == "full" else None
+    if early is not None and early.ok:
+        complex._validate_by_pairs(involution.cell_pairing)
     complex_ok = audit.add("complex-valid", complex.validate())
     bcells = boundary_cells(complex) if complex_ok and involution.scope == "boundary" else None
-    judged = validate_involution(complex, involution, boundary=bcells) if complex_ok else None
+    judged = None
+    if complex_ok:
+        judged = early if early is not None else validate_involution(complex, involution, boundary=bcells)
     involution_ok = judged is not None and audit.add("involution-valid", judged)
     total = audit.add_flag(
         "colouring-total",
         colouring.covers(complex.vertex_ids()),
         "some vertex is uncoloured or some coloured id is not a vertex",
     )
-    antipodal = antipodal_free_cells(complex, involution)
+    antipodal = (_antipodal_free if complex_ok else antipodal_free_cells)(complex, involution)
     audit.add("antipodal-free", antipodal)
     if complex_ok:
         proper = proper_on_maximal(complex, colouring)
@@ -410,7 +458,7 @@ def _audit_shared(
     graph = identified.relabel({r: labels[r] for r in identified.vertices})
     artifacts["graph"] = graph
     artifacts["orbit_reps"] = {labels[r]: r for r in identified.vertices}
-    return graph, selected, judged, antipodal, proper, antisymmetric
+    return graph, selected, judged, antipodal, proper, antisymmetric, orbit_ok
 
 
 def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Graph) -> None:
@@ -459,6 +507,21 @@ def verify_sphere_quadrangulation(
     `quadrangulation` (see `_audit_shared`).  Without antisymmetry the
     selection need not lift, and `quadrangulation_check` runs on the
     quotient.
+
+    `box-map` is a lemma on the bichromatic maximal cells when
+    `antipodal-free` and `labels-on-orbits` pass (complex-valid,
+    involution-valid, colouring-total and the identification have passed
+    to get here).  Distinct orbits then have distinct labels, since the
+    identified graph took one label per orbit representative, so two
+    vertices of one cell with the same (label, colour) would be an
+    antipodal pair in the cell.  In a cell with both colours, a black u and
+    a white w span a 1-face, which is bichromatic and so an edge of the
+    identified graph: A1 x A2 lies in E(G) with A1 and A2 non-empty, so
+    each side lies in the other's common neighbourhood and the pair is a
+    cell of the box complex.  Only the monochromatic maximal cells, the
+    `colouring-proper` violations, are checked cell by cell, with the rule
+    of `verify_z2_map_to_box`; without those hypotheses that function gives
+    the entry.
     """
     audit = AuditCollector()
     artifacts: dict = {"labels": labels}
@@ -468,8 +531,12 @@ def verify_sphere_quadrangulation(
     )
     if shared is None:
         return audit.done(), artifacts
-    graph, selected_up, judged, antipodal, proper, antisymmetric = shared
-    audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels))
+    graph, selected_up, judged, antipodal, proper, antisymmetric, orbit_ok = shared
+    if antipodal.ok and orbit_ok:
+        monochromatic = ((v.cell_dim, v.cell_id) for v in proper.violations)
+        audit.add("box-map", _box_map_violations(complex, colouring, graph, labels, monochromatic))
+    else:
+        audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels))
 
     refusal = _quotient_refusal(involution, antipodal)
     if refusal is not None:

@@ -262,7 +262,8 @@ class Complex:
         """Unique labels, one 0-cell per vertex, and the cell law on every
         cell.  The report is made once: a complex is immutable.  A complex
         from `ComplexBuilder.build` starts with the builder's verdict, which
-        is this report (see `build`)."""
+        is this report (see `build`), and `_validate_by_pairs` can make it
+        from one cell of each antipodal pair."""
         if self._report is not None:
             return self._report
         violations: list[Violation] = []
@@ -285,6 +286,43 @@ class Complex:
                 violations.extend(_cell_violations(c, n, lower))
         self._report = ValidationReport.collect(violations)
         return self._report
+
+    def _validate_by_pairs(self, cell_pairing: dict[int, dict[int, int]]) -> None:
+        """Make the `validate()` report empty when the checks below pass,
+        given the cell pairing of a full-scope involution that
+        `validate_involution` passes on this complex; leave it unmade
+        otherwise, so that `validate()` judges every cell.
+
+        The checks are the label and 0-cell rules of `validate` with each
+        0-cell at the position of its id, d+1 facets on every d-cell, and
+        the cell law on the lower-id cell of each pair.  The pairing is a
+        bijection on each layer, the vertex pairing one on the vertices and
+        so on the 0-cells, and the involution check has found the vertices of
+        each partner to be the sorted image of the lower cell's vertices,
+        and its facets, as a set, the image of the lower cell's facets (with
+        the same check one dimension down).  So a lawful lower cell has a
+        partner with d+1 distinct sorted known vertices and d+1 distinct
+        facet images, whose vertex sets are the images of the lower cell's
+        d-subsets.  The facet count is checked because the image check
+        compares facets as sets: a repeated facet id would pass it.
+        """
+        if self._report is not None:
+            return
+        n = self.n_vertices
+        labels = [lab for lab in self._labels if lab is not None]
+        if len(set(labels)) != len(labels) or self.n_cells(0) != n:
+            return
+        zero_cells = self._cells[0] if self._cells else ()
+        if any(c.id != v or _cell_violations(c, n, ()) for v, c in enumerate(zero_cells)):
+            return
+        for d in range(1, self.dim + 1):
+            layer, lower = self._cells[d], self._cells[d - 1]
+            if any(len(c.facets) != d + 1 for c in layer):
+                return
+            for i, j in cell_pairing.get(d, {}).items():
+                if i < j and _cell_violations(layer[i], n, lower):
+                    return
+        self._report = ValidationReport()
 
     # ---- equality (structural) ----
 

@@ -18,6 +18,7 @@ from projquad import (
     BitMatrix,
     BudgetExceeded,
     Complex,
+    ComplexBuilder,
     Graph,
     Homomorphism,
     HomologyCalculator,
@@ -31,6 +32,7 @@ from projquad import (
     boundary_squares_to_zero,
     chromatic_number,
     complete_graph,
+    complex_from_json,
     complex_to_json,
     cycle_parity_vs_homology,
     cylinder_complete,
@@ -52,11 +54,14 @@ from projquad import (
     schrijver_pipeline,
     verify_bundle,
     verify_homomorphism,
+    verify_ball_quadrangulation,
     verify_sphere_quadrangulation,
     verify_z2_map_to_box,
     write_bundle,
 )
 from projquad import constructions, homology
+from projquad.symmetry import BoundaryStructure, Involution, antipodal_free_cells
+from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
@@ -440,6 +445,166 @@ def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
             seen["mono"] += not report.entry("quadrangulation").ok
             if "quotient-quadrangulation" in compared:
                 seen["lemma" if len(flip) == 2 else "fallback"] += not report.entry("quotient-quadrangulation").ok
+    assert all(seen.values()), seen
+
+
+def _entries_match_their_checks(report, fresh, involution, colouring, labels, artifacts) -> list[str]:
+    """Each of `complex-valid`, `antipodal-free` and `box-map` in the report
+    equals the check it stands for: `Complex.validate` on `fresh` (a new
+    parse of the audited complex), `antipodal_free_cells` and
+    `verify_z2_map_to_box`; returns the names of the entries compared."""
+    checks = {
+        "complex-valid": lambda: fresh.validate(),
+        "antipodal-free": lambda: antipodal_free_cells(fresh, involution),
+        "box-map": lambda: verify_z2_map_to_box(fresh, colouring, artifacts["graph"], labels),
+    }
+    compared = []
+    for name, check in checks.items():
+        entry = report.entry(name)
+        if entry is not None:
+            expected = check()
+            assert (entry.ok, entry.violations) == (expected.ok, expected.violations), name
+            compared.append(name)
+    return compared
+
+
+def _pairs_of(mapping: dict) -> list[tuple[int, int]]:
+    return sorted((a, b) for a, b in mapping.items() if a < b)
+
+
+def _mutant(kind: str, sq: SphereQuad, rng: random.Random) -> tuple[dict, dict, TwoColouring]:
+    """The complex JSON, involution JSON and colouring of `sq` after one
+    seeded change of the given kind."""
+    cx, inv, colouring = complex_to_json(sq.complex), sq.involution.to_json(), sq.colouring
+    vp = sq.involution.vertex_pairing
+    cells = [c for c in cx["cells"] if c["dim"] >= 1]
+    if kind == "pair flip":
+        colouring = _flip(colouring, rng.choice(_pairs_of(vp)))
+    elif kind == "single flip":
+        colouring = _flip(colouring, (rng.choice(sorted(vp)),))
+    elif kind == "cell vertex":  # a vertex moved, often onto the antipode of another one
+        cell = rng.choice(cells)
+        k, m = rng.sample(range(len(cell["vertices"])), 2)
+        antipode = vp[cell["vertices"][m]]
+        cell["vertices"][k] = antipode if rng.random() < 0.5 else rng.randrange(sq.complex.n_vertices)
+        if rng.random() < 0.5:
+            cell["vertices"].sort()
+    elif kind == "cell facet":
+        cell = rng.choice(cells)
+        cell["facets"][rng.randrange(len(cell["facets"]))] = rng.randrange(sq.complex.n_cells(cell["dim"] - 1))
+    elif kind == "vertex pair swap":
+        (a, b), (c, d) = rng.sample(inv["vertex_pairs"], 2)
+        inv["vertex_pairs"] = [p for p in inv["vertex_pairs"] if p not in ([a, b], [c, d])] + [[a, d], [c, b]]
+    elif kind == "cell pair swap":
+        pairs = inv["cell_pairs"][rng.choice(sorted(k for k, v in inv["cell_pairs"].items() if len(v) > 1))]
+        (a, b), (c, d) = rng.sample(pairs, 2)
+        pairs[:] = [p for p in pairs if p not in ([a, b], [c, d])] + [[a, d], [c, b]]
+    elif kind == "edge onto a pair":
+        v = rng.randrange(sq.complex.n_vertices)
+        rng.choice([c for c in cells if c["dim"] == 1])["vertices"] = sorted((v, vp[v]))
+    elif kind == "repeated facet":  # the set-wise facet image check still passes
+        d = rng.randrange(1, sq.complex.dim + 1)
+        _, upper = rng.choice(inv["cell_pairs"][str(d)])
+        cell = next(c for c in cells if (c["dim"], c["id"]) == (d, upper))
+        cell["facets"].append(rng.choice(cell["facets"]))
+    return cx, inv, colouring
+
+
+MUTANT_KINDS = (
+    "pair flip",
+    "single flip",
+    "cell vertex",
+    "cell facet",
+    "vertex pair swap",
+    "cell pair swap",
+    "edge onto a pair",
+    "repeated facet",
+)
+
+
+def _suspended_digon():
+    """The suspension of the digon, with its antipodal map: two parallel
+    edges on an antipodal pair 0, 1, and the poles 2, 3.  Both pairs are
+    coloured alike at 0, 1, so the bichromatic triangles (on pole 2) hold a
+    monochromatic antipodal pair while no bichromatic edge joins a pair."""
+    b = ComplexBuilder()
+    for lab in ("a0", "a1", "n", "s"):
+        b.add_vertex(lab)
+    for vertices in ((0, 1), (0, 1), (0, 2), (1, 2), (0, 3), (1, 3)):
+        b.add_cell(1, vertices, vertices)
+    for facets, pole in (((0, 2, 3), 2), ((1, 2, 3), 2), ((0, 4, 5), 3), ((1, 4, 5), 3)):
+        b.add_cell(2, (0, 1, pole), facets)
+    involution = Involution("full", {0: 1, 1: 0, 2: 3, 3: 2}, {1: {0: 1, 1: 0, 2: 5, 5: 2, 3: 4, 4: 3}, 2: {0: 3, 3: 0, 1: 2, 2: 1}})
+    colouring = TwoColouring(black=frozenset({0, 1, 3}), white=frozenset({2}))
+    return b.build(), involution, colouring, {0: "a", 1: "a", 2: "p", 3: "p"}
+
+
+def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
+    # `complex-valid` is judged on one cell per antipodal pair, `antipodal-free`
+    # on the 1-cells, and `box-map` on the monochromatic maximal cells; each
+    # must report exactly what its full check finds.
+    for name, item in corpus.items():
+        sq = item.sq
+        judged = complex_from_json(complex_to_json(sq.complex))
+        judged._validate_by_pairs(sq.involution.cell_pairing)
+        assert judged._report == ValidationReport(), name  # made from one cell per pair
+        parsed = complex_from_json(complex_to_json(sq.complex))
+        report, artifacts = verify_sphere_quadrangulation(
+            parsed, sq.involution, sq.colouring, labels=sq.labels, expected_graph=sq.graph
+        )
+        fresh = complex_from_json(complex_to_json(sq.complex))
+        compared = _entries_match_their_checks(report, fresh, sq.involution, sq.colouring, sq.labels, artifacts)
+        assert compared == ["complex-valid", "antipodal-free", "box-map"], name
+
+    balls = []
+    original = constructions._finish_ball
+
+    def recording(*args, **kwargs):
+        ball = original(*args, **kwargs)
+        balls.append(ball)
+        return ball
+
+    monkeypatch.setattr(constructions, "_finish_ball", recording)
+    for build in BUILDS.values():
+        _run_build(build)
+    assert len(balls) == 18
+    ball_failures = 0
+    for k, ball in enumerate(balls):
+        involution = ball.boundary.involution
+        rng = random.Random(k)
+        swapped = dict(involution.vertex_pairing)
+        (a, b), (c, d) = rng.sample(_pairs_of(swapped), 2)
+        swapped.update({a: d, d: a, c: b, b: c})
+        for vertex_pairing in (involution.vertex_pairing, swapped):
+            boundary = BoundaryStructure(ball.boundary.cells, Involution("boundary", vertex_pairing, involution.cell_pairing))
+            report, _ = verify_ball_quadrangulation(
+                ball.complex, boundary, ball.colouring, labels=ball.labels, expected_graph=ball.graph
+            )
+            entry, expected = report.entry("antipodal-free"), antipodal_free_cells(ball.complex, boundary.involution)
+            assert (entry.ok, entry.violations) == (expected.ok, expected.violations), k
+            ball_failures += not entry.ok
+    assert ball_failures
+
+    complex, involution, colouring, labels = _suspended_digon()
+    report, artifacts = verify_sphere_quadrangulation(
+        complex, involution, colouring, labels=labels, expected_graph=Graph(["a", "p"], [("a", "p")])
+    )
+    assert not report.entry("antipodal-free").ok and not report.entry("box-map").ok
+    assert _entries_match_their_checks(report, complex, involution, colouring, labels, artifacts)[-1] == "box-map"
+
+    seen = {(name, ok): 0 for name in ("complex-valid", "antipodal-free", "box-map") for ok in (True, False)}
+    for name in ("odd-cycle-2", "cylinder-3", "tower-4", "schrijver-6-2"):
+        sq = corpus[name].sq
+        rng = random.Random(name)
+        for kind in MUTANT_KINDS * 3:
+            cx, inv, colouring = _mutant(kind, sq, rng)
+            involution = Involution.from_json(inv)
+            report, artifacts = verify_sphere_quadrangulation(
+                complex_from_json(cx), involution, colouring, labels=sq.labels, expected_graph=sq.graph
+            )
+            compared = _entries_match_their_checks(report, complex_from_json(cx), involution, colouring, sq.labels, artifacts)
+            for entry in compared:
+                seen[entry, report.entry(entry).ok] += 1
     assert all(seen.values()), seen
 
 

@@ -365,6 +365,19 @@ def _unmap_a_vertex(obj):
     obj["pairs"].pop()
 
 
+def _pair_the_ends_of_an_edge(obj):
+    # c5 pairs v with v + 5 and stores 0..4 as orbit representatives; its
+    # 1-cells 9 and 4 join 0 to 9 and 4 to 5
+    obj["vertex_pairs"] = [[0, 9], [1, 6], [2, 7], [3, 8], [4, 5]]
+
+
+def _repeat_a_facet_of_an_upper_partner(obj):
+    # tower-4 pairs its 2-cell 0 with 2-cell 20; the repeated id keeps the
+    # set of 2-cell 20's facets the image of 2-cell 0's
+    cell = next(c for c in obj["cells"] if (c["dim"], c["id"]) == (2, 20))
+    cell["facets"].append(cell["facets"][0])
+
+
 def _tamper(path, change):
     obj = json.loads(path.read_text())
     change(obj)
@@ -435,6 +448,10 @@ TAMPERS = [
     ("tower-4", "involution.json", _edge_paired_with_itself, "chi", 0, "involution-valid"),
     ("tower-4", "involution.json", _edge_paired_with_missing_edge, "verify", 2, "involution-valid"),
     ("tower-4", "involution.json", _edge_paired_with_missing_edge, "chi", 0, "involution-valid"),
+    ("tower-4", "complex.json", _repeat_a_facet_of_an_upper_partner, "verify", 2, "complex-valid"),
+    ("tower-4", "complex.json", _repeat_a_facet_of_an_upper_partner, "chi", 0, "complex-valid"),
+    ("c5", "involution.json", _pair_the_ends_of_an_edge, "verify", 2, "antipodal-free"),
+    ("c5", "involution.json", _pair_the_ends_of_an_edge, "chi", 0, "antipodal-free"),
 ]
 
 

@@ -30,7 +30,9 @@ from projquad import (
     odd_girth,
     rank_gf2,
 )
+from projquad.audits import _antipodal_free
 from projquad.complexes import _cell_violations, _rule_chain
+from projquad.symmetry import Involution, antipodal_free_cells
 from projquad.errors import ProjquadError
 from projquad.graphs import label_key
 
@@ -246,6 +248,20 @@ def test_cleared_ranks_equal_plain_ranks(complex):
     for p in range(1, complex.dim + 1):
         assert calc.rank(p) == rank_gf2(boundary_matrix(complex, p)), p
         assert rank_gf2(calc.solver(p).matrix) == calc.rank(p), p
+
+
+@settings(deadline=None, max_examples=200)
+@given(random_complexes(max_dim=3), st.data())
+def test_the_one_skeleton_decides_antipodal_freeness(complex, data):
+    # On a lawful complex, a random fixed-point-free pairing of some
+    # vertices puts a pair in some cell exactly when it puts one in a 1-cell.
+    order = data.draw(st.permutations(range(complex.n_vertices)))
+    k = data.draw(st.integers(0, complex.n_vertices // 2))
+    pairing = {}
+    for v, w in zip(order[: 2 * k : 2], order[1 : 2 * k : 2]):
+        pairing.update({v: w, w: v})
+    involution = Involution("full", pairing)
+    assert _antipodal_free(complex, involution) == antipodal_free_cells(complex, involution)
 
 
 @settings(deadline=None, max_examples=30)

@@ -10,7 +10,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from projquad import bundles, cylinder_complete, double_to_sphere, load_bundle, odd_cycle_sphere, write_bundle
+from projquad import (
+    bundles,
+    cylinder_complete,
+    double_to_sphere,
+    load_bundle,
+    mycielski_tower,
+    odd_cycle_sphere,
+    write_bundle,
+)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +69,17 @@ def test_a_built_ball_is_judged_once_and_its_boundary_found_once():
     names = ("symmetry.validate_involution", "symmetry.boundary_cells", "symmetry.double")
     calls = {name: tracer.spans.get(name, (0,))[0] for name in names}
     assert calls == {"symmetry.validate_involution": 2, "symmetry.boundary_cells": 2, "symmetry.double": 0}
+
+
+def test_a_stored_bundle_is_judged_without_box_membership_tests(tmp_path):
+    # tower-4's colouring is proper, so the box map is a lemma on every
+    # maximal cell, and the involution check that judges the complex pair
+    # by pair is the involution-valid entry.
+    path = write_bundle(tmp_path / "tower-4", mycielski_tower(4))
+    bundle = load_bundle(path)
+    with _load_spans().Tracer().installed() as tracer:
+        report, _ = bundles.verify_bundle(bundle, n_walks=0)
+    assert report.ok
+    names = ("graphs.box_membership", "symmetry.validate_involution")
+    calls = {name: tracer.spans.get(name, (0,))[0] for name in names}
+    assert calls == {"graphs.box_membership": 0, "symmetry.validate_involution": 1}
