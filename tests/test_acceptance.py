@@ -472,6 +472,13 @@ def _pairs_of(mapping: dict) -> list[tuple[int, int]]:
     return sorted((a, b) for a, b in mapping.items() if a < b)
 
 
+def _swap_partners(pairs: list, rng: random.Random) -> None:
+    """Re-pair two random pairs [a, b], [c, d] of a JSON pair list as
+    [a, d], [c, b], in place."""
+    (a, b), (c, d) = rng.sample(pairs, 2)
+    pairs[:] = [p for p in pairs if p not in ([a, b], [c, d])] + [[a, d], [c, b]]
+
+
 def _mutant(kind: str, sq: SphereQuad, rng: random.Random) -> tuple[dict, dict, TwoColouring]:
     """The complex JSON, involution JSON and colouring of `sq` after one
     seeded change of the given kind."""
@@ -493,12 +500,10 @@ def _mutant(kind: str, sq: SphereQuad, rng: random.Random) -> tuple[dict, dict, 
         cell = rng.choice(cells)
         cell["facets"][rng.randrange(len(cell["facets"]))] = rng.randrange(sq.complex.n_cells(cell["dim"] - 1))
     elif kind == "vertex pair swap":
-        (a, b), (c, d) = rng.sample(inv["vertex_pairs"], 2)
-        inv["vertex_pairs"] = [p for p in inv["vertex_pairs"] if p not in ([a, b], [c, d])] + [[a, d], [c, b]]
+        _swap_partners(inv["vertex_pairs"], rng)
     elif kind == "cell pair swap":
-        pairs = inv["cell_pairs"][rng.choice(sorted(k for k, v in inv["cell_pairs"].items() if len(v) > 1))]
-        (a, b), (c, d) = rng.sample(pairs, 2)
-        pairs[:] = [p for p in pairs if p not in ([a, b], [c, d])] + [[a, d], [c, b]]
+        dims = sorted(d for d, pairs in inv["cell_pairs"].items() if len(pairs) > 1)
+        _swap_partners(inv["cell_pairs"][rng.choice(dims)], rng)
     elif kind == "edge onto a pair":
         v = rng.randrange(sq.complex.n_vertices)
         rng.choice([c for c in cells if c["dim"] == 1])["vertices"] = sorted((v, vp[v]))
@@ -534,7 +539,8 @@ def _suspended_digon():
         b.add_cell(1, vertices, vertices)
     for facets, pole in (((0, 2, 3), 2), ((1, 2, 3), 2), ((0, 4, 5), 3), ((1, 4, 5), 3)):
         b.add_cell(2, (0, 1, pole), facets)
-    involution = Involution("full", {0: 1, 1: 0, 2: 3, 3: 2}, {1: {0: 1, 1: 0, 2: 5, 5: 2, 3: 4, 4: 3}, 2: {0: 3, 3: 0, 1: 2, 2: 1}})
+    cell_pairing = {1: {0: 1, 1: 0, 2: 5, 5: 2, 3: 4, 4: 3}, 2: {0: 3, 3: 0, 1: 2, 2: 1}}
+    involution = Involution("full", {0: 1, 1: 0, 2: 3, 3: 2}, cell_pairing)
     colouring = TwoColouring(black=frozenset({0, 1, 3}), white=frozenset({2}))
     return b.build(), involution, colouring, {0: "a", 1: "a", 2: "p", 3: "p"}
 
@@ -576,7 +582,8 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
         (a, b), (c, d) = rng.sample(_pairs_of(swapped), 2)
         swapped.update({a: d, d: a, c: b, b: c})
         for vertex_pairing in (involution.vertex_pairing, swapped):
-            boundary = BoundaryStructure(ball.boundary.cells, Involution("boundary", vertex_pairing, involution.cell_pairing))
+            paired = Involution("boundary", vertex_pairing, involution.cell_pairing)
+            boundary = BoundaryStructure(ball.boundary.cells, paired)
             report, _ = verify_ball_quadrangulation(
                 ball.complex, boundary, ball.colouring, labels=ball.labels, expected_graph=ball.graph
             )
@@ -602,7 +609,8 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
             report, artifacts = verify_sphere_quadrangulation(
                 complex_from_json(cx), involution, colouring, labels=sq.labels, expected_graph=sq.graph
             )
-            compared = _entries_match_their_checks(report, complex_from_json(cx), involution, colouring, sq.labels, artifacts)
+            fresh = complex_from_json(cx)
+            compared = _entries_match_their_checks(report, fresh, involution, colouring, sq.labels, artifacts)
             for entry in compared:
                 seen[entry, report.entry(entry).ok] += 1
     assert all(seen.values()), seen
