@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 from typing import Optional, Union
 
@@ -18,7 +19,7 @@ from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, complex_from_json, dump_canonical, dump_complex
 from .constructions import SphereQuad, _sphere_quad
 from .errors import ParseError
-from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key
+from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key, schrijver_graph
 from .homomorphisms import Homomorphism, homomorphism_from_json, homomorphism_to_json, verify_homomorphism
 from .symmetry import Involution, TwoColouring
 from .validation import AuditEntry, AuditReport, Violation
@@ -145,8 +146,9 @@ _REPS_MISS_AN_ORBIT = AuditReport(
 def _report_consistent(stored: list, rerun: AuditReport) -> AuditEntry:
     """The stored report is the trail of a passing build: every stored entry
     is an object with a string name and `"ok": true`, and the stored names
-    are the re-run names in order.  `walk-parity` is dropped from both lists,
-    since the build chose its own walk count."""
+    are the re-run names in order.  `walk-parity` is dropped from both lists:
+    bundles written when `build` could sample walks may store it, and
+    `verify` samples its own."""
     rerun_names = [e.name for e in rerun.entries if e.name != "walk-parity"]
     if not all(isinstance(e, dict) and isinstance(e.get("name"), str) and e.get("ok") is True for e in stored):
         detail = "a stored entry is malformed or records a failure"
@@ -157,6 +159,24 @@ def _report_consistent(stored: list, rerun: AuditReport) -> AuditEntry:
     return AuditEntry("report-consistent", False, (Violation(code="StoredReportMismatch", detail=detail),))
 
 
+def _is_schrijver_target(target: Graph, dim: int) -> bool:
+    """Whether a stored homomorphism's target is SG(n, k), the stable Kneser
+    graph that a Schrijver sphere of dimension `dim` = n - 2k maps into.  k
+    is the one length of the target's labels, which must be tuples of ints
+    with k >= 1.  The vertex count n/(n-k) * C(n-k, k) is compared before
+    SG(n, k) is built, so a tampered target cannot make the check build a
+    graph larger than itself."""
+    sizes = {len(v) if isinstance(v, tuple) and all(type(x) is int for x in v) else 0 for v in target.vertices}
+    k = sizes.pop() if len(sizes) == 1 else 0
+    n = dim + 2 * k
+    return (
+        k >= 1
+        and dim >= 0
+        and target.n == comb(n - k, k) + comb(n - k - 1, k - 1)
+        and target == schrijver_graph(n, k)
+    )
+
+
 def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple[AuditReport, dict]:
     """The one verdict on a stored bundle, read by `verify`, `chi` and
     `sphere_quad_from_bundle`.
@@ -164,7 +184,8 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
     Runs `verify_sphere_quadrangulation` with the labels of the stored orbit
     representatives and the stored graph as the expected graph, then
     `report-consistent` (see `_report_consistent`) and, for a stored
-    homomorphism, `homomorphism-valid` and `homomorphism-source-matches`.
+    homomorphism, `homomorphism-valid`, `homomorphism-source-matches` and
+    `homomorphism-target-matches` (see `_is_schrijver_target`).
     Returns the report and the sphere artifacts; when the representatives
     miss an orbit, one failing `orbit-reps-cover` entry and no artifacts.
     """
@@ -187,6 +208,9 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
         same = bundle.homomorphism.source == bundle.graph
         mismatch = Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json")
         extra.append(AuditEntry("homomorphism-source-matches", same, () if same else (mismatch,)))
+        sg = _is_schrijver_target(bundle.homomorphism.target, bundle.complex.dim)
+        not_sg = Violation(code="HomomorphismTargetMismatch", detail="target is not SG(dim + 2k, k), k its label length")
+        extra.append(AuditEntry("homomorphism-target-matches", sg, () if sg else (not_sg,)))
     return AuditReport(tuple(report.entries) + tuple(extra)), artifacts
 
 

@@ -90,8 +90,6 @@ def _build_parser() -> _Parser:
 
     def common(p: _Parser) -> None:
         p.add_argument("--out", required=True, help="bundle directory to write")
-        p.add_argument("--walks", type=_count, default=0, help="closed walks to sample during the build audit")
-        p.add_argument("--seed", type=int, default=0, help="seed for walk sampling")
 
     p = kinds.add_parser("odd-cycle", help="the doubled odd cycle (projective line)")
     p.add_argument("--k", type=int, required=True, help="half-length parameter; the quotient is a (2k+1)-cycle")
@@ -158,21 +156,21 @@ def _build_parser() -> _Parser:
 def _run_build(args: argparse.Namespace) -> int:
     hom = None
     if args.kind == "odd-cycle":
-        sq = odd_cycle_sphere(args.k, n_walks=args.walks, seed=args.seed)
+        sq = odd_cycle_sphere(args.k)
     elif args.kind == "cylinder":
         ball = cylinder_complete(args.r)
-        sq = double_to_sphere(ball, n_walks=args.walks, seed=args.seed)
+        sq = double_to_sphere(ball)
     elif args.kind == "suspend":
         src = sphere_quad_from_bundle(args.src)
-        sq = suspension(src, n_walks=args.walks, seed=args.seed)
+        sq = suspension(src)
     elif args.kind == "mycielski-lift":
         src = sphere_quad_from_bundle(args.src)
         ball = mycielski_lift(src, args.r)
-        sq = double_to_sphere(ball, n_walks=args.walks, seed=args.seed)
+        sq = double_to_sphere(ball)
     elif args.kind == "complete":
-        sq = complete_graph_pipeline(args.t, args.n, n_walks=args.walks, seed=args.seed)
+        sq = complete_graph_pipeline(args.t, args.n)
     elif args.kind == "schrijver":
-        sq, hom = schrijver_pipeline(args.n, args.k, n_walks=args.walks, seed=args.seed)
+        sq, hom = schrijver_pipeline(args.n, args.k)
     else:  # pragma: no cover - argparse enforces the choices
         raise BadParameters(args.kind)
     out = write_bundle(args.out, sq, homomorphism=hom)

@@ -2,7 +2,9 @@
 
 Every public constructor runs the full audit stack before returning and
 raises VerificationFailed if anything fails, so a value of type SphereQuad
-or BallQuad is always a checked object.
+or BallQuad is always a checked object.  No constructor samples closed
+walks: `walk-parity` is run by `verify_sphere_quadrangulation(..., n_walks=N)`,
+as `projquad verify` runs it on a stored bundle.
 """
 
 from __future__ import annotations
@@ -98,13 +100,9 @@ def _finish_sphere(
     labels: dict,
     *,
     expected_graph: Graph,
-    n_walks: int,
-    seed: int,
     what: str,
 ) -> SphereQuad:
-    report, artifacts = verify_sphere_quadrangulation(
-        complex, involution, colouring, labels=labels, expected_graph=expected_graph, n_walks=n_walks, seed=seed
-    )
+    report, artifacts = verify_sphere_quadrangulation(complex, involution, colouring, labels=labels, expected_graph=expected_graph)
     return _sphere_quad(complex, involution, colouring, report, artifacts, what)
 
 
@@ -164,7 +162,7 @@ def _cell_pairing_by_vertices(
 
 # ---- the one-dimensional base construction ----
 
-def odd_cycle_sphere(k: int, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
+def odd_cycle_sphere(k: int) -> SphereQuad:
     """The (4k+2)-gon circle with the antipodal flip and alternating colours.
 
     Its quotient is the (2k+1)-cycle on integer labels 0..2k.
@@ -195,8 +193,6 @@ def odd_cycle_sphere(k: int, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
         colouring,
         labels,
         expected_graph=cycle_graph(m),
-        n_walks=n_walks,
-        seed=seed,
         what=f"odd cycle k={k}",
     )
 
@@ -340,7 +336,7 @@ def cylinder_complete(r: int) -> BallQuad:
 
 # ---- doubling a ball into a sphere ----
 
-def double_to_sphere(ball: BallQuad, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
+def double_to_sphere(ball: BallQuad) -> SphereQuad:
     """Glue a mirrored copy onto the ball; the identified graph is unchanged.
 
     The checks of `double` are not repeated: the ball's audit has passed
@@ -361,8 +357,6 @@ def double_to_sphere(ball: BallQuad, *, n_walks: int = 0, seed: int = 0) -> Sphe
         colouring,
         labels,
         expected_graph=ball.graph,
-        n_walks=n_walks,
-        seed=seed,
         what="doubled ball",
     )
 
@@ -395,7 +389,7 @@ def _fresh_orbit_label(graph: Graph):
     return f"{base}-{idx}"
 
 
-def suspension(sq: SphereQuad, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
+def suspension(sq: SphereQuad) -> SphereQuad:
     """Join with two new poles (one per colour); the quotient graph gains a
     universal vertex under the next available label."""
     label = _fresh_orbit_label(sq.graph)
@@ -445,8 +439,6 @@ def suspension(sq: SphereQuad, *, n_walks: int = 0, seed: int = 0) -> SphereQuad
         colouring,
         labels,
         expected_graph=expected,
-        n_walks=n_walks,
-        seed=seed,
         what="suspension",
     )
 
@@ -547,19 +539,19 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
 
 # ---- pipelines ----
 
-def mycielski_tower(n: int, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
+def mycielski_tower(n: int) -> SphereQuad:
     """The iterated two-level construction: a verified quadrangulation whose
     identified graph is the canonical chromatic-number-n graph."""
     if n < 3:
         raise BadParameters("tower starts at n = 3")
-    sq = odd_cycle_sphere(2, n_walks=n_walks, seed=seed)
+    sq = odd_cycle_sphere(2)
     for _ in range(n - 3):
         ball = mycielski_lift(sq, 2)
-        sq = double_to_sphere(ball, n_walks=n_walks, seed=seed)
+        sq = double_to_sphere(ball)
     return sq
 
 
-def complete_graph_pipeline(t: int, n: int, *, n_walks: int = 0, seed: int = 0) -> SphereQuad:
+def complete_graph_pipeline(t: int, n: int) -> SphereQuad:
     """A verified quadrangulation whose identified graph is complete on t
     labels, living over dimension n."""
     if n < 1 or t < n + 2:
@@ -568,26 +560,26 @@ def complete_graph_pipeline(t: int, n: int, *, n_walks: int = 0, seed: int = 0) 
         raise UnsupportedParameters("t and n must have the same parity")
     d = t - n
     if d == 2:
-        sq = odd_cycle_sphere(1, n_walks=n_walks, seed=seed)
+        sq = odd_cycle_sphere(1)
         for _ in range(n - 1):
-            sq = double_to_sphere(mycielski_lift(sq, 1), n_walks=n_walks, seed=seed)
+            sq = double_to_sphere(mycielski_lift(sq, 1))
         return sq
     if n < 3:
         raise UnsupportedParameters(f"no construction for t - n = {d} below dimension 3")
-    sq = double_to_sphere(cylinder_complete(d // 2), n_walks=n_walks, seed=seed)
+    sq = double_to_sphere(cylinder_complete(d // 2))
     for _ in range(n - 3):
-        sq = suspension(sq, n_walks=n_walks, seed=seed)
+        sq = suspension(sq)
     return sq
 
 
-def schrijver_pipeline(n: int, k: int, *, n_walks: int = 0, seed: int = 0) -> tuple[SphereQuad, Homomorphism]:
+def schrijver_pipeline(n: int, k: int) -> tuple[SphereQuad, Homomorphism]:
     """The lift tower over the (2k+1)-cycle together with a verified
     homomorphism from its identified graph into the stable k-subsets of [n]."""
     if not (k >= 1 and n >= 2 * k + 1):
         raise BadParameters("needs n >= 2k + 1 and k >= 1")
-    sq = odd_cycle_sphere(k, n_walks=n_walks, seed=seed)
+    sq = odd_cycle_sphere(k)
     for _ in range(2 * k + 2, n + 1):
-        sq = double_to_sphere(mycielski_lift(sq, k), n_walks=n_walks, seed=seed)
+        sq = double_to_sphere(mycielski_lift(sq, k))
     hom = iterated_schrijver_homomorphism(n, k)
     report = verify_homomorphism(hom)
     if not report.ok:

@@ -10,13 +10,15 @@ from projquad import (
     verify_bundle,
     write_bundle,
 )
+from projquad.bundles import _is_schrijver_target
 from projquad.errors import ParseError, VerificationFailed
+from projquad.graphs import Graph, schrijver_graph
 
 EXPECTED_FILES = {"complex.json", "involution.json", "colouring.json", "graph.json", "report.json"}
 
 
 def test_write_and_load_round_trip(tmp_path):
-    sq = odd_cycle_sphere(2, n_walks=5)
+    sq = odd_cycle_sphere(2)
     out = write_bundle(tmp_path / "b", sq)
     assert {p.name for p in out.iterdir()} == EXPECTED_FILES
     bundle = load_bundle(out)
@@ -39,6 +41,23 @@ def test_bundle_with_homomorphism(tmp_path):
     assert "report-consistent" in names
 
 
+def test_only_the_stable_kneser_graph_of_the_dimension_is_a_target():
+    # A 2-sphere maps into SG(6, 2): k = 2 is the label length, n = 2 + 2k.
+    assert _is_schrijver_target(schrijver_graph(6, 2), 2)
+    others = [
+        schrijver_graph(6, 2).relabel(lambda v: tuple(reversed(v))),
+        schrijver_graph(7, 2),
+        Graph(),
+        Graph([(1, 3), (2, 4, 6)]),
+        Graph([((1,), (3,)), ((2,), (4,))]),
+        Graph(["13", "24"]),
+        Graph([tuple(range(1, 2000, 2))]),  # n = 2002, k = 1000: refused by the count
+    ]
+    assert not any(_is_schrijver_target(g, 2) for g in others)
+    assert not _is_schrijver_target(schrijver_graph(6, 2), 3)
+    assert not _is_schrijver_target(schrijver_graph(6, 2), -1)
+
+
 def test_verify_bundle_passes(tmp_path):
     sq = odd_cycle_sphere(3)
     out = write_bundle(tmp_path / "c7", sq)
@@ -47,6 +66,22 @@ def test_verify_bundle_passes(tmp_path):
     assert (artifacts["labels"], artifacts["graph"], artifacts["quotient"]) == (sq.labels, sq.graph, sq.quotient)
     walk_entry = report.entry("walk-parity")
     assert walk_entry is not None and walk_entry.ok
+
+
+def test_a_stored_walk_parity_entry_is_still_consistent(tmp_path):
+    # Bundles built when `build --walks N` existed store a passing
+    # `walk-parity` entry after `graph-matches-expected`; `verify` samples
+    # its own walks, so the stored one is left out of the comparison.
+    out = write_bundle(tmp_path / "old", odd_cycle_sphere(2))
+    path = out / "report.json"
+    stored = json.loads(path.read_text())
+    assert "walk-parity" not in [e["name"] for e in stored]
+    stored.append({"info": {"sampled": 40}, "name": "walk-parity", "ok": True})
+    path.write_text(json.dumps(stored))
+    for n_walks in (0, 10):
+        report, _ = verify_bundle(load_bundle(out), n_walks=n_walks)
+        assert report.ok, report.failing()
+        assert report.entry("report-consistent").ok
 
 
 def test_verify_bundle_detects_tampered_colouring(tmp_path):
@@ -105,8 +140,8 @@ def test_sphere_quad_from_bundle_rejects_tampered(tmp_path):
 
 
 def test_repeat_builds_byte_identical(tmp_path):
-    a = write_bundle(tmp_path / "a", odd_cycle_sphere(2, n_walks=40, seed=9))
-    b = write_bundle(tmp_path / "b", odd_cycle_sphere(2, n_walks=40, seed=9))
+    a = write_bundle(tmp_path / "a", odd_cycle_sphere(2))
+    b = write_bundle(tmp_path / "b", odd_cycle_sphere(2))
     for name in EXPECTED_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 

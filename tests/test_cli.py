@@ -1,13 +1,16 @@
 import json
 import random
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from projquad.bundles import load_bundle, verify_bundle
-from projquad.cli import main
+from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
 from projquad.errors import ProjquadError
-from projquad.graphs import graph_from_json
+from projquad.graphs import Graph, graph_from_json
 
 
 def run(capsys, *argv):
@@ -166,7 +169,6 @@ def test_usage_errors(capsys):
 
 COUNT_ARGS = [
     ("verify", "BUNDLE", "--walks", "-3"),
-    ("build", "odd-cycle", "--k", "2", "--out", "NEW", "--walks", "-2"),
     ("chi", "BUNDLE", "--max-nodes", "-1"),
     ("chi", "GRAPH", "--max-nodes", "-1"),
     ("chi", "GRAPH", "--budget-ms", "-5"),
@@ -188,9 +190,54 @@ def test_a_count_that_is_negative_or_no_integer_is_a_usage_error(tmp_path, capsy
 
 def test_a_zero_count_is_valid(tmp_path, capsys):
     bundle = tmp_path / "c5"
-    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(bundle), "--walks", "0")[0] == 0
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(bundle))[0] == 0
     assert run(capsys, "verify", str(bundle), "--walks", "0")[0] == 0
     assert run(capsys, "chi", str(bundle), "--max-nodes", "0", "--budget-ms", "0")[0] == 0
+
+
+BUILD_KINDS = [
+    ("odd-cycle", "--k", "2"),
+    ("cylinder", "--r", "1"),
+    ("suspend", "--src", "BUNDLE"),
+    ("mycielski-lift", "--src", "BUNDLE", "--r", "2"),
+    ("complete", "--t", "4", "--n", "2"),
+    ("schrijver", "--n", "6", "--k", "2"),
+]
+
+
+@pytest.mark.parametrize("option", ["--walks 2", "--seed 1"])
+@pytest.mark.parametrize("kind", BUILD_KINDS, ids=[k[0] for k in BUILD_KINDS])
+def test_build_takes_no_walk_options(tmp_path, capsys, kind, option):
+    # Walks are sampled by `verify` alone: `build` neither lists nor accepts
+    # the options, and writes nothing when given one.
+    bundle = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(bundle))[0] == 0
+    argv = ["build", *(str(bundle) if a == "BUNDLE" else a for a in kind), "--out", str(tmp_path / "new")]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--help"])
+    assert e.value.code == 0
+    assert option.split()[0] not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as e:
+        main(argv + option.split())
+    assert e.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argvs of the `projquad ...` lines in the README's sh blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines() if line.startswith("projquad ")]
+
+
+def test_readme_commands_parse():
+    # An option removed from the CLI must not be left behind in the docs.
+    commands = _readme_commands()
+    assert len(commands) == 12
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_bad_parameters_exit(tmp_path, capsys):
@@ -378,6 +425,38 @@ def _repeat_a_facet_of_an_upper_partner(obj):
     cell["facets"].append(cell["facets"][0])
 
 
+def _target_edge_unused_by_the_map(obj) -> int:
+    """The index in a homomorphism JSON of the first target edge that is no
+    source edge's image."""
+    image = {json.dumps(u): json.dumps(v) for u, v in obj["pairs"]}
+    used = {frozenset(image[json.dumps(x)] for x in edge) for edge in obj["source"]["edges"]}
+    return next(i for i, edge in enumerate(obj["target"]["edges"]) if frozenset(map(json.dumps, edge)) not in used)
+
+
+def _delete_an_unused_target_edge(obj):
+    del obj["target"]["edges"][_target_edge_unused_by_the_map(obj)]
+
+
+def _move_a_target_edge_onto_intersecting_subsets(obj):
+    obj["target"]["edges"][_target_edge_unused_by_the_map(obj)] = [[1, 3], [1, 4]]
+
+
+def _rename_a_target_vertex(obj, new):
+    # every occurrence, so that the map stays a homomorphism into the target
+    old = obj["target"]["vertices"][0]
+    obj["target"]["vertices"][0] = new
+    obj["target"]["edges"] = [[new if x == old else x for x in edge] for edge in obj["target"]["edges"]]
+    obj["pairs"] = [[u, new if v == old else v] for u, v in obj["pairs"]]
+
+
+def _relabel_a_target_vertex(obj):
+    _rename_a_target_vertex(obj, [1, 2])  # adjacent, so not stable
+
+
+def _give_a_target_label_another_size(obj):
+    _rename_a_target_vertex(obj, obj["target"]["vertices"][0] + [6])
+
+
 def _tamper(path, change):
     obj = json.loads(path.read_text())
     change(obj)
@@ -388,6 +467,7 @@ def _tamper(path, change):
 SOURCES = {
     "c5": [("odd-cycle", "--k", "2")],
     "tower-4": [("odd-cycle", "--k", "2"), ("mycielski-lift", "--r", "2")],
+    "schrijver-6-2": [("schrijver", "--n", "6", "--k", "2")],
 }
 
 
@@ -452,6 +532,14 @@ TAMPERS = [
     ("tower-4", "complex.json", _repeat_a_facet_of_an_upper_partner, "chi", 0, "complex-valid"),
     ("c5", "involution.json", _pair_the_ends_of_an_edge, "verify", 2, "antipodal-free"),
     ("c5", "involution.json", _pair_the_ends_of_an_edge, "chi", 0, "antipodal-free"),
+    ("schrijver-6-2", "homomorphism.json", _delete_an_unused_target_edge, "verify", 2, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _delete_an_unused_target_edge, "chi", 0, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _move_a_target_edge_onto_intersecting_subsets, "verify", 2, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _move_a_target_edge_onto_intersecting_subsets, "chi", 0, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _relabel_a_target_vertex, "verify", 2, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _relabel_a_target_vertex, "chi", 0, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _give_a_target_label_another_size, "verify", 2, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _give_a_target_label_another_size, "chi", 0, "homomorphism-target-matches"),
 ]
 
 
@@ -555,15 +643,31 @@ def _mutate(obj, path, rng: random.Random) -> str:
     return f"{kind} {list(path)} -> {parent[key]!r}"
 
 
-def _quotient_lemma_holds(bundle_dir) -> bool:
+def _quotient_spans_the_identified_graph(artifacts) -> bool:
+    """The comparison that `identification-commutes` replaced: the graph of
+    the selected quotient 1-cells, each quotient vertex labelled as its
+    orbit's smaller member, is the identified graph."""
+    q, to_orbit = artifacts["quotient"], artifacts["projection"][0]
+    spanned = Graph(range(q.n_vertices), [q.cell(1, e).vertices for e in artifacts["selected_quotient_cells"]])
+    label_of = {}
+    for v in sorted(to_orbit):
+        label_of.setdefault(to_orbit[v], artifacts["labels"][v])
+    return spanned.relabel(label_of) == artifacts["graph"]
+
+
+def _quotient_lemmas_hold(bundle_dir) -> bool:
     """`quotient-valid` passes only on a quotient that `Complex.validate`
-    accepts; the entry's lemma is checked against the validation it replaces."""
+    accepts, and `identification-commutes` only where the quotient's
+    selected 1-cells span the identified graph; each lemma is checked
+    against the check it replaces."""
     try:
         report, artifacts = verify_bundle(load_bundle(bundle_dir), n_walks=0)
     except ProjquadError:  # the CLI's exit code for it is judged separately
         return True
-    entry = report.entry("quotient-valid")
-    return entry is None or not entry.ok or artifacts["quotient"].validate().ok
+    valid, commutes = report.entry("quotient-valid"), report.entry("identification-commutes")
+    return (valid is None or not valid.ok or artifacts["quotient"].validate().ok) and (
+        commutes is None or not commutes.ok or _quotient_spans_the_identified_graph(artifacts)
+    )
 
 
 def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int) -> None:
@@ -573,8 +677,8 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
     No mutant may crash `verify`, `chi` or `homology`, and wherever `chi`
     claims a topological proof, the exact search on the mutant's own
     graph.json, with no bound, must give the same chromatic number.  Where
-    `quotient-valid` passes by its lemma, the quotient must pass
-    `Complex.validate`.
+    `quotient-valid` or `identification-commutes` passes by its lemma, the
+    check it replaces must pass (see `_quotient_lemmas_hold`).
     """
     out = _build(tmp_path, capsys, builds)
     files = {p.name: json.loads(p.read_text()) for p in sorted(out.iterdir())}
@@ -586,8 +690,8 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
         paths = list(_nodes(mutated))
         what = f"{name}: " + _mutate(mutated, rng.choice(paths), rng)
         (out / name).write_text(json.dumps(mutated))
-        if not _quotient_lemma_holds(out):
-            failures.append(f"quotient-valid passes after {what}, but the quotient fails validate()")
+        if not _quotient_lemmas_hold(out):
+            failures.append(f"a quotient lemma passes after {what}, but the check it replaces fails")
         for argv in (["verify", str(out), "--walks", "20"], ["chi", str(out)], ["homology", str(out)]):
             try:
                 code = main(argv)

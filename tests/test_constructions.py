@@ -17,13 +17,26 @@ from projquad import (
     schrijver_pipeline,
     suspension,
     verify_homomorphism,
+    verify_sphere_quadrangulation,
 )
 from projquad import constructions
 from projquad.errors import BadParameters, UnsupportedParameters
 
 
+def _walk_parity(sq, n_walks: int):
+    """The `walk-parity` entry of a re-audit of the built sphere that samples
+    `n_walks` closed walks (the constructors sample none)."""
+    report, _ = verify_sphere_quadrangulation(
+        sq.complex, sq.involution, sq.colouring, labels=sq.labels, expected_graph=sq.graph, n_walks=n_walks
+    )
+    assert report.ok, report.failing()
+    return report.entry("walk-parity")
+
+
 def test_odd_cycle_sphere_structure():
-    sq = odd_cycle_sphere(2, n_walks=25)
+    sq = odd_cycle_sphere(2)
+    assert sq.report.entry("walk-parity") is None
+    assert _walk_parity(sq, 25).info == {"sampled": 25}
     assert sq.complex.n_vertices == 10
     assert sq.complex.n_cells(1) == 10
     assert sq.report.ok
@@ -56,7 +69,8 @@ def test_cylinder_rejects_bad_r():
 
 
 def test_cylinder_doubles_to_complete_sphere():
-    sq = double_to_sphere(cylinder_complete(2), n_walks=25)
+    sq = double_to_sphere(cylinder_complete(2))
+    assert _walk_parity(sq, 25).info == {"sampled": 25}
     assert sq.graph == complete_graph(7)
     assert all_betti_z2(sq.complex) == (1, 0, 0, 1)
     assert all_betti_z2(sq.quotient) == (1, 1, 1, 1)
@@ -125,7 +139,8 @@ def test_complete_pipeline_minimal_route():
 
 
 def test_complete_pipeline_cylinder_route():
-    sq = complete_graph_pipeline(9, 5, n_walks=10)
+    sq = complete_graph_pipeline(9, 5)
+    assert _walk_parity(sq, 10).info == {"sampled": 10}
     assert sq.graph == complete_graph(9)
     assert sq.complex.dim == 5
 

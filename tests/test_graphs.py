@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -54,6 +55,22 @@ def test_kneser_and_schrijver():
     big = kneser_graph(6, 2)
     assert big.n == comb(6, 2)
     assert sg62.m == sum(1 for (u, w) in big.edges() if u in sg62 and w in sg62)
+
+
+def test_schrijver_vertices_are_the_stable_subsets_in_lexicographic_order():
+    # The definition, filtered from all k-subsets, is the oracle of the
+    # enumeration that builds only the subsets with gaps of at least 2; the
+    # vertex count is n/(n-k) * C(n-k, k).
+    for n in range(2, 15):
+        for k in range(1, n // 2 + 1):
+            stable = [
+                s for s in combinations(range(1, n + 1), k) if all(i % n + 1 not in s for i in s)
+            ]
+            sg = schrijver_graph(n, k)
+            assert list(sg.vertices) == stable, (n, k)
+            assert sg.n == comb(n - k, k) + comb(n - k - 1, k - 1), (n, k)
+    # SG(61, 30) has 61 vertices among C(61, 30) ~ 2.3e17 subsets
+    assert schrijver_graph(61, 30).n == 61
 
 
 def test_mycielskian_counts_and_structure():
