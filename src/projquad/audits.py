@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from math import sqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complexes import Complex
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
@@ -12,7 +12,6 @@ from .graphs import Graph, box_membership
 from .homology import HomologyCalculator, edge_chain
 from .symmetry import (
     Involution,
-    InvolutionReport,
     TwoColouring,
     _quotient_refusal,
     antipodal_free_cells,
@@ -29,13 +28,15 @@ from .symmetry import (
 from .validation import AuditCollector, AuditReport, ValidationReport, Violation
 
 UNIT_TOL = 1e-9
+_GRAPH_DIFFERS = "identified graph differs from the expected labelled graph"
 
 
 # ---- homology-flavoured structural checks ----
 
 def boundary_operator_audit(calc: HomologyCalculator) -> ValidationReport:
     """The composite of consecutive boundary operators of `calc.complex`
-    vanishes mod 2; the calculator keeps each verdict for its clearing guard."""
+    vanishes mod 2; the verdicts are those the calculator's one reduction
+    computed for its clearing guard."""
     violations = []
     for p in range(2, calc.complex.dim + 1):
         if not calc.squares_to_zero(p):
@@ -231,7 +232,8 @@ def sample_closed_walks(
     seed: int = 0,
 ) -> list[list[int]]:
     """Deterministic random closed walks along the selected 1-cells; a walk
-    that has not closed after 4 * n_vertices + 8 steps is dropped."""
+    that has not closed after 4 * n_vertices + 8 steps is dropped, and there
+    are none when no 1-cell is selected."""
     rng = random.Random(seed)
     max_len = 4 * complex.n_vertices + 8
     incident: dict[int, list[tuple[int, int]]] = {}
@@ -242,7 +244,7 @@ def sample_closed_walks(
     starts = sorted(incident)
     walks: list[list[int]] = []
     attempts = 0
-    while len(walks) < count and attempts < 50 * count:
+    while starts and len(walks) < count and attempts < 50 * count:
         attempts += 1
         start = rng.choice(starts)
         cur = start
@@ -360,20 +362,24 @@ def _antipodal_free(complex: Complex, involution: Involution) -> ValidationRepor
     return ValidationReport()
 
 
-def _audit_shared(
-    audit: AuditCollector,
-    artifacts: dict,
+def _audit(
     complex: Complex,
     involution: Involution,
     colouring: TwoColouring,
     labels: dict[int, object],
-    shape: Callable[[HomologyCalculator, Optional[dict[int, set[int]]]], object],
-) -> Optional[tuple[Graph, frozenset[int], InvolutionReport, ValidationReport, ValidationReport, bool, bool]]:
-    """The audits a coloured sphere and a coloured ball share, up to the
-    identified graph; `shape` adds the sphere or ball recognition entries
-    and reads the calculator that `boundary-operator` filled.  For a
+    expected_graph: Graph,
+    ball: Optional[BoundaryStructure],
+    seed: int = 0,
+    n_walks: int = 0,
+) -> tuple[AuditReport, dict]:
+    """The audit stack of a coloured sphere (`ball` None) or of a coloured
+    ball with its stated boundary structure.  The two share every entry up
+    to `graph-identification`, except the shape entries: `sphere`, or
+    `ball` and `boundary-matches`.  A ball's audit ends with
+    `graph-matches-expected` after the identification.  For a
     boundary-scope involution, `boundary_cells` runs once, and its result
-    goes to `validate_involution` and to `shape` (None otherwise).
+    goes to `validate_involution` and to the ball entries; a ball whose
+    involution has another scope finds its boundary for the ball entries.
 
     `complex-valid` is `complex.validate()`.  On a complex from
     `ComplexBuilder.build` that report was handed over by the builder
@@ -412,11 +418,11 @@ def _audit_shared(
     cells, and `NotCompleteBipartite` cannot occur; `quadrangulation_check`
     is the check it replaces and stays its test oracle.
 
-    Returns the identified labelled graph, the selected (bichromatic)
-    1-cells, the involution-valid, antipodal-free and colouring-proper
-    reports and the colouring-antisymmetric and labels-on-orbits verdicts,
-    or None when a gate or the identification stops the audit.
+    The sphere's lemmas after the identification are proved in the
+    docstring of `verify_sphere_quadrangulation`.
     """
+    audit = AuditCollector()
+    artifacts: dict = {"labels": labels}
     early = validate_involution(complex, involution) if involution.scope == "full" else None
     if early is not None and early.ok:
         complex._validate_by_pairs(involution.cell_pairing)
@@ -437,12 +443,22 @@ def _audit_shared(
         proper = proper_on_maximal(complex, colouring)
         audit.add("colouring-proper", proper)
     if not (involution_ok and total):
-        return None
+        return audit.done(), artifacts
     antisymmetric = audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
 
     calc = HomologyCalculator(complex)
     audit.add("boundary-operator", boundary_operator_audit(calc))
-    shape(calc, bcells)
+    if ball is None:
+        audit.add("sphere", sphere_check(calc))
+    else:
+        if bcells is None:  # the involution is not boundary-scope
+            bcells = boundary_cells(complex)
+        audit.add("ball", ball_check(calc, boundary=bcells))
+        matches = all(
+            set(bcells.get(d, set())) == set(ball.cells.get(d, frozenset()))
+            for d in set(bcells) | set(ball.cells)
+        )
+        audit.add_flag("boundary-matches", matches, "stated boundary differs from the free-ridge closure")
     selected = bichromatic_edge_cells(complex, colouring)
     audit.add("parity", parity_audit(complex, selected))
     audit.add("quadrangulation", _no_edges((v.cell_dim, v.cell_id) for v in proper.violations))
@@ -454,18 +470,58 @@ def _audit_shared(
         identified, _ = identify_antipodes(associated_graph(complex, colouring), involution.vertex_pairing)
     except LoopCreated as exc:  # a bichromatic cell joins a pair
         audit.add_flag("graph-identification", False, f"{type(exc).__name__}: {exc}")
-        return None
+        return audit.done(), artifacts
     graph = identified.relabel({r: labels[r] for r in identified.vertices})
     artifacts["graph"] = graph
-    return graph, selected, judged, antipodal, proper, antisymmetric, orbit_ok
+    if ball is not None:
+        audit.add_flag("graph-matches-expected", graph == expected_graph, _GRAPH_DIFFERS)
+        return audit.done(), artifacts
 
+    if antipodal.ok and orbit_ok:
+        monochromatic = ((v.cell_dim, v.cell_id) for v in proper.violations)
+        audit.add("box-map", _box_map_violations(complex, colouring, graph, labels, monochromatic))
+    else:
+        audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels))
 
-def _matches_expected(audit: AuditCollector, graph: Graph, expected_graph: Graph) -> None:
-    audit.add_flag(
-        "graph-matches-expected",
-        graph == expected_graph,
-        "identified graph differs from the expected labelled graph",
-    )
+    refusal = _quotient_refusal(involution, antipodal)
+    if refusal is not None:
+        audit.add_flag("quotient", False, f"{type(refusal).__name__}: {refusal}")
+        return audit.done(), artifacts
+    q, projection = judged.quotient
+    artifacts["quotient"] = q
+    artifacts["projection"] = projection
+    audit.add("quotient-valid", ValidationReport())
+    n = complex.dim
+    qcalc = HomologyCalculator(q)
+    qb = qcalc.all_betti()
+    audit.add_flag("quotient-homology", qb == (1,) * (n + 1), f"betti {qb}, expected {(1,) * (n + 1)}")
+
+    selected_q = frozenset(projection[1][e] for e in selected)
+    artifacts["selected_quotient_cells"] = selected_q
+    audit.add("identification-commutes", ValidationReport())
+
+    audit.add("quotient-parity", parity_audit(q, selected_q))
+    if antisymmetric:
+        images = {(v.cell_dim, projection[v.cell_dim][v.cell_id]) for v in proper.violations}
+        audit.add("quotient-quadrangulation", _no_edges(images))
+    else:
+        audit.add("quotient-quadrangulation", quadrangulation_check(q, selected_q))
+    audit.add_flag("graph-matches-expected", graph == expected_graph, _GRAPH_DIFFERS)
+
+    if n_walks > 0:
+        walks = sample_closed_walks(q, selected_q, n_walks, seed=seed)
+        bad = 0
+        for walk in walks:
+            res = cycle_parity_vs_homology(q, walk, selected_q, calculator=qcalc)
+            if not (res["consistent"] and res["selected"]):
+                bad += 1
+        audit.add_flag(
+            "walk-parity",
+            bad == 0 and len(walks) == n_walks,
+            f"{bad} inconsistent walks of {len(walks)} sampled",
+            sampled=len(walks),
+        )
+    return audit.done(), artifacts
 
 
 def verify_sphere_quadrangulation(
@@ -514,7 +570,7 @@ def verify_sphere_quadrangulation(
     lift in the cell is bichromatic, since e and its antipode are both
     bichromatic or both not.  So the entry is one `NoEdge` at each quotient
     maximal cell that is the image of a monochromatic sphere cell, as for
-    `quadrangulation` (see `_audit_shared`).  Without antisymmetry the
+    `quadrangulation` (see `_audit`).  Without antisymmetry the
     selection need not lift, and `quadrangulation_check` runs on the
     quotient.
 
@@ -533,60 +589,7 @@ def verify_sphere_quadrangulation(
     of `verify_z2_map_to_box`; without those hypotheses that function gives
     the entry.
     """
-    audit = AuditCollector()
-    artifacts: dict = {"labels": labels}
-    shared = _audit_shared(
-        audit, artifacts, complex, involution, colouring, labels,
-        lambda calc, _: audit.add("sphere", sphere_check(calc)),
-    )
-    if shared is None:
-        return audit.done(), artifacts
-    graph, selected_up, judged, antipodal, proper, antisymmetric, orbit_ok = shared
-    if antipodal.ok and orbit_ok:
-        monochromatic = ((v.cell_dim, v.cell_id) for v in proper.violations)
-        audit.add("box-map", _box_map_violations(complex, colouring, graph, labels, monochromatic))
-    else:
-        audit.add("box-map", verify_z2_map_to_box(complex, colouring, graph, labels))
-
-    refusal = _quotient_refusal(involution, antipodal)
-    if refusal is not None:
-        audit.add_flag("quotient", False, f"{type(refusal).__name__}: {refusal}")
-        return audit.done(), artifacts
-    q, projection = judged.quotient
-    artifacts["quotient"] = q
-    artifacts["projection"] = projection
-    audit.add("quotient-valid", ValidationReport())
-    n = complex.dim
-    qcalc = HomologyCalculator(q)
-    qb = qcalc.all_betti()
-    audit.add_flag("quotient-homology", qb == (1,) * (n + 1), f"betti {qb}, expected {(1,) * (n + 1)}")
-
-    selected_q = frozenset(projection[1][e] for e in selected_up)
-    artifacts["selected_quotient_cells"] = selected_q
-    audit.add("identification-commutes", ValidationReport())
-
-    audit.add("quotient-parity", parity_audit(q, selected_q))
-    if antisymmetric:
-        images = {(v.cell_dim, projection[v.cell_dim][v.cell_id]) for v in proper.violations}
-        audit.add("quotient-quadrangulation", _no_edges(images))
-    else:
-        audit.add("quotient-quadrangulation", quadrangulation_check(q, selected_q))
-    _matches_expected(audit, graph, expected_graph)
-
-    if n_walks > 0:
-        walks = sample_closed_walks(q, selected_q, n_walks, seed=seed)
-        bad = 0
-        for walk in walks:
-            res = cycle_parity_vs_homology(q, walk, selected_q, calculator=qcalc)
-            if not (res["consistent"] and res["selected"]):
-                bad += 1
-        audit.add_flag(
-            "walk-parity",
-            bad == 0 and len(walks) == n_walks,
-            f"{bad} inconsistent walks of {len(walks)} sampled",
-            sampled=len(walks),
-        )
-    return audit.done(), artifacts
+    return _audit(complex, involution, colouring, labels, expected_graph, None, seed, n_walks)
 
 
 def verify_ball_quadrangulation(
@@ -598,21 +601,4 @@ def verify_ball_quadrangulation(
     expected_graph: Graph,
 ) -> tuple[AuditReport, dict]:
     """Audit a coloured ball whose boundary carries a free involution."""
-    audit = AuditCollector()
-    artifacts: dict = {}
-    involution = boundary.involution
-
-    def shape(calc: HomologyCalculator, bcells: Optional[dict[int, set[int]]]) -> None:
-        if bcells is None:  # the involution is not boundary-scope
-            bcells = boundary_cells(ball)
-        audit.add("ball", ball_check(calc, boundary=bcells))
-        matches = all(
-            set(bcells.get(d, set())) == set(boundary.cells.get(d, frozenset()))
-            for d in set(bcells) | set(boundary.cells)
-        )
-        audit.add_flag("boundary-matches", matches, "stated boundary differs from the free-ridge closure")
-
-    shared = _audit_shared(audit, artifacts, ball, involution, colouring, labels, shape)
-    if shared is not None:
-        _matches_expected(audit, shared[0], expected_graph)
-    return audit.done(), artifacts
+    return _audit(ball, boundary.involution, colouring, labels, expected_graph, boundary)

@@ -177,6 +177,28 @@ def _is_schrijver_target(target: Graph, dim: int) -> bool:
     )
 
 
+def homomorphism_entries(bundle: Bundle) -> tuple[AuditEntry, ...]:
+    """The entries that judge a bundle's stored homomorphism, none without
+    one: `homomorphism-valid` (it is a homomorphism),
+    `homomorphism-source-matches` (its source is the stored graph) and
+    `homomorphism-target-matches` (its target is SG(dim + 2k, k), see
+    `_is_schrijver_target`).  `verify_bundle` and `hom-check` on a bundle
+    directory both read them."""
+    hom = bundle.homomorphism
+    if hom is None:
+        return ()
+    hom_report = verify_homomorphism(hom)
+    same = hom.source == bundle.graph
+    mismatch = Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json")
+    sg = _is_schrijver_target(hom.target, bundle.complex.dim)
+    not_sg = Violation(code="HomomorphismTargetMismatch", detail="target is not SG(dim + 2k, k), k its label length")
+    return (
+        AuditEntry("homomorphism-valid", hom_report.ok, hom_report.violations),
+        AuditEntry("homomorphism-source-matches", same, () if same else (mismatch,)),
+        AuditEntry("homomorphism-target-matches", sg, () if sg else (not_sg,)),
+    )
+
+
 def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple[AuditReport, dict]:
     """The one verdict on a stored bundle, read by `verify`, `chi` and
     `sphere_quad_from_bundle`.
@@ -184,8 +206,7 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
     Runs `verify_sphere_quadrangulation` with the labels of the stored orbit
     representatives and the stored graph as the expected graph, then
     `report-consistent` (see `_report_consistent`) and, for a stored
-    homomorphism, `homomorphism-valid`, `homomorphism-source-matches` and
-    `homomorphism-target-matches` (see `_is_schrijver_target`).
+    homomorphism, the `homomorphism_entries`.
     Returns the report and the sphere artifacts; when the representatives
     miss an orbit, one failing `orbit-reps-cover` entry and no artifacts.
     """
@@ -201,17 +222,8 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
         n_walks=n_walks,
         seed=seed,
     )
-    extra = [_report_consistent(bundle.report, report)]
-    if bundle.homomorphism is not None:
-        hom_report = verify_homomorphism(bundle.homomorphism)
-        extra.append(AuditEntry("homomorphism-valid", hom_report.ok, hom_report.violations))
-        same = bundle.homomorphism.source == bundle.graph
-        mismatch = Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json")
-        extra.append(AuditEntry("homomorphism-source-matches", same, () if same else (mismatch,)))
-        sg = _is_schrijver_target(bundle.homomorphism.target, bundle.complex.dim)
-        not_sg = Violation(code="HomomorphismTargetMismatch", detail="target is not SG(dim + 2k, k), k its label length")
-        extra.append(AuditEntry("homomorphism-target-matches", sg, () if sg else (not_sg,)))
-    return AuditReport(tuple(report.entries) + tuple(extra)), artifacts
+    consistent = _report_consistent(bundle.report, report)
+    return AuditReport((*report.entries, consistent, *homomorphism_entries(bundle))), artifacts
 
 
 def sphere_quad_from_bundle(path: PathLike) -> SphereQuad:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bundles import _read_json, load_bundle, sphere_quad_from_bundle, verify_bundle, write_bundle
+from .bundles import _read_json, homomorphism_entries, load_bundle, sphere_quad_from_bundle, verify_bundle, write_bundle
 from .coloring import chromatic_number
 from .complexes import complex_from_json, dump_canonical
 from .constructions import (
@@ -142,7 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("path", help="bundle directory or complex JSON file")
     p.add_argument("--dim", type=int, default=None)
 
-    p = sub.add_parser("hom-check", help="verify a stored graph homomorphism")
+    p = sub.add_parser("hom-check", help="verify a stored graph homomorphism (in a bundle, also its source and target)")
     p.add_argument("path", help="bundle directory or homomorphism JSON file")
 
     p = sub.add_parser("export", help="export a graph")
@@ -234,11 +234,16 @@ def _run_homology(args: argparse.Namespace) -> int:
 def _run_hom_check(args: argparse.Namespace) -> int:
     path = Path(args.path)
     if path.is_dir():
-        path = path / "homomorphism.json"
-    hom = homomorphism_from_json(_read_json(path))
-    report = verify_homomorphism(hom)
-    _emit({"ok": report.ok, "violations": report.to_json()})
-    return 0 if report.ok else VIOLATION_EXIT
+        bundle = load_bundle(path)
+        if bundle.homomorphism is None:
+            raise ParseError(f"{path} holds no homomorphism.json")
+        entries = homomorphism_entries(bundle)
+        ok, violations = all(e.ok for e in entries), [v.to_json() for e in entries for v in e.violations]
+    else:
+        report = verify_homomorphism(homomorphism_from_json(_read_json(path)))
+        ok, violations = report.ok, report.to_json()
+    _emit({"ok": ok, "violations": violations})
+    return 0 if ok else VIOLATION_EXIT
 
 
 def _run_export(args: argparse.Namespace) -> int:

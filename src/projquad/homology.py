@@ -87,78 +87,67 @@ def boundary_of(complex: Complex, chain: ChainZ2) -> ChainZ2:
 
 
 class HomologyCalculator:
-    """Caches the d o d = 0 verdicts, cleared facet-row matrices, pivot keys
-    and solvers for one complex.
+    """Ranks, d o d = 0 verdicts and boundary solvers of one complex.
 
-    Ranks are computed from the top dimension down.  Before the rows of d_p
-    are reduced, the row of every p-cell that is a pivot key of the reduced
-    d_{p+1} is set to zero (see the module docstring for why the rank does
-    not change).  The lemma needs d_p o d_{p+1} = 0, which a valid complex
-    need not satisfy (two faces of one 3-cell may name parallel 1-cells), so
-    dimension p is cleared only after `squares_to_zero(p + 1)` holds; when it
-    fails every row is reduced.  Ranks thus equal the plain ranks on every
-    input.  A cleared row keeps its index and never becomes a pivot, so
-    `solver(p)` on the cleared matrix still answers with bitmasks over the
-    original p-cell ids.
+    `_reduce` runs on first use, from the top dimension down.  For each p it
+    checks d_{p-1} o d_p = 0 on the unreduced facet rows of the (p-1)-cells,
+    sets to zero the rows of the p-cells that are pivot keys of the reduced
+    d_{p+1} (see the module docstring for why the rank does not change), and
+    eliminates once.  The lemma needs d_p o d_{p+1} = 0, which a valid
+    complex need not satisfy (two faces of one 3-cell may name parallel
+    1-cells), so dimension p is cleared only when `squares_to_zero(p + 1)`
+    holds; when it fails every row is reduced.  Ranks thus equal the plain
+    ranks on every input.  A cleared row keeps its index and never becomes a
+    pivot, so `solver(p)` on the cleared matrix still answers with bitmasks
+    over the original p-cell ids.
     """
 
     def __init__(self, complex: Complex) -> None:
         self.complex = complex
-        self._raw_rows: dict[int, list[int]] = {}
         self._square_zero: dict[int, bool] = {}
         self._rows: dict[int, BitMatrix] = {}
-        self._pivot_keys: dict[int, list[int]] = {}
+        self._ranks: Optional[dict[int, int]] = None
         self._solvers: dict[int, Gf2Solver] = {}
 
-    def squares_to_zero(self, p: int) -> bool:
-        """Whether d_{p-1} o d_p = 0 (true outside 2..dim), computed once
-        per p; the boundary-operator audit and the clearing of dimension
-        p - 1 both read it."""
-        if p not in self._square_zero:
-            self._square_zero[p] = not 2 <= p <= self.complex.dim or _squares_to_zero(
-                self.complex.cells_of(p), self._unreduced_rows(p - 1)
-            )
-        return self._square_zero[p]
-
-    def _unreduced_rows(self, p: int) -> list[int]:
-        """The facet rows of the p-cells, kept until `_facet_matrix(p)` takes them."""
-        if p not in self._raw_rows:
-            self._raw_rows[p] = _facet_rows(self.complex, p)
-        return self._raw_rows[p]
-
-    def _facet_matrix(self, p: int) -> BitMatrix:
-        """Rows = p-cells, columns = (p-1)-cells (transpose of boundary_matrix),
-        with the rows cleared by the pivots of d_{p+1} set to zero."""
-        if p not in self._rows:
-            dim = self.complex.dim
-            if 1 <= p <= dim:
-                clear = self.squares_to_zero(p + 1)  # reads the rows before they are cleared
-                rows = self._unreduced_rows(p)
-                del self._raw_rows[p]
-                if clear:
-                    for c in self._pivots(p + 1):
+    def _reduce(self) -> dict[int, int]:
+        """The rank of d_p for p = dim..1; fills the d o d = 0 verdicts and
+        the cleared facet-row matrices on the way, once per calculator."""
+        if self._ranks is None:
+            complex = self.complex
+            self._ranks = {}
+            keys: list[int] = []  # pivot keys of d_{p+1}: key c is the p-cell c - 1
+            rows = _facet_rows(complex, complex.dim) if complex.dim >= 1 else []
+            for p in range(complex.dim, 0, -1):
+                below = _facet_rows(complex, p - 1) if p >= 2 else []
+                if p >= 2:
+                    self._square_zero[p] = _squares_to_zero(complex.cells_of(p), below)
+                if self._square_zero.get(p + 1, True):
+                    for c in keys:
                         rows[c - 1] = 0
-                self._rows[p] = BitMatrix(self.complex.n_cells(p), self.complex.n_cells(p - 1), rows)
-            else:
-                rows = self.complex.n_cells(p) if 0 <= p <= dim else 0
-                cols = self.complex.n_cells(p - 1) if 1 <= p <= dim + 1 else 0
-                self._rows[p] = BitMatrix(rows, cols)
-        return self._rows[p]
+                self._rows[p] = BitMatrix(complex.n_cells(p), complex.n_cells(p - 1), rows)
+                keys = list(_eliminate(rows)[0])
+                self._ranks[p] = len(keys)
+                rows = below
+        return self._ranks
 
-    def _pivots(self, p: int) -> list[int]:
-        """Pivot keys of the cleared d_p: key c is the (p-1)-cell c - 1."""
-        if p not in self._pivot_keys:
-            self._pivot_keys[p] = list(_eliminate(self._facet_matrix(p).data)[0])
-        return self._pivot_keys[p]
+    def squares_to_zero(self, p: int) -> bool:
+        """Whether d_{p-1} o d_p = 0 (true outside 2..dim); the
+        boundary-operator audit and the clearing of dimension p - 1 both
+        read the one verdict."""
+        self._reduce()
+        return self._square_zero.get(p, True)
 
     def rank(self, p: int) -> int:
         """Rank of the boundary operator on p-chains (0 outside 1..dim)."""
-        return len(self._pivots(p))
+        return self._reduce().get(p, 0)
 
     def solver(self, p: int) -> Gf2Solver:
-        """Solver for x·F = b where rows of F are boundaries of p-cells."""
+        """Solver for x·F = b where rows of F are boundaries of p-cells
+        (p-cells as rows, (p-1)-cells as columns, cleared rows zero)."""
         if p not in self._solvers:
-            self._solvers[p] = Gf2Solver(self._facet_matrix(p))
+            self._reduce()
+            n = self.complex.n_cells
+            self._solvers[p] = Gf2Solver(self._rows[p] if p in self._rows else BitMatrix(n(p), n(p - 1)))
         return self._solvers[p]
 
     def betti(self, p: int) -> int:
@@ -235,7 +224,7 @@ def boundary_squares_to_zero(complex: Complex, p: int) -> bool:
 
     By parity: for each p-cell, the facet masks of its facets XOR to zero.
     """
-    return HomologyCalculator(complex).squares_to_zero(p)
+    return not 2 <= p <= complex.dim or _squares_to_zero(complex.cells_of(p), _facet_rows(complex, p - 1))
 
 
 def edge_chain(cell_ids: Iterable[int]) -> ChainZ2:

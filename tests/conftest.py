@@ -1,6 +1,6 @@
 import pytest
 
-from projquad import Complex, ComplexBuilder, Involution, SimplicialBuilder, TwoColouring
+from projquad import Complex, ComplexBuilder, Graph, Involution, SimplicialBuilder, TwoColouring
 
 
 @pytest.fixture
@@ -87,3 +87,26 @@ def digon_sphere_bits(parallel_digon):
     inv = Involution("full", {0: 1, 1: 0}, {1: {0: 1, 1: 0}})
     col = TwoColouring(black=frozenset({0}), white=frozenset({1}))
     return parallel_digon, inv, col
+
+
+def quotient_spans_the_identified_graph(artifacts) -> bool:
+    """The comparison that `identification-commutes` replaced: the graph of
+    the selected quotient 1-cells, each quotient vertex labelled as its
+    orbit's smaller member, is the identified graph."""
+    q, to_orbit = artifacts["quotient"], artifacts["projection"][0]
+    spanned = Graph(range(q.n_vertices), [q.cell(1, e).vertices for e in artifacts["selected_quotient_cells"]])
+    label_of = {}
+    for v in sorted(to_orbit):
+        label_of.setdefault(to_orbit[v], artifacts["labels"][v])
+    return spanned.relabel(label_of) == artifacts["graph"]
+
+
+def quotient_lemmas_hold(report, artifacts) -> bool:
+    """Each quotient lemma against the check it replaces: a passing
+    `quotient-valid` comes with a quotient that `Complex.validate` accepts,
+    and a passing `identification-commutes` with selected quotient 1-cells
+    that span the identified graph."""
+    valid, commutes = report.entry("quotient-valid"), report.entry("identification-commutes")
+    return (valid is None or not valid.ok or artifacts["quotient"].validate().ok) and (
+        commutes is None or not commutes.ok or quotient_spans_the_identified_graph(artifacts)
+    )

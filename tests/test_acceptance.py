@@ -65,6 +65,8 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
+from conftest import quotient_lemmas_hold
+
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
 BUILDS = {
@@ -349,28 +351,6 @@ def test_each_boundary_composite_is_checked_once_per_complex(corpus, monkeypatch
     assert sorted(checked) == [2, 2, 3, 3]
 
 
-def _quotient_spans_the_identified_graph(artifacts) -> bool:
-    """The comparison that `identification-commutes` replaced: the graph of
-    the selected quotient 1-cells, each quotient vertex labelled as its
-    orbit's smaller member, is the identified graph."""
-    q, to_orbit = artifacts["quotient"], artifacts["projection"][0]
-    spanned = Graph(range(q.n_vertices), [q.cell(1, e).vertices for e in artifacts["selected_quotient_cells"]])
-    label_of = {}
-    for v in sorted(to_orbit):
-        label_of.setdefault(to_orbit[v], artifacts["labels"][v])
-    return spanned.relabel(label_of) == artifacts["graph"]
-
-
-def _lemma_holds(report, artifacts) -> bool:
-    """A passing `quotient-valid` comes with a quotient that `validate`
-    accepts, and a passing `identification-commutes` with selected quotient
-    1-cells that span the identified graph."""
-    valid, commutes = report.entry("quotient-valid"), report.entry("identification-commutes")
-    return (valid is None or not valid.ok or artifacts["quotient"].validate().ok) and (
-        commutes is None or not commutes.ok or _quotient_spans_the_identified_graph(artifacts)
-    )
-
-
 def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, digon_sphere_bits):
     # `quotient-valid` follows from complex-valid, involution-valid and
     # antipodal-free; the validation it replaces must accept the quotient.
@@ -381,7 +361,7 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
         bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
         report, artifacts = verify_bundle(bundle, n_walks=0)
         assert report.entry("quotient-valid").ok and report.entry("identification-commutes").ok, name
-        assert _lemma_holds(report, artifacts), name
+        assert quotient_lemmas_hold(report, artifacts), name
     # Both edges of the digon hold its antipodal pair, and an all-black
     # colouring selects no edge, so it passes the identification and only
     # the antipodal-free gate keeps its quotient from the lemma.
@@ -390,7 +370,7 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
     report, artifacts = verify_sphere_quadrangulation(
         complex, involution, black, labels={0: "x", 1: "x"}, expected_graph=Graph(["x"])
     )
-    assert _lemma_holds(report, artifacts)
+    assert quotient_lemmas_hold(report, artifacts)
 
 
 def _quadrangulation_entries_match_the_check(report, complex, colouring, artifacts) -> list[str]:
@@ -627,7 +607,7 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
             report, artifacts = verify_sphere_quadrangulation(
                 complex_from_json(cx), involution, colouring, labels=sq.labels, expected_graph=sq.graph
             )
-            assert _lemma_holds(report, artifacts), (name, kind)
+            assert quotient_lemmas_hold(report, artifacts), (name, kind)
             fresh = complex_from_json(cx)
             compared = _entries_match_their_checks(report, fresh, involution, colouring, sq.labels, artifacts)
             for entry in compared:

@@ -161,6 +161,10 @@ def test_sample_closed_walks_deterministic(octahedron):
         assert out["consistent"]
 
 
+def test_no_selected_cell_gives_no_walks(octahedron):
+    assert sample_closed_walks(octahedron, frozenset(), 5, seed=0) == []
+
+
 def test_box_map_on_odd_cycle():
     sq = odd_cycle_sphere(2)
     assert verify_z2_map_to_box(sq.complex, sq.colouring, sq.graph, sq.labels).ok

@@ -10,7 +10,9 @@ from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
 from projquad.errors import ProjquadError
-from projquad.graphs import Graph, graph_from_json
+from projquad.graphs import graph_from_json
+
+from conftest import quotient_lemmas_hold
 
 
 def run(capsys, *argv):
@@ -412,6 +414,11 @@ def _unmap_a_vertex(obj):
     obj["pairs"].pop()
 
 
+def _colour_every_vertex_black(obj):
+    # no 1-cell is bichromatic, so no walk can be sampled
+    obj["black"], obj["white"] = sorted(obj["black"] + obj["white"]), []
+
+
 def _pair_the_ends_of_an_edge(obj):
     # c5 pairs v with v + 5 and stores 0..4 as orbit representatives; its
     # 1-cells 9 and 4 join 0 to 9 and 4 to 5
@@ -482,8 +489,8 @@ def _build(tmp_path, capsys, builds):
 
 
 # bundle, bundle file, change, command, exit code, audit entry (or for
-# homology, violation code) that must fail; `chi` names the failing audits
-# on stderr and answers without the topological bound
+# homology and hom-check, violation code) that must fail; `chi` names the
+# failing audits on stderr and answers without the topological bound
 TAMPERS = [
     ("c5", "complex.json", _dangling_facet, "verify", 2, "complex-valid"),
     ("c5", "colouring.json", _uncolour_vertex_9, "verify", 2, "colouring-total"),
@@ -540,6 +547,11 @@ TAMPERS = [
     ("schrijver-6-2", "homomorphism.json", _relabel_a_target_vertex, "chi", 0, "homomorphism-target-matches"),
     ("schrijver-6-2", "homomorphism.json", _give_a_target_label_another_size, "verify", 2, "homomorphism-target-matches"),
     ("schrijver-6-2", "homomorphism.json", _give_a_target_label_another_size, "chi", 0, "homomorphism-target-matches"),
+    ("schrijver-6-2", "homomorphism.json", _delete_an_unused_target_edge, "hom-check", 2, "HomomorphismTargetMismatch"),
+    ("schrijver-6-2", "homomorphism.json", _move_a_target_edge_onto_intersecting_subsets, "hom-check", 2, "HomomorphismTargetMismatch"),
+    ("schrijver-6-2", "homomorphism.json", _relabel_a_target_vertex, "hom-check", 2, "HomomorphismTargetMismatch"),
+    ("schrijver-6-2", "homomorphism.json", _give_a_target_label_another_size, "hom-check", 2, "HomomorphismTargetMismatch"),
+    ("c5", "colouring.json", _colour_every_vertex_black, "verify", 2, "walk-parity"),
 ]
 
 
@@ -562,7 +574,7 @@ def test_tampered_bundle_fails_closed(tmp_path, capsys, bundle, fname, change, c
         assert failing in err.split("failing audits: ")[1].strip().split(", ")
         return
     assert payload["ok"] is False
-    if command == "homology":
+    if command in ("homology", "hom-check"):
         assert failing in [v["code"] for v in payload["violations"]]
         return
     entries = payload["report"]
@@ -643,38 +655,20 @@ def _mutate(obj, path, rng: random.Random) -> str:
     return f"{kind} {list(path)} -> {parent[key]!r}"
 
 
-def _quotient_spans_the_identified_graph(artifacts) -> bool:
-    """The comparison that `identification-commutes` replaced: the graph of
-    the selected quotient 1-cells, each quotient vertex labelled as its
-    orbit's smaller member, is the identified graph."""
-    q, to_orbit = artifacts["quotient"], artifacts["projection"][0]
-    spanned = Graph(range(q.n_vertices), [q.cell(1, e).vertices for e in artifacts["selected_quotient_cells"]])
-    label_of = {}
-    for v in sorted(to_orbit):
-        label_of.setdefault(to_orbit[v], artifacts["labels"][v])
-    return spanned.relabel(label_of) == artifacts["graph"]
-
-
 def _quotient_lemmas_hold(bundle_dir) -> bool:
-    """`quotient-valid` passes only on a quotient that `Complex.validate`
-    accepts, and `identification-commutes` only where the quotient's
-    selected 1-cells span the identified graph; each lemma is checked
-    against the check it replaces."""
+    """`quotient_lemmas_hold` on the verdict of the stored bundle."""
     try:
         report, artifacts = verify_bundle(load_bundle(bundle_dir), n_walks=0)
     except ProjquadError:  # the CLI's exit code for it is judged separately
         return True
-    valid, commutes = report.entry("quotient-valid"), report.entry("identification-commutes")
-    return (valid is None or not valid.ok or artifacts["quotient"].validate().ok) and (
-        commutes is None or not commutes.ok or _quotient_spans_the_identified_graph(artifacts)
-    )
+    return quotient_lemmas_hold(report, artifacts)
 
 
 def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int) -> None:
     """Build a bundle by the `build` argvs in turn (each after the first
     reads the one before), then apply `cases` seeded one-value mutations.
 
-    No mutant may crash `verify`, `chi` or `homology`, and wherever `chi`
+    No mutant may crash `verify`, `chi`, `homology` or `hom-check`, and wherever `chi`
     claims a topological proof, the exact search on the mutant's own
     graph.json, with no bound, must give the same chromatic number.  Where
     `quotient-valid` or `identification-commutes` passes by its lemma, the
@@ -692,7 +686,12 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
         (out / name).write_text(json.dumps(mutated))
         if not _quotient_lemmas_hold(out):
             failures.append(f"a quotient lemma passes after {what}, but the check it replaces fails")
-        for argv in (["verify", str(out), "--walks", "20"], ["chi", str(out)], ["homology", str(out)]):
+        for argv in (
+            ["verify", str(out), "--walks", "20"],
+            ["chi", str(out)],
+            ["homology", str(out)],
+            ["hom-check", str(out)],
+        ):
             try:
                 code = main(argv)
             except Exception as exc:  # every escape from main is a failure
