@@ -6,7 +6,7 @@ import random
 from math import sqrt
 from typing import Iterable, Optional, Sequence
 
-from .complexes import Complex
+from .complexes import Complex, boundary_cells
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
 from .homology import HomologyCalculator, edge_chain
@@ -18,7 +18,6 @@ from .symmetry import (
     antisymmetric_on_pairs,
     associated_graph,
     bichromatic_edge_cells,
-    boundary_cells,
     BoundaryStructure,
     identify_antipodes,
     proper_on_maximal,
@@ -75,11 +74,10 @@ def sphere_check(calc: HomologyCalculator) -> ValidationReport:
     return ValidationReport.collect(violations)
 
 
-def ball_check(calc: HomologyCalculator, *, boundary: Optional[dict[int, set[int]]] = None) -> ValidationReport:
+def ball_check(calc: HomologyCalculator) -> ValidationReport:
     """Pure dimension, ridges in one or two top cells, contractible homology
     of `calc.complex`, and a boundary subcomplex that passes the sphere check
-    one dimension down.  `boundary` is `boundary_cells(calc.complex)` when
-    the caller has found it already; it is found here otherwise."""
+    one dimension down."""
     complex = calc.complex
     n = complex.dim
     violations = _pseudomanifold_violations(complex, (1, 2))
@@ -89,7 +87,7 @@ def ball_check(calc: HomologyCalculator, *, boundary: Optional[dict[int, set[int
     if got != (1,) + (0,) * n:
         violations.append(Violation("WrongHomology", None, None, f"betti {got}, expected {(1,) + (0,) * n}"))
     if n >= 1:
-        bcells = boundary_cells(complex) if boundary is None else boundary
+        bcells = boundary_cells(complex)
         if not bcells.get(n - 1):
             violations.append(Violation("NoBoundary", None, None, "no free ridges; this is a closed complex"))
         else:
@@ -376,10 +374,7 @@ def _audit(
     ball with its stated boundary structure.  The two share every entry up
     to `graph-identification`, except the shape entries: `sphere`, or
     `ball` and `boundary-matches`.  A ball's audit ends with
-    `graph-matches-expected` after the identification.  For a
-    boundary-scope involution, `boundary_cells` runs once, and its result
-    goes to `validate_involution` and to the ball entries; a ball whose
-    involution has another scope finds its boundary for the ball entries.
+    `graph-matches-expected` after the identification.
 
     `complex-valid` is `complex.validate()`.  On a complex from
     `ComplexBuilder.build` that report was handed over by the builder
@@ -427,10 +422,9 @@ def _audit(
     if early is not None and early.ok:
         complex._validate_by_pairs(involution.cell_pairing)
     complex_ok = audit.add("complex-valid", complex.validate())
-    bcells = boundary_cells(complex) if complex_ok and involution.scope == "boundary" else None
     judged = None
     if complex_ok:
-        judged = early if early is not None else validate_involution(complex, involution, boundary=bcells)
+        judged = early if early is not None else validate_involution(complex, involution)
     involution_ok = judged is not None and audit.add("involution-valid", judged)
     total = audit.add_flag(
         "colouring-total",
@@ -451,11 +445,10 @@ def _audit(
     if ball is None:
         audit.add("sphere", sphere_check(calc))
     else:
-        if bcells is None:  # the involution is not boundary-scope
-            bcells = boundary_cells(complex)
-        audit.add("ball", ball_check(calc, boundary=bcells))
+        audit.add("ball", ball_check(calc))
+        bcells = boundary_cells(complex)
         matches = all(
-            set(bcells.get(d, set())) == set(ball.cells.get(d, frozenset()))
+            bcells.get(d, frozenset()) == set(ball.cells.get(d, frozenset()))
             for d in set(bcells) | set(ball.cells)
         )
         audit.add_flag("boundary-matches", matches, "stated boundary differs from the free-ridge closure")

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 verification failure or constraint violation,
-64 usage error, 65 unreadable input, 70 computation budget exhausted.
+64 usage error, 65 unreadable input, 70 computation budget exhausted,
+73 output path that cannot be written.
 Reports go to stdout as JSON; diagnostics go to stderr.
 """
 
@@ -39,6 +40,7 @@ from .homomorphisms import homomorphism_from_json, verify_homomorphism
 USAGE_EXIT = 64
 PARSE_EXIT = 65
 BUDGET_EXIT = 70
+CANTCREAT_EXIT = 73
 VIOLATION_EXIT = 2
 
 
@@ -63,6 +65,11 @@ def _count(text: str) -> int:
 
 def _emit(obj) -> None:
     sys.stdout.write(dump_canonical(obj))
+
+
+def _cannot_write(path: str, e: OSError) -> int:
+    sys.stderr.write(f"cannot write {path}: {e.strerror or e}\n")
+    return CANTCREAT_EXIT
 
 
 def _bundle_and_graph(path_str: str):
@@ -173,7 +180,10 @@ def _run_build(args: argparse.Namespace) -> int:
         sq, hom = schrijver_pipeline(args.n, args.k)
     else:  # pragma: no cover - argparse enforces the choices
         raise BadParameters(args.kind)
-    out = write_bundle(args.out, sq, homomorphism=hom)
+    try:
+        out = write_bundle(args.out, sq, homomorphism=hom)
+    except OSError as e:
+        return _cannot_write(args.out, e)
     _emit({"out": str(out), "ok": True, "report": sq.report.to_json()})
     return 0
 
@@ -252,7 +262,10 @@ def _run_export(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            return _cannot_write(args.out, e)
     return 0
 
 

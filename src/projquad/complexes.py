@@ -142,6 +142,21 @@ def face_closure(complex: Complex | ComplexBuilder, cells: Iterable[CellKey]) ->
     return dict(enumerate(out))
 
 
+def boundary_cells(complex: Complex) -> dict[int, frozenset[int]]:
+    """The face closure of the top-dimension-minus-one cells with one cofacet,
+    as {dim: ids} for every dim below the top (dim 0 for a 0-complex).
+
+    Found once per complex and then shared, like `maximal_cells`.  It reads
+    facet ids, so it needs a complex whose facets lie in range.
+    """
+    if complex._boundary is None:
+        n = complex.dim
+        counts = complex.cofacet_counts(n - 1) if n >= 1 else ()
+        closure = face_closure(complex, ((n - 1, i) for i, k in enumerate(counts) if k == 1))
+        complex._boundary = {d: frozenset(closure.get(d, ())) for d in range(max(n, 1))}
+    return complex._boundary
+
+
 class Complex:
     """Immutable generalized simplicial complex.
 
@@ -161,6 +176,7 @@ class Complex:
             tuple(tuple(c) if c is not None else None for c in coords) if coords is not None else None
         )
         self._maximal: Optional[tuple[CellKey, ...]] = None
+        self._boundary: Optional[dict[int, frozenset[int]]] = None
         self._cofacet_counts: dict[int, tuple[int, ...]] = {}
         self._report: Optional[ValidationReport] = None
 
@@ -258,33 +274,35 @@ class Complex:
 
     # ---- validation ----
 
+    def _violations(self, cell_pairing: Optional[dict[int, dict[int, int]]] = None) -> Iterator[Violation]:
+        """The label, 0-cell-count and cell-law violations, lazily, in that
+        order.  The cell law is judged on every cell, or, given a cell
+        pairing, on every 0-cell and on the lower-id cell of each pair."""
+        seen_labels: dict[str, int] = {}
+        for v, lab in enumerate(self._labels):
+            if lab is not None:
+                if lab in seen_labels:
+                    yield Violation("LabelCollision", 0, v, f"label {lab!r} already used by vertex {seen_labels[lab]}")
+                else:
+                    seen_labels[lab] = v
+        if self.n_cells(0) != self.n_vertices:
+            yield Violation("VertexCellMismatch", 0, None, "0-cells do not match vertex set")
+        n = self.n_vertices
+        for d, layer in enumerate(self._cells):
+            lower = self._cells[d - 1] if d else ()
+            if d and cell_pairing is not None:
+                layer = [layer[i] for i, j in cell_pairing.get(d, {}).items() if i < j]
+            for c in layer:
+                yield from _cell_violations(c, n, lower)
+
     def validate(self) -> ValidationReport:
         """Unique labels, one 0-cell per vertex, and the cell law on every
         cell.  The report is made once: a complex is immutable.  A complex
         from `ComplexBuilder.build` starts with the builder's verdict, which
         is this report (see `build`), and `_validate_by_pairs` can make it
         from one cell of each antipodal pair."""
-        if self._report is not None:
-            return self._report
-        violations: list[Violation] = []
-        seen_labels: dict[str, int] = {}
-        for v in range(self.n_vertices):
-            lab = self._labels[v]
-            if lab is not None:
-                if lab in seen_labels:
-                    violations.append(
-                        Violation("LabelCollision", 0, v, f"label {lab!r} already used by vertex {seen_labels[lab]}")
-                    )
-                else:
-                    seen_labels[lab] = v
-        if self.n_cells(0) != self.n_vertices:
-            violations.append(Violation("VertexCellMismatch", 0, None, "0-cells do not match vertex set"))
-        n = self.n_vertices
-        for d, layer in enumerate(self._cells):
-            lower = self._cells[d - 1] if d else ()
-            for c in layer:
-                violations.extend(_cell_violations(c, n, lower))
-        self._report = ValidationReport.collect(violations)
+        if self._report is None:
+            self._report = ValidationReport.collect(self._violations())
         return self._report
 
     def _validate_by_pairs(self, cell_pairing: dict[int, dict[int, int]]) -> None:
@@ -293,36 +311,27 @@ class Complex:
         `validate_involution` passes on this complex; leave it unmade
         otherwise, so that `validate()` judges every cell.
 
-        The checks are the label and 0-cell rules of `validate` with each
-        0-cell at the position of its id, d+1 facets on every d-cell, and
-        the cell law on the lower-id cell of each pair.  The pairing is a
-        bijection on each layer, the vertex pairing one on the vertices and
-        so on the 0-cells, and the involution check has found the vertices of
-        each partner to be the sorted image of the lower cell's vertices,
-        and its facets, as a set, the image of the lower cell's facets (with
-        the same check one dimension down).  So a lawful lower cell has a
-        partner with d+1 distinct sorted known vertices and d+1 distinct
-        facet images, whose vertex sets are the images of the lower cell's
-        d-subsets.  The facet count is checked because the image check
-        compares facets as sets: a repeated facet id would pass it.
+        The checks are each 0-cell at the position of its id, d+1 facets on
+        every d-cell, and `_violations` with the cell law on the lower-id
+        cell of each pair; it stops at the first violation.  The pairing is
+        a bijection on each layer, the vertex pairing one on the vertices
+        and so on the 0-cells, and the involution check has found the
+        vertices of each partner to be the sorted image of the lower cell's
+        vertices, and its facets, as a set, the image of the lower cell's
+        facets (with the same check one dimension down).  So a lawful lower
+        cell has a partner with d+1 distinct sorted known vertices and d+1
+        distinct facet images, whose vertex sets are the images of the lower
+        cell's d-subsets.  The facet count is checked because the image
+        check compares facets as sets: a repeated facet id would pass it.
         """
         if self._report is not None:
             return
-        n = self.n_vertices
-        labels = [lab for lab in self._labels if lab is not None]
-        if len(set(labels)) != len(labels) or self.n_cells(0) != n:
+        if any(c.id != v for v, c in enumerate(self._cells[0] if self._cells else ())):
             return
-        zero_cells = self._cells[0] if self._cells else ()
-        if any(c.id != v or _cell_violations(c, n, ()) for v, c in enumerate(zero_cells)):
+        if any(len(c.facets) != d + 1 for d in range(1, self.dim + 1) for c in self._cells[d]):
             return
-        for d in range(1, self.dim + 1):
-            layer, lower = self._cells[d], self._cells[d - 1]
-            if any(len(c.facets) != d + 1 for c in layer):
-                return
-            for i, j in cell_pairing.get(d, {}).items():
-                if i < j and _cell_violations(layer[i], n, lower):
-                    return
-        self._report = ValidationReport()
+        if next(self._violations(cell_pairing), None) is None:
+            self._report = ValidationReport()
 
     # ---- equality (structural) ----
 

@@ -17,7 +17,7 @@ from .audits import (
     verify_ball_quadrangulation,
     verify_sphere_quadrangulation,
 )
-from .complexes import Complex, ComplexBuilder, SimplicialBuilder, face_closure
+from .complexes import Complex, ComplexBuilder, SimplicialBuilder, boundary_cells, face_closure
 from .errors import (
     BadParameters,
     InputNotQuadrangulation,
@@ -35,7 +35,6 @@ from .symmetry import (
     Involution,
     TwoColouring,
     _double,
-    boundary_cells,
 )
 from .validation import AuditEntry, AuditReport
 
@@ -302,7 +301,7 @@ def cylinder_complete(r: int) -> BallQuad:
     bcells = boundary_cells(complex)
     cp = _cell_pairing_by_vertices(complex, vp, bcells)
     involution = Involution("boundary", vp, cp)
-    boundary = BoundaryStructure({d: frozenset(ids) for d, ids in bcells.items()}, involution)
+    boundary = BoundaryStructure(bcells, involution)
 
     colouring = TwoColouring(
         black=frozenset(range(m)) | {bottom_pole, origin},
@@ -340,12 +339,9 @@ def double_to_sphere(ball: BallQuad) -> SphereQuad:
     """Glue a mirrored copy onto the ball; the identified graph is unchanged.
 
     The checks of `double` are not repeated: the ball's audit has passed
-    `involution-valid` on the boundary involution, `colouring-total`,
-    `colouring-antisymmetric` and `boundary-matches`, so the stated
-    boundary cells are the ball's boundary."""
-    complex, involution, colouring = _double(
-        ball.complex, ball.boundary.cells, ball.boundary.involution, ball.colouring
-    )
+    `involution-valid` on the boundary involution, `colouring-total` and
+    `colouring-antisymmetric`."""
+    complex, involution, colouring = _double(ball.complex, ball.boundary.involution, ball.colouring)
     labels = dict(ball.labels)
     for v in ball.complex.vertex_ids():
         w = involution.vertex(v)

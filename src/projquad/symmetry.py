@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import AbstractSet, Iterable, Optional
+from typing import Iterable, Optional
 
-from .complexes import Cell, Complex, VertexId, face_closure
+from .complexes import Cell, Complex, VertexId, boundary_cells
 from .errors import (
     BadParameters,
     BoundaryNotSymmetric,
@@ -134,23 +134,16 @@ class InvolutionReport(ValidationReport):
     quotient: Optional[tuple[Complex, dict[int, dict[int, int]]]] = None
 
 
-def validate_involution(
-    complex: Complex,
-    involution: Involution,
-    *,
-    boundary: Optional[dict[int, set[int]]] = None,
-) -> InvolutionReport:
+def validate_involution(complex: Complex, involution: Involution) -> InvolutionReport:
     """Check that the pairing is a free simplicial involution on its scope.
 
     For full scope every vertex and every cell must be paired; for boundary
-    scope the paired cells must be exactly the boundary subcomplex, which is
-    `boundary` when the caller has found `boundary_cells(complex)` already,
-    and is found here otherwise.  In both
-    cases every paired id must be in range, not fixed, and mapped back by its
-    partner.  The vertex and facet images are checked once per pair, from its
-    lower id: once both pairings are self-inverse, the image of the higher
-    cell is the lower cell.  A pair that breaks the image rules is therefore
-    reported once, at its lower id.
+    scope the paired cells must be exactly `boundary_cells(complex)`.  In
+    both cases every paired id must be in range, not fixed, and mapped back
+    by its partner.  The vertex and facet images are checked once per pair,
+    from its lower id: once both pairings are self-inverse, the image of the
+    higher cell is the lower cell.  A pair that breaks the image rules is
+    therefore reported once, at its lower id.
 
     For a full-scope involution the same loop projects each pair to one cell
     of the quotient (see `quotient`), and the report carries the quotient
@@ -174,8 +167,7 @@ def validate_involution(
     if full:
         scope_cells = {d: set(range(complex.n_cells(d))) for d in range(complex.dim + 1)}
     else:
-        found = boundary_cells(complex) if boundary is None else boundary
-        scope_cells = {d: set(ids) for d, ids in found.items()}
+        scope_cells = boundary_cells(complex)
     missing_vertices = scope_cells.get(0, set()) - set(vp)
     for v in sorted(missing_vertices):
         violations.append(Violation("UnpairedCell", 0, v, "scope vertex not paired"))
@@ -304,15 +296,6 @@ def identify_antipodes(graph: Graph, vertex_pairing: dict[VertexId, VertexId]) -
     return out, rep
 
 
-def boundary_cells(complex: Complex) -> dict[int, set[int]]:
-    """The face closure of the top-dimension-minus-one cells with one cofacet,
-    as {dim: ids} for every dim below the top (dim 0 for a 0-complex)."""
-    n = complex.dim
-    counts = complex.cofacet_counts(n - 1) if n >= 1 else ()
-    closure = face_closure(complex, ((n - 1, i) for i, k in enumerate(counts) if k == 1))
-    return {d: closure.get(d, set()) for d in range(max(n, 1))}
-
-
 @dataclass(frozen=True)
 class BoundaryStructure:
     """The boundary subcomplex of a ball, with its involution."""
@@ -395,9 +378,8 @@ def double(
     """
     if boundary_involution.scope != "boundary":
         raise BadParameters("doubling needs a boundary-scope involution")
-    bcells = boundary_cells(ball)
     vp = boundary_involution.vertex_pairing
-    rep = validate_involution(ball, boundary_involution, boundary=bcells)
+    rep = validate_involution(ball, boundary_involution)
     if not rep.ok:
         first = rep.violations[0]
         raise BoundaryNotSymmetric(f"{first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
@@ -406,18 +388,18 @@ def double(
     for v, w in vp.items():
         if colouring.of(v) == colouring.of(w):
             raise ColouringNotBoundaryAntisymmetric(f"boundary pair ({v}, {w}) share colour {colouring.of(v)}")
-    return _double(ball, bcells, boundary_involution, colouring)
+    return _double(ball, boundary_involution, colouring)
 
 
 def _double(
     ball: Complex,
-    bcells: dict[int, AbstractSet[int]],
     boundary_involution: Involution,
     colouring: TwoColouring,
 ) -> tuple[Complex, Involution, TwoColouring]:
-    """`double` on a ball whose boundary cells are `bcells`, with no checks:
-    the involution and the colouring must be ones that `double` accepts."""
+    """`double` with no checks: the involution and the colouring must be
+    ones that `double` accepts."""
     vp = boundary_involution.vertex_pairing
+    bcells = boundary_cells(ball)
     n = ball.dim
     interior0 = [v for v in ball.vertex_ids() if v not in vp]
     copy2_vid = {v: ball.n_vertices + k for k, v in enumerate(interior0)}
@@ -459,7 +441,7 @@ def _double(
         lower_boundary = vp if d - 1 == 0 else boundary_involution.cell_pairing.get(d - 1, {})
         lower_copy2 = copy2_cell.get(d - 1, {})
         for c in ball.cells_of(d):
-            if c.id in bcells.get(d, set()):
+            if c.id in bcells.get(d, ()):
                 continue
             verts = tuple(sorted(vmap2(v) for v in c.vertices))
             facets = tuple(

@@ -98,6 +98,23 @@ def test_export_dimacs(tmp_path, capsys):
     assert "p edge 5 5" in target.read_text()
 
 
+def test_build_onto_an_existing_file_cannot_write(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code, stdout, err = run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))
+    assert (code, stdout) == (73, "")
+    assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
+    assert out.read_text() == "not a directory\n"
+
+
+def test_export_onto_a_directory_cannot_write(tmp_path, capsys):
+    out = tmp_path / "c5"
+    run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))
+    code, stdout, err = run(capsys, "export", str(out), "--format", "dimacs", "--out", str(tmp_path))
+    assert (code, stdout) == (73, "")
+    assert err.startswith(f"cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_chi_budget_exit(tmp_path, capsys):
     out = tmp_path / "m5"
     run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out / "a"))

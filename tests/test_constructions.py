@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,8 @@ from projquad import (
     verify_sphere_quadrangulation,
 )
 from projquad import constructions
-from projquad.errors import BadParameters, UnsupportedParameters
+from projquad.errors import BadParameters, InputNotQuadrangulation, UnsupportedParameters
+from projquad.validation import AuditEntry, AuditReport
 
 
 def _walk_parity(sq, n_walks: int):
@@ -97,6 +100,13 @@ def test_lift_rejects_zero_levels():
     base = odd_cycle_sphere(2)
     with pytest.raises(BadParameters):
         mycielski_lift(base, 0)
+
+
+def test_lift_refuses_a_sphere_whose_report_fails():
+    base = odd_cycle_sphere(2)
+    failing = AuditReport(base.report.entries + (AuditEntry("sphere", False),))
+    with pytest.raises(InputNotQuadrangulation):
+        mycielski_lift(replace(base, report=failing), 2)
 
 
 def test_tower_matches_reference_graphs():

@@ -11,7 +11,9 @@ import sys
 from pathlib import Path
 
 from projquad import (
+    boundary_cells,
     bundles,
+    complexes,
     cylinder_complete,
     double_to_sphere,
     load_bundle,
@@ -59,16 +61,31 @@ def test_a_traced_verify_times_the_involution_pass(tmp_path):
     assert max(tracer.spans.get(name, (0, 0.0))[1] for name in names) > 0, tracer.spans
 
 
-def test_a_built_ball_is_judged_once_and_its_boundary_found_once():
+def test_a_built_ball_is_judged_once_and_its_boundary_found_once(monkeypatch):
     # cylinder-3: `cylinder_complete` finds the boundary it states, and the
-    # ball audit finds it once more and shares it with the involution check,
-    # `ball` and `boundary-matches`.  The involution is judged once on the
-    # ball and once on the doubled sphere; doubling does not judge it again.
+    # involution check, `ball`, `boundary-matches` and the doubling read the
+    # one the ball's complex keeps, so the closure is walked once.  The
+    # involution is judged once on the ball and once on the doubled sphere;
+    # doubling does not judge it again.
+    walks = []
+    walk = complexes.face_closure
+
+    def counted(complex, cells):
+        walks.append(complex)
+        return walk(complex, cells)
+
+    monkeypatch.setattr(complexes, "face_closure", counted)
     with _load_spans().Tracer().installed() as tracer:
-        double_to_sphere(cylinder_complete(3))
-    names = ("symmetry.validate_involution", "symmetry.boundary_cells", "symmetry.double")
+        ball = cylinder_complete(3)
+        double_to_sphere(ball)
+    names = ("symmetry.validate_involution", "symmetry.double")
     calls = {name: tracer.spans.get(name, (0,))[0] for name in names}
-    assert calls == {"symmetry.validate_involution": 2, "symmetry.boundary_cells": 2, "symmetry.double": 0}
+    assert calls == {"symmetry.validate_involution": 2, "symmetry.double": 0}
+    assert walks == [ball.complex]
+    found = boundary_cells(ball.complex)
+    assert boundary_cells(ball.complex) is found
+    assert all(type(ids) is frozenset for ids in found.values())
+    assert len(walks) == 1
 
 
 def test_a_stored_bundle_is_judged_without_box_membership_tests(tmp_path):

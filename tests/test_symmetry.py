@@ -19,7 +19,15 @@ from projquad import (
     quotient,
     validate_involution,
 )
-from projquad.errors import BadParameters, LoopCreated, LoopsWouldForm, NotFree
+from projquad.errors import (
+    BadParameters,
+    BoundaryNotSymmetric,
+    ColouringNotBoundaryAntisymmetric,
+    LoopCreated,
+    LoopsWouldForm,
+    NotFree,
+    ProjquadError,
+)
 from projquad.symmetry import (
     antipodal_free_cells,
     antisymmetric_on_pairs,
@@ -180,6 +188,25 @@ def test_double_interval_gives_circle(interval_ball):
     assert q.n_vertices == 2
     assert q.n_cells(1) == 2
     assert all_betti_z2(q) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "pairing, black, white, error",
+    [
+        (("full", {0: 2, 2: 0}), {0, 1}, {2}, BadParameters),
+        # the interior vertex 1 is paired and the endpoint 2 is not
+        (("boundary", {0: 1, 1: 0}), {0, 1}, {2}, BoundaryNotSymmetric),
+        (("boundary", {0: 2, 2: 0}), {0}, {2}, BadParameters),
+        (("boundary", {0: 2, 2: 0}), {0, 2}, {1}, ColouringNotBoundaryAntisymmetric),
+    ],
+    ids=["full-scope", "not-the-boundary", "colouring-not-total", "boundary-pair-one-colour"],
+)
+def test_double_refuses(interval_ball, pairing, black, white, error):
+    inv = Involution(*pairing, {})
+    col = TwoColouring(black=frozenset(black), white=frozenset(white))
+    with pytest.raises(ProjquadError) as excinfo:
+        double(interval_ball, inv, col)
+    assert excinfo.type is error
 
 
 def test_double_normalizes_by_the_norm_summed_left_to_right():
