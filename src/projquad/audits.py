@@ -18,7 +18,6 @@ from .symmetry import (
     antisymmetric_on_pairs,
     associated_graph,
     bichromatic_edge_cells,
-    BoundaryStructure,
     identify_antipodes,
     proper_on_maximal,
     sum_left_to_right,
@@ -366,15 +365,17 @@ def _audit(
     colouring: TwoColouring,
     labels: dict[int, object],
     expected_graph: Graph,
-    ball: Optional[BoundaryStructure],
+    ball: bool,
     seed: int = 0,
     n_walks: int = 0,
 ) -> tuple[AuditReport, dict]:
-    """The audit stack of a coloured sphere (`ball` None) or of a coloured
-    ball with its stated boundary structure.  The two share every entry up
-    to `graph-identification`, except the shape entries: `sphere`, or
-    `ball` and `boundary-matches`.  A ball's audit ends with
-    `graph-matches-expected` after the identification.
+    """The audit stack of a coloured sphere with a full-scope involution, or
+    of a coloured ball with a boundary-scope one.  The two share every entry
+    up to `graph-identification`, except the shape entry, `sphere` or
+    `ball`.  A ball's audit ends with `graph-matches-expected` after the
+    identification.  A ball's boundary is the involution's scope:
+    `involution-valid` passes only when the paired cells are exactly
+    `boundary_cells(complex)`.
 
     `complex-valid` is `complex.validate()`.  On a complex from
     `ComplexBuilder.build` that report was handed over by the builder
@@ -442,16 +443,10 @@ def _audit(
 
     calc = HomologyCalculator(complex)
     audit.add("boundary-operator", boundary_operator_audit(calc))
-    if ball is None:
-        audit.add("sphere", sphere_check(calc))
-    else:
+    if ball:
         audit.add("ball", ball_check(calc))
-        bcells = boundary_cells(complex)
-        matches = all(
-            bcells.get(d, frozenset()) == set(ball.cells.get(d, frozenset()))
-            for d in set(bcells) | set(ball.cells)
-        )
-        audit.add_flag("boundary-matches", matches, "stated boundary differs from the free-ridge closure")
+    else:
+        audit.add("sphere", sphere_check(calc))
     selected = bichromatic_edge_cells(complex, colouring)
     audit.add("parity", parity_audit(complex, selected))
     audit.add("quadrangulation", _no_edges((v.cell_dim, v.cell_id) for v in proper.violations))
@@ -466,7 +461,7 @@ def _audit(
         return audit.done(), artifacts
     graph = identified.relabel({r: labels[r] for r in identified.vertices})
     artifacts["graph"] = graph
-    if ball is not None:
+    if ball:
         audit.add_flag("graph-matches-expected", graph == expected_graph, _GRAPH_DIFFERS)
         return audit.done(), artifacts
 
@@ -582,16 +577,17 @@ def verify_sphere_quadrangulation(
     of `verify_z2_map_to_box`; without those hypotheses that function gives
     the entry.
     """
-    return _audit(complex, involution, colouring, labels, expected_graph, None, seed, n_walks)
+    return _audit(complex, involution, colouring, labels, expected_graph, False, seed, n_walks)
 
 
 def verify_ball_quadrangulation(
     ball: Complex,
-    boundary: BoundaryStructure,
+    involution: Involution,
     colouring: TwoColouring,
     *,
     labels: dict[int, object],
     expected_graph: Graph,
 ) -> tuple[AuditReport, dict]:
-    """Audit a coloured ball whose boundary carries a free involution."""
-    return _audit(ball, boundary.involution, colouring, labels, expected_graph, boundary)
+    """Audit a coloured ball whose boundary carries a free involution, given
+    as a boundary-scope `Involution`."""
+    return _audit(ball, involution, colouring, labels, expected_graph, True)

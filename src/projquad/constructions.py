@@ -31,7 +31,6 @@ from .homomorphisms import (
     verify_homomorphism,
 )
 from .symmetry import (
-    BoundaryStructure,
     Involution,
     TwoColouring,
     _double,
@@ -59,7 +58,7 @@ class BallQuad:
     """A verified coloured ball whose boundary carries a free involution."""
 
     complex: Complex
-    boundary: BoundaryStructure
+    involution: Involution  # boundary scope: its paired cells are the boundary
     colouring: TwoColouring
     labels: dict
     graph: Graph
@@ -107,7 +106,7 @@ def _finish_sphere(
 
 def _finish_ball(
     complex: Complex,
-    boundary: BoundaryStructure,
+    involution: Involution,
     colouring: TwoColouring,
     labels: dict,
     *,
@@ -116,7 +115,7 @@ def _finish_ball(
     what: str,
 ) -> BallQuad:
     report, artifacts = verify_ball_quadrangulation(
-        complex, boundary, colouring, labels=labels, expected_graph=expected_graph
+        complex, involution, colouring, labels=labels, expected_graph=expected_graph
     )
     if extra_entries:
         report = AuditReport(tuple(report.entries) + tuple(extra_entries))
@@ -124,7 +123,7 @@ def _finish_ball(
         raise VerificationFailed(f"{what}: failing audits: {', '.join(report.failing())}", report)
     return BallQuad(
         complex=complex,
-        boundary=boundary,
+        involution=involution,
         colouring=colouring,
         labels=labels,
         graph=artifacts["graph"],
@@ -298,10 +297,7 @@ def cylinder_complete(r: int) -> BallQuad:
         vp[y(i)] = x(i)
     vp[top_pole] = bottom_pole
     vp[bottom_pole] = top_pole
-    bcells = boundary_cells(complex)
-    cp = _cell_pairing_by_vertices(complex, vp, bcells)
-    involution = Involution("boundary", vp, cp)
-    boundary = BoundaryStructure(bcells, involution)
+    involution = Involution("boundary", vp, _cell_pairing_by_vertices(complex, vp, boundary_cells(complex)))
 
     colouring = TwoColouring(
         black=frozenset(range(m)) | {bottom_pole, origin},
@@ -324,7 +320,7 @@ def cylinder_complete(r: int) -> BallQuad:
         extra.append(_visibility_entry(complex, ring_cells, expected))
     return _finish_ball(
         complex,
-        boundary,
+        involution,
         colouring,
         labels,
         expected_graph=complete_graph(m + 2),
@@ -341,7 +337,7 @@ def double_to_sphere(ball: BallQuad) -> SphereQuad:
     The checks of `double` are not repeated: the ball's audit has passed
     `involution-valid` on the boundary involution, `colouring-total` and
     `colouring-antisymmetric`."""
-    complex, involution, colouring = _double(ball.complex, ball.boundary.involution, ball.colouring)
+    complex, involution, colouring = _double(ball.complex, ball.involution, ball.colouring)
     labels = dict(ball.labels)
     for v in ball.complex.vertex_ids():
         w = involution.vertex(v)
@@ -518,14 +514,13 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     new_labels[z] = "z"
 
     ball = builder.build()
-    boundary = BoundaryStructure(
-        {d: frozenset(range(T.n_cells(d))) for d in range(T.dim + 1)},
-        Involution("boundary", dict(sq.involution.vertex_pairing), {d: dict(m) for d, m in sq.involution.cell_pairing.items()}),
-    )
+    # The input sphere is the ball's boundary, so its pairing has boundary scope.
+    cell_pairing = {d: dict(m) for d, m in sq.involution.cell_pairing.items()}
+    involution = Involution("boundary", dict(sq.involution.vertex_pairing), cell_pairing)
     colouring = TwoColouring(frozenset(black), frozenset(white))
     return _finish_ball(
         ball,
-        boundary,
+        involution,
         colouring,
         new_labels,
         expected_graph=mycielskian(graph, r),

@@ -138,12 +138,15 @@ def validate_involution(complex: Complex, involution: Involution) -> InvolutionR
     """Check that the pairing is a free simplicial involution on its scope.
 
     For full scope every vertex and every cell must be paired; for boundary
-    scope the paired cells must be exactly `boundary_cells(complex)`.  In
-    both cases every paired id must be in range, not fixed, and mapped back
-    by its partner.  The vertex and facet images are checked once per pair,
-    from its lower id: once both pairings are self-inverse, the image of the
-    higher cell is the lower cell.  A pair that breaks the image rules is
-    therefore reported once, at its lower id.
+    scope the paired cells must be exactly `boundary_cells(complex)`, which
+    reads facet ids, so boundary scope needs a complex whose facet ids lie
+    in range (`_audit` and `double` judge it only once `validate()` passes).
+    In both cases every paired id must be in range, not fixed, and mapped
+    back by its partner.  The vertex and facet images are checked once per
+    pair, from its lower id: once both pairings are self-inverse, the image
+    of the higher cell is the lower cell.  Facets are compared as multisets,
+    so a partner with a repeated or extra facet id breaks the image rule.  A
+    pair that breaks the image rules is reported once, at its lower id.
 
     For a full-scope involution the same loop projects each pair to one cell
     of the quotient (see `quotient`), and the report carries the quotient
@@ -211,11 +214,11 @@ def validate_involution(complex: Complex, involution: Involution) -> InvolutionR
                 violations.append(Violation("NotSimplicial", d, i, f"vertex image {image} != {dst.vertices}"))
                 continue
             try:
-                facet_image = set(map(lower.__getitem__, src.facets))
+                facet_image = sorted(map(lower.__getitem__, src.facets))
             except KeyError as exc:
                 violations.append(Violation("NotSimplicial", d, i, f"facet {exc.args[0]} is unpaired"))
                 continue
-            if facet_image != set(dst.facets):
+            if facet_image != sorted(dst.facets):
                 violations.append(Violation("NotSimplicial", d, i, "facet images do not match pair's facets"))
                 continue
             if full and not violations:
@@ -296,14 +299,6 @@ def identify_antipodes(graph: Graph, vertex_pairing: dict[VertexId, VertexId]) -
     return out, rep
 
 
-@dataclass(frozen=True)
-class BoundaryStructure:
-    """The boundary subcomplex of a ball, with its involution."""
-
-    cells: dict[int, frozenset[int]]
-    involution: Involution
-
-
 def _quotient_refusal(involution: Involution, antipodal: ValidationReport) -> Optional[Exception]:
     """Why an involution that passes `validate_involution` has no quotient,
     given the report of `antipodal_free_cells`: it does not have full scope,
@@ -371,13 +366,18 @@ def double(
     at heights +1/-1 (the second copy mirrored through the origin), all
     radially normalized to the unit sphere.
 
-    Raises BadParameters unless the involution has boundary scope and the
-    colouring colours exactly the ball's vertices, BoundaryNotSymmetric
-    when `validate_involution` rejects the involution, and
-    ColouringNotBoundaryAntisymmetric when a boundary pair shares a colour.
+    Raises BadParameters unless the involution has boundary scope, the ball
+    passes `validate()` and the colouring colours exactly the ball's
+    vertices, BoundaryNotSymmetric when `validate_involution` rejects the
+    involution, and ColouringNotBoundaryAntisymmetric when a boundary pair
+    shares a colour.
     """
     if boundary_involution.scope != "boundary":
         raise BadParameters("doubling needs a boundary-scope involution")
+    valid = ball.validate()
+    if not valid.ok:
+        first = valid.violations[0]
+        raise BadParameters(f"invalid ball: {first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
     vp = boundary_involution.vertex_pairing
     rep = validate_involution(ball, boundary_involution)
     if not rep.ok:

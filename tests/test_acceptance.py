@@ -60,7 +60,7 @@ from projquad import (
     write_bundle,
 )
 from projquad import constructions, homology
-from projquad.symmetry import BoundaryStructure, Involution, antipodal_free_cells
+from projquad.symmetry import Involution, antipodal_free_cells
 from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
@@ -574,18 +574,17 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
     assert len(balls) == 18
     ball_failures = 0
     for k, ball in enumerate(balls):
-        involution = ball.boundary.involution
+        involution = ball.involution
         rng = random.Random(k)
         swapped = dict(involution.vertex_pairing)
         (a, b), (c, d) = rng.sample(_pairs_of(swapped), 2)
         swapped.update({a: d, d: a, c: b, b: c})
         for vertex_pairing in (involution.vertex_pairing, swapped):
             paired = Involution("boundary", vertex_pairing, involution.cell_pairing)
-            boundary = BoundaryStructure(ball.boundary.cells, paired)
             report, _ = verify_ball_quadrangulation(
-                ball.complex, boundary, ball.colouring, labels=ball.labels, expected_graph=ball.graph
+                ball.complex, paired, ball.colouring, labels=ball.labels, expected_graph=ball.graph
             )
-            entry, expected = report.entry("antipodal-free"), antipodal_free_cells(ball.complex, boundary.involution)
+            entry, expected = report.entry("antipodal-free"), antipodal_free_cells(ball.complex, paired)
             assert (entry.ok, entry.violations) == (expected.ok, expected.violations), k
             ball_failures += not entry.ok
     assert ball_failures

@@ -21,7 +21,7 @@ from projquad import (
     verify_z2_map_to_box,
 )
 from projquad.errors import MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
-from projquad.symmetry import BoundaryStructure, bichromatic_edge_cells
+from projquad.symmetry import bichromatic_edge_cells
 
 
 def test_sphere_check_accepts_octahedron(octahedron):
@@ -57,10 +57,10 @@ def test_ball_identification_loop_is_a_failing_entry():
     b.add_vertex()
     b.add_vertex()
     b.add_cell(1, (0, 1), (0, 1))
-    boundary = BoundaryStructure({0: frozenset({0, 1})}, Involution("boundary", {0: 1, 1: 0}))
+    involution = Involution("boundary", {0: 1, 1: 0})
     col = TwoColouring(black=frozenset({0}), white=frozenset({1}))
     report, artifacts = verify_ball_quadrangulation(
-        b.build(), boundary, col, labels={0: 0, 1: 0}, expected_graph=Graph([0])
+        b.build(), involution, col, labels={0: 0, 1: 0}, expected_graph=Graph([0])
     )
     assert report.failing() == ["antipodal-free", "graph-identification"]
     assert "graph" not in artifacts

@@ -243,10 +243,15 @@ def test_build_takes_no_walk_options(tmp_path, capsys, kind, option):
     assert not (tmp_path / "new").exists()
 
 
+def _readme_blocks(language: str) -> list[str]:
+    """The code blocks of the README fenced as the given language."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", text, flags=re.M | re.S)
+
+
 def _readme_commands() -> list[list[str]]:
     """The argvs of the `projquad ...` lines in the README's sh blocks."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    blocks = _readme_blocks("sh")
     return [shlex.split(line)[1:] for block in blocks for line in block.splitlines() if line.startswith("projquad ")]
 
 
@@ -257,6 +262,14 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_python_example_prints_what_its_comments_state(capsys):
+    (block,) = _readme_blocks("python")
+    stated = re.findall(r"^print\(.*#\s*(.*?)\s*$", block, flags=re.M)
+    assert stated == ["5 True exhaustive", "topological"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == stated
 
 
 def test_bad_parameters_exit(tmp_path, capsys):

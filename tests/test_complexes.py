@@ -85,6 +85,13 @@ def test_the_cell_law_refuses_a_vertex_cell_of_negative_id():
     assert [v.code for v in report.violations] == ["UnknownVertex"]
 
 
+def test_validate_refuses_two_vertex_cells_on_one_vertex():
+    # Both 0-cells pass the cell law on vertex 1, so the one at position 0
+    # leaves vertex 0 without its 0-cell.
+    report = Complex([[Cell(1, 0, (1,), ()), Cell(1, 0, (1,), ())]], ["a", "b"]).validate()
+    assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("VertexCellMismatch", 0, 0)]
+
+
 def test_the_cell_law_accepts_a_cell_over_an_unsorted_facet():
     # The edge lists its vertices unsorted, so the triangle above it fails
     # the one-comparison accept test; the rule chain still finds it lawful.

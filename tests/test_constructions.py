@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from projquad import (
     all_betti_z2,
+    boundary_cells,
     complete_graph,
     complete_graph_pipeline,
     cycle_graph,
@@ -179,11 +180,32 @@ def test_schrijver_pipeline_base_case():
     assert hom.target == schrijver_graph(5, 2)
 
 
+_BALL_ENTRIES = [
+    "complex-valid",
+    "involution-valid",
+    "colouring-total",
+    "antipodal-free",
+    "colouring-proper",
+    "colouring-antisymmetric",
+    "boundary-operator",
+    "ball",
+    "parity",
+    "quadrangulation",
+    "labels-on-orbits",
+    "graph-matches-expected",
+]
+
+
+def test_ball_audit_entry_names():
+    assert [e.name for e in cylinder_complete(3).report.entries] == _BALL_ENTRIES + ["visibility-inner-boundary"]
+    assert [e.name for e in mycielski_lift(odd_cycle_sphere(2), 2).report.entries] == _BALL_ENTRIES
+
+
 def test_lift_ball_boundary_is_input():
     base = odd_cycle_sphere(2)
     ball = mycielski_lift(base, 2)
     for d in range(base.complex.dim + 1):
-        assert ball.boundary.cells[d] == frozenset(range(base.complex.n_cells(d)))
+        assert boundary_cells(ball.complex)[d] == frozenset(range(base.complex.n_cells(d)))
         for i in range(base.complex.n_cells(d)):
             assert ball.complex.cell(d, i).vertices == base.complex.cell(d, i).vertices
 

@@ -5,6 +5,8 @@ import pytest
 from projquad import (
     BLACK,
     WHITE,
+    Cell,
+    Complex,
     ComplexBuilder,
     Involution,
     TwoColouring,
@@ -16,6 +18,7 @@ from projquad import (
     double,
     face_closure,
     identify_antipodes,
+    mycielski_tower,
     quotient,
     validate_involution,
 )
@@ -82,6 +85,17 @@ def test_validate_involution_catches_non_involution(octahedron, octahedron_invol
     vp[0], vp[1] = 1, 2  # 0 -> 1 -> 2 is not an involution
     bad = Involution("full", vp, octahedron_involution.cell_pairing)
     assert not validate_involution(octahedron, bad).ok
+
+
+def test_validate_involution_counts_the_facets_of_an_upper_partner():
+    # tower-4 pairs its 2-cell 0 with 2-cell 20; a repeated facet id on 2-cell
+    # 20 keeps its facet set the image of 2-cell 0's, but not its multiset.
+    sq = mycielski_tower(4)
+    cells = [list(sq.complex.cells_of(d)) for d in range(sq.complex.dim + 1)]
+    upper = cells[2][20]
+    cells[2][20] = Cell(upper.id, 2, upper.vertices, upper.facets + upper.facets[:1])
+    report = validate_involution(Complex(cells, sq.complex.labels), sq.involution)
+    assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("NotSimplicial", 2, 0)]
 
 
 def test_antipodal_free_cells(octahedron, octahedron_involution):
@@ -190,22 +204,29 @@ def test_double_interval_gives_circle(interval_ball):
     assert all_betti_z2(q) == (1, 1)
 
 
+# An edge whose second facet id names no 0-cell: finding its boundary would
+# index past the 0-cells.
+_DANGLING_EDGE = Complex([[Cell(0, 0, (0,), ()), Cell(1, 0, (1,), ())], [Cell(0, 1, (0, 1), (0, 5))]], ["a", "b"])
+
+
 @pytest.mark.parametrize(
-    "pairing, black, white, error",
+    "ball, pairing, black, white, error",
     [
-        (("full", {0: 2, 2: 0}), {0, 1}, {2}, BadParameters),
+        (None, ("full", {0: 2, 2: 0}), {0, 1}, {2}, BadParameters),
         # the interior vertex 1 is paired and the endpoint 2 is not
-        (("boundary", {0: 1, 1: 0}), {0, 1}, {2}, BoundaryNotSymmetric),
-        (("boundary", {0: 2, 2: 0}), {0}, {2}, BadParameters),
-        (("boundary", {0: 2, 2: 0}), {0, 2}, {1}, ColouringNotBoundaryAntisymmetric),
+        (None, ("boundary", {0: 1, 1: 0}), {0, 1}, {2}, BoundaryNotSymmetric),
+        (None, ("boundary", {0: 2, 2: 0}), {0}, {2}, BadParameters),
+        (None, ("boundary", {0: 2, 2: 0}), {0, 2}, {1}, ColouringNotBoundaryAntisymmetric),
+        (_DANGLING_EDGE, ("boundary", {0: 1, 1: 0}), {0}, {1}, BadParameters),
     ],
-    ids=["full-scope", "not-the-boundary", "colouring-not-total", "boundary-pair-one-colour"],
+    ids=["full-scope", "not-the-boundary", "colouring-not-total", "boundary-pair-one-colour", "facet-out-of-range"],
 )
-def test_double_refuses(interval_ball, pairing, black, white, error):
+def test_double_refuses(interval_ball, ball, pairing, black, white, error):
+    # `ball` None stands for the interval ball
     inv = Involution(*pairing, {})
     col = TwoColouring(black=frozenset(black), white=frozenset(white))
     with pytest.raises(ProjquadError) as excinfo:
-        double(interval_ball, inv, col)
+        double(ball or interval_ball, inv, col)
     assert excinfo.type is error
 
 
