@@ -7,12 +7,13 @@ from math import sqrt
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Complex, boundary_cells
-from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
+from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotACycle, NotOnUnitSphere
 from .graphs import Graph, box_membership
-from .homology import HomologyCalculator, edge_chain
+from .homology import HomologyCalculator
 from .symmetry import (
     Involution,
     TwoColouring,
+    _project,
     _quotient_refusal,
     antipodal_free_cells,
     antisymmetric_on_pairs,
@@ -194,11 +195,14 @@ def cycle_parity_vs_homology(
     """Compare a closed walk's length parity with its mod-2 homology class.
 
     The walk is a sequence of 1-cell ids; consecutive cells must chain into a
-    closed vertex walk (NotAClosedWalk otherwise).  Returns the parity, the
-    homology class (0 when the mod-2 sum of traversed cells bounds), whether
-    every traversed cell is in `edge_cells`, and the consistency verdict:
-    even walks must bound and odd walks must not.  Selection is by 1-cell id,
-    not by vertex pair, because parallel 1-cells in a quotient share a pair.
+    closed vertex walk (NotAClosedWalk otherwise), and their mod-2 sum must
+    be a cycle (NotACycle otherwise).  Returns the parity, the homology class
+    (0 when that sum bounds), whether every traversed cell is in
+    `edge_cells`, and the consistency verdict: even walks must bound and odd
+    walks must not.  Selection is by 1-cell id, not by vertex pair, because
+    parallel 1-cells in a quotient share a pair.  The sum and its boundary
+    are bitmasks, and the calculator's solver says whether the sum bounds;
+    no witness chain is built.
     """
     if not walk_cells:
         raise NotAClosedWalk("empty walk")
@@ -206,11 +210,18 @@ def cycle_parity_vs_homology(
     for e in walk_cells:
         if not 0 <= e < n1:
             raise NotAClosedWalk(f"no 1-cell with id {e}")
-    pairs = [tuple(complex.cell(1, e).vertices) for e in walk_cells]
-    if not _closed_walk_ok(pairs):
+    cells = [complex.cell(1, e) for e in walk_cells]
+    if not _closed_walk_ok([c.vertices for c in cells]):
         raise NotAClosedWalk("cells do not chain into a closed walk")
+    chain = boundary = 0
+    for e, c in zip(walk_cells, cells):
+        chain ^= 1 << e
+        for f in c.facets:
+            boundary ^= 1 << f
+    if boundary:
+        raise NotACycle("1-chain has non-zero boundary")
     calc = calculator or HomologyCalculator(complex)
-    bounds = calc.is_boundary(edge_chain(walk_cells)) is not None
+    bounds = not chain or (complex.dim >= 2 and calc.solver(2).solve(chain) is not None)
     parity = len(walk_cells) % 2
     homology_class = 0 if bounds else 1
     return {
@@ -359,6 +370,19 @@ def _antipodal_free(complex: Complex, involution: Involution) -> ValidationRepor
     return ValidationReport()
 
 
+def _quotient_artifacts(complex: Complex, involution: Involution, selected: frozenset[int]) -> dict:
+    """The quotient artifacts of a sphere whose `quotient` entry would pass:
+    the quotient complex, the projection from sphere cell ids to quotient
+    cell ids (see `symmetry._project`), and the selected quotient 1-cells,
+    the images of the `selected` sphere 1-cells."""
+    q, projection = _project(complex, involution)
+    return {
+        "quotient": q,
+        "projection": projection,
+        "selected_quotient_cells": frozenset(projection[1][e] for e in selected),
+    }
+
+
 def _audit(
     complex: Complex,
     involution: Involution,
@@ -442,13 +466,10 @@ def _audit(
     antisymmetric = audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
 
     calc = HomologyCalculator(complex)
-    audit.add("boundary-operator", boundary_operator_audit(calc))
-    if ball:
-        audit.add("ball", ball_check(calc))
-    else:
-        audit.add("sphere", sphere_check(calc))
+    operator_ok = audit.add("boundary-operator", boundary_operator_audit(calc))
+    shape_ok = audit.add("ball", ball_check(calc)) if ball else audit.add("sphere", sphere_check(calc))
     selected = bichromatic_edge_cells(complex, colouring)
-    audit.add("parity", parity_audit(complex, selected))
+    parity_ok = audit.add("parity", parity_audit(complex, selected))
     audit.add("quadrangulation", _no_edges((v.cell_dim, v.cell_id) for v in proper.violations))
 
     orbit_ok = all(labels.get(v) == labels.get(w) for v, w in involution.vertex_pairing.items())
@@ -475,28 +496,38 @@ def _audit(
     if refusal is not None:
         audit.add_flag("quotient", False, f"{type(refusal).__name__}: {refusal}")
         return audit.done(), artifacts
-    q, projection = judged.quotient
-    artifacts["quotient"] = q
-    artifacts["projection"] = projection
+
+    def projected() -> tuple[Complex, dict[int, dict[int, int]], frozenset[int]]:
+        """The quotient, the projection and the selected quotient 1-cells,
+        projected on the first call and kept in the artifacts."""
+        if "quotient" not in artifacts:
+            artifacts.update(_quotient_artifacts(complex, involution, selected))
+        return artifacts["quotient"], artifacts["projection"], artifacts["selected_quotient_cells"]
+
     audit.add("quotient-valid", ValidationReport())
-    n = complex.dim
-    qcalc = HomologyCalculator(q)
-    qb = qcalc.all_betti()
-    audit.add_flag("quotient-homology", qb == (1,) * (n + 1), f"betti {qb}, expected {(1,) * (n + 1)}")
-
-    selected_q = frozenset(projection[1][e] for e in selected)
-    artifacts["selected_quotient_cells"] = selected_q
+    if operator_ok and shape_ok:
+        audit.add("quotient-homology", ValidationReport())
+    else:
+        n = complex.dim
+        qb = HomologyCalculator(projected()[0]).all_betti()
+        audit.add_flag("quotient-homology", qb == (1,) * (n + 1), f"betti {qb}, expected {(1,) * (n + 1)}")
     audit.add("identification-commutes", ValidationReport())
-
-    audit.add("quotient-parity", parity_audit(q, selected_q))
+    if parity_ok and antisymmetric:
+        audit.add("quotient-parity", ValidationReport())
+    else:
+        q, _, selected_q = projected()
+        audit.add("quotient-parity", parity_audit(q, selected_q))
     if antisymmetric:
-        images = {(v.cell_dim, projection[v.cell_dim][v.cell_id]) for v in proper.violations}
+        images = {(v.cell_dim, projected()[1][v.cell_dim][v.cell_id]) for v in proper.violations}
         audit.add("quotient-quadrangulation", _no_edges(images))
     else:
+        q, _, selected_q = projected()
         audit.add("quotient-quadrangulation", quadrangulation_check(q, selected_q))
     audit.add_flag("graph-matches-expected", graph == expected_graph, _GRAPH_DIFFERS)
 
     if n_walks > 0:
+        q, _, selected_q = projected()
+        qcalc = HomologyCalculator(q)
         walks = sample_closed_walks(q, selected_q, n_walks, seed=seed)
         bad = 0
         for walk in walks:
@@ -525,13 +556,18 @@ def verify_sphere_quadrangulation(
     """Run the full audit stack on a symmetric coloured sphere.
 
     Returns the audit report and an artifact dict containing the audited
-    labels, the quotient complex, the per-dimension projection, the selected
-    quotient 1-cells, and the identified labelled graph.
+    labels and the identified labelled graph.  The quotient complex, the
+    per-dimension projection and the selected quotient 1-cells (keys
+    `quotient`, `projection` and `selected_quotient_cells`, see
+    `_quotient_artifacts`) are in it only when the audit projected the
+    quotient: to sample the walks, to run a full check whose lemma's
+    hypotheses failed, or to name the images of monochromatic cells in
+    `quotient-quadrangulation`.  A sphere that passes is judged without its
+    quotient when `n_walks` is 0.
 
-    The quotient is the one `validate_involution` built in the pass behind
-    `involution-valid`.  The `quotient` entry fails, as `quotient` would
-    raise, when the involution lacks full scope or `antipodal-free` has
-    failed.  `quotient-valid` is then a lemma, not a second validation: it
+    The `quotient` entry fails, as `quotient` would raise, when the
+    involution lacks full scope or `antipodal-free` has failed.
+    `quotient-valid` is then a lemma, not a second validation: it
     rests on `complex-valid`, `involution-valid` and `antipodal-free`.  Two
     vertices of one cell meet in the quotient only if they are antipodal, so
     the projection is injective on each cell: every quotient cell has d+1
@@ -551,6 +587,46 @@ def verify_sphere_quadrangulation(
     on u, w projects to the quotient 1-cell on the orbits of u and w, which
     is exactly the identified edge on their representatives.  The
     comparison it replaces stays a test oracle.
+
+    `quotient-homology` (H_i(Q; Z_2) = Z_2 for 0 <= i <= n) is a lemma once
+    `boundary-operator` and `sphere` have passed too, by the transfer
+    sequence of a two-sheeted cover (Conner & Floyd, "Fixed point free
+    involutions and equivariant maps", 1960; Hatcher, *Algebraic Topology*,
+    section 2.B).  `involution-valid` makes the involution t a free
+    bijection on every layer that commutes with the boundary mod 2 (each
+    partner's facets are the image of the lower cell's), so C_i(X) is free
+    over Z_2[t] on one cell per pair.  The projection p: C(X) -> C(Q) sends
+    a cell to its pair's quotient cell, whose facets are the projections of
+    its lift's facets, so p is a chain map, and so is the transfer
+    s: C(Q) -> C(X) that sends a quotient cell to the sum of its two lifts.
+    Then 0 -> C(Q) -s-> C(X) -p-> C(Q) -> 0 is exact: p is onto, s is one
+    to one, and a chain lies in the kernel of p exactly when it holds both
+    or neither lift of each quotient cell.  Write h_i for dim H_i(Q; Z_2);
+    h_{n+1} = 0 as Q has no (n+1)-cells, and the long exact sequence ends
+    in H_0(X) -p-> H_0(Q) -> 0.  For n = 0 it is 0 -> H_0(Q) -> Z_2^2 ->
+    H_0(Q) -> 0, so h_0 = 1.  For n >= 1, X is connected, so Q is, h_0 = 1
+    and p: H_0(X) -> H_0(Q) is an isomorphism; hence s_* = 0 on H_0(Q), and
+    the connecting map H_1(Q) -> H_0(Q) is onto.  For 1 <= i <= n - 1,
+    H_i(X) = 0 makes the connecting map H_i(Q) -> H_{i-1}(Q) one to one,
+    and for 2 <= i <= n - 1, H_{i-1}(X) = 0 makes it onto too; so
+    h_i = h_{i-1} = 1 below n.  The top of the sequence, 0 -> H_n(Q) ->
+    H_n(X) = Z_2 -> H_n(Q) -> H_{n-1}(Q) -> H_{n-1}(X) -> ..., with the
+    last map zero (H_{n-1}(X) = 0 for n >= 2; s_* = 0 on H_0(Q) for n = 1),
+    is exact with dimensions h_n, 1, h_n, 1, so 2 h_n = 2 and h_n = 1.
+    Without those hypotheses the Betti numbers of the projected quotient
+    give the entry, and they stay its test oracle.
+
+    `quotient-parity` is a lemma once `parity` and
+    `colouring-antisymmetric` have passed.  A quotient 2-cell's facets are
+    the projections of the facets of its lift c, the lower cell of its
+    pair, and a quotient 1-cell is selected when one of its two lifts is
+    bichromatic.  The colouring is total and antisymmetric, and the
+    involution maps each 1-cell onto a 1-cell on the partners of its ends,
+    so a 1-cell and its partner are bichromatic together: a projected facet
+    is selected exactly when the facet is.  The quotient 2-cell therefore
+    has as many selected facets as c, an even number since `parity`
+    passed.  Without those hypotheses `parity_audit` on the projected
+    quotient gives the entry, and it stays the test oracle.
 
     `quotient-quadrangulation` is a lemma too when `colouring-antisymmetric`
     passes.  The projection is injective on each cell and maps maximal cells

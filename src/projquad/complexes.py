@@ -111,6 +111,13 @@ def _rule_chain(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Ite
             yield Violation("FacetCoverageViolation", d, i, "facets do not realize the p-subsets")
 
 
+def _misplaced(d: int, cell_id: int, position: int) -> Violation:
+    """The d-cell at `position` of its layer has another id."""
+    if d == 0:
+        return Violation("VertexCellMismatch", 0, position, f"0-cell of vertex {cell_id} at position {position}")
+    return Violation("CellIdMismatch", d, position, f"{d}-cell of id {cell_id} at position {position}")
+
+
 # The exception ComplexBuilder.add_cell raises for the first broken rule.
 _BUILDER_ERRORS = {
     "VertexArityMismatch": VertexArityMismatch,
@@ -161,8 +168,8 @@ class Complex:
     """Immutable generalized simplicial complex.
 
     `cells_of(d)` returns the d-cells in id order; ids are dense per
-    dimension.  On a complex that passes `validate()`, the 0-cell at
-    position v has id v and sits on vertex v.
+    dimension.  On a complex that passes `validate()`, the d-cell at
+    position i has id i, and the 0-cell at position v sits on vertex v.
     """
 
     def __init__(
@@ -276,10 +283,13 @@ class Complex:
     # ---- validation ----
 
     def _violations(self, cell_pairing: Optional[dict[int, dict[int, int]]] = None) -> Iterator[Violation]:
-        """The label, 0-cell-count, cell-law and 0-cell-position violations,
+        """The label, 0-cell-count, cell-law and cell-position violations,
         lazily.  The cell law is judged on every cell, or, given a cell
         pairing, on every 0-cell and on the lower-id cell of each pair; a
-        0-cell that passes it must also sit at the position of its id."""
+        cell that passes it must also sit at the position of its id in its
+        own layer.  Given a pairing, the partner of each judged cell must sit
+        at its own position too: the involution check that precedes the
+        pairing carries the law onto the partner, but not its id."""
         seen_labels: dict[str, int] = {}
         for v, lab in enumerate(self._labels):
             if lab is not None:
@@ -292,21 +302,25 @@ class Complex:
         n = self.n_vertices
         for d, layer in enumerate(self._cells):
             lower = self._cells[d - 1] if d else ()
+            positions: Iterable[int] = range(len(layer))
             if d and cell_pairing is not None:
-                layer = [layer[i] for i, j in cell_pairing.get(d, {}).items() if i < j]
-            for position, c in enumerate(layer):
+                pairs = [(i, j) for i, j in cell_pairing.get(d, {}).items() if i < j]
+                positions = [i for i, _ in pairs]
+                yield from (_misplaced(d, layer[j].id, j) for _, j in pairs if layer[j].id != j)
+            for position in positions:
+                c = layer[position]
                 found = _cell_violations(c, n, lower)
                 yield from found
-                if not (d or found or c.id == position):
-                    yield Violation("VertexCellMismatch", 0, position, f"0-cell of vertex {c.id} at position {position}")
+                if not found and c.id != position:
+                    yield _misplaced(d, c.id, position)
 
     def validate(self) -> ValidationReport:
-        """Unique labels, one 0-cell per vertex at the position of its id,
-        and the cell law on every cell.  The report is made once: a complex
-        is immutable.  A complex from `ComplexBuilder.build` starts with the
-        builder's verdict, which is this report (see `build`), and
-        `_validate_by_pairs` can make it from one cell of each antipodal
-        pair."""
+        """Unique labels, one 0-cell per vertex, the cell law on every cell,
+        and every cell at the position of its id in its layer.  The report
+        is made once: a complex is immutable.  A complex from
+        `ComplexBuilder.build` starts with the builder's verdict, which is
+        this report (see `build`), and `_validate_by_pairs` can make it from
+        one cell of each antipodal pair."""
         if self._report is None:
             self._report = ValidationReport.collect(self._violations())
         return self._report
@@ -321,7 +335,8 @@ class Complex:
         The pairing is a bijection on each layer, and the involution check
         has found each partner's vertices to be the sorted image of the lower
         cell's vertices and its facets, as a multiset, the image of the lower
-        cell's facets.  So a lawful lower cell has a lawful partner.
+        cell's facets.  So a lawful lower cell has a lawful partner; only the
+        partner's id is judged on its own.
         """
         if self._report is not None:
             return

@@ -10,10 +10,12 @@ as `projquad verify` runs it on a stored bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, pi, sin
 from typing import Iterable, Sequence
 
 from .audits import (
+    _quotient_artifacts,
     verify_ball_quadrangulation,
     verify_sphere_quadrangulation,
 )
@@ -34,23 +36,44 @@ from .symmetry import (
     Involution,
     TwoColouring,
     _double,
+    bichromatic_edge_cells,
 )
 from .validation import AuditEntry, AuditReport
 
 
 @dataclass(frozen=True)
 class SphereQuad:
-    """A verified antipodally symmetric coloured sphere with its quotient."""
+    """A verified antipodally symmetric coloured sphere with its quotient.
+
+    The quotient, the projection onto it and the selected quotient 1-cells
+    are projected on first read: the audits decide the quotient entries
+    without them.
+    """
 
     complex: Complex
     involution: Involution
     colouring: TwoColouring
     labels: dict
     graph: Graph
-    quotient: Complex
-    projection: dict
-    selected: frozenset
     report: AuditReport
+
+    @cached_property
+    def _projected(self) -> dict:
+        return _quotient_artifacts(self.complex, self.involution, bichromatic_edge_cells(self.complex, self.colouring))
+
+    @property
+    def quotient(self) -> Complex:
+        return self._projected["quotient"]
+
+    @property
+    def projection(self) -> dict:
+        """Per dimension, sphere cell id -> quotient cell id."""
+        return self._projected["projection"]
+
+    @property
+    def selected(self) -> frozenset:
+        """The quotient 1-cells whose lifts are bichromatic."""
+        return self._projected["selected_quotient_cells"]
 
 
 @dataclass(frozen=True)
@@ -84,9 +107,6 @@ def _sphere_quad(
         colouring=colouring,
         labels=artifacts["labels"],
         graph=artifacts["graph"],
-        quotient=artifacts["quotient"],
-        projection=artifacts["projection"],
-        selected=artifacts["selected_quotient_cells"],
         report=report,
     )
 

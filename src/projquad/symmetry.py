@@ -124,17 +124,7 @@ class Involution:
             raise ParseError(f"malformed involution JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class InvolutionReport(ValidationReport):
-    """The verdict of `validate_involution`, with the quotient that the same
-    pass built: the quotient complex and the per-dimension projection from
-    old cell ids to new ones when the involution has full scope and no
-    violation, else None."""
-
-    quotient: Optional[tuple[Complex, dict[int, dict[int, int]]]] = None
-
-
-def validate_involution(complex: Complex, involution: Involution) -> InvolutionReport:
+def validate_involution(complex: Complex, involution: Involution) -> ValidationReport:
     """Check that the pairing is a free simplicial involution on its scope.
 
     For full scope every vertex and every cell must be paired; for boundary
@@ -147,27 +137,17 @@ def validate_involution(complex: Complex, involution: Involution) -> InvolutionR
     of the higher cell is the lower cell.  Facets are compared as multisets,
     so a partner with a repeated or extra facet id breaks the image rule.  A
     pair that breaks the image rules is reported once, at its lower id.
-
-    For a full-scope involution the same loop projects each pair to one cell
-    of the quotient (see `quotient`), and the report carries the quotient
-    when no violation is found.
     """
     violations: list[Violation] = []
     vp = involution.vertex_pairing
-    full = involution.scope == "full"
-    vertex_reps: list[VertexId] = []
-    projection: dict[int, dict[int, int]] = {0: {}}
     for v, w in sorted(vp.items()):
         if v == w:
             violations.append(Violation("FixedPoint", 0, v, "vertex paired with itself"))
         elif vp.get(w) != v:
             violations.append(Violation("NotInvolution", 0, v, f"{v} -> {w} -> {vp.get(w)}"))
-        elif v < w:
-            projection[0][v] = projection[0][w] = len(vertex_reps)
-            vertex_reps.append(v)
         if not (0 <= w < complex.n_vertices):
             violations.append(Violation("UnknownVertex", 0, v, f"pair target {w} does not exist"))
-    if full:
+    if involution.scope == "full":
         scope_cells = {d: set(range(complex.n_cells(d))) for d in range(complex.dim + 1)}
     else:
         scope_cells = boundary_cells(complex)
@@ -179,7 +159,6 @@ def validate_involution(complex: Complex, involution: Involution) -> InvolutionR
         violations.append(Violation("PairedOutsideScope", 0, v, "vertex outside scope is paired"))
     for d in sorted(set(involution.cell_pairing) - set(range(1, complex.dim + 1))):
         violations.append(Violation("PairedOutsideScope", d, None, f"cell pairs at dimension {d}, outside 1..{complex.dim}"))
-    layers: list[list[Cell]] = [[Cell(id=i, dim=0, vertices=(i,), facets=()) for i in range(len(vertex_reps))]]
     for d in range(1, complex.dim + 1):
         pairing = involution.cell_pairing.get(d, {})
         in_scope = scope_cells.get(d, set())
@@ -189,9 +168,6 @@ def validate_involution(complex: Complex, involution: Involution) -> InvolutionR
             violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
         n_cells = complex.n_cells(d)
         lower = vp if d == 1 else involution.cell_pairing.get(d - 1, {})
-        to_vertex, to_facet = projection[0], projection[d - 1]
-        here: dict[int, int] = {}
-        layer: list[Cell] = []
         for i, j in sorted(pairing.items()):
             if i == j:
                 violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
@@ -220,17 +196,41 @@ def validate_involution(complex: Complex, involution: Involution) -> InvolutionR
                 continue
             if facet_image != sorted(dst.facets):
                 violations.append(Violation("NotSimplicial", d, i, "facet images do not match pair's facets"))
-                continue
-            if full and not violations:
-                here[i] = here[j] = len(layer)
-                vertices = tuple(sorted(map(to_vertex.__getitem__, src.vertices)))
-                facets = tuple(map(to_facet.__getitem__, src.facets))
+    return ValidationReport.collect(violations)
+
+
+def _project(complex: Complex, involution: Involution) -> tuple[Complex, dict[int, dict[int, int]]]:
+    """The quotient complex and the per-dimension projection from old cell
+    ids to new ones, for a full-scope involution that `validate_involution`
+    passes.
+
+    Each pair becomes one cell, numbered in the order of its lower id, whose
+    vertices and facets are the projections of the lower cell's.
+    Representatives keep their labels; coordinates are dropped (the quotient
+    does not embed).  `quotient` and the audits of `_audit` share it.
+    """
+    vp = involution.vertex_pairing
+    to_vertex: dict[int, int] = {}
+    vertex_reps: list[VertexId] = []
+    for v in complex.vertex_ids():
+        if v < vp[v]:
+            to_vertex[v] = to_vertex[vp[v]] = len(vertex_reps)
+            vertex_reps.append(v)
+    projection = {0: to_vertex}
+    layers: list[list[Cell]] = [[Cell(id=i, dim=0, vertices=(i,), facets=()) for i in range(len(vertex_reps))]]
+    for d in range(1, complex.dim + 1):
+        pairing, to_facet = involution.cell_pairing.get(d, {}), projection[d - 1]
+        here: dict[int, int] = {}
+        layer: list[Cell] = []
+        for i, c in enumerate(complex.cells_of(d)):
+            if i < pairing[i]:
+                here[i] = here[pairing[i]] = len(layer)
+                vertices = tuple(sorted(map(to_vertex.__getitem__, c.vertices)))
+                facets = tuple(map(to_facet.__getitem__, c.facets))
                 layer.append(Cell(id=len(layer), dim=d, vertices=vertices, facets=facets))
         projection[d] = here
         layers.append(layer)
-    if not full or violations:
-        return InvolutionReport(ValidationReport.collect(violations).violations)
-    return InvolutionReport(quotient=(Complex(layers, [complex.label(v) for v in vertex_reps]), projection))
+    return Complex(layers, [complex.label(v) for v in vertex_reps]), projection
 
 
 def antipodal_free_cells(complex: Complex, involution: Involution) -> ValidationReport:
@@ -250,7 +250,7 @@ def proper_on_maximal(complex: Complex, colouring: TwoColouring) -> ValidationRe
     violations = []
     for d, i in complex.maximal_cells():
         vs = complex.cell(d, i).vertices
-        if not any(v in colouring.black for v in vs) or not any(v in colouring.white for v in vs):
+        if colouring.black.isdisjoint(vs) or colouring.white.isdisjoint(vs):
             violations.append(Violation("MonochromaticCell", d, i, str(vs)))
     return ValidationReport.collect(violations)
 
@@ -316,8 +316,7 @@ def quotient(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
     """Identify each cell with its antipode; representatives keep labels.
 
     Returns the quotient complex and the per-dimension projection from old
-    cell ids to new ones, as built by `validate_involution`.  Coordinates are
-    dropped (the quotient does not embed).  Raises BadParameters for a
+    cell ids to new ones (see `_project`).  Raises BadParameters for a
     boundary-scope involution or an unpaired vertex, NotFree on a fixed
     point, LoopsWouldForm when a cell contains an antipodal vertex pair, and
     BadParameters when `validate_involution` finds any other violation.
@@ -333,10 +332,10 @@ def quotient(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
     if refusal is not None:
         raise refusal
     judged = validate_involution(complex, involution)
-    if judged.quotient is None:
+    if not judged.ok:
         first = judged.violations[0]
         raise BadParameters(f"invalid involution: {first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
-    return judged.quotient
+    return _project(complex, involution)
 
 
 def sum_left_to_right(terms: Iterable[float]) -> float:

@@ -1,6 +1,17 @@
 import pytest
 
-from projquad import Complex, ComplexBuilder, Graph, Involution, SimplicialBuilder, TwoColouring
+from projquad import (
+    Complex,
+    ComplexBuilder,
+    Graph,
+    Involution,
+    SimplicialBuilder,
+    TwoColouring,
+    all_betti_z2,
+    bichromatic_edge_cells,
+    parity_audit,
+    quotient,
+)
 
 
 @pytest.fixture
@@ -89,24 +100,41 @@ def digon_sphere_bits(parallel_digon):
     return parallel_digon, inv, col
 
 
-def quotient_spans_the_identified_graph(artifacts) -> bool:
+def projected_quotient(complex, involution, colouring):
+    """The quotient, the projection and the selected quotient 1-cells, as
+    `quotient` projects them: the oracles below do not read the audit's
+    artifacts, which carry the quotient only when the audit projected it."""
+    q, projection = quotient(complex, involution)
+    return q, projection, frozenset(projection[1][e] for e in bichromatic_edge_cells(complex, colouring))
+
+
+def quotient_spans_the_identified_graph(artifacts, q, projection, selected) -> bool:
     """The comparison that `identification-commutes` replaced: the graph of
     the selected quotient 1-cells, each quotient vertex labelled as its
     orbit's smaller member, is the identified graph."""
-    q, to_orbit = artifacts["quotient"], artifacts["projection"][0]
-    spanned = Graph(range(q.n_vertices), [q.cell(1, e).vertices for e in artifacts["selected_quotient_cells"]])
+    spanned = Graph(range(q.n_vertices), [q.cell(1, e).vertices for e in selected])
     label_of = {}
-    for v in sorted(to_orbit):
-        label_of.setdefault(to_orbit[v], artifacts["labels"][v])
+    for v in sorted(projection[0]):
+        label_of.setdefault(projection[0][v], artifacts["labels"][v])
     return spanned.relabel(label_of) == artifacts["graph"]
 
 
-def quotient_lemmas_hold(report, artifacts) -> bool:
-    """Each quotient lemma against the check it replaces: a passing
-    `quotient-valid` comes with a quotient that `Complex.validate` accepts,
-    and a passing `identification-commutes` with selected quotient 1-cells
-    that span the identified graph."""
-    valid, commutes = report.entry("quotient-valid"), report.entry("identification-commutes")
-    return (valid is None or not valid.ok or artifacts["quotient"].validate().ok) and (
-        commutes is None or not commutes.ok or quotient_spans_the_identified_graph(artifacts)
-    )
+def quotient_lemmas_hold(report, artifacts, complex, involution, colouring) -> bool:
+    """Each quotient lemma against the check it replaces, on the quotient
+    that `projected_quotient` gives: a passing `quotient-valid` comes with a
+    quotient that `Complex.validate` accepts, a passing `quotient-homology`
+    with a quotient whose mod-2 Betti numbers are all 1, a passing
+    `identification-commutes` with selected quotient 1-cells that span the
+    identified graph, and a passing `quotient-parity` with selected quotient
+    1-cells that `parity_audit` accepts."""
+    passing = {e.name for e in report.entries if e.ok}
+    if "quotient-valid" not in passing:  # every quotient entry follows it
+        return not passing & {"quotient-homology", "identification-commutes", "quotient-parity"}
+    q, projection, selected = projected_quotient(complex, involution, colouring)
+    checks = {
+        "quotient-valid": lambda: q.validate().ok,
+        "quotient-homology": lambda: all_betti_z2(q) == (1,) * (complex.dim + 1),
+        "identification-commutes": lambda: quotient_spans_the_identified_graph(artifacts, q, projection, selected),
+        "quotient-parity": lambda: parity_audit(q, selected).ok,
+    }
+    return all(check() for name, check in checks.items() if name in passing)

@@ -59,13 +59,13 @@ from projquad import (
     verify_z2_map_to_box,
     write_bundle,
 )
-from projquad import constructions, homology
+from projquad import audits, constructions, homology, symmetry
 from projquad.symmetry import Involution, antipodal_free_cells
 from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import quotient_lemmas_hold
+from conftest import projected_quotient, quotient_lemmas_hold
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -361,7 +361,7 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
         bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
         report, artifacts = verify_bundle(bundle, n_walks=0)
         assert report.entry("quotient-valid").ok and report.entry("identification-commutes").ok, name
-        assert quotient_lemmas_hold(report, artifacts), name
+        assert quotient_lemmas_hold(report, artifacts, bundle.complex, bundle.involution, bundle.colouring), name
     # Both edges of the digon hold its antipodal pair, and an all-black
     # colouring selects no edge, so it passes the identification and only
     # the antipodal-free gate keeps its quotient from the lemma.
@@ -370,18 +370,68 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
     report, artifacts = verify_sphere_quadrangulation(
         complex, involution, black, labels={0: "x", 1: "x"}, expected_graph=Graph(["x"])
     )
-    assert quotient_lemmas_hold(report, artifacts)
+    assert quotient_lemmas_hold(report, artifacts, complex, involution, black)
 
 
-def _quadrangulation_entries_match_the_check(report, complex, colouring, artifacts) -> list[str]:
-    """Each quadrangulation entry in the report equals `quadrangulation_check`
-    on the complex it judges and that complex's selected 1-cells; returns
-    the names of the entries compared."""
-    checks = {"quadrangulation": lambda: quadrangulation_check(complex, bichromatic_edge_cells(complex, colouring))}
-    if "quotient" in artifacts:
-        checks["quotient-quadrangulation"] = lambda: quadrangulation_check(
-            artifacts["quotient"], artifacts["selected_quotient_cells"]
+def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
+    # `quotient-homology` and `quotient-parity` are lemmas on a passing
+    # sphere, so no build and no `verify --walks 0` projects a quotient; the
+    # walks of `verify` project it once.
+    calls = []
+    project = symmetry._project
+
+    def counted(complex, involution):
+        calls.append(complex)
+        return project(complex, involution)
+
+    for module in (symmetry, audits):
+        monkeypatch.setattr(module, "_project", counted)
+    mycielski_tower(5)
+    double_to_sphere(cylinder_complete(3))
+    schrijver_pipeline(7, 2)
+    assert calls == []
+    base = tmp_path_factory.mktemp("projections")
+    for name, item in corpus.items():
+        bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
+        for n_walks, projections in ((0, 0), (10, 1)):
+            calls.clear()
+            report, artifacts = verify_bundle(bundle, n_walks=n_walks)
+            assert report.ok and len(calls) == projections, (name, n_walks)
+            assert ("quotient" in artifacts) == bool(projections), (name, n_walks)
+
+
+def test_quotient_parity_without_antisymmetry_is_the_parity_check(corpus):
+    # One flipped vertex breaks colouring-antisymmetric, so `quotient-parity`
+    # is no lemma: the entry is `parity_audit` on the projected quotient.
+    sq = corpus["cylinder-3"].sq
+    failed = 0
+    for v in sorted(sq.labels)[:6]:
+        colouring = _flip(sq.colouring, (v,))
+        report, _ = verify_sphere_quadrangulation(
+            sq.complex, sq.involution, colouring, labels=sq.labels, expected_graph=sq.graph
         )
+        q, _, selected = projected_quotient(sq.complex, sq.involution, colouring)
+        entry, expected = report.entry("quotient-parity"), parity_audit(q, selected)
+        assert not report.entry("colouring-antisymmetric").ok, v
+        assert (entry.ok, entry.violations) == (expected.ok, expected.violations), v
+        failed += not entry.ok
+    assert failed
+
+
+def _quadrangulation_entries_match_the_check(report, complex, involution, colouring) -> list[str]:
+    """Each quadrangulation entry in the report equals `quadrangulation_check`
+    on the complex it judges and that complex's selected 1-cells, the
+    quotient's as `projected_quotient` gives them; returns the names of the
+    entries compared."""
+
+    def on_the_quotient():
+        q, _, selected = projected_quotient(complex, involution, colouring)
+        return quadrangulation_check(q, selected)
+
+    checks = {
+        "quadrangulation": lambda: quadrangulation_check(complex, bichromatic_edge_cells(complex, colouring)),
+        "quotient-quadrangulation": on_the_quotient,
+    }
     compared = []
     for name, check in checks.items():
         entry = report.entry(name)
@@ -403,8 +453,7 @@ def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
     # each must report exactly what the cell-by-cell check finds.
     for name, item in corpus.items():
         sq = item.sq
-        artifacts = {"quotient": sq.quotient, "selected_quotient_cells": sq.selected}
-        compared = _quadrangulation_entries_match_the_check(sq.report, sq.complex, sq.colouring, artifacts)
+        compared = _quadrangulation_entries_match_the_check(sq.report, sq.complex, sq.involution, sq.colouring)
         assert compared == ["quadrangulation", "quotient-quadrangulation"], name
 
     balls = []
@@ -420,7 +469,7 @@ def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
         _run_build(build)
     assert len(balls) == 18
     for ball in balls:
-        assert _quadrangulation_entries_match_the_check(ball.report, ball.complex, ball.colouring, {}) == [
+        assert _quadrangulation_entries_match_the_check(ball.report, ball.complex, ball.involution, ball.colouring) == [
             "quadrangulation"
         ]
 
@@ -435,10 +484,10 @@ def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
         flips = [rng.choice(pairs) for _ in range(3)] + [(v,) for v in rng.sample(sorted(sq.labels), 3)]
         for flip in flips:
             colouring = _flip(sq.colouring, flip)
-            report, artifacts = verify_sphere_quadrangulation(
+            report, _ = verify_sphere_quadrangulation(
                 sq.complex, sq.involution, colouring, labels=sq.labels, expected_graph=sq.graph
             )
-            compared = _quadrangulation_entries_match_the_check(report, sq.complex, colouring, artifacts)
+            compared = _quadrangulation_entries_match_the_check(report, sq.complex, sq.involution, colouring)
             assert "quadrangulation" in compared, (name, flip)
             seen["mono"] += not report.entry("quadrangulation").ok
             if "quotient-quadrangulation" in compared:
@@ -606,8 +655,8 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
             report, artifacts = verify_sphere_quadrangulation(
                 complex_from_json(cx), involution, colouring, labels=sq.labels, expected_graph=sq.graph
             )
-            assert quotient_lemmas_hold(report, artifacts), (name, kind)
             fresh = complex_from_json(cx)
+            assert quotient_lemmas_hold(report, artifacts, fresh, involution, colouring), (name, kind)
             compared = _entries_match_their_checks(report, fresh, involution, colouring, sq.labels, artifacts)
             for entry in compared:
                 seen[entry, report.entry(entry).ok] += 1

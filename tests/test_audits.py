@@ -82,6 +82,32 @@ def test_quotient_entry_fails_on_an_antipodal_pair_in_a_cell(digon_sphere_bits):
     assert "quotient" not in artifacts
 
 
+def test_quotient_homology_without_its_hypotheses_is_the_betti_check(octahedron, octahedron_involution):
+    # Two disjoint octahedra pass every entry up to `sphere`, which fails on
+    # b_0 = 2, so `quotient-homology` is no lemma here: the entry reads the
+    # Betti numbers of the projected quotient, two projective planes.
+    n = octahedron.n_vertices
+    sb = SimplicialBuilder()
+    for v in range(2 * n):
+        sb.add_vertex(f"v{v}")
+    for shift in (0, n):
+        for c in octahedron.cells_of(2):
+            sb.add_simplex(tuple(v + shift for v in c.vertices))
+    twice = sb.build()
+    vp = {v + shift: octahedron_involution.vertex(v) + shift for shift in (0, n) for v in range(n)}
+    by_vertices = {d: {frozenset(c.vertices): c.id for c in twice.cells_of(d)} for d in (1, 2)}
+    cp = {d: {i: by_vertices[d][frozenset(map(vp.get, vs))] for vs, i in by_vertices[d].items()} for d in (1, 2)}
+    black = frozenset(v + shift for shift in (0, n) for v in (0, 1, 2))
+    colouring = TwoColouring(black=black, white=frozenset(range(2 * n)) - black)
+    report, artifacts = verify_sphere_quadrangulation(
+        twice, Involution("full", vp, cp), colouring, labels={v: min(v, vp[v]) for v in vp}, expected_graph=Graph()
+    )
+    assert report.entry("boundary-operator").ok and not report.entry("sphere").ok
+    entry = report.entry("quotient-homology")
+    assert [v.detail for v in entry.violations] == ["betti (2, 2, 2), expected (1, 1, 1)"]
+    assert HomologyCalculator(artifacts["quotient"]).all_betti() == (2, 2, 2)
+
+
 def test_ball_check_rejects_sphere(octahedron):
     rep = ball_check(HomologyCalculator(octahedron))
     assert not rep.ok

@@ -596,6 +596,7 @@ def test_tampered_bundle_fails_closed(tmp_path, capsys, bundle, fname, change, c
     code, stdout, err = run(capsys, command, str(out))
     assert code == exit_code
     assert "Traceback" not in err
+    assert _quotient_lemmas_hold(out)
     if failing is None:
         return
     payload = json.loads(stdout)
@@ -688,10 +689,11 @@ def _mutate(obj, path, rng: random.Random) -> str:
 def _quotient_lemmas_hold(bundle_dir) -> bool:
     """`quotient_lemmas_hold` on the verdict of the stored bundle."""
     try:
-        report, artifacts = verify_bundle(load_bundle(bundle_dir), n_walks=0)
+        bundle = load_bundle(bundle_dir)
+        report, artifacts = verify_bundle(bundle, n_walks=0)
     except ProjquadError:  # the CLI's exit code for it is judged separately
         return True
-    return quotient_lemmas_hold(report, artifacts)
+    return quotient_lemmas_hold(report, artifacts, bundle.complex, bundle.involution, bundle.colouring)
 
 
 def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int) -> None:
@@ -701,8 +703,8 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
     No mutant may crash `verify`, `chi`, `homology` or `hom-check`, and wherever `chi`
     claims a topological proof, the exact search on the mutant's own
     graph.json, with no bound, must give the same chromatic number.  Where
-    `quotient-valid` or `identification-commutes` passes by its lemma, the
-    check it replaces must pass (see `_quotient_lemmas_hold`).
+    a quotient entry passes by its lemma, the check it replaces must pass
+    (see `_quotient_lemmas_hold`).
     """
     out = _build(tmp_path, capsys, builds)
     files = {p.name: json.loads(p.read_text()) for p in sorted(out.iterdir())}

@@ -92,6 +92,22 @@ def test_validate_refuses_two_vertex_cells_on_one_vertex():
     assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("VertexCellMismatch", 0, 0)]
 
 
+def test_validate_refuses_a_cell_away_from_the_position_of_its_id():
+    # Both 1-cells carry id 0: maximal_cells() would name 1-cell 0 twice and
+    # never 1-cell 1.
+    vertices = [Cell(i, 0, (i,), ()) for i in range(3)]
+    edges = [Cell(0, 1, (0, 1), (0, 1)), Cell(0, 1, (1, 2), (1, 2))]
+    report = Complex([vertices, edges], ["a", "b", "c"]).validate()
+    assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("CellIdMismatch", 1, 1)]
+    # Judged by pairs, the lower cell of the pair is judged at its own
+    # position, and the partner must sit at its own position too.
+    for ids in ((0, 0), (1, 1)):
+        edges = [Cell(i, 1, vs, vs) for i, vs in zip(ids, ((0, 1), (1, 2)))]
+        complex = Complex([vertices, edges], ["a", "b", "c"])
+        complex._validate_by_pairs({1: {0: 1, 1: 0}})
+        assert [v.code for v in complex.validate().violations] == ["CellIdMismatch"]
+
+
 def test_the_cell_law_accepts_a_cell_over_an_unsorted_facet():
     # The edge lists its vertices unsorted, so the triangle above it fails
     # the one-comparison accept test; the rule chain still finds it lawful.

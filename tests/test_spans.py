@@ -51,8 +51,8 @@ def test_every_traced_target_resolves():
 
 
 def test_a_traced_verify_times_the_involution_pass(tmp_path):
-    # The pass that judges the involution and projects the quotient runs
-    # under one of the traced symmetry names, so a trace shows its time.
+    # The pass that judges the involution runs under one of the traced
+    # symmetry names, so a trace shows its time.
     path = write_bundle(tmp_path / "odd-cycle-2", odd_cycle_sphere(2))
     with _load_spans().Tracer().installed() as tracer:
         report, _ = bundles.verify_bundle(load_bundle(path), n_walks=0)
