@@ -241,7 +241,15 @@ def sample_closed_walks(
 ) -> list[list[int]]:
     """Deterministic random closed walks along the selected 1-cells; a walk
     that has not closed after 4 * n_vertices + 8 steps is dropped, and there
-    are none when no 1-cell is selected."""
+    are none when no 1-cell is selected.
+
+    Each step goes from one end of a selected 1-cell to its other end, and a
+    walk is kept only when it is non-empty and ends at its start.  So every
+    walk returned is a closed vertex walk of selected 1-cells, and on a
+    complex that passes `validate()` (a 1-cell's facets are the 0-cells of
+    its two vertices) the mod-2 sum of its cells is a cycle.  The
+    `walk-parity` entry of `verify_sphere_quadrangulation` rests on this.
+    """
     rng = random.Random(seed)
     max_len = 4 * complex.n_vertices + 8
     incident: dict[int, list[tuple[int, int]]] = {}
@@ -527,13 +535,15 @@ def _audit(
 
     if n_walks > 0:
         q, _, selected_q = projected()
-        qcalc = HomologyCalculator(q)
         walks = sample_closed_walks(q, selected_q, n_walks, seed=seed)
+        solve = HomologyCalculator(q).solver(2).solve if q.dim >= 2 and walks else None
         bad = 0
         for walk in walks:
-            res = cycle_parity_vs_homology(q, walk, selected_q, calculator=qcalc)
-            if not (res["consistent"] and res["selected"]):
-                bad += 1
+            chain = 0
+            for e in walk:
+                chain ^= 1 << e
+            bounds = not chain or (solve is not None and solve(chain) is not None)
+            bad += len(walk) % 2 == bounds  # an odd walk that bounds, or an even one that does not
         audit.add_flag(
             "walk-parity",
             bad == 0 and len(walks) == n_walks,
@@ -637,6 +647,21 @@ def verify_sphere_quadrangulation(
     `quadrangulation` (see `_audit`).  Without antisymmetry the
     selection need not lift, and `quadrangulation_check` runs on the
     quotient.
+
+    `walk-parity` judges each walk that `sample_closed_walks` draws on the
+    quotient with one solve, a lemma of `quotient-valid`.  The sampler steps
+    only along selected quotient 1-cells, from one end to the other, and
+    keeps a walk only when it is non-empty and returns to its start.  So
+    `cycle_parity_vs_homology` could not raise `NotAClosedWalk` on it, and
+    its `selected` would be true.  Nor could it raise `NotACycle`: the
+    quotient is lawful, so a 1-cell's facets are the 0-cells of its two
+    vertices, and a closed walk leaves each vertex as often as it enters it.
+    What is left is the homology class.  The mod-2 sum of the walk, its
+    1-cell ids XOR-ed into a bitmask, bounds when it is zero or when the
+    solver of the quotient's boundary on 2-chains finds a preimage (a
+    quotient below dimension 2 bounds only the zero chain).  A walk is
+    inconsistent when it is odd and bounds, or even and does not.
+    `cycle_parity_vs_homology` is the full check and stays the test oracle.
 
     `box-map` is a lemma on the bichromatic maximal cells when
     `antipodal-free` and `labels-on-orbits` pass (complex-valid,

@@ -76,14 +76,20 @@ def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorp
 
 
 def _read_json(path: Path) -> object:
+    """The JSON value in a file; ParseError when the file cannot be read, is
+    not UTF-8, is not JSON, or nests too deeply for the decoder."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e}") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError(f"{path} nests too deeply: {e}") from e
 
 
 def load_bundle(path: PathLike) -> Bundle:
@@ -104,7 +110,10 @@ def load_bundle(path: PathLike) -> Bundle:
     for pair in reps_raw:
         if not (isinstance(pair, list) and len(pair) == 2 and type(pair[1]) is int):
             raise ParseError("orbit_reps must be a list of [label, vertex] pairs")
-        orbit_reps[_label_from_json(pair[0])] = pair[1]
+        try:
+            orbit_reps[_label_from_json(pair[0])] = pair[1]
+        except RecursionError as e:
+            raise ParseError("an orbit_reps label nests too deeply") from e
     report = _read_json(root / "report.json")
     if not isinstance(report, list):
         raise ParseError("report.json must be a list of audit entries")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
-from operator import attrgetter, lt
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -30,12 +30,30 @@ VertexId = int
 CellKey = tuple[int, int]  # (dim, id)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cell:
+    """A frozen value: fields cannot be assigned, and equality, hash, repr,
+    `dataclasses.replace`, copies and pickles are the dataclass's own.
+
+    `__init__` stores through the slot descriptors of the decorated class
+    (`_SET_FIELDS`).  The generated one calls `object.__setattr__` once per
+    field to get past the frozen `__setattr__`, at about twice the cost.
+    """
+
     id: int
     dim: int
     vertices: tuple[VertexId, ...]  # sorted, length dim+1, distinct
     facets: tuple[int, ...]  # ids of (dim-1)-cells, length dim+1; empty for dim 0
+
+    def __init__(self, id: int, dim: int, vertices: tuple[VertexId, ...], facets: tuple[int, ...]) -> None:
+        set_id, set_dim, set_vertices, set_facets = _SET_FIELDS
+        set_id(self, id)
+        set_dim(self, dim)
+        set_vertices(self, vertices)
+        set_facets(self, facets)
+
+
+_SET_FIELDS = tuple(Cell.__dict__[name].__set__ for name in ("id", "dim", "vertices", "facets"))
 
 
 def _cell_violations(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> tuple[Violation, ...]:
@@ -580,15 +598,19 @@ def complex_from_json(obj: dict) -> Complex:
             raise ParseError(f"stated dimension {dim} is above the highest cell dimension {top}")
         cells: list[list[Cell]] = []
         for d in range(dim + 1):
-            layer = sorted(layers.get(d, ()), key=lambda e: e["id"])
+            layer = layers.get(d, [])
             ids = [e["id"] for e in layer]
-            if ids != list(range(len(ids))) or {*map(type, ids)} - {int}:
+            dense = list(range(len(ids)))
+            if ids != dense:  # a stable sort leaves a layer already in id order as it is
+                layer.sort(key=itemgetter("id"))
+                ids = [e["id"] for e in layer]
+            if ids != dense or {*map(type, ids)} - {int}:
                 raise ParseError(f"{d}-cell ids must be dense 0-based integers")
             vertices = [tuple(e["vertices"]) for e in layer]
             facets = [tuple(e.get("facets", ())) for e in layer]
             if {*map(type, chain.from_iterable(vertices)), *map(type, chain.from_iterable(facets))} - {int}:
                 raise ParseError(f"{d}-cell vertices and facets must be integers")
-            cells.append([Cell(i, d, vs, fs) for i, (vs, fs) in enumerate(zip(vertices, facets))])
+            cells.append(list(map(Cell, dense, repeat(d), vertices, facets)))
         return Complex(cells, labels, coords)
     except ParseError:
         raise

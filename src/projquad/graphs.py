@@ -324,6 +324,8 @@ def graph_from_json(obj: dict) -> Graph:
         raise ParseError(f"graph JSON edge is a loop or names an unknown vertex: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed graph JSON: a label nests too deeply") from exc
 
 
 def to_dimacs(graph: Graph) -> str:

@@ -137,6 +137,8 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
     of the higher cell is the lower cell.  Facets are compared as multisets,
     so a partner with a repeated or extra facet id breaks the image rule.  A
     pair that breaks the image rules is reported once, at its lower id.
+    Pairs are judged in any order: `ValidationReport.collect` sorts the
+    violations.
     """
     violations: list[Violation] = []
     vp = involution.vertex_pairing
@@ -166,9 +168,10 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
             violations.append(Violation("UnpairedCell", d, i, "scope cell not paired"))
         for i in sorted(set(pairing) - in_scope):
             violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
-        n_cells = complex.n_cells(d)
+        layer = complex.cells_of(d)
+        n_cells = len(layer)
         lower = vp if d == 1 else involution.cell_pairing.get(d - 1, {})
-        for i, j in sorted(pairing.items()):
+        for i, j in pairing.items():
             if i == j:
                 violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
                 continue
@@ -180,7 +183,7 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
                 continue
             if i > j:
                 continue
-            src, dst = complex.cell(d, i), complex.cell(d, j)
+            src, dst = layer[i], layer[j]
             try:
                 image = tuple(sorted(map(vp.__getitem__, src.vertices)))
             except KeyError as exc:
@@ -217,20 +220,22 @@ def _project(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
             to_vertex[v] = to_vertex[vp[v]] = len(vertex_reps)
             vertex_reps.append(v)
     projection = {0: to_vertex}
-    layers: list[list[Cell]] = [[Cell(id=i, dim=0, vertices=(i,), facets=()) for i in range(len(vertex_reps))]]
+    layers: list[list[Cell]] = [[Cell(i, 0, (i,), ()) for i in range(len(vertex_reps))]]
+    vertex_of = to_vertex.__getitem__
     for d in range(1, complex.dim + 1):
-        pairing, to_facet = involution.cell_pairing.get(d, {}), projection[d - 1]
+        pairing, facet_of = involution.cell_pairing.get(d, {}), projection[d - 1].__getitem__
         here: dict[int, int] = {}
         layer: list[Cell] = []
         for i, c in enumerate(complex.cells_of(d)):
-            if i < pairing[i]:
-                here[i] = here[pairing[i]] = len(layer)
-                vertices = tuple(sorted(map(to_vertex.__getitem__, c.vertices)))
-                facets = tuple(map(to_facet.__getitem__, c.facets))
-                layer.append(Cell(id=len(layer), dim=d, vertices=vertices, facets=facets))
+            j = pairing[i]
+            if i < j:
+                here[i] = here[j] = len(layer)
+                vertices = tuple(sorted(map(vertex_of, c.vertices)))
+                layer.append(Cell(len(layer), d, vertices, tuple(map(facet_of, c.facets))))
         projection[d] = here
         layers.append(layer)
-    return Complex(layers, [complex.label(v) for v in vertex_reps]), projection
+    labels = complex.labels
+    return Complex(layers, [labels[v] for v in vertex_reps]), projection
 
 
 def antipodal_free_cells(complex: Complex, involution: Involution) -> ValidationReport:

@@ -4,14 +4,18 @@ from projquad import (
     Complex,
     ComplexBuilder,
     Graph,
+    HomologyCalculator,
     Involution,
     SimplicialBuilder,
     TwoColouring,
     all_betti_z2,
     bichromatic_edge_cells,
+    cycle_parity_vs_homology,
     parity_audit,
     quotient,
+    sample_closed_walks,
 )
+from projquad.validation import Violation
 
 
 @pytest.fixture
@@ -138,3 +142,23 @@ def quotient_lemmas_hold(report, artifacts, complex, involution, colouring) -> b
         "quotient-parity": lambda: parity_audit(q, selected).ok,
     }
     return all(check() for name, check in checks.items() if name in passing)
+
+
+def walk_parity_is_its_recount(report, complex, involution, colouring, *, n_walks: int, seed: int) -> bool:
+    """A `walk-parity` entry against a recount over the same walks: those
+    `sample_closed_walks` draws with the same seed on the quotient that
+    `projected_quotient` gives, each judged in full by
+    `cycle_parity_vs_homology`.  The verdict, the detail and `sampled` must
+    be the recount's; true when the audit stopped before the entry."""
+    entry = report.entry("walk-parity")
+    if entry is None:
+        return True
+    q, _, selected = projected_quotient(complex, involution, colouring)
+    walks = sample_closed_walks(q, selected, n_walks, seed=seed)
+    calc = HomologyCalculator(q)
+    judged = [cycle_parity_vs_homology(q, walk, selected, calculator=calc) for walk in walks]
+    bad = sum(not (res["consistent"] and res["selected"]) for res in judged)
+    ok = bad == 0 and len(walks) == n_walks
+    detail = f"{bad} inconsistent walks of {len(walks)} sampled"
+    violations = () if ok else (Violation("walk-parity", detail=detail),)
+    return (entry.ok, entry.violations, entry.info) == (ok, violations, {"sampled": len(walks)})

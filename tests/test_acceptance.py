@@ -65,7 +65,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import projected_quotient, quotient_lemmas_hold
+from conftest import projected_quotient, quotient_lemmas_hold, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -398,6 +398,20 @@ def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
             report, artifacts = verify_bundle(bundle, n_walks=n_walks)
             assert report.ok and len(calls) == projections, (name, n_walks)
             assert ("quotient" in artifacts) == bool(projections), (name, n_walks)
+
+
+def test_walk_parity_is_a_recount_of_its_walks(tmp_path_factory, corpus):
+    # `walk-parity` judges each sampled walk with one solve, a lemma of the
+    # sampler's guarantee; `cycle_parity_vs_homology` on the same walks,
+    # which raises on a walk that is not closed or not a cycle, recounts it.
+    base = tmp_path_factory.mktemp("walks")
+    for name, item in corpus.items():
+        bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
+        sphere = (bundle.complex, bundle.involution, bundle.colouring)
+        for seed in (0, 7):
+            report, _ = verify_bundle(bundle, seed=seed, n_walks=100)
+            assert report.entry("walk-parity").ok, (name, seed)
+            assert walk_parity_is_its_recount(report, *sphere, n_walks=100, seed=seed), (name, seed)
 
 
 def test_quotient_parity_without_antisymmetry_is_the_parity_check(corpus):

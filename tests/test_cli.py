@@ -12,7 +12,7 @@ from projquad.coloring import chromatic_number
 from projquad.errors import ProjquadError
 from projquad.graphs import graph_from_json
 
-from conftest import quotient_lemmas_hold
+from conftest import quotient_lemmas_hold, walk_parity_is_its_recount
 
 
 def run(capsys, *argv):
@@ -494,10 +494,39 @@ def _give_a_target_label_another_size(obj):
     _rename_a_target_vertex(obj, obj["target"]["vertices"][0] + [6])
 
 
+def _undecodable_bytes(obj):
+    return b"\xff\xfe{"
+
+
+def _nest_100000_lists(obj):
+    return b"[" * 100_000 + b"]" * 100_000
+
+
+def _with_a_deep_label(obj, holder: list) -> bytes:
+    """The JSON text of `obj` once `holder[0]` is a label nested 900 lists
+    deep, spliced in as text, since json.dumps would recurse through it."""
+    holder[0] = "DEEP"
+    return json.dumps(obj).replace('"DEEP"', "[" * 900 + "]" * 900, 1).encode()
+
+
+def _nest_a_label_900_lists_deep(obj):
+    return _with_a_deep_label(obj, obj["vertices"])
+
+
+def _nest_an_orbit_rep_label_900_lists_deep(obj):
+    return _with_a_deep_label(obj, obj["orbit_reps"][0])
+
+
+def _nest_a_pair_label_900_lists_deep(obj):
+    return _with_a_deep_label(obj, obj["pairs"][0])
+
+
 def _tamper(path, change):
+    """Apply `change` to the JSON value in the file; a change that returns
+    bytes replaces the file with them."""
     obj = json.loads(path.read_text())
-    change(obj)
-    path.write_text(json.dumps(obj))
+    text = change(obj)
+    path.write_bytes(text if isinstance(text, bytes) else json.dumps(obj).encode())
 
 
 # `build` argvs of each tampered bundle, each after the first reading the one before
@@ -582,6 +611,10 @@ TAMPERS = [
     ("schrijver-6-2", "homomorphism.json", _relabel_a_target_vertex, "hom-check", 2, "HomomorphismTargetMismatch"),
     ("schrijver-6-2", "homomorphism.json", _give_a_target_label_another_size, "hom-check", 2, "HomomorphismTargetMismatch"),
     ("c5", "colouring.json", _colour_every_vertex_black, "verify", 2, "walk-parity"),
+    ("c5", "report.json", _undecodable_bytes, "verify", 65, None),
+    ("c5", "report.json", _nest_100000_lists, "verify", 65, None),
+    ("c5", "graph.json", _nest_a_label_900_lists_deep, "chi", 65, None),
+    ("c5", "graph.json", _nest_an_orbit_rep_label_900_lists_deep, "verify", 65, None),
 ]
 
 
@@ -596,7 +629,7 @@ def test_tampered_bundle_fails_closed(tmp_path, capsys, bundle, fname, change, c
     code, stdout, err = run(capsys, command, str(out))
     assert code == exit_code
     assert "Traceback" not in err
-    assert _quotient_lemmas_hold(out)
+    assert all(_lemmas_hold(out, 100, seed) for seed in (0, 7))
     if failing is None:
         return
     payload = json.loads(stdout)
@@ -612,6 +645,29 @@ def test_tampered_bundle_fails_closed(tmp_path, capsys, bundle, fname, change, c
     assert failing in [e["name"] for e in entries if not e["ok"]]
     if failing == "involution-valid":
         assert not [e["name"] for e in entries if e["name"].startswith("quotient")]
+
+
+# file, change, command given the file itself rather than its bundle
+BARE_FILE_TAMPERS = [
+    ("graph.json", _nest_a_label_900_lists_deep, "chi"),
+    ("graph.json", _undecodable_bytes, "export"),
+    ("complex.json", _nest_100000_lists, "homology"),
+    ("homomorphism.json", _nest_a_pair_label_900_lists_deep, "hom-check"),
+]
+
+
+@pytest.mark.parametrize(
+    "fname,change,command",
+    BARE_FILE_TAMPERS,
+    ids=[f"{command}-{change.__name__.lstrip('_')}" for _, change, command in BARE_FILE_TAMPERS],
+)
+def test_a_bare_file_that_does_not_decode_exits_65(tmp_path, capsys, fname, change, command):
+    out = _build(tmp_path, capsys, SOURCES["schrijver-6-2"])
+    _tamper(out / fname, change)
+    argv = ["--format", "dimacs"] if command == "export" else []
+    code, stdout, err = run(capsys, command, str(out / fname), *argv)
+    assert (code, stdout) == (65, "")
+    assert err.startswith("input error: ")
 
 
 REPORT_REWRITES = [_drop_entry_10, _empty_report, _invented_report, _extra_invented_entry]
@@ -686,14 +742,18 @@ def _mutate(obj, path, rng: random.Random) -> str:
     return f"{kind} {list(path)} -> {parent[key]!r}"
 
 
-def _quotient_lemmas_hold(bundle_dir) -> bool:
-    """`quotient_lemmas_hold` on the verdict of the stored bundle."""
+def _lemmas_hold(bundle_dir, n_walks: int, seed: int = 0) -> bool:
+    """`quotient_lemmas_hold` and `walk_parity_is_its_recount` on the verdict
+    of the stored bundle, with `n_walks` walks drawn from `seed`."""
     try:
         bundle = load_bundle(bundle_dir)
-        report, artifacts = verify_bundle(bundle, n_walks=0)
+        report, artifacts = verify_bundle(bundle, seed=seed, n_walks=n_walks)
     except ProjquadError:  # the CLI's exit code for it is judged separately
         return True
-    return quotient_lemmas_hold(report, artifacts, bundle.complex, bundle.involution, bundle.colouring)
+    sphere = (bundle.complex, bundle.involution, bundle.colouring)
+    return quotient_lemmas_hold(report, artifacts, *sphere) and walk_parity_is_its_recount(
+        report, *sphere, n_walks=n_walks, seed=seed
+    )
 
 
 def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int) -> None:
@@ -703,8 +763,8 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
     No mutant may crash `verify`, `chi`, `homology` or `hom-check`, and wherever `chi`
     claims a topological proof, the exact search on the mutant's own
     graph.json, with no bound, must give the same chromatic number.  Where
-    a quotient entry passes by its lemma, the check it replaces must pass
-    (see `_quotient_lemmas_hold`).
+    a quotient entry passes by its lemma, the check it replaces must pass,
+    and a `walk-parity` entry must be its recount (see `_lemmas_hold`).
     """
     out = _build(tmp_path, capsys, builds)
     files = {p.name: json.loads(p.read_text()) for p in sorted(out.iterdir())}
@@ -716,8 +776,8 @@ def _mutants_never_crash_nor_lie(tmp_path, capsys, builds, cases: int, seed: int
         paths = list(_nodes(mutated))
         what = f"{name}: " + _mutate(mutated, rng.choice(paths), rng)
         (out / name).write_text(json.dumps(mutated))
-        if not _quotient_lemmas_hold(out):
-            failures.append(f"a quotient lemma passes after {what}, but the check it replaces fails")
+        if not _lemmas_hold(out, 20):
+            failures.append(f"a lemma's entry after {what} differs from the check it replaces")
         for argv in (
             ["verify", str(out), "--walks", "20"],
             ["chi", str(out)],

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -24,6 +27,27 @@ from projquad.errors import (
     UnknownVertex,
     VertexArityMismatch,
 )
+
+
+@pytest.mark.parametrize("field", ["id", "dim", "vertices", "facets"])
+def test_a_cell_field_cannot_be_assigned(field):
+    cell = Cell(3, 1, (0, 2), (0, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cell, field, 0)
+    assert cell == Cell(3, 1, (0, 2), (0, 2))
+
+
+def test_a_cell_is_a_dataclass_value():
+    cell = Cell(3, 1, (0, 2), (0, 2))
+    by_keyword = Cell(id=3, dim=1, vertices=(0, 2), facets=(0, 2))
+    assert cell == by_keyword and hash(cell) == hash(by_keyword)
+    assert cell != Cell(3, 1, (0, 2), (2, 0))
+    assert repr(cell) == "Cell(id=3, dim=1, vertices=(0, 2), facets=(0, 2))"
+    assert [f.name for f in dataclasses.fields(Cell)] == ["id", "dim", "vertices", "facets"]
+    assert dataclasses.replace(cell, id=4) == Cell(4, 1, (0, 2), (0, 2))
+    for twin in (copy.copy(cell), copy.deepcopy(cell), pickle.loads(pickle.dumps(cell))):
+        assert twin == cell and hash(twin) == hash(cell) and type(twin) is Cell
+    assert not hasattr(cell, "__dict__")
 
 
 def test_builder_basic_triangle():
