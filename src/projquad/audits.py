@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import sqrt
 from typing import Iterable, Optional, Sequence
 
@@ -378,19 +379,6 @@ def _antipodal_free(complex: Complex, involution: Involution) -> ValidationRepor
     return ValidationReport()
 
 
-def _quotient_artifacts(complex: Complex, involution: Involution, selected: frozenset[int]) -> dict:
-    """The quotient artifacts of a sphere whose `quotient` entry would pass:
-    the quotient complex, the projection from sphere cell ids to quotient
-    cell ids (see `symmetry._project`), and the selected quotient 1-cells,
-    the images of the `selected` sphere 1-cells."""
-    q, projection = _project(complex, involution)
-    return {
-        "quotient": q,
-        "projection": projection,
-        "selected_quotient_cells": frozenset(projection[1][e] for e in selected),
-    }
-
-
 def _audit(
     complex: Complex,
     involution: Involution,
@@ -505,12 +493,13 @@ def _audit(
         audit.add_flag("quotient", False, f"{type(refusal).__name__}: {refusal}")
         return audit.done(), artifacts
 
+    @cache
     def projected() -> tuple[Complex, dict[int, dict[int, int]], frozenset[int]]:
         """The quotient, the projection and the selected quotient 1-cells,
-        projected on the first call and kept in the artifacts."""
-        if "quotient" not in artifacts:
-            artifacts.update(_quotient_artifacts(complex, involution, selected))
-        return artifacts["quotient"], artifacts["projection"], artifacts["selected_quotient_cells"]
+        the images of the `selected` sphere 1-cells; projected on the first
+        call only."""
+        q, projection = _project(complex, involution)
+        return q, projection, frozenset(projection[1][e] for e in selected)
 
     audit.add("quotient-valid", ValidationReport())
     if operator_ok and shape_ok:
@@ -565,15 +554,14 @@ def verify_sphere_quadrangulation(
 ) -> tuple[AuditReport, dict]:
     """Run the full audit stack on a symmetric coloured sphere.
 
-    Returns the audit report and an artifact dict containing the audited
-    labels and the identified labelled graph.  The quotient complex, the
-    per-dimension projection and the selected quotient 1-cells (keys
-    `quotient`, `projection` and `selected_quotient_cells`, see
-    `_quotient_artifacts`) are in it only when the audit projected the
-    quotient: to sample the walks, to run a full check whose lemma's
-    hypotheses failed, or to name the images of monochromatic cells in
-    `quotient-quadrangulation`.  A sphere that passes is judged without its
-    quotient when `n_walks` is 0.
+    Returns the audit report and an artifact dict holding the audited
+    labels (key `labels`) and, once the identification has passed, the
+    identified labelled graph (key `graph`).  The quotient is not an
+    artifact: `quotient` or `SphereQuad.quotient` gives it.  The audit
+    projects it at most once, and only to sample the walks, to run a full
+    check whose lemma's hypotheses failed, or to name the images of
+    monochromatic cells in `quotient-quadrangulation`.  A sphere that
+    passes is judged without its quotient when `n_walks` is 0.
 
     The `quotient` entry fails, as `quotient` would raise, when the
     involution lacks full scope or `antipodal-free` has failed.

@@ -110,10 +110,7 @@ def load_bundle(path: PathLike) -> Bundle:
     for pair in reps_raw:
         if not (isinstance(pair, list) and len(pair) == 2 and type(pair[1]) is int):
             raise ParseError("orbit_reps must be a list of [label, vertex] pairs")
-        try:
-            orbit_reps[_label_from_json(pair[0])] = pair[1]
-        except RecursionError as e:
-            raise ParseError("an orbit_reps label nests too deeply") from e
+        orbit_reps[_label_from_json(pair[0])] = pair[1]
     report = _read_json(root / "report.json")
     if not isinstance(report, list):
         raise ParseError("report.json must be a list of audit entries")

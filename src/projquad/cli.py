@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 verification failure or constraint violation,
 64 usage error, 65 unreadable input, 70 computation budget exhausted,
-73 output path that cannot be written.
+71 out of memory, 73 output path that cannot be written.
 Reports go to stdout as JSON; diagnostics go to stderr.
 """
 
@@ -40,6 +40,7 @@ from .homomorphisms import homomorphism_from_json, verify_homomorphism
 USAGE_EXIT = 64
 PARSE_EXIT = 65
 BUDGET_EXIT = 70
+OSERR_EXIT = 71
 CANTCREAT_EXIT = 73
 VIOLATION_EXIT = 2
 
@@ -299,6 +300,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ProjquadError as e:
         sys.stderr.write(f"error: {e}\n")
         return VIOLATION_EXIT
+    except MemoryError:
+        sys.stderr.write("out of memory\n")
+        return OSERR_EXIT
     return USAGE_EXIT  # pragma: no cover - unreachable with required subparsers
 
 

@@ -14,11 +14,7 @@ from functools import cached_property
 from math import cos, pi, sin
 from typing import Iterable, Sequence
 
-from .audits import (
-    _quotient_artifacts,
-    verify_ball_quadrangulation,
-    verify_sphere_quadrangulation,
-)
+from .audits import verify_ball_quadrangulation, verify_sphere_quadrangulation
 from .complexes import Complex, ComplexBuilder, SimplicialBuilder, boundary_cells, face_closure
 from .errors import (
     BadParameters,
@@ -36,6 +32,7 @@ from .symmetry import (
     Involution,
     TwoColouring,
     _double,
+    _project,
     bichromatic_edge_cells,
 )
 from .validation import AuditEntry, AuditReport
@@ -58,22 +55,22 @@ class SphereQuad:
     report: AuditReport
 
     @cached_property
-    def _projected(self) -> dict:
-        return _quotient_artifacts(self.complex, self.involution, bichromatic_edge_cells(self.complex, self.colouring))
+    def _projected(self) -> tuple[Complex, dict]:
+        return _project(self.complex, self.involution)
 
     @property
     def quotient(self) -> Complex:
-        return self._projected["quotient"]
+        return self._projected[0]
 
     @property
     def projection(self) -> dict:
         """Per dimension, sphere cell id -> quotient cell id."""
-        return self._projected["projection"]
+        return self._projected[1]
 
-    @property
+    @cached_property
     def selected(self) -> frozenset:
         """The quotient 1-cells whose lifts are bichromatic."""
-        return self._projected["selected_quotient_cells"]
+        return frozenset(self.projection[1][e] for e in bichromatic_edge_cells(self.complex, self.colouring))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from typing import Callable, Dict, Iterable, Optional, Union
 from .errors import BadParameters, ParseError, UnknownVertex
 
 Label = Union[int, str, tuple]
+# The most lists a label read from JSON may nest; `mycielski_tower(n)` labels nest n - 3.
+MAX_LABEL_DEPTH = 64
 
 
 def label_key(label: Label):
@@ -298,8 +300,19 @@ def _label_to_json(label: Label):
 
 
 def _label_from_json(obj) -> Label:
+    """The label a JSON value stands for: an int, a string, or a list of
+    labels read as a tuple.  ParseError for any other value, and for a label
+    that nests more than `MAX_LABEL_DEPTH` lists: the limit sits far below
+    the recursion limit, so a label that parses can be written back."""
+    return _label_inside(obj, 0)
+
+
+def _label_inside(obj, depth: int) -> Label:
+    """`_label_from_json` of a value that sits inside `depth` lists."""
     if isinstance(obj, list):
-        return tuple(_label_from_json(x) for x in obj)
+        if depth == MAX_LABEL_DEPTH:
+            raise ParseError(f"a vertex label nests more than {MAX_LABEL_DEPTH} lists")
+        return tuple([_label_inside(x, depth + 1) for x in obj])
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise ParseError(f"bad vertex label {obj!r}")
     return obj
@@ -324,8 +337,6 @@ def graph_from_json(obj: dict) -> Graph:
         raise ParseError(f"graph JSON edge is a loop or names an unknown vertex: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("malformed graph JSON: a label nests too deeply") from exc
 
 
 def to_dimacs(graph: Graph) -> str:

@@ -157,5 +157,3 @@ def homomorphism_from_json(obj: dict) -> Homomorphism:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed homomorphism JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("malformed homomorphism JSON: a label nests too deeply") from exc

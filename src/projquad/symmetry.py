@@ -210,7 +210,7 @@ def _project(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
     Each pair becomes one cell, numbered in the order of its lower id, whose
     vertices and facets are the projections of the lower cell's.
     Representatives keep their labels; coordinates are dropped (the quotient
-    does not embed).  `quotient` and the audits of `_audit` share it.
+    does not embed).  `quotient`, `_audit` and `SphereQuad` share it.
     """
     vp = involution.vertex_pairing
     to_vertex: dict[int, int] = {}
@@ -401,12 +401,34 @@ def _double(
     colouring: TwoColouring,
 ) -> tuple[Complex, Involution, TwoColouring]:
     """`double` with no checks: the involution and the colouring must be
-    ones that `double` accepts."""
+    ones that `double` accepts.
+
+    `mirror[d][i]` is the partner in the double of the ball's d-cell i: its
+    boundary partner, or the id of its copy, numbered after the ball's
+    d-cells in the order of i.  A copy's vertices and facets are the mirror
+    images of the original's, and the doubled involution is `mirror` made
+    symmetric.
+    """
     vp = boundary_involution.vertex_pairing
-    bcells = boundary_cells(ball)
-    n = ball.dim
     interior0 = [v for v in ball.vertex_ids() if v not in vp]
-    copy2_vid = {v: ball.n_vertices + k for k, v in enumerate(interior0)}
+    mirror: list[dict[int, int]] = []
+    layers: list[list[Cell]] = []
+    for d in range(ball.dim + 1):
+        pairing = vp if d == 0 else boundary_involution.cell_pairing.get(d, {})
+        partners: dict[int, int] = {}
+        mirror.append(partners)
+        # A 0-cell's one vertex is its own id, whose partner is stored before
+        # its copy is built; it has no facets, so mirror[-1] is never read.
+        vertex_of, facet_of = mirror[0].__getitem__, mirror[d - 1].__getitem__
+        layer = list(ball.cells_of(d))
+        for c in ball.cells_of(d):
+            if c.id in pairing:
+                partners[c.id] = pairing[c.id]
+            else:
+                partners[c.id] = len(layer)
+                vertices = tuple(sorted(map(vertex_of, c.vertices)))
+                layer.append(Cell(len(layer), d, vertices, tuple(map(facet_of, c.facets))))
+        layers.append(layer)
 
     labels: list[Optional[str]] = list(ball.labels)
     used = {lab for lab in labels if lab is not None}
@@ -434,52 +456,16 @@ def _double(
         if all(nm > 1e-12 for nm in norms):
             coords = [tuple(x / nm for x in u) for u, nm in zip(raw, norms)]
 
-    def vmap2(v: VertexId) -> VertexId:
-        return vp[v] if v in vp else copy2_vid[v]
-
-    layers: list[list[Cell]] = [[Cell(id=i, dim=0, vertices=(i,), facets=()) for i in range(len(labels))]]
-    copy2_cell: dict[int, dict[int, int]] = {0: dict(copy2_vid)}
-    for d in range(1, n + 1):
-        layer = list(ball.cells_of(d))
-        cmap: dict[int, int] = {}
-        lower_boundary = vp if d - 1 == 0 else boundary_involution.cell_pairing.get(d - 1, {})
-        lower_copy2 = copy2_cell.get(d - 1, {})
-        for c in ball.cells_of(d):
-            if c.id in bcells.get(d, ()):
-                continue
-            verts = tuple(sorted(vmap2(v) for v in c.vertices))
-            facets = tuple(
-                lower_boundary[f] if f in lower_boundary else lower_copy2[f] for f in c.facets
-            )
-            new = Cell(id=len(layer), dim=d, vertices=verts, facets=facets)
-            layer.append(new)
-            cmap[c.id] = new.id
-        copy2_cell[d] = cmap
-        layers.append(layer)
-
-    vertex_pairing: dict[int, int] = {}
-    for v in ball.vertex_ids():
-        w = vmap2(v)
-        vertex_pairing[v] = w
-        vertex_pairing[w] = v
-    cell_pairing: dict[int, dict[int, int]] = {}
-    for d in range(1, n + 1):
-        m: dict[int, int] = {}
-        bd = boundary_involution.cell_pairing.get(d, {})
-        for c in ball.cells_of(d):
-            j = bd[c.id] if c.id in bd else copy2_cell[d][c.id]
-            m[c.id] = j
-            m[j] = c.id
-        cell_pairing[d] = m
-
     black = set(colouring.black)
     white = set(colouring.white)
     for v in interior0:
         if v in colouring.black:
-            white.add(copy2_vid[v])
+            white.add(mirror[0][v])
         else:
-            black.add(copy2_vid[v])
+            black.add(mirror[0][v])
 
+    for partners in mirror:
+        partners.update({j: i for i, j in partners.items()})
     doubled = Complex(layers, labels, coords)
-    involution = Involution("full", vertex_pairing, cell_pairing)
+    involution = Involution("full", mirror[0], dict(enumerate(mirror[1:], 1)))
     return doubled, involution, TwoColouring(frozenset(black), frozenset(white))

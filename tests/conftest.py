@@ -106,8 +106,8 @@ def digon_sphere_bits(parallel_digon):
 
 def projected_quotient(complex, involution, colouring):
     """The quotient, the projection and the selected quotient 1-cells, as
-    `quotient` projects them: the oracles below do not read the audit's
-    artifacts, which carry the quotient only when the audit projected it."""
+    `quotient` projects them: the audit's artifacts hold only `labels` and
+    `graph`, so the oracles below project the quotient themselves."""
     q, projection = quotient(complex, involution)
     return q, projection, frozenset(projection[1][e] for e in bichromatic_edge_cells(complex, colouring))
 

@@ -5,10 +5,12 @@ pass/fail line per criterion.  A module-scoped corpus of constructed bundles
 is shared across the criteria so each pipeline runs exactly once.
 """
 
+import hashlib
 import json
 import random
 import time
 from math import pi, sin
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -376,7 +378,7 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
 def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
     # `quotient-homology` and `quotient-parity` are lemmas on a passing
     # sphere, so no build and no `verify --walks 0` projects a quotient; the
-    # walks of `verify` project it once.
+    # walks of `verify` project it once.  The quotient is never an artifact.
     calls = []
     project = symmetry._project
 
@@ -384,7 +386,7 @@ def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
         calls.append(complex)
         return project(complex, involution)
 
-    for module in (symmetry, audits):
+    for module in (symmetry, audits, constructions):
         monkeypatch.setattr(module, "_project", counted)
     mycielski_tower(5)
     double_to_sphere(cylinder_complete(3))
@@ -397,7 +399,7 @@ def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
             calls.clear()
             report, artifacts = verify_bundle(bundle, n_walks=n_walks)
             assert report.ok and len(calls) == projections, (name, n_walks)
-            assert ("quotient" in artifacts) == bool(projections), (name, n_walks)
+            assert set(artifacts) == {"labels", "graph"}, (name, n_walks)
 
 
 def test_walk_parity_is_a_recount_of_its_walks(tmp_path_factory, corpus):
@@ -735,6 +737,23 @@ def test_bundle_files_are_the_json_module_text(tmp_path_factory, corpus):
         for path in sorted(bundle.iterdir()):
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", f"{name}/{path.name}"
+
+
+def test_corpus_bundles_are_the_reference_bytes(tmp_path_factory, corpus):
+    # The benchmark's reference pins the sha256 of every bundle file but
+    # report.json, and the audit entry names and verdicts of report.json.
+    # Every corpus sphere, a doubled ball or not, must write exactly those.
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+    assert sorted(reference["bundles"]) == sorted(corpus)
+    base = tmp_path_factory.mktemp("reference-bytes")
+    for name, item in corpus.items():
+        expected = reference["bundles"][name]
+        bundle = write_bundle(base / name, item.sq, homomorphism=item.hom)
+        assert sorted(p.name for p in bundle.iterdir()) == sorted([*expected["files"], "report.json"]), name
+        for fname, digest in expected["files"].items():
+            assert hashlib.sha256((bundle / fname).read_bytes()).hexdigest() == digest, f"{name}/{fname}"
+        report = json.loads((bundle / "report.json").read_text(encoding="utf-8"))
+        assert [[e["name"], e["ok"]] for e in report] == expected["report"], name
 
 
 def test_complex_json_is_the_reference_text_on_the_corpus(corpus):

@@ -14,6 +14,7 @@ from projquad import (
     odd_cycle_sphere,
     parity_audit,
     quadrangulation_check,
+    quotient,
     sample_closed_walks,
     sphere_check,
     verify_ball_quadrangulation,
@@ -99,13 +100,14 @@ def test_quotient_homology_without_its_hypotheses_is_the_betti_check(octahedron,
     cp = {d: {i: by_vertices[d][frozenset(map(vp.get, vs))] for vs, i in by_vertices[d].items()} for d in (1, 2)}
     black = frozenset(v + shift for shift in (0, n) for v in (0, 1, 2))
     colouring = TwoColouring(black=black, white=frozenset(range(2 * n)) - black)
-    report, artifacts = verify_sphere_quadrangulation(
-        twice, Involution("full", vp, cp), colouring, labels={v: min(v, vp[v]) for v in vp}, expected_graph=Graph()
+    involution = Involution("full", vp, cp)
+    report, _ = verify_sphere_quadrangulation(
+        twice, involution, colouring, labels={v: min(v, vp[v]) for v in vp}, expected_graph=Graph()
     )
     assert report.entry("boundary-operator").ok and not report.entry("sphere").ok
     entry = report.entry("quotient-homology")
     assert [v.detail for v in entry.violations] == ["betti (2, 2, 2), expected (1, 1, 1)"]
-    assert HomologyCalculator(artifacts["quotient"]).all_betti() == (2, 2, 2)
+    assert HomologyCalculator(quotient(twice, involution)[0]).all_betti() == (2, 2, 2)
 
 
 def test_ball_check_rejects_sphere(octahedron):

@@ -5,6 +5,7 @@ import pytest
 from projquad import (
     load_bundle,
     odd_cycle_sphere,
+    quotient,
     schrijver_pipeline,
     sphere_quad_from_bundle,
     verify_bundle,
@@ -61,9 +62,11 @@ def test_only_the_stable_kneser_graph_of_the_dimension_is_a_target():
 def test_verify_bundle_passes(tmp_path):
     sq = odd_cycle_sphere(3)
     out = write_bundle(tmp_path / "c7", sq)
-    report, artifacts = verify_bundle(load_bundle(out), n_walks=30)
+    bundle = load_bundle(out)
+    report, artifacts = verify_bundle(bundle, n_walks=30)
     assert report.ok
-    assert (artifacts["labels"], artifacts["graph"], artifacts["quotient"]) == (sq.labels, sq.graph, sq.quotient)
+    q, _ = quotient(bundle.complex, bundle.involution)
+    assert (artifacts["labels"], artifacts["graph"], q) == (sq.labels, sq.graph, sq.quotient)
     walk_entry = report.entry("walk-parity")
     assert walk_entry is not None and walk_entry.ok
 

@@ -1,16 +1,20 @@
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import projquad
 from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
 from projquad.errors import ProjquadError
-from projquad.graphs import graph_from_json
+from projquad.graphs import MAX_LABEL_DEPTH, graph_from_json
 
 from conftest import quotient_lemmas_hold, walk_parity_is_its_recount
 
@@ -521,6 +525,33 @@ def _nest_a_pair_label_900_lists_deep(obj):
     return _with_a_deep_label(obj, obj["pairs"][0])
 
 
+def _rename_a_vertex_to_a_label_lists_deep(obj, depth: int) -> bytes:
+    """The JSON text of a graph file once its first vertex is renamed, in its
+    vertices, edges and orbit representatives, to a label nested `depth`
+    lists deep, spliced in as text."""
+    old = obj["vertices"][0]
+
+    def rename(label):
+        return "DEEP" if label == old else label
+
+    obj["vertices"] = [rename(v) for v in obj["vertices"]]
+    obj["edges"] = [[rename(u), rename(v)] for u, v in obj["edges"]]
+    obj["orbit_reps"] = [[rename(label), v] for label, v in obj.get("orbit_reps", [])]
+    return json.dumps(obj).replace('"DEEP"', "[" * depth + "]" * depth).encode()
+
+
+def _rename_a_vertex_to_a_label_at_the_depth_limit(obj):
+    return _rename_a_vertex_to_a_label_lists_deep(obj, MAX_LABEL_DEPTH)
+
+
+def _rename_a_vertex_to_a_label_past_the_depth_limit(obj):
+    return _rename_a_vertex_to_a_label_lists_deep(obj, MAX_LABEL_DEPTH + 1)
+
+
+def _rename_a_vertex_to_a_label_494_lists_deep(obj):
+    return _rename_a_vertex_to_a_label_lists_deep(obj, 494)
+
+
 def _tamper(path, change):
     """Apply `change` to the JSON value in the file; a change that returns
     bytes replaces the file with them."""
@@ -615,6 +646,10 @@ TAMPERS = [
     ("c5", "report.json", _nest_100000_lists, "verify", 65, None),
     ("c5", "graph.json", _nest_a_label_900_lists_deep, "chi", 65, None),
     ("c5", "graph.json", _nest_an_orbit_rep_label_900_lists_deep, "verify", 65, None),
+    ("c5", "graph.json", _rename_a_vertex_to_a_label_at_the_depth_limit, "verify", 0, None),
+    ("c5", "graph.json", _rename_a_vertex_to_a_label_at_the_depth_limit, "chi", 0, None),
+    ("c5", "graph.json", _rename_a_vertex_to_a_label_past_the_depth_limit, "verify", 65, None),
+    ("c5", "graph.json", _rename_a_vertex_to_a_label_past_the_depth_limit, "chi", 65, None),
 ]
 
 
@@ -668,6 +703,50 @@ def test_a_bare_file_that_does_not_decode_exits_65(tmp_path, capsys, fname, chan
     code, stdout, err = run(capsys, command, str(out / fname), *argv)
     assert (code, stdout) == (65, "")
     assert err.startswith("input error: ")
+
+
+SRC = str(Path(projquad.__file__).resolve().parents[1])
+
+
+def _run_in_a_child(*args):
+    """Exit code, stdout and stderr of a fresh Python given `args`, with the
+    package on its path: a child's stack and limits are its own, not those
+    of the test runner."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    child = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=300, env=env)
+    return child.returncode, child.stdout, child.stderr
+
+
+def test_a_label_494_lists_deep_exits_65(tmp_path, capsys):
+    # Without a depth limit, a fresh `python -m projquad.cli chi` parsed this
+    # label and then overflowed the stack in the output writer (exit 1).
+    out = _build(tmp_path, capsys, SOURCES["schrijver-6-2"])
+    _tamper(out / "graph.json", _rename_a_vertex_to_a_label_494_lists_deep)
+    code, stdout, err = _run_in_a_child("-m", "projquad.cli", "chi", str(out / "graph.json"))
+    assert (code, stdout) == (65, "")
+    assert err == f"input error: a vertex label nests more than {MAX_LABEL_DEPTH} lists\n"
+
+
+# Runs the CLI on its arguments once it has capped its own address space
+# 40 MB above its size after the import.
+_CAPPED_CLI = """
+import resource, sys
+from projquad.cli import main
+with open("/proc/self/status") as status:
+    size_kb = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+cap, hard = (size_kb + 40 * 1024) * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_running_out_of_memory_exits_71(tmp_path):
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status to size the child")
+    argv = ["build", "schrijver", "--n", "10", "--k", "3", "--out", str(tmp_path / "sg")]
+    code, stdout, err = _run_in_a_child("-c", _CAPPED_CLI, *argv)
+    assert (code, stdout, err) == (71, "", "out of memory\n")
 
 
 REPORT_REWRITES = [_drop_entry_10, _empty_report, _invented_report, _extra_invented_entry]
