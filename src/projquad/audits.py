@@ -161,10 +161,10 @@ def parity_audit(complex: Complex, edge_cells: frozenset[int]) -> ValidationRepo
     since parallel 1-cells in a quotient share a vertex pair.
     """
     violations = []
-    for c in complex.cells_of(2) if complex.dim >= 2 else ():
+    for i, c in enumerate(complex.cells_of(2) if complex.dim >= 2 else ()):
         k = sum(1 for f in c.facets if f in edge_cells)
         if k % 2:
-            violations.append(Violation("OddSelection", 2, c.id, f"{k} of 3 edges selected"))
+            violations.append(Violation("OddSelection", 2, i, f"{k} of 3 edges selected"))
     return ValidationReport.collect(violations)
 
 

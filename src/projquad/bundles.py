@@ -51,9 +51,13 @@ def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorp
     """Write the sphere (with its audit report) as a directory of canonical
     JSON files; returns the directory path.  A `homomorphism.json` left in
     the directory by an earlier bundle is removed when there is no
-    homomorphism to write."""
+    homomorphism to write.
+
+    Every file's text is encoded before the directory is touched, so an
+    error while encoding (a MemoryError, say) leaves no directory, or an
+    earlier bundle there as it was.  An OSError in the middle of the writes
+    can still leave a partial bundle."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     reps = _orbit_reps(sq)
     graph_obj = graph_to_json(sq.graph)
     graph_obj["orbit_reps"] = [
@@ -67,11 +71,13 @@ def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorp
     }
     if homomorphism is not None:
         files["homomorphism.json"] = homomorphism_to_json(homomorphism)
-    else:
+    texts = {"complex.json": dump_complex(sq.complex)}
+    texts.update((name, dump_canonical(obj)) for name, obj in files.items())
+    out.mkdir(parents=True, exist_ok=True)
+    if homomorphism is None:
         (out / "homomorphism.json").unlink(missing_ok=True)
-    (out / "complex.json").write_text(dump_complex(sq.complex), encoding="utf-8")
-    for name, obj in files.items():
-        (out / name).write_text(dump_canonical(obj), encoding="utf-8")
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
     return out
 
 

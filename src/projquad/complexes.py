@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import attrgetter, itemgetter, lt
@@ -32,40 +32,40 @@ CellKey = tuple[int, int]  # (dim, id)
 
 @dataclass(frozen=True, slots=True, init=False)
 class Cell:
-    """A frozen value: fields cannot be assigned, and equality, hash, repr,
-    `dataclasses.replace`, copies and pickles are the dataclass's own.
+    """A cell is its vertices and its facets; its dimension is its layer in
+    the complex and its id its position in that layer.  Two parallel cells
+    are equal values at distinct positions, so no code hashes cells or finds
+    one by value.
 
+    A frozen value: fields cannot be assigned, and equality, hash, repr,
+    `dataclasses.replace`, copies and pickles are the dataclass's own.
     `__init__` stores through the slot descriptors of the decorated class
     (`_SET_FIELDS`).  The generated one calls `object.__setattr__` once per
     field to get past the frozen `__setattr__`, at about twice the cost.
     """
 
-    id: int
-    dim: int
     vertices: tuple[VertexId, ...]  # sorted, length dim+1, distinct
     facets: tuple[int, ...]  # ids of (dim-1)-cells, length dim+1; empty for dim 0
 
-    def __init__(self, id: int, dim: int, vertices: tuple[VertexId, ...], facets: tuple[int, ...]) -> None:
-        set_id, set_dim, set_vertices, set_facets = _SET_FIELDS
-        set_id(self, id)
-        set_dim(self, dim)
+    def __init__(self, vertices: tuple[VertexId, ...], facets: tuple[int, ...]) -> None:
+        set_vertices, set_facets = _SET_FIELDS
         set_vertices(self, vertices)
         set_facets(self, facets)
 
 
-_SET_FIELDS = tuple(Cell.__dict__[name].__set__ for name in ("id", "dim", "vertices", "facets"))
+_SET_FIELDS = tuple(Cell.__dict__[name].__set__ for name in ("vertices", "facets"))
 
 
-def _cell_violations(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> tuple[Violation, ...]:
-    """How one cell breaks the cell law, given the vertex count and the cells
-    one dimension down; empty for a lawful cell.
+def _cell_violations(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> tuple[Violation, ...]:
+    """How the d-cell at position i breaks the cell law, given the vertex
+    count and the cells one dimension down; empty for a lawful cell.
 
-    A d-cell has d+1 distinct, sorted, known vertices, a 0-cell sits on the
-    vertex of its own id, and a d-cell with d >= 1 has d+1 distinct existing
-    facets whose vertex sets are exactly its d-subsets.
+    A d-cell has d+1 distinct, sorted, known vertices, the 0-cell at
+    position i sits on vertex i, and a d-cell with d >= 1 has d+1 distinct
+    existing facets whose vertex sets are exactly its d-subsets.
 
     An accept test runs first.  A 0-cell passes it when its vertices are
-    `(id,)` with 0 <= id < n_vertices.  A d-cell with d >= 1 passes it when
+    `(i,)` with 0 <= i < n_vertices.  A d-cell with d >= 1 passes it when
     its d+1 vertices strictly increase inside [0, n_vertices), its d+1 facet
     ids lie in range, and the sorted vertex tuples of its facets equal the
     d+1 one-vertex deletions of its vertex tuple (`combinations(vs, d)`,
@@ -75,7 +75,7 @@ def _cell_violations(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -
     which gives the verdict; a lawful cell can fail the test, say when a
     cell below it lists its vertices unsorted.
     """
-    d, i, vs, fs = cell.dim, cell.id, cell.vertices, cell.facets
+    vs, fs = cell.vertices, cell.facets
     try:
         if d == 0:
             if vs == (i,) and 0 <= i < n_vertices:
@@ -94,14 +94,14 @@ def _cell_violations(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -
             return ()
     except TypeError:
         pass  # values that do not compare: the chain judges them, or raises as it always has
-    return tuple(_rule_chain(cell, n_vertices, lower_cells))
+    return tuple(_rule_chain(d, i, cell, n_vertices, lower_cells))
 
 
-def _rule_chain(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
+def _rule_chain(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
     """The cell law rule by rule, as `_cell_violations` reports it for a
     cell that fails the accept test.  Only an unsorted vertex tuple lets the
     later rules be checked too."""
-    d, i, vs, fs = cell.dim, cell.id, cell.vertices, cell.facets
+    vs, fs = cell.vertices, cell.facets
     if len(vs) != d + 1:
         yield Violation("VertexArityMismatch", d, i, f"{len(vs)} vertices")
         return
@@ -127,13 +127,6 @@ def _rule_chain(cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Ite
         got = {frozenset(lower_cells[f].vertices) for f in fs}
         if len(got) != d + 1 or any(len(s) != d or not s <= vset for s in got):
             yield Violation("FacetCoverageViolation", d, i, "facets do not realize the p-subsets")
-
-
-def _misplaced(d: int, cell_id: int, position: int) -> Violation:
-    """The d-cell at `position` of its layer has another id."""
-    if d == 0:
-        return Violation("VertexCellMismatch", 0, position, f"0-cell of vertex {cell_id} at position {position}")
-    return Violation("CellIdMismatch", d, position, f"{d}-cell of id {cell_id} at position {position}")
 
 
 # The exception ComplexBuilder.add_cell raises for the first broken rule.
@@ -185,9 +178,10 @@ def boundary_cells(complex: Complex) -> dict[int, frozenset[int]]:
 class Complex:
     """Immutable generalized simplicial complex.
 
-    `cells_of(d)` returns the d-cells in id order; ids are dense per
-    dimension.  On a complex that passes `validate()`, the d-cell at
-    position i has id i, and the 0-cell at position v sits on vertex v.
+    `cells_of(d)` returns the d-cells; the d-cell at position i of that
+    layer is the d-cell of id i, so ids are dense per dimension.  On a
+    complex that passes `validate()`, the 0-cell at position v sits on
+    vertex v.
     """
 
     def __init__(
@@ -264,7 +258,7 @@ class Complex:
             keys: list[CellKey] = []
             for d in range(self.dim + 1):
                 counts = self.cofacet_counts(d)
-                keys.extend((d, c.id) for c in self._cells[d] if counts[c.id] == 0)
+                keys.extend((d, i) for i, k in enumerate(counts) if k == 0)
             self._maximal = tuple(keys)
         return self._maximal
 
@@ -294,20 +288,16 @@ class Complex:
                 c = self._cells[d][old]
                 verts = tuple(sorted(vert_map[v] for v in c.vertices))
                 facets = tuple(id_map[d - 1][f] for f in c.facets) if d > 0 else ()
-                layer.append(Cell(id=len(layer), dim=d, vertices=verts, facets=facets))
+                layer.append(Cell(verts, facets))
             new_cells.append(layer)
         return Complex(new_cells, labels, coords), id_map
 
     # ---- validation ----
 
     def _violations(self, cell_pairing: Optional[dict[int, dict[int, int]]] = None) -> Iterator[Violation]:
-        """The label, 0-cell-count, cell-law and cell-position violations,
-        lazily.  The cell law is judged on every cell, or, given a cell
-        pairing, on every 0-cell and on the lower-id cell of each pair; a
-        cell that passes it must also sit at the position of its id in its
-        own layer.  Given a pairing, the partner of each judged cell must sit
-        at its own position too: the involution check that precedes the
-        pairing carries the law onto the partner, but not its id."""
+        """The label, 0-cell-count and cell-law violations, lazily.  The cell
+        law is judged on every cell, or, given a cell pairing, on every
+        0-cell and on the lower-id cell of each pair."""
         seen_labels: dict[str, int] = {}
         for v, lab in enumerate(self._labels):
             if lab is not None:
@@ -322,23 +312,16 @@ class Complex:
             lower = self._cells[d - 1] if d else ()
             positions: Iterable[int] = range(len(layer))
             if d and cell_pairing is not None:
-                pairs = [(i, j) for i, j in cell_pairing.get(d, {}).items() if i < j]
-                positions = [i for i, _ in pairs]
-                yield from (_misplaced(d, layer[j].id, j) for _, j in pairs if layer[j].id != j)
-            for position in positions:
-                c = layer[position]
-                found = _cell_violations(c, n, lower)
-                yield from found
-                if not found and c.id != position:
-                    yield _misplaced(d, c.id, position)
+                positions = [i for i, j in cell_pairing.get(d, {}).items() if i < j]
+            for i in positions:
+                yield from _cell_violations(d, i, layer[i], n, lower)
 
     def validate(self) -> ValidationReport:
-        """Unique labels, one 0-cell per vertex, the cell law on every cell,
-        and every cell at the position of its id in its layer.  The report
-        is made once: a complex is immutable.  A complex from
-        `ComplexBuilder.build` starts with the builder's verdict, which is
-        this report (see `build`), and `_validate_by_pairs` can make it from
-        one cell of each antipodal pair."""
+        """Unique labels, one 0-cell per vertex, and the cell law on every
+        cell.  The report is made once: a complex is immutable.  A complex
+        from `ComplexBuilder.build` starts with the builder's verdict, which
+        is this report (see `build`), and `_validate_by_pairs` can make it
+        from one cell of each antipodal pair."""
         if self._report is None:
             self._report = ValidationReport.collect(self._violations())
         return self._report
@@ -353,8 +336,7 @@ class Complex:
         The pairing is a bijection on each layer, and the involution check
         has found each partner's vertices to be the sorted image of the lower
         cell's vertices and its facets, as a multiset, the image of the lower
-        cell's facets.  So a lawful lower cell has a lawful partner; only the
-        partner's id is judged on its own.
+        cell's facets.  So a lawful lower cell has a lawful partner.
         """
         if self._report is not None:
             return
@@ -384,7 +366,6 @@ class ComplexBuilder:
         self._labels: list[Optional[str]] = []
         self._coords: list[Optional[tuple[float, ...]]] = []
         self._cells: list[list[Cell]] = [[]]
-        self._any_coords = False
         self._label_set: set[str] = set()
         # Whether every cell so far has passed the cell law (see `build`).
         self._lawful = True
@@ -396,7 +377,6 @@ class ComplexBuilder:
         b._labels = list(complex.labels)
         b._label_set = {lab for lab in b._labels if lab is not None}
         b._coords = [complex.coords(v) for v in complex.vertex_ids()]
-        b._any_coords = any(c is not None for c in b._coords)
         # A complex with no cell layers still leaves the builder its 0-cell layer.
         b._cells = [list(complex.cells_of(d)) for d in range(complex.dim + 1)] or [[]]
         return b
@@ -427,22 +407,21 @@ class ComplexBuilder:
         v = len(self._labels)
         self._labels.append(label)
         self._coords.append(tuple(coords) if coords is not None else None)
-        if coords is not None:
-            self._any_coords = True
-        self._cells[0].append(Cell(id=v, dim=0, vertices=(v,), facets=()))
+        self._cells[0].append(Cell((v,), ()))
         return v
 
     def add_cell(self, dim: int, vertices: Sequence[VertexId], facets: Sequence[int] = ()) -> int:
         if dim < 1:
             raise BadDimension("use add_vertex for 0-cells")
         lower = self._cells[dim - 1] if dim <= len(self._cells) else []
-        cell = Cell(id=self.n_cells(dim), dim=dim, vertices=tuple(sorted(vertices)), facets=tuple(facets))
-        for v in _cell_violations(cell, self.n_vertices, lower):
+        i = self.n_cells(dim)
+        cell = Cell(tuple(sorted(vertices)), tuple(facets))
+        for v in _cell_violations(dim, i, cell, self.n_vertices, lower):
             raise _BUILDER_ERRORS[v.code](f"{v.code} in new {dim}-cell: {v.detail}")
         while len(self._cells) <= dim:
             self._cells.append([])
         self._cells[dim].append(cell)
-        return cell.id
+        return i
 
     def build(self) -> Complex:
         """The complex, carrying an empty `validate()` report when every cell
@@ -455,7 +434,7 @@ class ComplexBuilder:
         the vertex count and the layer below at the time.  Both only grow by
         appending, so the verdict stands in the finished complex.
         """
-        coords = self._coords if self._any_coords else None
+        coords = self._coords if any(c is not None for c in self._coords) else None
         complex = Complex(self._cells, self._labels, coords)
         if self._lawful:
             complex._report = ValidationReport()
@@ -519,35 +498,34 @@ def _vertex_entries(complex: Complex) -> list[dict]:
 def complex_to_json(complex: Complex) -> dict:
     cells = []
     for d in range(complex.dim + 1):
-        for c in complex.cells_of(d):
-            cells.append({"id": c.id, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)})
+        for i, c in enumerate(complex.cells_of(d)):
+            cells.append({"id": i, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)})
     return {"dimension": complex.dim, "vertices": _vertex_entries(complex), "cells": cells}
 
 
 def dump_complex(complex: Complex) -> str:
     """`dump_canonical(complex_to_json(complex))`, without the dict step.
 
-    The header and the vertex list go through `dump_canonical`.  Each cell
-    whose id, vertices and facets are all of type int is one `%` on the
-    format of its (facet count, vertex count) shape, since `%d` spells an
-    int as json does; any other cell is encoded from its dict, so a bool, a
-    float or None reads as json would write it, and a value json rejects
-    raises TypeError here too.
+    The header and the vertex list go through `dump_canonical`.  Each cell's
+    id is its position.  In a layer whose vertices and facets are all of type
+    int, each cell is one `%` on the format of its (facet count, vertex
+    count) shape, since `%d` spells an int as json does; any other layer is
+    encoded from its dicts, so a bool, a float or None reads as json would
+    write it, and a value json rejects raises TypeError here too.
     """
     head = dump_canonical({"dimension": complex.dim, "vertices": _vertex_entries(complex)})
     texts = []
     for d in range(complex.dim + 1):
         layer = complex.cells_of(d)
-        ids = map(attrgetter("id"), layer)
         vertices = chain.from_iterable(map(attrgetter("vertices"), layer))
         facets = chain.from_iterable(map(attrgetter("facets"), layer))
-        if {*map(type, ids), *map(type, vertices), *map(type, facets)} <= {int}:
-            for c in layer:
+        if {*map(type, vertices), *map(type, facets)} <= {int}:
+            for i, c in enumerate(layer):
                 vs, fs = c.vertices, c.facets
-                texts.append(_cell_format(len(fs), len(vs)) % (d, *fs, c.id, *vs))
+                texts.append(_cell_format(len(fs), len(vs)) % (d, *fs, i, *vs))
         else:
-            for c in layer:
-                cell = {"id": c.id, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)}
+            for i, c in enumerate(layer):
+                cell = {"id": i, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)}
                 texts.append("\n  " + _encode(cell, "\n  "))
     cells = "[" + ",".join(texts) + "\n ]" if texts else "[]"
     return '{\n "cells": ' + cells + "," + head[1:]
@@ -610,7 +588,7 @@ def complex_from_json(obj: dict) -> Complex:
             facets = [tuple(e.get("facets", ())) for e in layer]
             if {*map(type, chain.from_iterable(vertices)), *map(type, chain.from_iterable(facets))} - {int}:
                 raise ParseError(f"{d}-cell vertices and facets must be integers")
-            cells.append(list(map(Cell, dense, repeat(d), vertices, facets)))
+            cells.append(list(map(Cell, vertices, facets)))
         return Complex(cells, labels, coords)
     except ParseError:
         raise

@@ -497,9 +497,9 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
             vtop = vertex_of[(g, i + 2)]
             star = [(0, vtop)]
             for d in range(1, T.dim + 2):
-                for c in builder.cells_of(d):
+                for cid, c in enumerate(builder.cells_of(d)):
                     if vtop in c.vertices and all(v in active for v in c.vertices):
-                        star.append((d, c.id))
+                        star.append((d, cid))
             cone_set = face_closure(builder, star)
             coords = None
             if has_coords:
@@ -519,9 +519,9 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     inner = {v for v, lv in level.items() if lv in (1, 2)}
     core = []
     for d in range(T.dim + 2):
-        for c in builder.cells_of(d):
+        for cid, c in enumerate(builder.cells_of(d)):
             if all(v in inner for v in c.vertices):
-                core.append((d, c.id))
+                core.append((d, cid))
     z_coords = None
     if has_coords:
         z_coords = (0.0,) * len(pos[0])

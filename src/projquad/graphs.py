@@ -31,10 +31,10 @@ def label_key(label: Label):
 
 
 class Graph:
-    """Finite simple graph; vertex order is insertion order."""
+    """Finite simple graph; vertex order is insertion order, which is the
+    order of `_adj`'s keys (no vertex is ever removed)."""
 
     def __init__(self, vertices: Iterable[Label] = (), edges: Iterable[tuple[Label, Label]] = ()) -> None:
-        self._order: list[Label] = []
         self._adj: Dict[Label, set[Label]] = {}
         self._m = 0
         for v in vertices:
@@ -46,7 +46,6 @@ class Graph:
         label_key(v)
         if v not in self._adj:
             self._adj[v] = set()
-            self._order.append(v)
 
     def add_edge(self, u: Label, v: Label) -> None:
         if u == v:
@@ -63,11 +62,11 @@ class Graph:
 
     @property
     def vertices(self) -> tuple[Label, ...]:
-        return tuple(self._order)
+        return tuple(self._adj)
 
     @property
     def n(self) -> int:
-        return len(self._order)
+        return len(self._adj)
 
     @property
     def m(self) -> int:
@@ -88,15 +87,15 @@ class Graph:
         return len(self._adj[v])
 
     def edges(self) -> tuple[tuple[Label, Label], ...]:
-        key = {v: label_key(v) for v in self._order}
+        key = {v: label_key(v) for v in self._adj}
         seen = set()
-        for u in self._order:
-            for v in self._adj[u]:
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
                 seen.add((u, v) if key[u] < key[v] else (v, u))
         return tuple(sorted(seen, key=lambda e: (key[e[0]], key[e[1]])))
 
     def sorted_vertices(self) -> tuple[Label, ...]:
-        return tuple(sorted(self._order, key=label_key))
+        return tuple(sorted(self._adj, key=label_key))
 
     # ---- transformations ----
 
@@ -104,18 +103,18 @@ class Graph:
         f = mapping.__getitem__ if isinstance(mapping, dict) else mapping
         out = Graph()
         new = {}
-        for v in self._order:
+        for v in self._adj:
             new[v] = f(v)
             out.add_vertex(new[v])
         if len(set(new.values())) != len(new):
             raise BadParameters("relabel map is not injective")
-        for u in self._order:
-            for v in self._adj[u]:
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
                 out.add_edge(new[u], new[v])
         return out
 
     def copy(self) -> "Graph":
-        return Graph(self._order, self.edges())
+        return Graph(self._adj, self.edges())
 
     # ---- predicates and invariants ----
 

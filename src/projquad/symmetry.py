@@ -220,7 +220,7 @@ def _project(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
             to_vertex[v] = to_vertex[vp[v]] = len(vertex_reps)
             vertex_reps.append(v)
     projection = {0: to_vertex}
-    layers: list[list[Cell]] = [[Cell(i, 0, (i,), ()) for i in range(len(vertex_reps))]]
+    layers: list[list[Cell]] = [[Cell((i,), ()) for i in range(len(vertex_reps))]]
     vertex_of = to_vertex.__getitem__
     for d in range(1, complex.dim + 1):
         pairing, facet_of = involution.cell_pairing.get(d, {}), projection[d - 1].__getitem__
@@ -231,7 +231,7 @@ def _project(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
             if i < j:
                 here[i] = here[j] = len(layer)
                 vertices = tuple(sorted(map(vertex_of, c.vertices)))
-                layer.append(Cell(len(layer), d, vertices, tuple(map(facet_of, c.facets))))
+                layer.append(Cell(vertices, tuple(map(facet_of, c.facets))))
         projection[d] = here
         layers.append(layer)
     labels = complex.labels
@@ -243,10 +243,10 @@ def antipodal_free_cells(complex: Complex, involution: Involution) -> Validation
     violations = []
     vp = involution.vertex_pairing
     for d in range(1, complex.dim + 1):
-        for c in complex.cells_of(d):
+        for i, c in enumerate(complex.cells_of(d)):
             vs = set(c.vertices)
             if any(vp.get(v) in vs for v in c.vertices):
-                violations.append(Violation("AntipodalPairInCell", d, c.id, str(c.vertices)))
+                violations.append(Violation("AntipodalPairInCell", d, i, str(c.vertices)))
     return ValidationReport.collect(violations)
 
 
@@ -272,10 +272,10 @@ def antisymmetric_on_pairs(colouring: TwoColouring, involution: Involution) -> V
 def bichromatic_edge_cells(complex: Complex, colouring: TwoColouring) -> frozenset[int]:
     """Ids of the 1-cells whose endpoints have different colours."""
     out = set()
-    for c in complex.cells_of(1) if complex.dim >= 1 else ():
+    for i, c in enumerate(complex.cells_of(1) if complex.dim >= 1 else ()):
         u, v = c.vertices
         if colouring.of(u) != colouring.of(v):
-            out.add(c.id)
+            out.add(i)
     return frozenset(out)
 
 
@@ -421,13 +421,13 @@ def _double(
         # its copy is built; it has no facets, so mirror[-1] is never read.
         vertex_of, facet_of = mirror[0].__getitem__, mirror[d - 1].__getitem__
         layer = list(ball.cells_of(d))
-        for c in ball.cells_of(d):
-            if c.id in pairing:
-                partners[c.id] = pairing[c.id]
+        for i, c in enumerate(ball.cells_of(d)):
+            if i in pairing:
+                partners[i] = pairing[i]
             else:
-                partners[c.id] = len(layer)
+                partners[i] = len(layer)
                 vertices = tuple(sorted(map(vertex_of, c.vertices)))
-                layer.append(Cell(len(layer), d, vertices, tuple(map(facet_of, c.facets))))
+                layer.append(Cell(vertices, tuple(map(facet_of, c.facets))))
         layers.append(layer)
 
     labels: list[Optional[str]] = list(ball.labels)

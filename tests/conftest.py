@@ -44,7 +44,7 @@ def octahedron_involution(octahedron) -> Involution:
     vp = {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2}
     cp: dict[int, dict[int, int]] = {1: {}, 2: {}}
     by_vs = {
-        d: {frozenset(c.vertices): c.id for c in octahedron.cells_of(d)} for d in (1, 2)
+        d: {frozenset(c.vertices): i for i, c in enumerate(octahedron.cells_of(d))} for d in (1, 2)
     }
     for d in (1, 2):
         for key, i in by_vs[d].items():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import projquad
+from projquad import bundles
 from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
@@ -466,6 +467,33 @@ def _repeat_a_facet_of_an_upper_partner(obj):
     cell["facets"].append(cell["facets"][0])
 
 
+def _one_cells(obj):
+    return [c for c in obj["cells"] if c["dim"] == 1]
+
+
+def _two_edges_share_an_id(obj):
+    first, second = _one_cells(obj)[:2]
+    second["id"] = first["id"]
+
+
+def _edge_id_leaves_a_gap(obj):
+    _one_cells(obj)[0]["id"] = 99
+
+
+def _true_as_edge_id(obj):
+    next(c for c in _one_cells(obj) if c["id"] == 1)["id"] = True
+
+
+def _reverse_the_cells(obj):
+    # a cell is placed by its stated id, not by where the list holds it
+    obj["cells"].reverse()
+
+
+def _swap_two_edge_ids(obj):
+    first, second = _one_cells(obj)[:2]
+    first["id"], second["id"] = second["id"], first["id"]
+
+
 def _target_edge_unused_by_the_map(obj) -> int:
     """The index in a homomorphism JSON of the first target edge that is no
     source edge's image."""
@@ -650,6 +678,11 @@ TAMPERS = [
     ("c5", "graph.json", _rename_a_vertex_to_a_label_at_the_depth_limit, "chi", 0, None),
     ("c5", "graph.json", _rename_a_vertex_to_a_label_past_the_depth_limit, "verify", 65, None),
     ("c5", "graph.json", _rename_a_vertex_to_a_label_past_the_depth_limit, "chi", 65, None),
+    ("c5", "complex.json", _two_edges_share_an_id, "verify", 65, None),
+    ("c5", "complex.json", _edge_id_leaves_a_gap, "verify", 65, None),
+    ("c5", "complex.json", _true_as_edge_id, "verify", 65, None),
+    ("c5", "complex.json", _reverse_the_cells, "verify", 0, None),
+    ("c5", "complex.json", _swap_two_edge_ids, "verify", 2, "involution-valid"),
 ]
 
 
@@ -680,6 +713,14 @@ def test_tampered_bundle_fails_closed(tmp_path, capsys, bundle, fname, change, c
     assert failing in [e["name"] for e in entries if not e["ok"]]
     if failing == "involution-valid":
         assert not [e["name"] for e in entries if e["name"].startswith("quotient")]
+
+
+def test_a_complex_with_its_cells_listed_in_reverse_verifies_as_before(tmp_path, capsys):
+    # A parsed cell's id is its position, whatever order the file lists it in.
+    out = _build(tmp_path, capsys, SOURCES["c5"])
+    untampered = run(capsys, "verify", str(out))
+    _tamper(out / "complex.json", _reverse_the_cells)
+    assert run(capsys, "verify", str(out)) == untampered
 
 
 # file, change, command given the file itself rather than its bundle
@@ -747,6 +788,34 @@ def test_running_out_of_memory_exits_71(tmp_path):
     argv = ["build", "schrijver", "--n", "10", "--k", "3", "--out", str(tmp_path / "sg")]
     code, stdout, err = _run_in_a_child("-c", _CAPPED_CLI, *argv)
     assert (code, stdout, err) == (71, "", "out of memory\n")
+
+
+def _fail_the_4th_dump(monkeypatch):
+    """Make the 4th `bundles.dump_canonical` call from now on raise MemoryError."""
+    calls = []
+    dump = bundles.dump_canonical
+
+    def failing(obj):
+        calls.append(None)
+        if len(calls) == 4:
+            raise MemoryError
+        return dump(obj)
+
+    monkeypatch.setattr(bundles, "dump_canonical", failing)
+
+
+def test_a_bundle_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    # The encoder of the 4th canonical file runs out of memory: no directory
+    # is made, and an earlier bundle keeps every byte, its homomorphism.json too.
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    assert run(capsys, "build", "schrijver", "--n", "6", "--k", "2", "--out", str(kept))[0] == 0
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    for out in (fresh, kept):
+        _fail_the_4th_dump(monkeypatch)
+        code, stdout, err = run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))
+        assert (code, stdout, err) == (71, "", "out of memory\n")
+    assert not fresh.exists()
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 REPORT_REWRITES = [_drop_entry_10, _empty_report, _invented_report, _extra_invented_entry]

@@ -29,22 +29,22 @@ from projquad.errors import (
 )
 
 
-@pytest.mark.parametrize("field", ["id", "dim", "vertices", "facets"])
+@pytest.mark.parametrize("field", ["vertices", "facets"])
 def test_a_cell_field_cannot_be_assigned(field):
-    cell = Cell(3, 1, (0, 2), (0, 2))
+    cell = Cell((0, 2), (0, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cell, field, 0)
-    assert cell == Cell(3, 1, (0, 2), (0, 2))
+    assert cell == Cell((0, 2), (0, 2))
 
 
 def test_a_cell_is_a_dataclass_value():
-    cell = Cell(3, 1, (0, 2), (0, 2))
-    by_keyword = Cell(id=3, dim=1, vertices=(0, 2), facets=(0, 2))
+    cell = Cell((0, 2), (0, 2))
+    by_keyword = Cell(vertices=(0, 2), facets=(0, 2))
     assert cell == by_keyword and hash(cell) == hash(by_keyword)
-    assert cell != Cell(3, 1, (0, 2), (2, 0))
-    assert repr(cell) == "Cell(id=3, dim=1, vertices=(0, 2), facets=(0, 2))"
-    assert [f.name for f in dataclasses.fields(Cell)] == ["id", "dim", "vertices", "facets"]
-    assert dataclasses.replace(cell, id=4) == Cell(4, 1, (0, 2), (0, 2))
+    assert cell != Cell((0, 2), (2, 0))
+    assert repr(cell) == "Cell(vertices=(0, 2), facets=(0, 2))"
+    assert [f.name for f in dataclasses.fields(Cell)] == ["vertices", "facets"]
+    assert dataclasses.replace(cell, facets=(2, 0)) == Cell((0, 2), (2, 0))
     for twin in (copy.copy(cell), copy.deepcopy(cell), pickle.loads(pickle.dumps(cell))):
         assert twin == cell and hash(twin) == hash(cell) and type(twin) is Cell
     assert not hasattr(cell, "__dict__")
@@ -98,46 +98,31 @@ def test_builder_and_validate_share_the_cell_law(vertices, facets, code, error):
     with pytest.raises(error, match=code):
         b.add_cell(1, vertices, facets)
     assert b.n_cells(1) == 0
-    bad = Cell(0, 1, tuple(sorted(vertices)), tuple(facets))
+    bad = Cell(tuple(sorted(vertices)), tuple(facets))
     report = Complex([b.build().cells_of(0), [bad]], [None] * 3).validate()
     assert [v.code for v in report.violations] == [code]
 
 
 def test_the_cell_law_refuses_a_vertex_cell_of_negative_id():
-    # (-1,) is the vertex tuple of a 0-cell with id -1, but no vertex -1 exists.
-    report = Complex([[Cell(-1, 0, (-1,), ())]], ["a"]).validate()
+    # The 0-cell at position 0 sits on vertex -1, which does not exist: the
+    # unknown vertex is reported, not the vertex away from the position.
+    report = Complex([[Cell((-1,), ())]], ["a"]).validate()
     assert [v.code for v in report.violations] == ["UnknownVertex"]
 
 
 def test_validate_refuses_two_vertex_cells_on_one_vertex():
-    # Both 0-cells pass the cell law on vertex 1, so the one at position 0
-    # leaves vertex 0 without its 0-cell.
-    report = Complex([[Cell(1, 0, (1,), ()), Cell(1, 0, (1,), ())]], ["a", "b"]).validate()
+    # Both 0-cells sit on vertex 1, so the one at position 0 breaks the cell
+    # law and vertex 0 has no 0-cell.
+    report = Complex([[Cell((1,), ()), Cell((1,), ())]], ["a", "b"]).validate()
     assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("VertexCellMismatch", 0, 0)]
-
-
-def test_validate_refuses_a_cell_away_from_the_position_of_its_id():
-    # Both 1-cells carry id 0: maximal_cells() would name 1-cell 0 twice and
-    # never 1-cell 1.
-    vertices = [Cell(i, 0, (i,), ()) for i in range(3)]
-    edges = [Cell(0, 1, (0, 1), (0, 1)), Cell(0, 1, (1, 2), (1, 2))]
-    report = Complex([vertices, edges], ["a", "b", "c"]).validate()
-    assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("CellIdMismatch", 1, 1)]
-    # Judged by pairs, the lower cell of the pair is judged at its own
-    # position, and the partner must sit at its own position too.
-    for ids in ((0, 0), (1, 1)):
-        edges = [Cell(i, 1, vs, vs) for i, vs in zip(ids, ((0, 1), (1, 2)))]
-        complex = Complex([vertices, edges], ["a", "b", "c"])
-        complex._validate_by_pairs({1: {0: 1, 1: 0}})
-        assert [v.code for v in complex.validate().violations] == ["CellIdMismatch"]
 
 
 def test_the_cell_law_accepts_a_cell_over_an_unsorted_facet():
     # The edge lists its vertices unsorted, so the triangle above it fails
     # the one-comparison accept test; the rule chain still finds it lawful.
-    v = [Cell(i, 0, (i,), ()) for i in range(3)]
-    edges = [Cell(0, 1, (1, 0), (0, 1)), Cell(1, 1, (1, 2), (1, 2)), Cell(2, 1, (0, 2), (0, 2))]
-    report = Complex([v, edges, [Cell(0, 2, (0, 1, 2), (0, 1, 2))]], [None] * 3).validate()
+    v = [Cell((i,), ()) for i in range(3)]
+    edges = [Cell((1, 0), (0, 1)), Cell((1, 2), (1, 2)), Cell((0, 2), (0, 2))]
+    report = Complex([v, edges, [Cell((0, 1, 2), (0, 1, 2))]], [None] * 3).validate()
     assert [(c.code, c.cell_dim) for c in report.violations] == [("UnsortedVertices", 1)]
 
 
@@ -156,8 +141,10 @@ def test_facet_coverage_enforced():
 def test_parallel_cells_are_legal(parallel_digon):
     assert parallel_digon.n_cells(1) == 2
     assert parallel_digon.validate().ok
-    ids = [c.id for c in parallel_digon.cells_of(1)]
-    assert ids == [0, 1]
+    # Equal values at distinct positions: each is known by its position.
+    first, second = parallel_digon.cells_of(1)
+    assert first == second
+    assert parallel_digon.maximal_cells() == ((1, 0), (1, 1))
 
 
 def test_simplicial_builder_closure_and_reuse():
@@ -174,12 +161,12 @@ def test_simplicial_builder_closure_and_reuse():
 
 def test_face_closure_and_one_faces(octahedron):
     top = octahedron.cells_of(2)[0]
-    closure = face_closure(octahedron, [(2, top.id)])
-    assert closure[2] == {top.id}
+    closure = face_closure(octahedron, [(2, 0)])
+    assert closure[2] == {0}
     assert closure[1] == set(top.facets)
     assert closure[0] == set(top.vertices)
     # a builder walks the same way, and several roots give one merged closure
-    assert face_closure(ComplexBuilder.from_complex(octahedron), [(2, top.id)]) == closure
+    assert face_closure(ComplexBuilder.from_complex(octahedron), [(2, 0)]) == closure
     both = face_closure(octahedron, [(2, 0), (2, 1), (0, 5)])
     assert both[2] == {0, 1}
     assert both[0] == set(octahedron.cell(2, 0).vertices) | set(octahedron.cell(2, 1).vertices) | {5}
@@ -219,7 +206,7 @@ def test_from_complex_over_a_broken_cell_hands_over_no_report(octahedron, octahe
     # hand over, and complex-valid validates the built complex in full.
     layers = [list(octahedron.cells_of(d)) for d in range(3)]
     last = layers[2][-1]
-    layers[2][-1] = Cell(last.id, 2, last.vertices, (last.facets[0],) * 3)
+    layers[2][-1] = Cell(last.vertices, (last.facets[0],) * 3)
     broken = Complex(layers, octahedron.labels)
     built = ComplexBuilder.from_complex(broken).build()
     assert built._report is None
@@ -238,7 +225,7 @@ def test_from_complex_on_a_complex_without_layers_can_add_a_vertex():
     b = ComplexBuilder.from_complex(Complex([], []))
     assert b.add_vertex("a") == 0
     built = b.build()
-    assert built.cells_of(0) == (Cell(0, 0, (0,), ()),)
+    assert built.cells_of(0) == (Cell((0,), ()),)
     assert built.validate().ok
 
 
@@ -250,7 +237,7 @@ class _IntSubclass(int):
 def test_dump_complex_writes_or_refuses_a_cell_value_as_the_reference(value):
     # %d would print True or 1.0 as 1; the writer spells them as json does,
     # and refuses what json refuses.
-    complex = Complex([[Cell(0, 0, (0,), ()), Cell(1, 0, (value,), (value,))]], ["a", None], [(0.5,), None])
+    complex = Complex([[Cell((0,), ()), Cell((value,), (value,))]], ["a", None], [(0.5,), None])
     try:
         reference = dump_canonical(complex_to_json(complex))
     except TypeError:
@@ -315,7 +302,7 @@ def test_dump_canonical_takes_str_keys_and_json_values_only(obj):
 
 
 def test_validate_flags_label_collision():
-    cells = [[Cell(0, 0, (0,), ()), Cell(1, 0, (1,), ())]]
+    cells = [[Cell((0,), ()), Cell((1,), ())]]
     c = Complex(cells, ["same", "same"])
     report = c.validate()
     assert not report.ok

@@ -115,9 +115,9 @@ def test_chain_xor_and_json():
 def test_is_boundary_octahedron_equator(octahedron):
     # the equator in the x-y plane bounds: vertices 0,1,3,4
     eq_edges = []
-    for c in octahedron.cells_of(1):
+    for i, c in enumerate(octahedron.cells_of(1)):
         if set(c.vertices) <= {0, 1, 3, 4}:
-            eq_edges.append(c.id)
+            eq_edges.append(i)
     assert len(eq_edges) == 4
     chain = ChainZ2(1, frozenset(eq_edges))
     witness = is_boundary(octahedron, chain)
@@ -146,9 +146,9 @@ def test_projective_plane_essential_cycle(projective_plane):
     calc = HomologyCalculator(projective_plane)
     # the triangle on vertices 0, 2, 4 is not a face, and its loop is essential
     loop_edges = []
-    for c in projective_plane.cells_of(1):
+    for i, c in enumerate(projective_plane.cells_of(1)):
         if set(c.vertices) <= {0, 2, 4}:
-            loop_edges.append(c.id)
+            loop_edges.append(i)
     chain = ChainZ2(1, frozenset(loop_edges))
     assert calc.is_cycle(chain)
     assert calc.is_boundary(chain) is None

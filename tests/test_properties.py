@@ -370,9 +370,9 @@ def raw_complexes(draw, values=cell_ints):
     ints = st.lists(values, max_size=4).map(tuple)
     layers = []
     for d in range(draw(st.integers(0, 3)) + 1):
-        layer = [Cell(i, d, vs, fs) for i, vs, fs in draw(st.lists(st.tuples(values, ints, ints), max_size=4))]
+        layer = [Cell(vs, fs) for vs, fs in draw(st.lists(st.tuples(ints, ints), max_size=4))]
         if layer and draw(st.booleans()):
-            layer.append(Cell(len(layer), d, layer[-1].vertices, layer[-1].facets))
+            layer.append(Cell(layer[-1].vertices, layer[-1].facets))
         layers.append(layer)
     return Complex(layers, labels, coords)
 
@@ -424,14 +424,15 @@ def test_a_builder_hands_over_the_report_a_full_validation_gives(built):
 
 @st.composite
 def judged_cells(draw):
-    """A cell, a vertex count and the layer below the cell, near the cell
-    law.  The cell's vertices may repeat, run unsorted, negative or out of
-    range.  The layer holds the cell's d-subsets, each perhaps listed
-    unsorted, next to stray cells and a parallel copy.  The facet list names
-    those subsets, with at most one change: a facet repeated, replaced,
-    moved to its parallel copy, dropped or added, an empty list, or an id
-    that dangles or runs negative.  A 0-cell may sit on another vertex or on
-    a negative or too large id."""
+    """A cell with its dimension and position, a vertex count and the layer
+    below the cell, near the cell law.  The cell's vertices may repeat, run
+    unsorted, negative or out of range.  The layer holds the cell's
+    d-subsets, each perhaps listed unsorted, next to stray cells and a
+    parallel copy.  The facet list names those subsets, with at most one
+    change: a facet repeated, replaced, moved to its parallel copy, dropped
+    or added, an empty list, or an id that dangles or runs negative.  A
+    0-cell may sit on another vertex than its position, or at a negative or
+    too large position."""
     d = draw(st.integers(0, 4))
     kind = draw(st.sampled_from(["lawful", "sorted", "any"]))
     n = draw(st.integers(d + 1, 7) if kind == "lawful" else st.integers(0, 6))
@@ -439,7 +440,7 @@ def judged_cells(draw):
     if d == 0:
         i = draw(ints)
         vs = draw(st.one_of(st.just((i,)), st.lists(ints, max_size=2).map(tuple)))
-        return Cell(i, 0, vs, draw(st.lists(ints, max_size=2).map(tuple))), n, ()
+        return 0, i, Cell(vs, draw(st.lists(ints, max_size=2).map(tuple))), n, ()
     if kind == "lawful":
         vs = sorted(draw(st.lists(st.integers(0, n - 1), min_size=d + 1, max_size=d + 1, unique=True)))
     elif kind == "sorted":  # perhaps repeated or out of range
@@ -452,12 +453,12 @@ def judged_cells(draw):
     if lower and draw(st.booleans()):
         lower.append(draw(st.sampled_from(lower)))
     order = draw(st.permutations(range(len(lower))))
-    layer = tuple(Cell(k, d - 1, lower[j], ()) for k, j in enumerate(order))
+    layer = tuple(Cell(lower[j], ()) for j in order)
     facets = [order.index(j) for j in range(min(len(vs), len(lower)))]
     change = draw(st.sampled_from(["none", "repeat", "replace", "parallel", "drop", "add", "clear", "alias", "dangle"]))
     if facets and change != "none":
         k = draw(st.integers(0, len(facets) - 1))
-        twins = [c.id for c in layer if c.vertices == layer[facets[k]].vertices and c.id != facets[k]]
+        twins = [t for t, c in enumerate(layer) if c.vertices == layer[facets[k]].vertices and t != facets[k]]
         if change == "repeat":
             facets[k] = draw(st.sampled_from(facets))
         elif change == "replace":
@@ -474,7 +475,7 @@ def judged_cells(draw):
             facets[k] -= len(layer)
         elif change == "dangle":
             facets[k] = draw(st.sampled_from([len(layer), -1]))
-    return Cell(draw(ints), d, vs, tuple(draw(st.permutations(facets)))), n, layer
+    return d, draw(ints), Cell(vs, tuple(draw(st.permutations(facets)))), n, layer
 
 
 @settings(deadline=None, max_examples=800)
@@ -482,5 +483,5 @@ def judged_cells(draw):
 def test_the_accept_test_agrees_with_the_rule_chain(judged):
     # The one-comparison accept test may only skip the rules when they find
     # nothing; whatever it passes on must get the chain's full verdict.
-    cell, n, lower = judged
-    assert _cell_violations(cell, n, lower) == tuple(_rule_chain(cell, n, lower))
+    d, i, cell, n, lower = judged
+    assert _cell_violations(d, i, cell, n, lower) == tuple(_rule_chain(d, i, cell, n, lower))

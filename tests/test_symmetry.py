@@ -93,7 +93,7 @@ def test_validate_involution_counts_the_facets_of_an_upper_partner():
     sq = mycielski_tower(4)
     cells = [list(sq.complex.cells_of(d)) for d in range(sq.complex.dim + 1)]
     upper = cells[2][20]
-    cells[2][20] = Cell(upper.id, 2, upper.vertices, upper.facets + upper.facets[:1])
+    cells[2][20] = Cell(upper.vertices, upper.facets + upper.facets[:1])
     report = validate_involution(Complex(cells, sq.complex.labels), sq.involution)
     assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("NotSimplicial", 2, 0)]
 
@@ -206,7 +206,7 @@ def test_double_interval_gives_circle(interval_ball):
 
 # An edge whose second facet id names no 0-cell: finding its boundary would
 # index past the 0-cells.
-_DANGLING_EDGE = Complex([[Cell(0, 0, (0,), ()), Cell(1, 0, (1,), ())], [Cell(0, 1, (0, 1), (0, 5))]], ["a", "b"])
+_DANGLING_EDGE = Complex([[Cell((0,), ()), Cell((1,), ())], [Cell((0, 1), (0, 5))]], ["a", "b"])
 
 
 @pytest.mark.parametrize(
