@@ -8,7 +8,7 @@ from math import sqrt
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Complex, boundary_cells
-from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotACycle, NotOnUnitSphere
+from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
 from .homology import HomologyCalculator
 from .symmetry import (
@@ -201,9 +201,8 @@ def cycle_parity_vs_homology(
     (0 when that sum bounds), whether every traversed cell is in
     `edge_cells`, and the consistency verdict: even walks must bound and odd
     walks must not.  Selection is by 1-cell id, not by vertex pair, because
-    parallel 1-cells in a quotient share a pair.  The sum and its boundary
-    are bitmasks, and the calculator's solver says whether the sum bounds;
-    no witness chain is built.
+    parallel 1-cells in a quotient share a pair.  The sum is a bitmask over
+    1-cell ids, and the calculator's `is_boundary` judges it.
     """
     if not walk_cells:
         raise NotAClosedWalk("empty walk")
@@ -211,20 +210,14 @@ def cycle_parity_vs_homology(
     for e in walk_cells:
         if not 0 <= e < n1:
             raise NotAClosedWalk(f"no 1-cell with id {e}")
-    cells = [complex.cell(1, e) for e in walk_cells]
-    if not _closed_walk_ok([c.vertices for c in cells]):
+    if not _closed_walk_ok([complex.cell(1, e).vertices for e in walk_cells]):
         raise NotAClosedWalk("cells do not chain into a closed walk")
-    chain = boundary = 0
-    for e, c in zip(walk_cells, cells):
+    chain = 0
+    for e in walk_cells:
         chain ^= 1 << e
-        for f in c.facets:
-            boundary ^= 1 << f
-    if boundary:
-        raise NotACycle("1-chain has non-zero boundary")
     calc = calculator or HomologyCalculator(complex)
-    bounds = not chain or (complex.dim >= 2 and calc.solver(2).solve(chain) is not None)
     parity = len(walk_cells) % 2
-    homology_class = 0 if bounds else 1
+    homology_class = 0 if calc.is_boundary(1, chain) is not None else 1
     return {
         "length": len(walk_cells),
         "parity": parity,

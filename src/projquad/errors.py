@@ -47,10 +47,6 @@ class NotACycle(ProjquadError):
     """A chain handed to a cycle-only operation has non-zero boundary."""
 
 
-class DimensionMismatch(ProjquadError):
-    """Two chains (or a chain and a complex) disagree on dimension."""
-
-
 # ---- symmetry ----
 
 class NotFree(ProjquadError):

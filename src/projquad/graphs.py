@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Union
 
 from .errors import BadParameters, ParseError, UnknownVertex
 
@@ -324,11 +324,26 @@ def graph_to_json(graph: Graph) -> dict:
     }
 
 
+def _json_array(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(f"{what} must be a JSON array")
+    return obj
+
+
+def _label_pairs(obj, what: str) -> Iterator[tuple[Label, Label]]:
+    """The label pairs of a JSON array of two-label arrays, in order;
+    ParseError at the first item that is not one."""
+    for item in _json_array(obj, what + "s"):
+        if not (isinstance(item, list) and len(item) == 2):
+            raise ParseError(f"a {what} must be an array of two labels")
+        yield _label_from_json(item[0]), _label_from_json(item[1])
+
+
 def graph_from_json(obj: dict) -> Graph:
     try:
-        g = Graph(_label_from_json(v) for v in obj["vertices"])
-        for u, v in obj["edges"]:
-            g.add_edge(_label_from_json(u), _label_from_json(v))
+        g = Graph(_label_from_json(v) for v in _json_array(obj["vertices"], "graph vertices"))
+        for u, v in _label_pairs(obj["edges"], "graph edge"):
+            g.add_edge(u, v)
         return g
     except ParseError:
         raise

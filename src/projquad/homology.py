@@ -15,43 +15,11 @@ only have reached zero, often after many XORs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .complexes import Cell, Complex
-from .errors import BadDimension, DimensionMismatch, NotACycle
+from .errors import BadDimension, NotACycle
 from .gf2 import BitMatrix, Gf2Solver, _eliminate
-
-
-@dataclass(frozen=True)
-class ChainZ2:
-    """A mod-2 p-chain: the set of p-cell ids appearing with coefficient 1."""
-
-    dim: int
-    support: frozenset[int]
-
-    def __xor__(self, other: "ChainZ2") -> "ChainZ2":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"chain dims {self.dim} != {other.dim}")
-        return ChainZ2(self.dim, self.support ^ other.support)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def to_mask(self) -> int:
-        acc = 0
-        for i in self.support:
-            acc |= 1 << i
-        return acc
-
-    @classmethod
-    def from_mask(cls, dim: int, mask: int) -> "ChainZ2":
-        support = set()
-        while mask:
-            support.add((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        return cls(dim, frozenset(support))
 
 
 def _facet_rows(complex: Complex, p: int) -> list[int]:
@@ -76,14 +44,17 @@ def boundary_matrix(complex: Complex, p: int) -> BitMatrix:
     return by_cell.transpose()
 
 
-def boundary_of(complex: Complex, chain: ChainZ2) -> ChainZ2:
-    if chain.dim == 0:
-        return ChainZ2(-1, frozenset())
+def boundary_of(complex: Complex, p: int, chain: int) -> int:
+    """The boundary of a p-chain, both bitmasks over cell ids (0 for p = 0)."""
     acc = 0
-    for i in chain.support:
-        for f in complex.cell(chain.dim, i).facets:
-            acc ^= 1 << f
-    return ChainZ2.from_mask(chain.dim - 1, acc)
+    if p >= 1 and chain:
+        cells = complex.cells_of(p)
+        while chain:
+            low = chain & -chain
+            for f in cells[low.bit_length() - 1].facets:
+                acc ^= 1 << f
+            chain ^= low
+    return acc
 
 
 class HomologyCalculator:
@@ -160,36 +131,22 @@ class HomologyCalculator:
     def all_betti(self) -> tuple[int, ...]:
         return tuple(self.betti(p) for p in range(self.complex.dim + 1))
 
-    def is_cycle(self, chain: ChainZ2) -> bool:
-        return boundary_of(self.complex, chain).is_zero
+    def is_boundary(self, p: int, chain: int) -> Optional[int]:
+        """A witness (p+1)-chain whose boundary is the p-cycle `chain`, or None.
 
-    def is_boundary(self, chain: ChainZ2) -> Optional[ChainZ2]:
-        """A witness (p+1)-chain with boundary equal to the input cycle, or None.
-
-        The zero chain always bounds (empty witness).  Raises NotACycle when
-        the input has non-zero boundary.  When several (p+1)-chains bound the
-        input, the witness is one of them, the same on every call for a given
-        complex and chain.
+        Chains are bitmasks over cell ids.  The zero chain always bounds
+        (witness 0); nothing else bounds at or above the top dimension.
+        Raises NotACycle when the input has non-zero boundary.  When several
+        (p+1)-chains bound the input, the witness is one of them, the same
+        on every call for a given complex and chain.
         """
-        if not self.is_cycle(chain):
-            raise NotACycle(f"{chain.dim}-chain has non-zero boundary")
-        p = chain.dim
-        if chain.is_zero:
-            return ChainZ2(p + 1, frozenset())
+        if boundary_of(self.complex, p, chain):
+            raise NotACycle(f"{p}-chain has non-zero boundary")
+        if not chain:
+            return 0
         if p >= self.complex.dim:
             return None
-        x = self.solver(p + 1).solve(chain.to_mask())
-        if x is None:
-            return None
-        return ChainZ2.from_mask(p + 1, x)
-
-    def homologous(self, a: ChainZ2, b: ChainZ2) -> bool:
-        if a.dim != b.dim:
-            raise DimensionMismatch(f"chain dims {a.dim} != {b.dim}")
-        for c in (a, b):
-            if not self.is_cycle(c):
-                raise NotACycle(f"{c.dim}-chain has non-zero boundary")
-        return self.is_boundary(a ^ b) is not None
+        return self.solver(p + 1).solve(chain)
 
 
 def betti_z2(complex: Complex, p: int) -> int:
@@ -198,14 +155,6 @@ def betti_z2(complex: Complex, p: int) -> int:
 
 def all_betti_z2(complex: Complex) -> tuple[int, ...]:
     return HomologyCalculator(complex).all_betti()
-
-
-def is_boundary(complex: Complex, chain: ChainZ2) -> Optional[ChainZ2]:
-    return HomologyCalculator(complex).is_boundary(chain)
-
-
-def homologous(complex: Complex, c1: ChainZ2, c2: ChainZ2) -> bool:
-    return HomologyCalculator(complex).homologous(c1, c2)
 
 
 def _squares_to_zero(cells: Iterable[Cell], facet_masks: list[int]) -> bool:
@@ -226,10 +175,3 @@ def boundary_squares_to_zero(complex: Complex, p: int) -> bool:
     """
     return not 2 <= p <= complex.dim or _squares_to_zero(complex.cells_of(p), _facet_rows(complex, p - 1))
 
-
-def edge_chain(cell_ids: Iterable[int]) -> ChainZ2:
-    """Mod-2 sum of the given 1-cells (repeated ids cancel)."""
-    support: set[int] = set()
-    for i in cell_ids:
-        support ^= {i}
-    return ChainZ2(1, frozenset(support))

@@ -9,7 +9,7 @@ from .errors import BadParameters, ParseError
 from .graphs import (
     Graph,
     Label,
-    _label_from_json,
+    _label_pairs,
     _label_to_json,
     cycle_graph,
     graph_from_json,
@@ -150,8 +150,10 @@ def homomorphism_from_json(obj: dict) -> Homomorphism:
         source = graph_from_json(obj["source"])
         target = graph_from_json(obj["target"])
         mapping = {}
-        for src, dst in obj["pairs"]:
-            mapping[_label_from_json(src)] = _label_from_json(dst)
+        for src, dst in _label_pairs(obj["pairs"], "homomorphism pair"):
+            if src in mapping:
+                raise ParseError(f"homomorphism pairs map the source label {src!r} twice")
+            mapping[src] = dst
         return Homomorphism(source, target, mapping)
     except ParseError:
         raise

@@ -1,6 +1,8 @@
 import pytest
 
 from projquad import (
+    Cell,
+    Complex,
     ComplexBuilder,
     Graph,
     HomologyCalculator,
@@ -21,7 +23,7 @@ from projquad import (
     verify_sphere_quadrangulation,
     verify_z2_map_to_box,
 )
-from projquad.errors import MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
+from projquad.errors import MissingCoordinates, NotAClosedWalk, NotACycle, NotOnUnitSphere
 from projquad.symmetry import bichromatic_edge_cells
 
 
@@ -175,6 +177,13 @@ def test_cycle_parity_vs_homology(octahedron):
     assert out["homology_class"] == 0
     with pytest.raises(NotAClosedWalk):
         cycle_parity_vs_homology(octahedron, walk[:2], edge_cells=edge_cells)
+    # the walk 0-1-2-0 closes on vertices, but the facets of the 1-cell (0, 2)
+    # name the 0-cell 0 twice, so the sum of its cells has boundary 0 + 2
+    vertices = [Cell((v,), ()) for v in range(3)]
+    edges = [Cell((0, 1), (0, 1)), Cell((1, 2), (1, 2)), Cell((0, 2), (0, 0))]
+    triangle = Complex([vertices, edges], [None] * 3)
+    with pytest.raises(NotACycle, match=r"^1-chain has non-zero boundary$"):
+        cycle_parity_vs_homology(triangle, [0, 1, 2], edge_cells=frozenset({0, 1, 2}))
 
 
 def test_sample_closed_walks_deterministic(octahedron):

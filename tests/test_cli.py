@@ -746,6 +746,34 @@ def test_a_bare_file_that_does_not_decode_exits_65(tmp_path, capsys, fname, chan
     assert err.startswith("input error: ")
 
 
+def _graph(vertices, edges):
+    return {"vertices": vertices, "edges": edges}
+
+
+# command, bare file: each exited 0 when any iterable passed for an array
+WRONGLY_SHAPED_FILES = [
+    ("chi", _graph(["a", "b"], ["ab"])),
+    ("chi", _graph("ab", [["a", "b"]])),
+    ("chi", _graph(["a", "b"], [{"a": 1, "b": 2}])),
+    ("chi", _graph({"a": 1, "b": 2}, [["a", "b"]])),
+    ("hom-check", {"source": _graph(["a"], []), "target": _graph(["b"], []), "pairs": ["ab"]}),
+    ("hom-check", {"source": _graph(["a"], []), "target": _graph(["b", "c"], []), "pairs": [["a", "b"], ["a", "c"]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,obj",
+    WRONGLY_SHAPED_FILES,
+    ids=["edge-string", "vertices-string", "edge-object", "vertices-object", "pair-string", "source-mapped-twice"],
+)
+def test_a_wrongly_shaped_graph_or_homomorphism_file_exits_65(tmp_path, capsys, command, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, stdout, err = run(capsys, command, str(path))
+    assert (code, stdout) == (65, "")
+    assert err.startswith("input error: ")
+
+
 SRC = str(Path(projquad.__file__).resolve().parents[1])
 
 
