@@ -340,8 +340,13 @@ def _label_pairs(obj, what: str) -> Iterator[tuple[Label, Label]]:
 
 
 def graph_from_json(obj: dict) -> Graph:
+    """The graph a JSON object lists; ParseError unless `vertices` lists
+    each vertex once and `edges` joins two listed vertices per edge."""
     try:
-        g = Graph(_label_from_json(v) for v in _json_array(obj["vertices"], "graph vertices"))
+        vertices = [_label_from_json(v) for v in _json_array(obj["vertices"], "graph vertices")]
+        g = Graph(vertices)
+        if g.n != len(vertices):
+            raise ParseError("graph JSON lists a vertex twice")
         for u, v in _label_pairs(obj["edges"], "graph edge"):
             g.add_edge(u, v)
         return g

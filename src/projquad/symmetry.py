@@ -202,15 +202,20 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
     return ValidationReport.collect(violations)
 
 
-def _project(complex: Complex, involution: Involution) -> tuple[Complex, dict[int, dict[int, int]]]:
+def _project(
+    complex: Complex, involution: Involution, top: Optional[int] = None
+) -> tuple[Complex, dict[int, dict[int, int]]]:
     """The quotient complex and the per-dimension projection from old cell
     ids to new ones, for a full-scope involution that `validate_involution`
-    passes.
+    passes; with `top`, only dimensions 0 to `top` are projected, and the
+    quotient is the `top`-skeleton of the full one.
 
     Each pair becomes one cell, numbered in the order of its lower id, whose
-    vertices and facets are the projections of the lower cell's.
-    Representatives keep their labels; coordinates are dropped (the quotient
-    does not embed).  `quotient`, `_audit` and `SphereQuad` share it.
+    vertices and facets are the projections of the lower cell's.  A
+    dimension's numbering reads only its own pairing, so the cut changes no
+    id.  Representatives keep their labels; coordinates are dropped (the
+    quotient does not embed).  `quotient`, `_audit` and `SphereQuad` share
+    it.
     """
     vp = involution.vertex_pairing
     to_vertex: dict[int, int] = {}
@@ -222,7 +227,7 @@ def _project(complex: Complex, involution: Involution) -> tuple[Complex, dict[in
     projection = {0: to_vertex}
     layers: list[list[Cell]] = [[Cell((i,), ()) for i in range(len(vertex_reps))]]
     vertex_of = to_vertex.__getitem__
-    for d in range(1, complex.dim + 1):
+    for d in range(1, (complex.dim if top is None else top) + 1):
         pairing, facet_of = involution.cell_pairing.get(d, {}), projection[d - 1].__getitem__
         here: dict[int, int] = {}
         layer: list[Cell] = []

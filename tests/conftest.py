@@ -1,6 +1,7 @@
 import pytest
 
 from projquad import (
+    Cell,
     Complex,
     ComplexBuilder,
     Graph,
@@ -102,6 +103,31 @@ def digon_sphere_bits(parallel_digon):
     inv = Involution("full", {0: 1, 1: 0}, {1: {0: 1, 1: 0}})
     col = TwoColouring(black=frozenset({0}), white=frozenset({1}))
     return parallel_digon, inv, col
+
+
+def two_disjoint_copies(complex, involution, colouring):
+    """Two disjoint copies of a symmetric coloured complex: in each
+    dimension the second copy's ids follow the first's, its vertices are
+    unlabelled, and the involution and the colouring act on it as on the
+    first.  On two copies of a passing sphere every entry before `sphere`
+    passes, and `sphere` fails on b_0 = 2, so no quotient lemma holds."""
+    shift = [complex.n_cells(d) for d in range(complex.dim + 1)]
+    layers = []
+    for d in range(complex.dim + 1):
+        cells = complex.cells_of(d)
+        below = shift[d - 1] if d else 0
+        copies = [Cell(tuple(v + shift[0] for v in c.vertices), tuple(f + below for f in c.facets)) for c in cells]
+        layers.append([*cells, *copies])
+    twice = Complex(layers, [*complex.labels, *[None] * shift[0]])
+
+    def doubled(pairing, n):
+        return {**pairing, **{i + n: j + n for i, j in pairing.items()}}
+
+    cell_pairing = {d: doubled(pairs, shift[d]) for d, pairs in involution.cell_pairing.items()}
+    pair = Involution("full", doubled(involution.vertex_pairing, shift[0]), cell_pairing)
+    black = colouring.black | {v + shift[0] for v in colouring.black}
+    white = colouring.white | {v + shift[0] for v in colouring.white}
+    return twice, pair, TwoColouring(black=frozenset(black), white=frozenset(white))
 
 
 def projected_quotient(complex, involution, colouring):

@@ -66,7 +66,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import projected_quotient, quotient_lemmas_hold, walk_parity_is_its_recount
+from conftest import projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -254,6 +254,30 @@ def test_double_cover_lift_closes_exactly_on_null_homologous_walks(corpus):
     print(f"{closed} lifts closed and {opened} opened, each as homology predicts")
 
 
+def test_walk_parity_lifts_each_walk_to_its_homology_class_and_parity(corpus):
+    # The lemma of `walk-parity` on a passing sphere: a closed walk of the
+    # quotient bounds exactly when its lift to the sphere closes, and, as the
+    # involution swaps the colours, exactly when it is even.  A walk that is
+    # not closed has no verdict.
+    closed = opened = 0
+    for name, item in corpus.items():
+        sq = item.sq
+        lift_closes = audits._walk_lifter(sq.complex, sq.involution)
+        calc = HomologyCalculator(sq.quotient)
+        for seed in (0, 7):
+            walks = sample_closed_walks(sq.quotient, sq.selected, 100, seed=seed)
+            assert len(walks) == 100, (name, seed)
+            for walk in walks:
+                res = cycle_parity_vs_homology(sq.quotient, walk, edge_cells=sq.selected, calculator=calc)
+                lifted = lift_closes(walk)
+                assert lifted == (res["homology_class"] == 0) == (res["parity"] == 0), (name, seed, walk)
+                assert lift_closes(walk[:-1]) is None, (name, seed, walk)
+                closed += lifted
+                opened += not lifted
+    assert closed and opened
+    print(f"{closed} lifts closed and {opened} opened, each as homology and parity predict")
+
+
 def _box_map_ok_on_every_cell(complex, colouring, graph, labels) -> bool:
     """The cell rule of the box-map audit applied to every cell, not only to
     the maximal ones: injective on the cell, image in the box complex."""
@@ -335,7 +359,10 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
 
 def test_each_boundary_composite_is_checked_once_per_complex(corpus, monkeypatch):
     # The boundary-operator audit and the sphere's clearing guard share one
-    # verdict per p; the quotient's calculator checks its own composites.
+    # verdict per p.  A passing sphere's walks are lifted, so no quotient
+    # calculator is built; on two disjoint copies `sphere` fails, and the
+    # quotient's one calculator, shared by `quotient-homology` and the walk
+    # solves, checks its own composites.
     checked = []
     squares_to_zero = homology._squares_to_zero
 
@@ -345,11 +372,17 @@ def test_each_boundary_composite_is_checked_once_per_complex(corpus, monkeypatch
 
     monkeypatch.setattr(homology, "_squares_to_zero", counted)
     sq = corpus["cylinder-3"].sq
-    report, _ = verify_sphere_quadrangulation(
-        sq.complex, sq.involution, sq.colouring, labels=sq.labels, expected_graph=sq.graph, n_walks=10
-    )
-    assert report.ok
-    assert sorted(checked) == [2, 2, 3, 3]
+    twice = two_disjoint_copies(sq.complex, sq.involution, sq.colouring)
+    cases = {
+        "as built": ((sq.complex, sq.involution, sq.colouring), sq.labels, [2, 3]),
+        "two copies": (twice, {v: min(v, w) for v, w in twice[1].vertex_pairing.items()}, [2, 2, 3, 3]),
+    }
+    for case, (sphere, labels, expected) in cases.items():
+        checked.clear()
+        report, _ = verify_sphere_quadrangulation(*sphere, labels=labels, expected_graph=sq.graph, n_walks=10)
+        assert report.entry("walk-parity").ok, case
+        assert report.entry("sphere").ok == (case == "as built"), case
+        assert sorted(checked) == expected, case
 
 
 def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, digon_sphere_bits):
@@ -377,13 +410,17 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
 def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
     # `quotient-homology` and `quotient-parity` are lemmas on a passing
     # sphere, so no build and no `verify --walks 0` projects a quotient; the
-    # walks of `verify` project it once.  The quotient is never an artifact.
+    # walks of `verify` are lifted to the sphere, so they project only the
+    # quotient's 1-skeleton for the sampler.  When `sphere` fails, the
+    # quotient is projected in full, once.  The quotient is never an
+    # artifact.
     calls = []
     project = symmetry._project
 
-    def counted(complex, involution):
-        calls.append(complex)
-        return project(complex, involution)
+    def counted(complex, involution, *top):
+        q, projection = project(complex, involution, *top)
+        calls.append(q.dim)
+        return q, projection
 
     for module in (symmetry, audits, constructions):
         monkeypatch.setattr(module, "_project", counted)
@@ -394,11 +431,18 @@ def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
     base = tmp_path_factory.mktemp("projections")
     for name, item in corpus.items():
         bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
-        for n_walks, projections in ((0, 0), (10, 1)):
+        for n_walks, projected_dims in ((0, []), (10, [1])):
             calls.clear()
             report, artifacts = verify_bundle(bundle, n_walks=n_walks)
-            assert report.ok and len(calls) == projections, (name, n_walks)
+            assert report.ok and calls == projected_dims, (name, n_walks)
             assert set(artifacts) == {"labels", "graph"}, (name, n_walks)
+    sq = corpus["cylinder-3"].sq
+    twice = two_disjoint_copies(sq.complex, sq.involution, sq.colouring)
+    labels = {v: min(v, w) for v, w in twice[1].vertex_pairing.items()}
+    calls.clear()
+    report, artifacts = verify_sphere_quadrangulation(*twice, labels=labels, expected_graph=sq.graph, n_walks=10)
+    assert not report.entry("sphere").ok and report.entry("walk-parity").ok
+    assert calls == [3] and set(artifacts) == {"labels", "graph"}
 
 
 def test_walk_parity_is_a_recount_of_its_walks(tmp_path_factory, corpus):

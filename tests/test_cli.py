@@ -365,6 +365,14 @@ def _loop_edge(obj):
     obj["edges"].append([0, 0])
 
 
+def _list_a_vertex_twice(obj):
+    obj["vertices"].append(obj["vertices"][0])
+
+
+def _list_a_target_vertex_twice(obj):
+    _list_a_vertex_twice(obj["target"])
+
+
 def _edge_to_unknown_vertex(obj):
     obj["edges"].append([0, 5])
 
@@ -621,6 +629,8 @@ TAMPERS = [
     ("c5", "involution.json", _padded_dimension_key, "chi", 65, None),
     ("c5", "graph.json", _loop_edge, "verify", 65, None),
     ("c5", "graph.json", _edge_to_unknown_vertex, "verify", 65, None),
+    ("c5", "graph.json", _list_a_vertex_twice, "verify", 65, None),
+    ("c5", "graph.json", _list_a_vertex_twice, "chi", 65, None),
     ("c5", "graph.json", _edge_to_unknown_vertex, "chi", 65, None),
     ("c5", "involution.json", _null_cell_pairs, "verify", 65, None),
     ("c5", "involution.json", _null_cell_pairs, "chi", 65, None),
@@ -729,6 +739,8 @@ BARE_FILE_TAMPERS = [
     ("graph.json", _undecodable_bytes, "export"),
     ("complex.json", _nest_100000_lists, "homology"),
     ("homomorphism.json", _nest_a_pair_label_900_lists_deep, "hom-check"),
+    ("graph.json", _list_a_vertex_twice, "chi"),
+    ("homomorphism.json", _list_a_target_vertex_twice, "hom-check"),
 ]
 
 
