@@ -83,7 +83,8 @@ def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorp
 
 def _read_json(path: Path) -> object:
     """The JSON value in a file; ParseError when the file cannot be read, is
-    not UTF-8, is not JSON, or nests too deeply for the decoder."""
+    not UTF-8, is not JSON, nests too deeply for the decoder, or holds an
+    integer longer than Python converts from text."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
@@ -92,8 +93,8 @@ def _read_json(path: Path) -> object:
         raise ParseError(f"{path} is not UTF-8 text: {e}") from e
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
+    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
+        raise ParseError(f"{path} does not decode as JSON: {e}") from e
     except RecursionError as e:
         raise ParseError(f"{path} nests too deeply: {e}") from e
 

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .audits import boundary_operator_audit
 from .bundles import _read_json, homomorphism_entries, load_bundle, sphere_quad_from_bundle, verify_bundle, write_bundle
 from .coloring import chromatic_number
 from .complexes import complex_from_json, dump_canonical
@@ -34,7 +35,7 @@ from .errors import (
     VerificationFailed,
 )
 from .graphs import _label_to_json, graph_from_json, label_key, to_dimacs
-from .homology import all_betti_z2, betti_z2
+from .homology import HomologyCalculator
 from .homomorphisms import homomorphism_from_json, verify_homomorphism
 
 USAGE_EXIT = 64
@@ -232,13 +233,17 @@ def _run_chi(args: argparse.Namespace) -> int:
 def _run_homology(args: argparse.Namespace) -> int:
     complex = _complex_at(args.path)
     report = complex.validate()
+    calc = HomologyCalculator(complex)
+    if report.ok:
+        # Without d o d = 0 there is no homology to report.
+        report = boundary_operator_audit(calc)
     if not report.ok:
         _emit({"ok": False, "violations": report.to_json()})
         return VIOLATION_EXIT
     if args.dim is not None:
-        _emit({"dim": args.dim, "betti": betti_z2(complex, args.dim)})
+        _emit({"dim": args.dim, "betti": calc.betti(args.dim)})
     else:
-        _emit({"betti": list(all_betti_z2(complex))})
+        _emit({"betti": list(calc.all_betti())})
     return 0
 
 

@@ -592,7 +592,7 @@ def complex_from_json(obj: dict) -> Complex:
         return Complex(cells, labels, coords)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed complex JSON: {exc}") from exc
 
 

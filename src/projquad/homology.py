@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from .complexes import Cell, Complex
 from .errors import BadDimension, NotACycle
-from .gf2 import BitMatrix, Gf2Solver, _eliminate
+from .gf2 import Gf2Solver, _eliminate
 
 
 def _facet_rows(complex: Complex, p: int) -> list[int]:
@@ -31,17 +31,6 @@ def _facet_rows(complex: Complex, p: int) -> list[int]:
             acc ^= 1 << f
         rows.append(acc)
     return rows
-
-
-def boundary_matrix(complex: Complex, p: int) -> BitMatrix:
-    """The mod-2 boundary operator on p-chains, rows = (p-1)-cells, cols = p-cells.
-
-    Entry (i, j) is 1 iff (p-1)-cell i appears in the facet list of p-cell j.
-    """
-    if not 1 <= p <= complex.dim:
-        raise BadDimension(f"boundary matrix needs 1 <= p <= {complex.dim}, got {p}")
-    by_cell = BitMatrix(complex.n_cells(p), complex.n_cells(p - 1), _facet_rows(complex, p))
-    return by_cell.transpose()
 
 
 def boundary_of(complex: Complex, p: int, chain: int) -> int:
@@ -76,13 +65,13 @@ class HomologyCalculator:
     def __init__(self, complex: Complex) -> None:
         self.complex = complex
         self._square_zero: dict[int, bool] = {}
-        self._rows: dict[int, BitMatrix] = {}
+        self._rows: dict[int, list[int]] = {}
         self._ranks: Optional[dict[int, int]] = None
         self._solvers: dict[int, Gf2Solver] = {}
 
     def _reduce(self) -> dict[int, int]:
         """The rank of d_p for p = dim..1; fills the d o d = 0 verdicts and
-        the cleared facet-row matrices on the way, once per calculator."""
+        the cleared facet rows on the way, once per calculator."""
         if self._ranks is None:
             complex = self.complex
             self._ranks = {}
@@ -95,7 +84,7 @@ class HomologyCalculator:
                 if self._square_zero.get(p + 1, True):
                     for c in keys:
                         rows[c - 1] = 0
-                self._rows[p] = BitMatrix(complex.n_cells(p), complex.n_cells(p - 1), rows)
+                self._rows[p] = rows
                 keys = list(_eliminate(rows)[0])
                 self._ranks[p] = len(keys)
                 rows = below
@@ -114,11 +103,11 @@ class HomologyCalculator:
 
     def solver(self, p: int) -> Gf2Solver:
         """Solver for x·F = b where rows of F are boundaries of p-cells
-        (p-cells as rows, (p-1)-cells as columns, cleared rows zero)."""
+        (p-cells as rows, (p-1)-cells as bits, cleared rows zero; no rows
+        outside 1..dim)."""
         if p not in self._solvers:
             self._reduce()
-            n = self.complex.n_cells
-            self._solvers[p] = Gf2Solver(self._rows[p] if p in self._rows else BitMatrix(n(p), n(p - 1)))
+            self._solvers[p] = Gf2Solver(self._rows.get(p, ()))
         return self._solvers[p]
 
     def betti(self, p: int) -> int:
@@ -147,14 +136,6 @@ class HomologyCalculator:
         if p >= self.complex.dim:
             return None
         return self.solver(p + 1).solve(chain)
-
-
-def betti_z2(complex: Complex, p: int) -> int:
-    return HomologyCalculator(complex).betti(p)
-
-
-def all_betti_z2(complex: Complex) -> tuple[int, ...]:
-    return HomologyCalculator(complex).all_betti()
 
 
 def _squares_to_zero(cells: Iterable[Cell], facet_masks: list[int]) -> bool:

@@ -9,7 +9,6 @@ from projquad import (
     Involution,
     SimplicialBuilder,
     TwoColouring,
-    all_betti_z2,
     bichromatic_edge_cells,
     cycle_parity_vs_homology,
     parity_audit,
@@ -17,6 +16,18 @@ from projquad import (
     sample_closed_walks,
 )
 from projquad.validation import Violation
+
+
+def facet_rows(complex: Complex, p: int) -> list[int]:
+    """The rows of d_p, built here rather than by the library: row i is the
+    mod-2 sum of the facets of p-cell i, as a bitmask over (p-1)-cell ids."""
+    rows = []
+    for cell in complex.cells_of(p):
+        row = 0
+        for f in cell.facets:
+            row ^= 1 << f
+        rows.append(row)
+    return rows
 
 
 @pytest.fixture
@@ -163,7 +174,7 @@ def quotient_lemmas_hold(report, artifacts, complex, involution, colouring) -> b
     q, projection, selected = projected_quotient(complex, involution, colouring)
     checks = {
         "quotient-valid": lambda: q.validate().ok,
-        "quotient-homology": lambda: all_betti_z2(q) == (1,) * (complex.dim + 1),
+        "quotient-homology": lambda: HomologyCalculator(q).all_betti() == (1,) * (complex.dim + 1),
         "identification-commutes": lambda: quotient_spans_the_identified_graph(artifacts, q, projection, selected),
         "quotient-parity": lambda: parity_audit(q, selected).ok,
     }

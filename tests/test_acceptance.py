@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from projquad import (
-    BitMatrix,
     BudgetExceeded,
     Complex,
     ComplexBuilder,
@@ -26,10 +25,8 @@ from projquad import (
     HomologyCalculator,
     SphereQuad,
     TwoColouring,
-    all_betti_z2,
     bichromatic_edge_cells,
     box_membership,
-    boundary_matrix,
     boundary_of,
     boundary_squares_to_zero,
     chromatic_number,
@@ -66,7 +63,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
+from conftest import facet_rows, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -331,11 +328,11 @@ def _numpy_rank_gf2(dense: np.ndarray) -> int:
 
 def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
     start = time.perf_counter()
-    assert all_betti_z2(projective_plane) == (1, 1, 1)
-    assert all_betti_z2(octahedron) == (1, 0, 1)
+    assert HomologyCalculator(projective_plane).all_betti() == (1, 1, 1)
+    assert HomologyCalculator(octahedron).all_betti() == (1, 0, 1)
     built_p3 = corpus["cylinder-3"].sq.quotient
     assert built_p3.dim == 3
-    assert all_betti_z2(built_p3) == (1, 1, 1, 1)
+    assert HomologyCalculator(built_p3).all_betti() == (1, 1, 1, 1)
 
     for name, item in corpus.items():
         for cx in (item.sq.complex, item.sq.quotient):
@@ -351,7 +348,7 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
             int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
             for row in dense
         ]
-        assert rank_gf2(BitMatrix(rows, cols, packed)) == _numpy_rank_gf2(dense)
+        assert rank_gf2(packed) == _numpy_rank_gf2(dense)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion took {elapsed:.2f}s"
     print(f"betti spot checks, d o d = 0 corpus-wide, 200 rank oracles in {elapsed:.2f}s")
@@ -729,7 +726,12 @@ def test_homology_ranks_match_numpy_oracle(corpus):
             for p in range(cx.dim + 2):
                 expected = 0
                 if 1 <= p <= cx.dim:
-                    expected = _numpy_rank_gf2(np.array(boundary_matrix(cx, p).to_lists(), dtype=np.uint8))
+                    # d_p written out densely from the facet lists, p-cells as rows
+                    dense = np.zeros((cx.n_cells(p), cx.n_cells(p - 1)), dtype=np.uint8)
+                    for i, cell in enumerate(cx.cells_of(p)):
+                        for f in cell.facets:
+                            dense[i, f] ^= 1
+                    expected = _numpy_rank_gf2(dense)
                 assert calc.rank(p) == expected, (name, cx.dim, p)
 
 
@@ -738,7 +740,7 @@ def test_cleared_ranks_equal_plain_ranks_on_the_corpus(corpus):
         for cx in (item.sq.complex, item.sq.quotient):
             calc = HomologyCalculator(cx)
             for p in range(1, cx.dim + 1):
-                assert calc.rank(p) == rank_gf2(boundary_matrix(cx, p)), (name, cx.dim, p)
+                assert calc.rank(p) == rank_gf2(facet_rows(cx, p)), (name, cx.dim, p)
 
 
 def test_boundary_witnesses_bound_their_walks(corpus):

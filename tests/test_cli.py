@@ -561,6 +561,30 @@ def _nest_a_pair_label_900_lists_deep(obj):
     return _with_a_deep_label(obj, obj["pairs"][0])
 
 
+def _with_a_5001_digit_int(obj, holder: list) -> bytes:
+    """The JSON text of `obj` once `holder[0]` is an integer of 5,001
+    digits, past Python's limit for converting text to int, spliced in as
+    text, since json.dumps cannot write it either."""
+    holder[0] = "LONG"
+    return json.dumps(obj).replace('"LONG"', "9" * 5001, 1).encode()
+
+
+def _a_5001_digit_coordinate(obj):
+    return _with_a_5001_digit_int(obj, obj["vertices"][0]["coords"])
+
+
+def _a_5001_digit_black_vertex(obj):
+    return _with_a_5001_digit_int(obj, obj["black"])
+
+
+def _a_5001_digit_vertex_label(obj):
+    return _with_a_5001_digit_int(obj, obj["vertices"])
+
+
+def _a_coordinate_too_large_for_a_float(obj):
+    obj["vertices"][0]["coords"][0] = 10**400
+
+
 def _rename_a_vertex_to_a_label_lists_deep(obj, depth: int) -> bytes:
     """The JSON text of a graph file once its first vertex is renamed, in its
     vertices, edges and orbit representatives, to a label nested `depth`
@@ -693,6 +717,11 @@ TAMPERS = [
     ("c5", "complex.json", _true_as_edge_id, "verify", 65, None),
     ("c5", "complex.json", _reverse_the_cells, "verify", 0, None),
     ("c5", "complex.json", _swap_two_edge_ids, "verify", 2, "involution-valid"),
+    ("c5", "complex.json", _a_5001_digit_coordinate, "verify", 65, None),
+    ("c5", "colouring.json", _a_5001_digit_black_vertex, "chi", 65, None),
+    ("c5", "complex.json", _a_coordinate_too_large_for_a_float, "verify", 65, None),
+    ("c5", "complex.json", _a_coordinate_too_large_for_a_float, "chi", 65, None),
+    ("c5", "complex.json", _a_coordinate_too_large_for_a_float, "homology", 65, None),
 ]
 
 
@@ -741,6 +770,7 @@ BARE_FILE_TAMPERS = [
     ("homomorphism.json", _nest_a_pair_label_900_lists_deep, "hom-check"),
     ("graph.json", _list_a_vertex_twice, "chi"),
     ("homomorphism.json", _list_a_target_vertex_twice, "hom-check"),
+    ("graph.json", _a_5001_digit_vertex_label, "chi"),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projquad import (
-    all_betti_z2,
+    HomologyCalculator,
     boundary_cells,
     complete_graph,
     complete_graph_pipeline,
@@ -46,7 +46,7 @@ def test_odd_cycle_sphere_structure():
     assert sq.report.ok
     assert sq.graph == cycle_graph(5)
     assert sq.quotient.n_vertices == 5
-    assert all_betti_z2(sq.quotient) == (1, 1)
+    assert HomologyCalculator(sq.quotient).all_betti() == (1, 1)
 
 
 def test_odd_cycle_sphere_rejects_k0():
@@ -76,8 +76,8 @@ def test_cylinder_doubles_to_complete_sphere():
     sq = double_to_sphere(cylinder_complete(2))
     assert _walk_parity(sq, 25).info == {"sampled": 25}
     assert sq.graph == complete_graph(7)
-    assert all_betti_z2(sq.complex) == (1, 0, 0, 1)
-    assert all_betti_z2(sq.quotient) == (1, 1, 1, 1)
+    assert HomologyCalculator(sq.complex).all_betti() == (1, 0, 0, 1)
+    assert HomologyCalculator(sq.quotient).all_betti() == (1, 1, 1, 1)
 
 
 def test_lift_of_five_cycle_is_groetzsch_stage():
@@ -116,7 +116,7 @@ def test_tower_matches_reference_graphs():
         assert sq.graph == mycielski_graph(n)
         assert sq.complex.dim == n - 2
         expected = tuple(1 for _ in range(n - 1))
-        assert all_betti_z2(sq.quotient) == expected
+        assert HomologyCalculator(sq.quotient).all_betti() == expected
 
 
 def test_tower_rejects_small_n():
@@ -129,7 +129,7 @@ def test_suspension_adds_universal_vertex():
     up = suspension(sq)
     assert up.graph == complete_graph(8)
     assert up.complex.dim == 4
-    assert all_betti_z2(up.complex) == (1, 0, 0, 0, 1)
+    assert HomologyCalculator(up.complex).all_betti() == (1, 0, 0, 0, 1)
 
 
 def test_suspension_of_odd_cycle():
@@ -140,7 +140,7 @@ def test_suspension_of_odd_cycle():
     for v in range(3):
         g.add_edge(v, 3)
     assert up.graph == g
-    assert all_betti_z2(up.complex) == (1, 0, 1)
+    assert HomologyCalculator(up.complex).all_betti() == (1, 0, 1)
 
 
 def test_complete_pipeline_minimal_route():

@@ -6,9 +6,6 @@ from projquad import (
     ComplexBuilder,
     HomologyCalculator,
     SimplicialBuilder,
-    all_betti_z2,
-    betti_z2,
-    boundary_matrix,
     boundary_of,
     boundary_squares_to_zero,
     face_closure,
@@ -19,18 +16,20 @@ from projquad.cli import main
 from projquad.complexes import complex_to_json
 from projquad.errors import BadDimension, NotACycle
 
+from conftest import facet_rows
+
 
 def test_betti_octahedron(octahedron):
-    assert all_betti_z2(octahedron) == (1, 0, 1)
+    assert HomologyCalculator(octahedron).all_betti() == (1, 0, 1)
 
 
 def test_betti_projective_plane(projective_plane):
     # over the two-element field every Betti number of this surface is 1
-    assert all_betti_z2(projective_plane) == (1, 1, 1)
+    assert HomologyCalculator(projective_plane).all_betti() == (1, 1, 1)
 
 
 def test_betti_interval(interval_ball):
-    assert all_betti_z2(interval_ball) == (1, 0)
+    assert HomologyCalculator(interval_ball).all_betti() == (1, 0)
 
 
 def test_betti_two_circles():
@@ -40,20 +39,7 @@ def test_betti_two_circles():
     for a, b in ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)):
         sb.add_simplex((a, b))
     c = sb.build()
-    assert all_betti_z2(c) == (2, 2)
-
-
-def test_boundary_matrix_orientation(octahedron):
-    m = boundary_matrix(octahedron, 2)
-    # rows are indexed by edges, columns by triangles
-    assert m.rows == octahedron.n_cells(1)
-    assert m.cols == octahedron.n_cells(2)
-    col_weights = [sum(m.get(i, j) for i in range(m.rows)) for j in range(m.cols)]
-    assert col_weights == [3] * octahedron.n_cells(2)
-    with pytest.raises(BadDimension):
-        boundary_matrix(octahedron, 0)
-    with pytest.raises(BadDimension):
-        boundary_matrix(octahedron, 3)
+    assert HomologyCalculator(c).all_betti() == (2, 2)
 
 
 def test_boundary_squares_to_zero(octahedron, projective_plane):
@@ -86,11 +72,15 @@ def test_ranks_without_a_chain_complex_are_the_plain_ranks(tmp_path, capsys):
     assert not boundary_squares_to_zero(cx, 3)
     calc = HomologyCalculator(cx)
     assert [calc.rank(p) for p in (1, 2, 3)] == [3, 4, 1]
-    assert [calc.rank(p) for p in (1, 2, 3)] == [rank_gf2(boundary_matrix(cx, p)) for p in (1, 2, 3)]
+    assert [calc.rank(p) for p in (1, 2, 3)] == [rank_gf2(facet_rows(cx, p)) for p in (1, 2, 3)]
+    # Without d o d = 0 there is no homology, so the CLI refuses the complex.
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(complex_to_json(cx)))
-    assert main(["homology", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"betti": [1, 0, -1, 0]}
+    violation = {"code": "BoundaryNotSquareZero", "cell_dim": 3, "cell_id": None, "detail": "d_2 o d_3 != 0"}
+    refusal = {"ok": False, "violations": [violation]}
+    for argv in ([], ["--dim", "1"]):
+        assert main(["homology", str(path), *argv]) == 2
+        assert json.loads(capsys.readouterr().out) == refusal
 
 
 def _mask(ids):
@@ -163,6 +153,16 @@ def test_homologous(octahedron):
     assert calc.betti(1) == 0
 
 
+def test_solvers_outside_the_boundary_dimensions_have_no_rows(octahedron):
+    calc = HomologyCalculator(octahedron)
+    for p in (0, octahedron.dim + 1):
+        solver = calc.solver(p)
+        assert solver.rank == 0
+        assert solver.solve(0) == 0
+        assert solver.solve(1) is None
+        assert solver.solve(0b1010) is None
+
+
 def test_betti_out_of_range(octahedron):
     with pytest.raises(BadDimension):
-        betti_z2(octahedron, 5)
+        HomologyCalculator(octahedron).betti(5)

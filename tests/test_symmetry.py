@@ -8,9 +8,9 @@ from projquad import (
     Cell,
     Complex,
     ComplexBuilder,
+    HomologyCalculator,
     Involution,
     TwoColouring,
-    all_betti_z2,
     associated_graph,
     boundary_cells,
     complete_graph,
@@ -106,7 +106,7 @@ def test_octahedron_quotient_is_projective_plane(octahedron, octahedron_involuti
     q, projection = quotient(octahedron, octahedron_involution)
     assert q.n_vertices == 3
     assert q.n_cells(2) == 4
-    assert all_betti_z2(q) == (1, 1, 1)
+    assert HomologyCalculator(q).all_betti() == (1, 1, 1)
     assert q.validate().ok
     # projection maps both members of a pair to the same image
     for v in range(6):
@@ -193,7 +193,7 @@ def test_double_interval_gives_circle(interval_ball):
     col = TwoColouring(black=frozenset({0, 1}), white=frozenset({2}))
     doubled, full_inv, full_col = double(interval_ball, inv, col)
     # doubling an interval along its endpoint swap gives a 4-cycle
-    assert all_betti_z2(doubled) == (1, 1)
+    assert HomologyCalculator(doubled).all_betti() == (1, 1)
     assert doubled.validate().ok
     assert validate_involution(doubled, full_inv).ok
     assert full_col.of(3) == WHITE  # the copied interior vertex flips colour
@@ -201,7 +201,7 @@ def test_double_interval_gives_circle(interval_ball):
     q, _ = quotient(doubled, full_inv)
     assert q.n_vertices == 2
     assert q.n_cells(1) == 2
-    assert all_betti_z2(q) == (1, 1)
+    assert HomologyCalculator(q).all_betti() == (1, 1)
 
 
 # An edge whose second facet id names no 0-cell: finding its boundary would
@@ -272,7 +272,7 @@ def test_double_octahedron_hemisphere(octahedron, octahedron_involution):
     )
     doubled, full_inv, full_col = double(disc, inv, col)
     assert doubled.validate().ok
-    assert all_betti_z2(doubled) == (1, 0, 1)
+    assert HomologyCalculator(doubled).all_betti() == (1, 0, 1)
     assert validate_involution(doubled, full_inv).ok
     q, _ = quotient(doubled, full_inv)
-    assert all_betti_z2(q) == (1, 1, 1)
+    assert HomologyCalculator(q).all_betti() == (1, 1, 1)
