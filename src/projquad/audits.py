@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from math import sqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .complexes import Complex, boundary_cells
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
@@ -270,51 +270,6 @@ def sample_closed_walks(
     return walks
 
 
-def _walk_lifter(complex: Complex, involution: Involution) -> Callable[[Sequence[int]], Optional[bool]]:
-    """The lift of closed walks of the quotient to the sphere `complex`,
-    for a full-scope involution that `validate_involution` and
-    `antipodal_free_cells` pass.
-
-    The function returned takes a non-empty walk of quotient 1-cell ids,
-    numbered as `_project` numbers them, and says whether its lift closes:
-    True when the lift returns to its start, False when it ends at the
-    start's partner.  Each step takes the lower lift of the quotient 1-cell
-    or that lift's partner, whichever holds the current vertex; no 1-cell
-    joins two partners, so only one does.  The lift starts at an end of the
-    first cell's lower lift whose orbit the last cell reaches.  When both
-    ends qualify, the first from which every step lifts is taken: read from
-    either, a closed walk has the same mod-2 sum, so the same verdict.  None
-    when no start lifts every step and ends on its own orbit, that is, when
-    the walk is not a closed walk of the quotient.
-    """
-    partner, vp = involution.cell_pairing[1], involution.vertex_pairing
-    ends = [c.vertices for c in complex.cells_of(1)]
-    lower = [i for i in range(len(ends)) if i < partner[i]]
-
-    def lift_closes(walk: Sequence[int]) -> Optional[bool]:
-        last = ends[lower[walk[-1]]]
-        for start in ends[lower[walk[0]]]:
-            if start not in last and vp[start] not in last:
-                continue
-            cur = start
-            for k in walk:
-                a, b = ends[lower[k]]
-                if cur != a and cur != b:
-                    a, b = ends[partner[lower[k]]]
-                if cur == a:
-                    cur = b
-                elif cur == b:
-                    cur = a
-                else:
-                    break
-            else:
-                if cur in (start, vp[start]):
-                    return cur == start
-        return None
-
-    return lift_closes
-
-
 # ---- the simplicial-map audit into the box complex ----
 
 def verify_z2_map_to_box(
@@ -570,18 +525,14 @@ def _audit(
     audit.add_flag("graph-matches-expected", graph == expected_graph, _GRAPH_DIFFERS)
 
     if n_walks > 0:
-        # Lifting judges the walks when `quotient-homology` is a lemma and
-        # the sphere is connected: the sampler reads only the 1-skeleton.
-        lifted = operator_ok and shape_ok and complex.dim >= 1
-        q, _, selected_q = projected(1 if lifted else None)
+        # On an antisymmetric coloured sphere every sampled walk is consistent
+        # (see `verify_sphere_quadrangulation`): the sampler reads only the
+        # 1-skeleton.
+        lemma = antisymmetric and operator_ok and shape_ok and complex.dim >= 1
+        q, _, selected_q = projected(1 if lemma else None)
         walks = sample_closed_walks(q, selected_q, n_walks, seed=seed)
         bad = 0
-        if lifted:
-            lift_closes = _walk_lifter(complex, involution)
-            for walk in walks:
-                closes = lift_closes(walk)
-                bad += closes is None or len(walk) % 2 == closes
-        else:
+        if not lemma:
             solve = quotient_calculator().solver(2).solve if q.dim >= 2 and walks else None
             for walk in walks:
                 chain = 0
@@ -704,27 +655,35 @@ def verify_sphere_quadrangulation(
     homology class, and a walk is inconsistent when it is odd and bounds,
     or even and does not.
 
-    When `boundary-operator` and `sphere` have passed and n >= 1, a walk
-    bounds exactly when its lift to the sphere closes, by the lifting
-    property of the two-sheeted cover p: X -> Q (Hatcher, *Algebraic
-    Topology*, section 1.3).  `antipodal-free` has passed, so no 1-cell
-    joins two partners, and a step from a vertex over one end of a quotient
-    1-cell lifts to exactly one of its two lifts, the one that holds the
-    vertex.  Lifting a closed walk of Q from a vertex x ends at x or at its
-    partner, depending only on the walk's mod-2 sum; this gives a
-    homomorphism w: H_1(Q; Z_2) -> Z_2.  X is connected (b_0 = 1 under
-    `sphere`), so a path from x to its partner projects to a closed walk
-    whose lift does not close, and w is onto.  H_1(Q; Z_2) = Z_2, as the
-    `quotient-homology` lemma above shows under the same hypotheses, so w
-    is an isomorphism: the walk bounds exactly when w is zero.  The lift
-    needs no quotient cell above dimension 1 and no matrix (see
-    `_walk_lifter`).  When a hypothesis fails, the quotient is projected in
-    full, and the mod-2 sum of each walk, its 1-cell ids XOR-ed into a
-    bitmask, bounds when it is zero or when the solver of the quotient's
-    boundary on 2-chains finds a preimage (a quotient below dimension 2
-    bounds only the zero chain); the quotient's one calculator serves that
-    solve and `quotient-homology`.  `cycle_parity_vs_homology` is the full
-    check and stays the test oracle.
+    No sampled walk is inconsistent once `colouring-antisymmetric`,
+    `boundary-operator` and `sphere` have passed and n >= 1; the entry is
+    then `sampled == n_walks`.  First, a walk bounds exactly when its lift
+    to the sphere closes, by the lifting property of the two-sheeted cover
+    p: X -> Q (Hatcher, *Algebraic Topology*, section 1.3).
+    `antipodal-free` has passed, so no 1-cell joins two partners, and a
+    step from a vertex over one end of a quotient 1-cell lifts to exactly
+    one of its two lifts, the one that holds the vertex.  Lifting a closed
+    walk of Q from a vertex x ends at x or at its partner, depending only on
+    the walk's mod-2 sum; this gives a homomorphism w: H_1(Q; Z_2) -> Z_2.
+    X is connected (b_0 = 1 under `sphere`), so a path from x to its
+    partner projects to a closed walk whose lift does not close, and w is
+    onto.  H_1(Q; Z_2) = Z_2, as the `quotient-homology` lemma above shows
+    under the same hypotheses, so w is an isomorphism: the walk bounds
+    exactly when w is zero.  Second, the lift closes exactly when the walk
+    is even.  A selected quotient 1-cell has a bichromatic lift, and its
+    other lift is bichromatic too (see `quotient-parity` above), so each
+    lifted step flips the colour, and a lift of length L ends on the
+    start's colour exactly when L is even.  The colouring is total and
+    antisymmetric, so the start's partner has the other colour, and the
+    lift, which ends at the start or its partner, closes exactly when L is
+    even.  So a walk bounds exactly when it is even, and the sampler needs
+    only the quotient's 1-skeleton.  When a hypothesis fails, the quotient
+    is projected in full, and the mod-2 sum of each walk, its 1-cell ids
+    XOR-ed into a bitmask, bounds when it is zero or when the solver of the
+    quotient's boundary on 2-chains finds a preimage (a quotient below
+    dimension 2 bounds only the zero chain); the quotient's one calculator
+    serves that solve and `quotient-homology`.  `cycle_parity_vs_homology`
+    is the full check and stays the test oracle.
 
     `box-map` is a lemma on the bichromatic maximal cells when
     `antipodal-free` and `labels-on-orbits` pass (complex-valid,

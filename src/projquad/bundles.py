@@ -117,7 +117,10 @@ def load_bundle(path: PathLike) -> Bundle:
     for pair in reps_raw:
         if not (isinstance(pair, list) and len(pair) == 2 and type(pair[1]) is int):
             raise ParseError("orbit_reps must be a list of [label, vertex] pairs")
-        orbit_reps[_label_from_json(pair[0])] = pair[1]
+        label = _label_from_json(pair[0])
+        if label in orbit_reps:
+            raise ParseError("orbit_reps lists a label twice")
+        orbit_reps[label] = pair[1]
     report = _read_json(root / "report.json")
     if not isinstance(report, list):
         raise ParseError("report.json must be a list of audit entries")

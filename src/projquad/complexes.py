@@ -238,9 +238,6 @@ class Complex:
 
     # ---- derived structure ----
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(layer) for d, layer in enumerate(self._cells))
-
     def cofacet_counts(self, d: int) -> tuple[int, ...]:
         """For each d-cell, the number of (d+1)-cells having it as a facet."""
         if d not in self._cofacet_counts:
@@ -261,9 +258,6 @@ class Complex:
                 keys.extend((d, i) for i, k in enumerate(counts) if k == 0)
             self._maximal = tuple(keys)
         return self._maximal
-
-    def is_pure(self) -> bool:
-        return all(d == self.dim for d, _ in self.maximal_cells())
 
     # ---- subcomplexes ----
 

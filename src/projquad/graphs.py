@@ -6,9 +6,8 @@ total order across the three types so listings stay deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
-from typing import Callable, Dict, Iterable, Iterator, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, Union
 
 from .errors import BadParameters, ParseError, UnknownVertex
 
@@ -82,9 +81,6 @@ class Graph:
         if v not in self._adj:
             raise UnknownVertex(repr(v))
         return frozenset(self._adj[v])
-
-    def degree(self, v: Label) -> int:
-        return len(self._adj[v])
 
     def edges(self) -> tuple[tuple[Label, Label], ...]:
         key = {v: label_key(v) for v in self._adj}
@@ -205,20 +201,6 @@ def mycielskian(graph: Graph, r: int = 2) -> Graph:
     return out
 
 
-def mycielski_graph(n: int) -> Graph:
-    """Canonical chromatic-number-n member of the iterated family.
-
-    n=3 is the 5-cycle, n=4 the 11-vertex triangle-free 4-chromatic graph,
-    and so on by repeatedly applying the two-level `mycielskian`.
-    """
-    if n < 3:
-        raise BadParameters("family starts at n = 3")
-    g = cycle_graph(5)
-    for _ in range(n - 3):
-        g = mycielskian(g, 2)
-    return g
-
-
 # ---- utilities ----
 
 def common_neighbours(graph: Graph, subset: Iterable[Label]) -> frozenset[Label]:
@@ -244,50 +226,6 @@ def box_membership(graph: Graph, a1: Iterable[Label], a2: Iterable[Label]) -> bo
     cn2 = common_neighbours(graph, s2)
     cn1 = common_neighbours(graph, s1)
     return s1 <= cn2 and s2 <= cn1 and bool(cn1) and bool(cn2)
-
-
-def is_bipartite(graph: Graph) -> tuple[bool, Optional[Dict[Label, int]]]:
-    side: Dict[Label, int] = {}
-    for start in graph.vertices:
-        if start in side:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if w not in side:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return False, None
-    return True, side
-
-
-def odd_girth(graph: Graph) -> Optional[int]:
-    """Length of a shortest odd cycle, or None if the graph is bipartite.
-
-    BFS in the bipartite double cover: the distance from (v, 0) to (v, 1)
-    is the length of a shortest odd closed walk through v, and the minimum
-    over v of that quantity is attained on a shortest odd cycle.
-    """
-    best: Optional[int] = None
-    for start in graph.vertices:
-        dist = {(start, 0): 0}
-        queue = deque([(start, 0)])
-        while queue:
-            u, p = queue.popleft()
-            if best is not None and dist[(u, p)] >= best:
-                continue
-            for w in graph.neighbors(u):
-                node = (w, p ^ 1)
-                if node not in dist:
-                    dist[node] = dist[(u, p)] + 1
-                    queue.append(node)
-        d = dist.get((start, 1))
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
 
 
 # ---- serialization ----

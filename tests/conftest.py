@@ -10,12 +10,29 @@ from projquad import (
     SimplicialBuilder,
     TwoColouring,
     bichromatic_edge_cells,
+    cycle_graph,
     cycle_parity_vs_homology,
+    mycielskian,
     parity_audit,
     quotient,
     sample_closed_walks,
 )
 from projquad.validation import Violation
+
+
+def mycielski_graph(n: int) -> Graph:
+    """The chromatic-number-n member of the iterated Mycielski family, for
+    n >= 3: the 5-cycle, then n - 3 two-level Mycielskians of it (n = 4 is
+    the Groetzsch graph).  The tower constructions are compared against it."""
+    g = cycle_graph(5)
+    for _ in range(n - 3):
+        g = mycielskian(g, 2)
+    return g
+
+
+def has_triangle(graph: Graph) -> bool:
+    """Whether some edge's ends have a common neighbour."""
+    return any(graph.neighbors(u) & graph.neighbors(w) for u, w in graph.edges())
 
 
 def facet_rows(complex: Complex, p: int) -> list[int]:

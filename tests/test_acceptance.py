@@ -40,7 +40,6 @@ from projquad import (
     dump_complex,
     fineness_check,
     load_bundle,
-    mycielski_graph,
     mycielski_tower,
     odd_cycle_sphere,
     parity_audit,
@@ -63,7 +62,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import facet_rows, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
+from conftest import facet_rows, mycielski_graph, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -231,6 +230,10 @@ def _lift_closes(sphere, preimages: dict[int, list[int]], walk: list[int]) -> bo
 
 
 def test_double_cover_lift_closes_exactly_on_null_homologous_walks(corpus):
+    # The lemma of `walk-parity` on a passing sphere: a closed walk of the
+    # quotient bounds exactly when its lift to the sphere closes, and, as
+    # each lifted step is bichromatic and the involution swaps the colours,
+    # exactly when it is even.
     closed = opened = 0
     for name, item in corpus.items():
         sq = item.sq
@@ -239,36 +242,13 @@ def test_double_cover_lift_closes_exactly_on_null_homologous_walks(corpus):
             preimages.setdefault(q, []).append(e)
         assert all(len(es) == 2 for es in preimages.values()), name
         calc = HomologyCalculator(sq.quotient)
-        walks = sample_closed_walks(sq.quotient, sq.selected, 100, seed=0)
-        assert len(walks) == 100, name
-        for walk in walks:
-            res = cycle_parity_vs_homology(sq.quotient, walk, edge_cells=sq.selected, calculator=calc)
-            lifted = _lift_closes(sq.complex, preimages, walk)
-            assert lifted == (res["homology_class"] == 0), f"{name}: walk {walk}"
-            closed += lifted
-            opened += not lifted
-    assert closed and opened
-    print(f"{closed} lifts closed and {opened} opened, each as homology predicts")
-
-
-def test_walk_parity_lifts_each_walk_to_its_homology_class_and_parity(corpus):
-    # The lemma of `walk-parity` on a passing sphere: a closed walk of the
-    # quotient bounds exactly when its lift to the sphere closes, and, as the
-    # involution swaps the colours, exactly when it is even.  A walk that is
-    # not closed has no verdict.
-    closed = opened = 0
-    for name, item in corpus.items():
-        sq = item.sq
-        lift_closes = audits._walk_lifter(sq.complex, sq.involution)
-        calc = HomologyCalculator(sq.quotient)
         for seed in (0, 7):
             walks = sample_closed_walks(sq.quotient, sq.selected, 100, seed=seed)
             assert len(walks) == 100, (name, seed)
             for walk in walks:
                 res = cycle_parity_vs_homology(sq.quotient, walk, edge_cells=sq.selected, calculator=calc)
-                lifted = lift_closes(walk)
+                lifted = _lift_closes(sq.complex, preimages, walk)
                 assert lifted == (res["homology_class"] == 0) == (res["parity"] == 0), (name, seed, walk)
-                assert lift_closes(walk[:-1]) is None, (name, seed, walk)
                 closed += lifted
                 opened += not lifted
     assert closed and opened
@@ -356,10 +336,10 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
 
 def test_each_boundary_composite_is_checked_once_per_complex(corpus, monkeypatch):
     # The boundary-operator audit and the sphere's clearing guard share one
-    # verdict per p.  A passing sphere's walks are lifted, so no quotient
-    # calculator is built; on two disjoint copies `sphere` fails, and the
-    # quotient's one calculator, shared by `quotient-homology` and the walk
-    # solves, checks its own composites.
+    # verdict per p.  A passing sphere's walks are judged by the walk lemma,
+    # so no quotient calculator is built; on two disjoint copies `sphere`
+    # fails, and the quotient's one calculator, shared by `quotient-homology`
+    # and the walk solves, checks its own composites.
     checked = []
     squares_to_zero = homology._squares_to_zero
 
@@ -407,8 +387,8 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
 def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
     # `quotient-homology` and `quotient-parity` are lemmas on a passing
     # sphere, so no build and no `verify --walks 0` projects a quotient; the
-    # walks of `verify` are lifted to the sphere, so they project only the
-    # quotient's 1-skeleton for the sampler.  When `sphere` fails, the
+    # walks of `verify` are judged by the walk lemma, so they project only
+    # the quotient's 1-skeleton for the sampler.  When `sphere` fails, the
     # quotient is projected in full, once.  The quotient is never an
     # artifact.
     calls = []
@@ -443,9 +423,10 @@ def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
 
 
 def test_walk_parity_is_a_recount_of_its_walks(tmp_path_factory, corpus):
-    # `walk-parity` judges each sampled walk with one solve, a lemma of the
-    # sampler's guarantee; `cycle_parity_vs_homology` on the same walks,
-    # which raises on a walk that is not closed or not a cycle, recounts it.
+    # `walk-parity` on a passing sphere is a lemma of antisymmetry and the
+    # sampler's guarantee, with no walk judged one by one;
+    # `cycle_parity_vs_homology` on the same walks, which raises on a walk
+    # that is not closed or not a cycle, recounts it.
     base = tmp_path_factory.mktemp("walks")
     for name, item in corpus.items():
         bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
@@ -454,6 +435,29 @@ def test_walk_parity_is_a_recount_of_its_walks(tmp_path_factory, corpus):
             report, _ = verify_bundle(bundle, seed=seed, n_walks=100)
             assert report.entry("walk-parity").ok, (name, seed)
             assert walk_parity_is_its_recount(report, *sphere, n_walks=100, seed=seed), (name, seed)
+
+
+def test_walk_parity_fails_on_inconsistent_walks(corpus):
+    # One flipped vertex breaks colouring-antisymmetric, so the walk lemma
+    # does not apply: each walk is solved on the full quotient, and some are
+    # inconsistent.  Flipping an antipodal pair keeps the colouring
+    # antisymmetric, and the lemma passes every walk.  Both verdicts are the
+    # recount's.
+    for name in ("cylinder-3", "tower-4", "schrijver-6-2"):
+        sq = corpus[name].sq
+        v = min(sq.involution.vertex_pairing)
+        for flipped in ((v,), (v, sq.involution.vertex_pairing[v])):
+            colouring = _flip(sq.colouring, flipped)
+            report, _ = verify_sphere_quadrangulation(
+                sq.complex, sq.involution, colouring, labels=sq.labels, expected_graph=sq.graph, n_walks=100, seed=0
+            )
+            entry = report.entry("walk-parity")
+            antisymmetric = len(flipped) == 2
+            assert report.entry("colouring-antisymmetric").ok == antisymmetric, (name, flipped)
+            assert entry.ok == antisymmetric and entry.info == {"sampled": 100}, (name, flipped)
+            assert walk_parity_is_its_recount(
+                report, sq.complex, sq.involution, colouring, n_walks=100, seed=0
+            ), (name, flipped)
 
 
 def test_quotient_parity_without_antisymmetry_is_the_parity_check(corpus):

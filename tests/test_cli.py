@@ -421,6 +421,11 @@ def _true_as_orbit_rep(obj):
     obj["orbit_reps"][1][1] = True
 
 
+def _list_an_orbit_rep_label_twice(obj):
+    label, rep = obj["orbit_reps"][0]
+    obj["orbit_reps"].append([label, rep + 5])  # on c5, the rep's partner
+
+
 def _true_as_coordinate(obj):
     obj["vertices"][0]["coords"][0] = True
 
@@ -671,6 +676,8 @@ TAMPERS = [
     ("c5", "colouring.json", _true_as_coloured_vertex, "verify", 65, None),
     ("c5", "involution.json", _float_in_vertex_pair, "verify", 65, None),
     ("c5", "graph.json", _true_as_orbit_rep, "verify", 65, None),
+    ("c5", "graph.json", _list_an_orbit_rep_label_twice, "verify", 65, None),
+    ("c5", "graph.json", _list_an_orbit_rep_label_twice, "chi", 65, None),
     ("c5", "complex.json", _true_as_coordinate, "verify", 65, None),
     ("c5", "complex.json", _string_as_coordinate, "verify", 65, None),
     ("c5", "complex.json", _ragged_coordinates, "verify", 65, None),

@@ -8,8 +8,9 @@ from projquad import (
     complete_graph,
     cycle_graph,
     kneser_graph,
-    mycielski_graph,
 )
+
+from conftest import mycielski_graph
 
 
 def check_certificate(graph, result):

@@ -174,17 +174,12 @@ def test_face_closure_and_one_faces(octahedron):
 
 
 def test_maximal_cells_and_purity(octahedron, interval_ball):
-    assert octahedron.is_pure()
+    assert {d for d, _ in octahedron.maximal_cells()} == {octahedron.dim}
     assert len(octahedron.maximal_cells()) == 8
     b = ComplexBuilder.from_complex(interval_ball)
     b.add_vertex("loose")
     c = b.build()
-    assert not c.is_pure()
-
-
-def test_euler_characteristic(octahedron, projective_plane):
-    assert octahedron.euler_characteristic() == 2
-    assert projective_plane.euler_characteristic() == 1
+    assert {d for d, _ in c.maximal_cells()} == {0, c.dim}
 
 
 def test_subcomplex_of_a_closure(octahedron):

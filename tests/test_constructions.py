@@ -11,7 +11,6 @@ from projquad import (
     cycle_graph,
     cylinder_complete,
     double_to_sphere,
-    mycielski_graph,
     mycielski_lift,
     mycielski_tower,
     mycielskian,
@@ -25,6 +24,8 @@ from projquad import (
 from projquad import constructions
 from projquad.errors import BadParameters, InputNotQuadrangulation, UnsupportedParameters
 from projquad.validation import AuditEntry, AuditReport
+
+from conftest import mycielski_graph
 
 
 def _walk_parity(sq, n_walks: int):
@@ -85,7 +86,7 @@ def test_lift_of_five_cycle_is_groetzsch_stage():
     ball = mycielski_lift(base, 2)
     assert [ball.complex.n_cells(d) for d in range(3)] == [16, 35, 20]
     assert ball.graph == mycielskian(cycle_graph(5), 2)
-    assert ball.complex.euler_characteristic() == 1
+    assert sum((-1) ** d * ball.complex.n_cells(d) for d in range(3)) == 1  # Euler characteristic of a disc
     assert ball.report.ok
 
 
