@@ -210,11 +210,11 @@ def test_criterion_5_parity_and_sampled_walks(corpus):
     print(f"parity audits and 100 sampled walks clean on all {len(corpus)} bundles")
 
 
-def _lift_closes(sphere, preimages: dict[int, list[int]], walk: list[int]) -> bool:
-    """Lift a closed walk of quotient 1-cells to the double cover, starting
-    at an end of a preimage of its first cell, and say whether the lift
-    returns to its start.  Each step takes the one preimage at the current
-    sphere vertex; a start that does not chain is retried from the other end."""
+def _lift(sphere, preimages: dict[int, list[int]], walk: list[int]) -> tuple[int, int]:
+    """Lift a walk of quotient 1-cells to the double cover, starting at an
+    end of a preimage of its first cell, and return the lift's start and end
+    vertices.  Each step takes the one preimage at the current sphere vertex;
+    a start that does not chain is retried from the other end."""
     for start in sphere.cell(1, preimages[walk[0]][0]).vertices:
         cur = start
         for q in walk:
@@ -225,22 +225,54 @@ def _lift_closes(sphere, preimages: dict[int, list[int]], walk: list[int]) -> bo
             a, b = sphere.cell(1, here[0]).vertices
             cur = b if cur == a else a
         else:
-            return cur == start
+            return start, cur
     raise AssertionError(f"walk {walk} does not lift from either end of its first cell")
 
 
+def _lift_closes(sphere, preimages: dict[int, list[int]], walk: list[int]) -> bool:
+    """Whether the lift of a closed walk of quotient 1-cells returns to its start."""
+    start, end = _lift(sphere, preimages, walk)
+    return start == end
+
+
+def _preimages(sq) -> dict[int, list[int]]:
+    """Each quotient 1-cell's sphere 1-cells, by `sq.projection`."""
+    preimages: dict[int, list[int]] = {}
+    for e, q in sq.projection[1].items():
+        preimages.setdefault(q, []).append(e)
+    return preimages
+
+
 def test_double_cover_lift_closes_exactly_on_null_homologous_walks(corpus):
-    # The lemma of `walk-parity` on a passing sphere: a closed walk of the
-    # quotient bounds exactly when its lift to the sphere closes, and, as
-    # each lifted step is bichromatic and the involution swaps the colours,
-    # exactly when it is even.
     closed = opened = 0
     for name, item in corpus.items():
         sq = item.sq
-        preimages: dict[int, list[int]] = {}
-        for e, q in sq.projection[1].items():
-            preimages.setdefault(q, []).append(e)
+        preimages = _preimages(sq)
         assert all(len(es) == 2 for es in preimages.values()), name
+        calc = HomologyCalculator(sq.quotient)
+        walks = sample_closed_walks(sq.quotient, sq.selected, 100, seed=0)
+        assert len(walks) == 100, name
+        for walk in walks:
+            res = cycle_parity_vs_homology(sq.quotient, walk, edge_cells=sq.selected, calculator=calc)
+            lifted = _lift_closes(sq.complex, preimages, walk)
+            assert lifted == (res["homology_class"] == 0), f"{name}: walk {walk}"
+            closed += lifted
+            opened += not lifted
+    assert closed and opened
+    print(f"{closed} lifts closed and {opened} opened, each as homology predicts")
+
+
+def test_walk_parity_lifts_each_walk_to_its_homology_class_and_parity(corpus):
+    # The lemma of `walk-parity` on a passing sphere: a closed walk of the
+    # quotient bounds exactly when its lift to the sphere closes, and, as
+    # each lifted step is bichromatic and the involution swaps the colours,
+    # exactly when it is even.  The lift of a walk that is not closed ends
+    # off its start's orbit, so it has no verdict.
+    closed = opened = 0
+    for name, item in corpus.items():
+        sq = item.sq
+        preimages = _preimages(sq)
+        partner = sq.involution.vertex_pairing
         calc = HomologyCalculator(sq.quotient)
         for seed in (0, 7):
             walks = sample_closed_walks(sq.quotient, sq.selected, 100, seed=seed)
@@ -249,6 +281,8 @@ def test_double_cover_lift_closes_exactly_on_null_homologous_walks(corpus):
                 res = cycle_parity_vs_homology(sq.quotient, walk, edge_cells=sq.selected, calculator=calc)
                 lifted = _lift_closes(sq.complex, preimages, walk)
                 assert lifted == (res["homology_class"] == 0) == (res["parity"] == 0), (name, seed, walk)
+                start, end = _lift(sq.complex, preimages, walk[:-1])
+                assert end not in (start, partner[start]), (name, seed, walk)
                 closed += lifted
                 opened += not lifted
     assert closed and opened
