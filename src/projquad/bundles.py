@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .audits import verify_sphere_quadrangulation
-from .complexes import Complex, complex_from_json, dump_canonical, dump_complex
+from .complexes import Complex, _complex_texts, complex_from_json, dump_canonical
 from .constructions import SphereQuad, _sphere_quad
 from .errors import ParseError
 from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key, schrijver_graph
@@ -40,13 +40,6 @@ class Bundle:
     homomorphism: Optional[Homomorphism] = None
 
 
-def _orbit_reps(sq: SphereQuad) -> dict:
-    reps: dict = {}
-    for v in sorted(sq.labels):
-        reps.setdefault(sq.labels[v], v)
-    return reps
-
-
 def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorphism] = None) -> Path:
     """Write the sphere (with its audit report) as a directory of canonical
     JSON files; returns the directory path.  A `homomorphism.json` left in
@@ -56,29 +49,41 @@ def write_bundle(path: PathLike, sq: SphereQuad, homomorphism: Optional[Homomorp
     Every file's text is encoded before the directory is touched, so an
     error while encoding (a MemoryError, say) leaves no directory, or an
     earlier bundle there as it was.  An OSError in the middle of the writes
-    can still leave a partial bundle."""
+    can still leave a partial bundle.  Each small file's JSON object is
+    dropped once its text exists.  `complex.json` is made as one piece per
+    cell layer (`_complex_texts`) and written piece by piece, with no joined
+    copy of the whole text, so the encoder's transient is about twice the
+    file."""
     out = Path(path)
-    reps = _orbit_reps(sq)
+    pieces = {
+        "involution.json": [dump_canonical(sq.involution.to_json())],
+        "colouring.json": [dump_canonical(sq.colouring.to_json())],
+        "graph.json": [dump_canonical(_graph_json(sq))],
+        "report.json": [dump_canonical(sq.report.to_json())],
+    }
+    if homomorphism is not None:
+        pieces["homomorphism.json"] = [dump_canonical(homomorphism_to_json(homomorphism))]
+    pieces["complex.json"] = _complex_texts(sq.complex)
+    out.mkdir(parents=True, exist_ok=True)
+    if homomorphism is None:
+        (out / "homomorphism.json").unlink(missing_ok=True)
+    for name, texts in pieces.items():
+        with open(out / name, "w", encoding="utf-8") as f:
+            f.writelines(texts)
+    return out
+
+
+def _graph_json(sq: SphereQuad) -> dict:
+    """The identified graph's JSON with its orbit representatives: for each
+    label in label order, `[label, v]` with v its least vertex."""
+    reps: dict = {}
+    for v in sorted(sq.labels):
+        reps.setdefault(sq.labels[v], v)
     graph_obj = graph_to_json(sq.graph)
     graph_obj["orbit_reps"] = [
         [_label_to_json(lab), reps[lab]] for lab in sorted(reps, key=label_key)
     ]
-    files = {
-        "involution.json": sq.involution.to_json(),
-        "colouring.json": sq.colouring.to_json(),
-        "graph.json": graph_obj,
-        "report.json": sq.report.to_json(),
-    }
-    if homomorphism is not None:
-        files["homomorphism.json"] = homomorphism_to_json(homomorphism)
-    texts = {"complex.json": dump_complex(sq.complex)}
-    texts.update((name, dump_canonical(obj)) for name, obj in files.items())
-    out.mkdir(parents=True, exist_ok=True)
-    if homomorphism is None:
-        (out / "homomorphism.json").unlink(missing_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text, encoding="utf-8")
-    return out
+    return graph_obj
 
 
 def _read_json(path: Path) -> object:

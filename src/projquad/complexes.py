@@ -500,29 +500,46 @@ def complex_to_json(complex: Complex) -> dict:
 def dump_complex(complex: Complex) -> str:
     """`dump_canonical(complex_to_json(complex))`, without the dict step.
 
-    The header and the vertex list go through `dump_canonical`.  Each cell's
-    id is its position.  In a layer whose vertices and facets are all of type
-    int, each cell is one `%` on the format of its (facet count, vertex
-    count) shape, since `%d` spells an int as json does; any other layer is
-    encoded from its dicts, so a bool, a float or None reads as json would
-    write it, and a value json rejects raises TypeError here too.
-    """
+    The text is made as one piece per cell layer by `_complex_texts`, and
+    this is their join.  `write_bundle` writes the same pieces with no
+    joined copy, so its encoder's transient is about twice the file."""
+    return "".join(_complex_texts(complex))
+
+
+def _complex_texts(complex: Complex) -> list[str]:
+    """The text of `dump_complex(complex)` as a list of pieces: the opening,
+    then each nonempty cell layer's text (see `_layer_text`) with a comma
+    between layers, then the closing bracket with the header and the vertex
+    list, which go through `dump_canonical`.  A layer's cell texts are
+    joined as soon as the layer is done, so no piece is the whole text and
+    no layer's per-cell strings outlive it."""
     head = dump_canonical({"dimension": complex.dim, "vertices": _vertex_entries(complex)})
-    texts = []
+    pieces = ['{\n "cells": [']
     for d in range(complex.dim + 1):
-        layer = complex.cells_of(d)
-        vertices = chain.from_iterable(map(attrgetter("vertices"), layer))
-        facets = chain.from_iterable(map(attrgetter("facets"), layer))
-        if {*map(type, vertices), *map(type, facets)} <= {int}:
-            for i, c in enumerate(layer):
-                vs, fs = c.vertices, c.facets
-                texts.append(_cell_format(len(fs), len(vs)) % (d, *fs, i, *vs))
-        else:
-            for i, c in enumerate(layer):
-                cell = {"id": i, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)}
-                texts.append("\n  " + _encode(cell, "\n  "))
-    cells = "[" + ",".join(texts) + "\n ]" if texts else "[]"
-    return '{\n "cells": ' + cells + "," + head[1:]
+        if complex.n_cells(d):
+            if len(pieces) > 1:
+                pieces.append(",")
+            pieces.append(_layer_text(d, complex.cells_of(d)))
+    pieces.append(("\n ]," if len(pieces) > 1 else "],") + head[1:])
+    return pieces
+
+
+def _layer_text(d: int, layer: Sequence[Cell]) -> str:
+    """The canonical texts of the d-cells in `layer`, joined by commas, each
+    led by its line break.  Each cell's id is its position.  In a layer whose
+    vertices and facets are all of type int, each cell is one `%` on the
+    format of its (facet count, vertex count) shape, since `%d` spells an int
+    as json does; any other layer is encoded from its dicts, so a bool, a
+    float or None reads as json would write it, and a value json rejects
+    raises TypeError here too."""
+    vertices = chain.from_iterable(map(attrgetter("vertices"), layer))
+    facets = chain.from_iterable(map(attrgetter("facets"), layer))
+    if {*map(type, vertices), *map(type, facets)} <= {int}:
+        texts = [_cell_format(len(c.facets), len(c.vertices)) % (d, *c.facets, i, *c.vertices) for i, c in enumerate(layer)]
+    else:
+        cells = ({"id": i, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)} for i, c in enumerate(layer))
+        texts = ["\n  " + _encode(cell, "\n  ") for cell in cells]
+    return ",".join(texts)
 
 
 @lru_cache(maxsize=None)
@@ -594,9 +611,9 @@ def dump_canonical(obj) -> str:
     """Canonical JSON text: exactly `json.dumps(obj, sort_keys=True,
     indent=1) + "\\n"`, written by a small recursive encoder: json's C
     encoder does not indent, so json.dumps with an indent runs the
-    pure-Python one.  `complex.json` is written by `dump_complex`, which
-    gives this function's text of `complex_to_json(c)` without the dicts
-    and is tested against it.
+    pure-Python one.  `complex.json` is written from `_complex_texts`, whose
+    join `dump_complex` gives this function's text of `complex_to_json(c)`
+    without the dicts and is tested against it.
 
     Values must be of type str, int, float, bool, None, list, tuple or dict
     (subclasses are not accepted) and dict keys must be str; anything else

@@ -9,6 +9,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from math import pi, sin
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -844,6 +845,23 @@ def test_corpus_bundles_are_the_reference_bytes(tmp_path_factory, corpus):
 def test_complex_json_is_the_reference_text_on_the_corpus(corpus):
     for name, item in corpus.items():
         assert dump_complex(item.sq.complex) == dump_canonical(complex_to_json(item.sq.complex)), name
+
+
+@pytest.mark.parametrize("name", ["tower-5", "cylinder-5", "schrijver-9-3"])
+def test_write_bundle_peaks_at_most_three_times_its_complex_json(tmp_path, corpus, name):
+    # The writer makes complex.json one piece per cell layer and writes the
+    # pieces with no joined copy, so its traced peak above the live sphere is
+    # about twice the file.  3x leaves room for that, and fails a writer that
+    # also holds the joined text or its bytes (near five times the file).
+    item = corpus[name]
+    tracemalloc.start()
+    try:
+        write_bundle(tmp_path / name, item.sq, homomorphism=item.hom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / name / "complex.json").stat().st_size
+    assert peak <= 3 * size, f"{name}: peak {peak} B for a {size} B complex.json"
 
 
 def test_builders_hand_over_the_report_a_full_validation_gives(monkeypatch):

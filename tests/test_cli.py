@@ -881,18 +881,37 @@ def _fail_the_4th_dump(monkeypatch):
     monkeypatch.setattr(bundles, "dump_canonical", failing)
 
 
-def test_a_bundle_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
-    # The encoder of the 4th canonical file runs out of memory: no directory
-    # is made, and an earlier bundle keeps every byte, its homomorphism.json too.
+def _fail_the_complex_pieces(monkeypatch):
+    """Make the encoder of complex.json's pieces raise MemoryError."""
+
+    def failing(complex):
+        raise MemoryError
+
+    monkeypatch.setattr(bundles, "_complex_texts", failing)
+
+
+def _no_bundle_is_written_when(fail, tmp_path, capsys, monkeypatch):
+    """With `fail` installed, a build makes no directory, and an earlier
+    bundle keeps every byte, its homomorphism.json too."""
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     assert run(capsys, "build", "schrijver", "--n", "6", "--k", "2", "--out", str(kept))[0] == 0
     before = {p.name: p.read_bytes() for p in kept.iterdir()}
     for out in (fresh, kept):
-        _fail_the_4th_dump(monkeypatch)
+        fail(monkeypatch)
         code, stdout, err = run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(out))
         assert (code, stdout, err) == (71, "", "out of memory\n")
     assert not fresh.exists()
     assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+
+
+def test_a_bundle_is_written_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    # The encoder of the 4th canonical file, report.json, runs out of memory.
+    _no_bundle_is_written_when(_fail_the_4th_dump, tmp_path, capsys, monkeypatch)
+
+
+def test_complex_json_is_encoded_whole_or_no_bundle_is_written(tmp_path, capsys, monkeypatch):
+    # complex.json's pieces are made last, after every small file's text.
+    _no_bundle_is_written_when(_fail_the_complex_pieces, tmp_path, capsys, monkeypatch)
 
 
 REPORT_REWRITES = [_drop_entry_10, _empty_report, _invented_report, _extra_invented_entry]
