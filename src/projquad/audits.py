@@ -381,14 +381,16 @@ def _audit(
     ball: bool,
     seed: int = 0,
     n_walks: int = 0,
-) -> tuple[AuditReport, dict]:
+) -> tuple[AuditReport, Optional[Graph]]:
     """The audit stack of a coloured sphere with a full-scope involution, or
     of a coloured ball with a boundary-scope one.  The two share every entry
     up to `graph-identification`, except the shape entry, `sphere` or
     `ball`.  A ball's audit ends with `graph-matches-expected` after the
     identification.  A ball's boundary is the involution's scope:
     `involution-valid` passes only when the paired cells are exactly
-    `boundary_cells(complex)`.
+    `boundary_cells(complex)`.  Returns the report and the identified
+    labelled graph, or None when the audit stopped before the
+    identification.
 
     `complex-valid` is `complex.validate()`.  On a complex from
     `ComplexBuilder.build` that report was handed over by the builder
@@ -431,7 +433,6 @@ def _audit(
     docstring of `verify_sphere_quadrangulation`.
     """
     audit = AuditCollector()
-    artifacts: dict = {"labels": labels}
     early = validate_involution(complex, involution) if involution.scope == "full" else None
     if early is not None and early.ok:
         complex._validate_by_pairs(involution.cell_pairing)
@@ -451,7 +452,7 @@ def _audit(
         proper = proper_on_maximal(complex, colouring)
         audit.add("colouring-proper", proper)
     if not (involution_ok and total):
-        return audit.done(), artifacts
+        return audit.done(), None
     antisymmetric = audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
 
     calc = HomologyCalculator(complex)
@@ -468,12 +469,11 @@ def _audit(
         identified, _ = identify_antipodes(associated_graph(complex, colouring), involution.vertex_pairing)
     except LoopCreated as exc:  # a bichromatic cell joins a pair
         audit.add_flag("graph-identification", False, f"{type(exc).__name__}: {exc}")
-        return audit.done(), artifacts
+        return audit.done(), None
     graph = identified.relabel({r: labels[r] for r in identified.vertices})
-    artifacts["graph"] = graph
     if ball:
         audit.add_flag("graph-matches-expected", graph == expected_graph, _GRAPH_DIFFERS)
-        return audit.done(), artifacts
+        return audit.done(), graph
 
     if antipodal.ok and orbit_ok:
         monochromatic = ((v.cell_dim, v.cell_id) for v in proper.violations)
@@ -484,7 +484,7 @@ def _audit(
     refusal = _quotient_refusal(involution, antipodal)
     if refusal is not None:
         audit.add_flag("quotient", False, f"{type(refusal).__name__}: {refusal}")
-        return audit.done(), artifacts
+        return audit.done(), graph
 
     projections: dict[Optional[int], tuple[Complex, dict[int, dict[int, int]], frozenset[int]]] = {}
 
@@ -546,7 +546,7 @@ def _audit(
             f"{bad} inconsistent walks of {len(walks)} sampled",
             sampled=len(walks),
         )
-    return audit.done(), artifacts
+    return audit.done(), graph
 
 
 def verify_sphere_quadrangulation(
@@ -558,13 +558,12 @@ def verify_sphere_quadrangulation(
     expected_graph: Graph,
     seed: int = 0,
     n_walks: int = 0,
-) -> tuple[AuditReport, dict]:
+) -> tuple[AuditReport, Optional[Graph]]:
     """Run the full audit stack on a symmetric coloured sphere.
 
-    Returns the audit report and an artifact dict holding the audited
-    labels (key `labels`) and, once the identification has passed, the
-    identified labelled graph (key `graph`).  The quotient is not an
-    artifact: `quotient` or `SphereQuad.quotient` gives it.  The audit
+    Returns the audit report and the identified labelled graph, or None
+    when the audit stopped before the identification.  The quotient is not
+    returned: `quotient` or `SphereQuad.quotient` gives it.  The audit
     projects it at most once, and only to sample the walks, to run a full
     check whose lemma's hypotheses failed, or to name the images of
     monochromatic cells in `quotient-quadrangulation`.  A sphere that
@@ -710,7 +709,8 @@ def verify_ball_quadrangulation(
     *,
     labels: dict[int, object],
     expected_graph: Graph,
-) -> tuple[AuditReport, dict]:
+) -> tuple[AuditReport, Optional[Graph]]:
     """Audit a coloured ball whose boundary carries a free involution, given
-    as a boundary-scope `Involution`."""
+    as a boundary-scope `Involution`; returns the report and the identified
+    graph as `verify_sphere_quadrangulation` does."""
     return _audit(ball, involution, colouring, labels, expected_graph, True)

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, _complex_texts, complex_from_json, dump_canonical
-from .constructions import SphereQuad, _sphere_quad
+from .constructions import SphereQuad, _verified
 from .errors import ParseError
 from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key, schrijver_graph
 from .homomorphisms import Homomorphism, homomorphism_from_json, homomorphism_to_json, verify_homomorphism
@@ -220,7 +220,7 @@ def homomorphism_entries(bundle: Bundle) -> tuple[AuditEntry, ...]:
     )
 
 
-def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple[AuditReport, dict]:
+def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple[AuditReport, Optional[Graph]]:
     """The one verdict on a stored bundle, read by `verify`, `chi` and
     `sphere_quad_from_bundle`.
 
@@ -228,13 +228,14 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
     representatives and the stored graph as the expected graph, then
     `report-consistent` (see `_report_consistent`) and, for a stored
     homomorphism, the `homomorphism_entries`.
-    Returns the report and the sphere artifacts; when the representatives
-    miss an orbit, one failing `orbit-reps-cover` entry and no artifacts.
+    Returns the report and the identified graph, as the sphere audit returns
+    them; when the representatives miss an orbit, one failing
+    `orbit-reps-cover` entry and None.
     """
     labels = _labels_from_reps(bundle)
     if labels is None:
-        return _REPS_MISS_AN_ORBIT, {}
-    report, artifacts = verify_sphere_quadrangulation(
+        return _REPS_MISS_AN_ORBIT, None
+    report, graph = verify_sphere_quadrangulation(
         bundle.complex,
         bundle.involution,
         bundle.colouring,
@@ -244,13 +245,16 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
         seed=seed,
     )
     consistent = _report_consistent(bundle.report, report)
-    return AuditReport((*report.entries, consistent, *homomorphism_entries(bundle))), artifacts
+    return AuditReport((*report.entries, consistent, *homomorphism_entries(bundle))), graph
 
 
 def sphere_quad_from_bundle(path: PathLike) -> SphereQuad:
     """Reconstruct a SphereQuad from a stored bundle that passes
     `verify_bundle` without walks, the checks of `verify --walks 0`; raises
-    VerificationFailed naming the failing audits otherwise."""
+    VerificationFailed naming the failing audits otherwise.  Its labels are
+    those of the stored orbit representatives, and its graph is the one the
+    audit identified."""
     bundle = load_bundle(path)
-    report, artifacts = verify_bundle(bundle, n_walks=0)
-    return _sphere_quad(bundle.complex, bundle.involution, bundle.colouring, report, artifacts, "stored bundle")
+    report, graph = verify_bundle(bundle, n_walks=0)
+    labels = _labels_from_reps(bundle)
+    return _verified(SphereQuad, bundle.complex, bundle.involution, bundle.colouring, labels, graph, report, "stored bundle")

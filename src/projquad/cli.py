@@ -95,6 +95,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     build = sub.add_parser("build", help="construct a verified bundle")
+    build.set_defaults(run=_run_build)
     kinds = build.add_subparsers(dest="kind", required=True, parser_class=_Parser)
 
     def common(p: _Parser) -> None:
@@ -102,32 +103,39 @@ def _build_parser() -> _Parser:
 
     p = kinds.add_parser("odd-cycle", help="the doubled odd cycle (projective line)")
     p.add_argument("--k", type=int, required=True, help="half-length parameter; the quotient is a (2k+1)-cycle")
+    p.set_defaults(make=lambda a: (odd_cycle_sphere(a.k), None))
     common(p)
 
     p = kinds.add_parser("cylinder", help="solid cylinder doubled into a complete-graph sphere")
     p.add_argument("--r", type=int, required=True, help="ring depth; the identified graph is complete on 2r+3 labels")
+    p.set_defaults(make=lambda a: (double_to_sphere(cylinder_complete(a.r)), None))
     common(p)
 
     p = kinds.add_parser("suspend", help="suspend an existing bundle")
     p.add_argument("--src", required=True, help="input bundle directory")
+    p.set_defaults(make=lambda a: (suspension(sphere_quad_from_bundle(a.src)), None))
     common(p)
 
     p = kinds.add_parser("mycielski-lift", help="lift an existing bundle and double it back into a sphere")
     p.add_argument("--src", required=True, help="input bundle directory")
     p.add_argument("--r", type=int, required=True, help="number of cone levels")
+    p.set_defaults(make=lambda a: (double_to_sphere(mycielski_lift(sphere_quad_from_bundle(a.src), a.r)), None))
     common(p)
 
     p = kinds.add_parser("complete", help="complete graph on t labels over dimension n")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(make=lambda a: (complete_graph_pipeline(a.t, a.n), None))
     common(p)
 
     p = kinds.add_parser("schrijver", help="tower with a homomorphism into the stable k-subsets of [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
+    p.set_defaults(make=lambda a: schrijver_pipeline(a.n, a.k))
     common(p)
 
     p = sub.add_parser("verify", help="re-run all audits on a bundle")
+    p.set_defaults(run=_run_verify)
     p.add_argument("bundle", help="bundle directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--walks", type=_count, default=100)
@@ -143,18 +151,22 @@ def _build_parser() -> _Parser:
             "clique, topological or exhaustive."
         ),
     )
+    p.set_defaults(run=_run_chi)
     p.add_argument("path", help="bundle directory or graph JSON file")
     p.add_argument("--budget-ms", type=_count, default=None, help="time budget of the search (not of the re-verification)")
     p.add_argument("--max-nodes", type=_count, default=None, help="node budget of the search")
 
     p = sub.add_parser("homology", help="mod-2 Betti numbers of a complex")
+    p.set_defaults(run=_run_homology)
     p.add_argument("path", help="bundle directory or complex JSON file")
     p.add_argument("--dim", type=int, default=None)
 
     p = sub.add_parser("hom-check", help="verify a stored graph homomorphism (in a bundle, also its source and target)")
+    p.set_defaults(run=_run_hom_check)
     p.add_argument("path", help="bundle directory or homomorphism JSON file")
 
     p = sub.add_parser("export", help="export a graph")
+    p.set_defaults(run=_run_export)
     p.add_argument("path", help="bundle directory or graph JSON file")
     p.add_argument("--format", choices=["dimacs"], required=True)
     p.add_argument("--out", default=None, help="output file (stdout when omitted)")
@@ -163,25 +175,7 @@ def _build_parser() -> _Parser:
 
 
 def _run_build(args: argparse.Namespace) -> int:
-    hom = None
-    if args.kind == "odd-cycle":
-        sq = odd_cycle_sphere(args.k)
-    elif args.kind == "cylinder":
-        ball = cylinder_complete(args.r)
-        sq = double_to_sphere(ball)
-    elif args.kind == "suspend":
-        src = sphere_quad_from_bundle(args.src)
-        sq = suspension(src)
-    elif args.kind == "mycielski-lift":
-        src = sphere_quad_from_bundle(args.src)
-        ball = mycielski_lift(src, args.r)
-        sq = double_to_sphere(ball)
-    elif args.kind == "complete":
-        sq = complete_graph_pipeline(args.t, args.n)
-    elif args.kind == "schrijver":
-        sq, hom = schrijver_pipeline(args.n, args.k)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise BadParameters(args.kind)
+    sq, hom = args.make(args)
     try:
         out = write_bundle(args.out, sq, homomorphism=hom)
     except OSError as e:
@@ -279,18 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "build":
-            return _run_build(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "chi":
-            return _run_chi(args)
-        if args.command == "homology":
-            return _run_homology(args)
-        if args.command == "hom-check":
-            return _run_hom_check(args)
-        if args.command == "export":
-            return _run_export(args)
+        return args.run(args)
     except ParseError as e:
         sys.stderr.write(f"input error: {e}\n")
         return PARSE_EXIT
@@ -308,7 +291,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         sys.stderr.write("out of memory\n")
         return OSERR_EXIT
-    return USAGE_EXIT  # pragma: no cover - unreachable with required subparsers
 
 
 if __name__ == "__main__":

@@ -470,6 +470,11 @@ class SimplicialBuilder:
         self._by_vertices[key] = (dim, cell_id)
         return (dim, cell_id)
 
+    def id_of(self, vertices: Iterable[int]) -> int:
+        """The id of the cell on exactly these vertices; KeyError when no
+        cell on them was added."""
+        return self._by_vertices[frozenset(vertices)][1]
+
     def build(self) -> Complex:
         return self.builder.build()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import cos, pi, sin
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .audits import verify_ball_quadrangulation, verify_sphere_quadrangulation
 from .complexes import Complex, ComplexBuilder, SimplicialBuilder, boundary_cells, face_closure
@@ -35,7 +35,7 @@ from .symmetry import (
     _project,
     bichromatic_edge_cells,
 )
-from .validation import AuditEntry, AuditReport
+from .validation import AuditEntry, AuditReport, Violation
 
 
 @dataclass(frozen=True)
@@ -85,27 +85,22 @@ class BallQuad:
     report: AuditReport
 
 
-def _sphere_quad(
+def _verified(
+    kind: type,
     complex: Complex,
     involution: Involution,
     colouring: TwoColouring,
+    labels: dict,
+    graph: Optional[Graph],
     report: AuditReport,
-    artifacts: dict,
     what: str,
-) -> SphereQuad:
-    """The SphereQuad of a passing sphere report and its artifacts (as
-    `verify_sphere_quadrangulation` returns them); raises VerificationFailed
-    naming the failing audits otherwise."""
+) -> SphereQuad | BallQuad:
+    """The `kind` (SphereQuad or BallQuad) of a passing report and the
+    graph its audit identified; raises VerificationFailed naming the failing
+    audits otherwise."""
     if not report.ok:
         raise VerificationFailed(f"{what}: failing audits: {', '.join(report.failing())}", report)
-    return SphereQuad(
-        complex=complex,
-        involution=involution,
-        colouring=colouring,
-        labels=artifacts["labels"],
-        graph=artifacts["graph"],
-        report=report,
-    )
+    return kind(complex, involution, colouring, labels, graph, report)
 
 
 def _finish_sphere(
@@ -117,8 +112,8 @@ def _finish_sphere(
     expected_graph: Graph,
     what: str,
 ) -> SphereQuad:
-    report, artifacts = verify_sphere_quadrangulation(complex, involution, colouring, labels=labels, expected_graph=expected_graph)
-    return _sphere_quad(complex, involution, colouring, report, artifacts, what)
+    report, graph = verify_sphere_quadrangulation(complex, involution, colouring, labels=labels, expected_graph=expected_graph)
+    return _verified(SphereQuad, complex, involution, colouring, labels, graph, report, what)
 
 
 def _finish_ball(
@@ -131,48 +126,9 @@ def _finish_ball(
     extra_entries: Sequence[AuditEntry] = (),
     what: str,
 ) -> BallQuad:
-    report, artifacts = verify_ball_quadrangulation(
-        complex, involution, colouring, labels=labels, expected_graph=expected_graph
-    )
-    if extra_entries:
-        report = AuditReport(tuple(report.entries) + tuple(extra_entries))
-    if not report.ok:
-        raise VerificationFailed(f"{what}: failing audits: {', '.join(report.failing())}", report)
-    return BallQuad(
-        complex=complex,
-        involution=involution,
-        colouring=colouring,
-        labels=labels,
-        graph=artifacts["graph"],
-        report=report,
-    )
-
-
-def _cell_pairing_by_vertices(
-    complex: Complex,
-    vertex_pairing: dict[int, int],
-    scope: dict[int, Iterable[int]],
-) -> dict[int, dict[int, int]]:
-    """Derive cell pairs from vertex pairs when vertex sets are unique."""
-    out: dict[int, dict[int, int]] = {}
-    for d in range(1, complex.dim + 1):
-        ids = sorted(scope.get(d, ()))
-        if not ids:
-            continue
-        by_vs: dict[frozenset, int] = {}
-        for i in ids:
-            key = frozenset(complex.cell(d, i).vertices)
-            if key in by_vs:
-                raise BadParameters(f"parallel {d}-cells {by_vs[key]} and {i}; explicit pairing needed")
-            by_vs[key] = i
-        m: dict[int, int] = {}
-        for i in ids:
-            image = frozenset(vertex_pairing[v] for v in complex.cell(d, i).vertices)
-            if image not in by_vs:
-                raise BadParameters(f"{d}-cell {i} has no antipodal partner")
-            m[i] = by_vs[image]
-        out[d] = m
-    return out
+    report, graph = verify_ball_quadrangulation(complex, involution, colouring, labels=labels, expected_graph=expected_graph)
+    report = AuditReport((*report.entries, *extra_entries))
+    return _verified(BallQuad, complex, involution, colouring, labels, graph, report, what)
 
 
 # ---- the one-dimensional base construction ----
@@ -262,9 +218,9 @@ def _visibility_entry(complex: Complex, ring_cells: list[tuple[int, int]], expec
                 break
         if ok:
             visible.add(frozenset(complex.cell(2, f).vertices))
-    agrees = visible == expected
-    detail = "" if agrees else f"visible {len(visible)} faces, expected {len(expected)}"
-    return AuditEntry("visibility-inner-boundary", agrees, (), {"detail": detail} if detail else {})
+    detail = f"visible {len(visible)} faces, expected {len(expected)}"
+    violations = () if visible == expected else (Violation(code="visibility-inner-boundary", detail=detail),)
+    return AuditEntry("visibility-inner-boundary", not violations, violations)
 
 
 def cylinder_complete(r: int) -> BallQuad:
@@ -314,7 +270,13 @@ def cylinder_complete(r: int) -> BallQuad:
         vp[y(i)] = x(i)
     vp[top_pole] = bottom_pole
     vp[bottom_pole] = top_pole
-    involution = Involution("boundary", vp, _cell_pairing_by_vertices(complex, vp, boundary_cells(complex)))
+    # A SimplicialBuilder holds one cell per vertex set, so each boundary
+    # cell's partner is the cell on its antipodal vertices.
+    cp = {
+        d: {i: sb.id_of(vp[v] for v in complex.cell(d, i).vertices) for i in sorted(ids)}
+        for d, ids in boundary_cells(complex).items() if d >= 1
+    }
+    involution = Involution("boundary", vp, cp)
 
     colouring = TwoColouring(
         black=frozenset(range(m)) | {bottom_pole, origin},

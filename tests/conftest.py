@@ -160,26 +160,27 @@ def two_disjoint_copies(complex, involution, colouring):
 
 def projected_quotient(complex, involution, colouring):
     """The quotient, the projection and the selected quotient 1-cells, as
-    `quotient` projects them: the audit's artifacts hold only `labels` and
-    `graph`, so the oracles below project the quotient themselves."""
+    `quotient` projects them: the audit returns only the identified graph,
+    so the oracles below project the quotient themselves."""
     q, projection = quotient(complex, involution)
     return q, projection, frozenset(projection[1][e] for e in bichromatic_edge_cells(complex, colouring))
 
 
-def quotient_spans_the_identified_graph(artifacts, q, projection, selected) -> bool:
+def quotient_spans_the_identified_graph(labels, graph, q, projection, selected) -> bool:
     """The comparison that `identification-commutes` replaced: the graph of
     the selected quotient 1-cells, each quotient vertex labelled as its
     orbit's smaller member, is the identified graph."""
     spanned = Graph(range(q.n_vertices), [q.cell(1, e).vertices for e in selected])
     label_of = {}
     for v in sorted(projection[0]):
-        label_of.setdefault(projection[0][v], artifacts["labels"][v])
-    return spanned.relabel(label_of) == artifacts["graph"]
+        label_of.setdefault(projection[0][v], labels[v])
+    return spanned.relabel(label_of) == graph
 
 
-def quotient_lemmas_hold(report, artifacts, complex, involution, colouring) -> bool:
+def quotient_lemmas_hold(report, labels, graph, complex, involution, colouring) -> bool:
     """Each quotient lemma against the check it replaces, on the quotient
-    that `projected_quotient` gives: a passing `quotient-valid` comes with a
+    that `projected_quotient` gives, for the audited labels and the graph
+    the audit returned: a passing `quotient-valid` comes with a
     quotient that `Complex.validate` accepts, a passing `quotient-homology`
     with a quotient whose mod-2 Betti numbers are all 1, a passing
     `identification-commutes` with selected quotient 1-cells that span the
@@ -192,7 +193,7 @@ def quotient_lemmas_hold(report, artifacts, complex, involution, colouring) -> b
     checks = {
         "quotient-valid": lambda: q.validate().ok,
         "quotient-homology": lambda: HomologyCalculator(q).all_betti() == (1,) * (complex.dim + 1),
-        "identification-commutes": lambda: quotient_spans_the_identified_graph(artifacts, q, projection, selected),
+        "identification-commutes": lambda: quotient_spans_the_identified_graph(labels, graph, q, projection, selected),
         "quotient-parity": lambda: parity_audit(q, selected).ok,
     }
     return all(check() for name, check in checks.items() if name in passing)

@@ -405,18 +405,18 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
     base = tmp_path_factory.mktemp("lemma")
     for name, item in corpus.items():
         bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
-        report, artifacts = verify_bundle(bundle, n_walks=0)
+        report, graph = verify_bundle(bundle, n_walks=0)
         assert report.entry("quotient-valid").ok and report.entry("identification-commutes").ok, name
-        assert quotient_lemmas_hold(report, artifacts, bundle.complex, bundle.involution, bundle.colouring), name
+        sphere = (bundle.complex, bundle.involution, bundle.colouring)
+        assert quotient_lemmas_hold(report, item.sq.labels, graph, *sphere), name
     # Both edges of the digon hold its antipodal pair, and an all-black
     # colouring selects no edge, so it passes the identification and only
     # the antipodal-free gate keeps its quotient from the lemma.
     complex, involution, _ = digon_sphere_bits
     black = TwoColouring(black=frozenset({0, 1}), white=frozenset())
-    report, artifacts = verify_sphere_quadrangulation(
-        complex, involution, black, labels={0: "x", 1: "x"}, expected_graph=Graph(["x"])
-    )
-    assert quotient_lemmas_hold(report, artifacts, complex, involution, black)
+    labels = {0: "x", 1: "x"}
+    report, graph = verify_sphere_quadrangulation(complex, involution, black, labels=labels, expected_graph=Graph(["x"]))
+    assert quotient_lemmas_hold(report, labels, graph, complex, involution, black)
 
 
 def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
@@ -424,8 +424,8 @@ def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
     # sphere, so no build and no `verify --walks 0` projects a quotient; the
     # walks of `verify` are judged by the walk lemma, so they project only
     # the quotient's 1-skeleton for the sampler.  When `sphere` fails, the
-    # quotient is projected in full, once.  The quotient is never an
-    # artifact.
+    # quotient is projected in full, once.  The audit returns only the
+    # identified graph, never the quotient.
     calls = []
     project = symmetry._project
 
@@ -445,16 +445,16 @@ def test_only_walks_project_the_quotient(tmp_path_factory, corpus, monkeypatch):
         bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
         for n_walks, projected_dims in ((0, []), (10, [1])):
             calls.clear()
-            report, artifacts = verify_bundle(bundle, n_walks=n_walks)
+            report, graph = verify_bundle(bundle, n_walks=n_walks)
             assert report.ok and calls == projected_dims, (name, n_walks)
-            assert set(artifacts) == {"labels", "graph"}, (name, n_walks)
+            assert graph == bundle.graph, (name, n_walks)
     sq = corpus["cylinder-3"].sq
     twice = two_disjoint_copies(sq.complex, sq.involution, sq.colouring)
     labels = {v: min(v, w) for v, w in twice[1].vertex_pairing.items()}
     calls.clear()
-    report, artifacts = verify_sphere_quadrangulation(*twice, labels=labels, expected_graph=sq.graph, n_walks=10)
+    report, graph = verify_sphere_quadrangulation(*twice, labels=labels, expected_graph=sq.graph, n_walks=10)
     assert not report.entry("sphere").ok and report.entry("walk-parity").ok
-    assert calls == [3] and set(artifacts) == {"labels", "graph"}
+    assert calls == [3] and isinstance(graph, Graph)
 
 
 def test_walk_parity_is_a_recount_of_its_walks(tmp_path_factory, corpus):
@@ -590,7 +590,7 @@ def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
     assert all(seen.values()), seen
 
 
-def _entries_match_their_checks(report, fresh, involution, colouring, labels, artifacts) -> list[str]:
+def _entries_match_their_checks(report, fresh, involution, colouring, labels, graph) -> list[str]:
     """Each of `complex-valid`, `antipodal-free` and `box-map` in the report
     equals the check it stands for: `Complex.validate` on `fresh` (a new
     parse of the audited complex), `antipodal_free_cells` and
@@ -598,7 +598,7 @@ def _entries_match_their_checks(report, fresh, involution, colouring, labels, ar
     checks = {
         "complex-valid": lambda: fresh.validate(),
         "antipodal-free": lambda: antipodal_free_cells(fresh, involution),
-        "box-map": lambda: verify_z2_map_to_box(fresh, colouring, artifacts["graph"], labels),
+        "box-map": lambda: verify_z2_map_to_box(fresh, colouring, graph, labels),
     }
     compared = []
     for name, check in checks.items():
@@ -697,11 +697,11 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
         judged._validate_by_pairs(sq.involution.cell_pairing)
         assert judged._report == ValidationReport(), name  # made from one cell per pair
         parsed = complex_from_json(complex_to_json(sq.complex))
-        report, artifacts = verify_sphere_quadrangulation(
+        report, graph = verify_sphere_quadrangulation(
             parsed, sq.involution, sq.colouring, labels=sq.labels, expected_graph=sq.graph
         )
         fresh = complex_from_json(complex_to_json(sq.complex))
-        compared = _entries_match_their_checks(report, fresh, sq.involution, sq.colouring, sq.labels, artifacts)
+        compared = _entries_match_their_checks(report, fresh, sq.involution, sq.colouring, sq.labels, graph)
         assert compared == ["complex-valid", "antipodal-free", "box-map"], name
 
     balls = []
@@ -734,11 +734,11 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
     assert ball_failures
 
     complex, involution, colouring, labels = _suspended_digon()
-    report, artifacts = verify_sphere_quadrangulation(
+    report, graph = verify_sphere_quadrangulation(
         complex, involution, colouring, labels=labels, expected_graph=Graph(["a", "p"], [("a", "p")])
     )
     assert not report.entry("antipodal-free").ok and not report.entry("box-map").ok
-    assert _entries_match_their_checks(report, complex, involution, colouring, labels, artifacts)[-1] == "box-map"
+    assert _entries_match_their_checks(report, complex, involution, colouring, labels, graph)[-1] == "box-map"
 
     seen = {(name, ok): 0 for name in ("complex-valid", "antipodal-free", "box-map") for ok in (True, False)}
     for name in ("odd-cycle-2", "cylinder-3", "tower-4", "schrijver-6-2"):
@@ -747,12 +747,12 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
         for kind in MUTANT_KINDS * 3:
             cx, inv, colouring = _mutant(kind, sq, rng)
             involution = Involution.from_json(inv)
-            report, artifacts = verify_sphere_quadrangulation(
+            report, graph = verify_sphere_quadrangulation(
                 complex_from_json(cx), involution, colouring, labels=sq.labels, expected_graph=sq.graph
             )
             fresh = complex_from_json(cx)
-            assert quotient_lemmas_hold(report, artifacts, fresh, involution, colouring), (name, kind)
-            compared = _entries_match_their_checks(report, fresh, involution, colouring, sq.labels, artifacts)
+            assert quotient_lemmas_hold(report, sq.labels, graph, fresh, involution, colouring), (name, kind)
+            compared = _entries_match_their_checks(report, fresh, involution, colouring, sq.labels, graph)
             for entry in compared:
                 seen[entry, report.entry(entry).ok] += 1
     assert all(seen.values()), seen

@@ -62,11 +62,11 @@ def test_ball_identification_loop_is_a_failing_entry():
     b.add_cell(1, (0, 1), (0, 1))
     involution = Involution("boundary", {0: 1, 1: 0})
     col = TwoColouring(black=frozenset({0}), white=frozenset({1}))
-    report, artifacts = verify_ball_quadrangulation(
+    report, graph = verify_ball_quadrangulation(
         b.build(), involution, col, labels={0: 0, 1: 0}, expected_graph=Graph([0])
     )
     assert report.failing() == ["antipodal-free", "graph-identification"]
-    assert "graph" not in artifacts
+    assert graph is None
 
 
 def test_quotient_entry_fails_on_an_antipodal_pair_in_a_cell(digon_sphere_bits):
@@ -74,7 +74,7 @@ def test_quotient_entry_fails_on_an_antipodal_pair_in_a_cell(digon_sphere_bits):
     # identification and reaches the quotient; both its edges hold the pair.
     complex, inv, _ = digon_sphere_bits
     black = TwoColouring(black=frozenset({0, 1}), white=frozenset())
-    report, artifacts = verify_sphere_quadrangulation(
+    report, graph = verify_sphere_quadrangulation(
         complex, inv, black, labels={0: "x", 1: "x"}, expected_graph=Graph(["x"])
     )
     assert report.entry("involution-valid").ok
@@ -82,7 +82,7 @@ def test_quotient_entry_fails_on_an_antipodal_pair_in_a_cell(digon_sphere_bits):
     last = report.entries[-1]
     assert (last.name, last.ok) == ("quotient", False)
     assert [v.detail for v in last.violations] == ["LoopsWouldForm: 1-cell 0 contains an antipodal pair"]
-    assert "quotient" not in artifacts
+    assert graph == Graph(["x"])
 
 
 def test_quotient_homology_without_its_hypotheses_is_the_betti_check(octahedron, octahedron_involution):

@@ -63,10 +63,10 @@ def test_verify_bundle_passes(tmp_path):
     sq = odd_cycle_sphere(3)
     out = write_bundle(tmp_path / "c7", sq)
     bundle = load_bundle(out)
-    report, artifacts = verify_bundle(bundle, n_walks=30)
+    report, graph = verify_bundle(bundle, n_walks=30)
     assert report.ok
     q, _ = quotient(bundle.complex, bundle.involution)
-    assert (artifacts["labels"], artifacts["graph"], q) == (sq.labels, sq.graph, sq.quotient)
+    assert (graph, q) == (sq.graph, sq.quotient)
     walk_entry = report.entry("walk-parity")
     assert walk_entry is not None and walk_entry.ok
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import projquad
-from projquad import bundles
+from projquad import bundles, constructions
 from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
@@ -183,12 +184,57 @@ def test_chi_ignores_the_bound_of_a_failing_bundle(tmp_path, capsys):
 
 
 def test_usage_errors(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["build", "cylinder"])  # missing required arguments
-    assert e.value.code == 64
-    with pytest.raises(SystemExit) as e:
-        main(["no-such-command"])
-    assert e.value.code == 64
+    # missing required arguments, an unknown command, no build kind, no command
+    for argv in (["build", "cylinder"], ["no-such-command"], ["build"], []):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 64, argv
+
+
+def _choices(parser) -> dict:
+    """The subcommand parsers of a parser, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _minimal_argv(parser) -> list[str]:
+    """A value for each required argument of a parser, subcommands aside."""
+    argv = []
+    for action in parser._actions:
+        if action.required and not isinstance(action, argparse._SubParsersAction):
+            argv += [*action.option_strings[:1], (action.choices or ["1"])[0]]
+    return argv
+
+
+def test_every_command_and_build_kind_has_a_handler():
+    # `main` calls the `run` that the parser set for the command, and `build`
+    # the `make` that it set for the kind.
+    parser = _build_parser()
+    seen = []
+    for command, sub in _choices(parser).items():
+        kinds = _choices(sub) if command == "build" else {None: sub}
+        for kind, leaf in kinds.items():
+            args = parser.parse_args([command, *([kind] if kind else []), *_minimal_argv(leaf)])
+            assert callable(args.run), (command, kind)
+            assert kind is None or callable(args.make), (command, kind)
+            seen.append(kind or command)
+    assert sorted(seen) == sorted(
+        ["verify", "chi", "homology", "hom-check", "export"]
+        + ["odd-cycle", "cylinder", "suspend", "mycielski-lift", "complete", "schrijver"]
+    )
+
+
+def test_a_failing_visibility_entry_names_its_violation(tmp_path, capsys, monkeypatch):
+    # With every ray blocked no ring face is visible from the origin, so the
+    # cylinder's `visibility-inner-boundary` entry fails with one violation.
+    monkeypatch.setattr(constructions, "_ray_blocked", lambda *args: True)
+    out = tmp_path / "cylinder-3"
+    code, stdout, err = run(capsys, "build", "cylinder", "--r", "3", "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert not out.exists()
+    (entry,) = [e for e in json.loads(stdout)["report"] if not e["ok"]]
+    assert entry["name"] == "visibility-inner-boundary" and "info" not in entry
+    assert [v["code"] for v in entry["violations"]] == ["visibility-inner-boundary"]
 
 
 COUNT_ARGS = [
@@ -991,11 +1037,12 @@ def _lemmas_hold(bundle_dir, n_walks: int, seed: int = 0) -> bool:
     of the stored bundle, with `n_walks` walks drawn from `seed`."""
     try:
         bundle = load_bundle(bundle_dir)
-        report, artifacts = verify_bundle(bundle, seed=seed, n_walks=n_walks)
+        report, graph = verify_bundle(bundle, seed=seed, n_walks=n_walks)
     except ProjquadError:  # the CLI's exit code for it is judged separately
         return True
     sphere = (bundle.complex, bundle.involution, bundle.colouring)
-    return quotient_lemmas_hold(report, artifacts, *sphere) and walk_parity_is_its_recount(
+    labels = bundles._labels_from_reps(bundle)
+    return quotient_lemmas_hold(report, labels, graph, *sphere) and walk_parity_is_its_recount(
         report, *sphere, n_walks=n_walks, seed=seed
     )
 

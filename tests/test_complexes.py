@@ -159,6 +159,19 @@ def test_simplicial_builder_closure_and_reuse():
     assert sb.builder.n_cells(2) == 4
 
 
+def test_simplicial_builder_id_of():
+    sb = SimplicialBuilder()
+    for _ in range(4):
+        sb.add_vertex()
+    sb.add_simplex((0, 1, 2))
+    assert sb.id_of([2]) == 2
+    assert sb.id_of((2, 0, 1)) == sb.add_simplex((0, 1, 2))[1] == 0
+    assert [sb.id_of(e) for e in ((0, 1), (0, 2), (1, 2))] == [0, 1, 2]
+    for never_added in ((3, 0), (0, 1, 3), (4,)):
+        with pytest.raises(KeyError):
+            sb.id_of(never_added)
+
+
 def test_face_closure_and_one_faces(octahedron):
     top = octahedron.cells_of(2)[0]
     closure = face_closure(octahedron, [(2, 0)])

@@ -68,6 +68,23 @@ def test_cylinder_counts(r):
         assert entry is not None and entry.ok
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_cylinder_pairs_each_boundary_cell_with_the_cell_on_its_antipodal_vertices(r):
+    # The antipode of a boundary vertex is the vertex at the negated point,
+    # found here from the coordinates, not from the construction's pairing.
+    ball = cylinder_complete(r)
+    cx, pairing = ball.complex, ball.involution.cell_pairing
+    boundary = boundary_cells(cx)
+    at = {tuple(round(t, 9) for t in cx.coords(v)): v for v in cx.vertex_ids()}
+    antipode = {v: at[tuple(round(-t, 9) for t in cx.coords(v))] for v in boundary[0]}
+    assert sorted(pairing) == list(range(1, cx.dim))
+    for d in range(1, cx.dim):
+        on = {frozenset(cx.cell(d, i).vertices): i for i in boundary[d]}
+        assert len(on) == len(boundary[d]), d
+        expected = {i: on[frozenset(antipode[v] for v in cx.cell(d, i).vertices)] for i in sorted(boundary[d])}
+        assert pairing[d] == expected, d
+
+
 def test_cylinder_rejects_bad_r():
     with pytest.raises(BadParameters):
         cylinder_complete(0)
