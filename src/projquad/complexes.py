@@ -503,7 +503,9 @@ def complex_to_json(complex: Complex) -> dict:
 
 
 def dump_complex(complex: Complex) -> str:
-    """`dump_canonical(complex_to_json(complex))`, without the dict step.
+    """`dump_canonical(complex_to_json(complex))`, without the dict step, for
+    a complex whose cell vertices and facets are all of type int; any other
+    raises TypeError (see `_layer_text`).
 
     The text is made as one piece per cell layer by `_complex_texts`, and
     this is their join.  `write_bundle` writes the same pieces with no
@@ -531,20 +533,17 @@ def _complex_texts(complex: Complex) -> list[str]:
 
 def _layer_text(d: int, layer: Sequence[Cell]) -> str:
     """The canonical texts of the d-cells in `layer`, joined by commas, each
-    led by its line break.  Each cell's id is its position.  In a layer whose
-    vertices and facets are all of type int, each cell is one `%` on the
-    format of its (facet count, vertex count) shape, since `%d` spells an int
-    as json does; any other layer is encoded from its dicts, so a bool, a
-    float or None reads as json would write it, and a value json rejects
-    raises TypeError here too."""
+    led by its line break.  Each cell's id is its position, and each cell is
+    one `%` on the format of its (facet count, vertex count) shape, since
+    `%d` spells an int as json does.  A layer with a vertex or facet id not
+    of type int raises TypeError: `complex_from_json` would refuse the
+    text that json writes for it (a bool, a float or None), and `%d` would
+    spell it as an int."""
     vertices = chain.from_iterable(map(attrgetter("vertices"), layer))
     facets = chain.from_iterable(map(attrgetter("facets"), layer))
-    if {*map(type, vertices), *map(type, facets)} <= {int}:
-        texts = [_cell_format(len(c.facets), len(c.vertices)) % (d, *c.facets, i, *c.vertices) for i, c in enumerate(layer)]
-    else:
-        cells = ({"id": i, "dim": d, "vertices": list(c.vertices), "facets": list(c.facets)} for i, c in enumerate(layer))
-        texts = ["\n  " + _encode(cell, "\n  ") for cell in cells]
-    return ",".join(texts)
+    if {*map(type, vertices), *map(type, facets)} - {int}:
+        raise TypeError(f"{d}-cell vertices and facets must be of type int")
+    return ",".join(_cell_format(len(c.facets), len(c.vertices)) % (d, *c.facets, i, *c.vertices) for i, c in enumerate(layer))
 
 
 @lru_cache(maxsize=None)
@@ -618,7 +617,7 @@ def dump_canonical(obj) -> str:
     encoder does not indent, so json.dumps with an indent runs the
     pure-Python one.  `complex.json` is written from `_complex_texts`, whose
     join `dump_complex` gives this function's text of `complex_to_json(c)`
-    without the dicts and is tested against it.
+    without the dicts (for cells of int ids) and is tested against it.
 
     Values must be of type str, int, float, bool, None, list, tuple or dict
     (subclasses are not accepted) and dict keys must be str; anything else

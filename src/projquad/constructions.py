@@ -310,31 +310,42 @@ def cylinder_complete(r: int) -> BallQuad:
 
 # ---- doubling a ball into a sphere ----
 
-def double_to_sphere(ball: BallQuad) -> SphereQuad:
-    """Glue a mirrored copy onto the ball; the identified graph is unchanged.
+def _doubled(ball: Complex, involution: Involution, colouring: TwoColouring, labels: dict, graph: Graph, what: str) -> SphereQuad:
+    """The double of a ball (`symmetry._double`), each mirrored vertex
+    labelled as its original, with the full sphere audit against `graph`.
 
-    The checks of `double` are not repeated: the ball's audit has passed
-    `involution-valid` on the boundary involution, `colouring-total` and
-    `colouring-antisymmetric`."""
-    complex, involution, colouring = _double(ball.complex, ball.involution, ball.colouring)
-    labels = dict(ball.labels)
-    for v in ball.complex.vertex_ids():
-        w = involution.vertex(v)
-        if w >= ball.complex.n_vertices:
+    The checks of `double` are not repeated: the boundary involution and the
+    colouring must be ones that `double` accepts."""
+    complex, doubled_involution, doubled_colouring = _double(ball, involution, colouring)
+    labels = dict(labels)
+    for v in ball.vertex_ids():
+        w = doubled_involution.vertex(v)
+        if w >= ball.n_vertices:
             labels[w] = labels[v]
     return _finish_sphere(
         complex,
-        involution,
-        colouring,
+        doubled_involution,
+        doubled_colouring,
         labels,
-        expected_graph=ball.graph,
-        what="doubled ball",
+        expected_graph=graph,
+        what=what,
     )
+
+
+def double_to_sphere(ball: BallQuad) -> SphereQuad:
+    """Glue a mirrored copy onto the ball; the identified graph is unchanged.
+
+    The ball's audit has passed `involution-valid` on the boundary
+    involution, `colouring-total` and `colouring-antisymmetric`, so `_doubled`
+    need not repeat the checks of `double`."""
+    return _doubled(ball.complex, ball.involution, ball.colouring, ball.labels, ball.graph, "doubled ball")
 
 
 # ---- suspension ----
 
-def _cone_over(builder: ComplexBuilder, apex: int, cone_set: dict[int, Iterable[int]]) -> dict[tuple[int, int], int]:
+def _cone_over(builder: ComplexBuilder, apex: int, cone_set: dict[int, Iterable[int]]) -> None:
+    """Add the cone from `apex` over the listed cells, lowest dimension
+    first and each dimension in id order."""
     cone_map: dict[tuple[int, int], int] = {}
     for d in sorted(cone_set):
         for i in sorted(cone_set[d]):
@@ -345,7 +356,6 @@ def _cone_over(builder: ComplexBuilder, apex: int, cone_set: dict[int, Iterable[
                 facets = [i] + [cone_map[(d - 1, f)] for f in cell.facets]
                 new = builder.add_cell(d + 1, tuple(cell.vertices) + (apex,), facets)
             cone_map[(d, i)] = new
-    return cone_map
 
 
 def _fresh_orbit_label(graph: Graph):
@@ -361,57 +371,28 @@ def _fresh_orbit_label(graph: Graph):
 
 
 def suspension(sq: SphereQuad) -> SphereQuad:
-    """Join with two new poles (one per colour); the quotient graph gains a
-    universal vertex under the next available label."""
+    """The join with two antipodal poles, built as the double of the cone
+    over the sphere; the quotient graph gains a universal vertex under the
+    next available label (`_fresh_orbit_label`).
+
+    The cone's apex is black and sits at the origin when the sphere has
+    coordinates, and the sphere's pairing is the cone's boundary involution.
+    `_doubled` then mirrors the apex into a white antipodal pole, lifts the
+    coordinates one dimension up and runs the sphere audit.  The cone itself
+    gets no ball audit: the audit of its double judges every cell."""
+    T = sq.complex
+    builder = ComplexBuilder.from_complex(T)
+    pole = builder.add_vertex("p", (0.0,) * len(T.coords(0)) if T.has_coords else None)
+    _cone_over(builder, pole, {d: range(T.n_cells(d)) for d in range(T.dim + 1)})
     label = _fresh_orbit_label(sq.graph)
-    old = sq.complex
-    if old.has_coords:
-        old = Complex(
-            [old.cells_of(d) for d in range(old.dim + 1)],
-            old.labels,
-            [tuple(old.coords(v)) + (0.0,) for v in old.vertex_ids()],
-        )
-    dim_counts = {d: range(old.n_cells(d)) for d in range(old.dim + 1)}
-    builder = ComplexBuilder.from_complex(old)
-    if old.has_coords:
-        amb = len(old.coords(0))
-        pos = builder.add_vertex("p+", (0.0,) * (amb - 1) + (1.0,))
-        neg = builder.add_vertex("p-", (0.0,) * (amb - 1) + (-1.0,))
-    else:
-        pos = builder.add_vertex("p+")
-        neg = builder.add_vertex("p-")
-    cone_pos = _cone_over(builder, pos, dim_counts)
-    cone_neg = _cone_over(builder, neg, dim_counts)
-    complex = builder.build()
-
-    vp = dict(sq.involution.vertex_pairing)
-    vp[pos] = neg
-    vp[neg] = pos
-    cp: dict[int, dict[int, int]] = {d: dict(m) for d, m in sq.involution.cell_pairing.items()}
-    for d in range(old.dim + 1):
-        lower = cp.setdefault(d + 1, {})
-        for i in dim_counts[d]:
-            j = sq.involution.cell(d, i)
-            lower[cone_pos[(d, i)]] = cone_neg[(d, j)]
-            lower[cone_neg[(d, j)]] = cone_pos[(d, i)]
-    involution = Involution("full", vp, cp)
-
-    colouring = TwoColouring(sq.colouring.black | {pos}, sq.colouring.white | {neg})
-    labels = dict(sq.labels)
-    labels[pos] = label
-    labels[neg] = label
-    expected = sq.graph.copy()
-    expected.add_vertex(label)
+    graph = sq.graph.copy()
+    graph.add_vertex(label)
     for v in sq.graph.vertices:
-        expected.add_edge(v, label)
-    return _finish_sphere(
-        complex,
-        involution,
-        colouring,
-        labels,
-        expected_graph=expected,
-        what="suspension",
-    )
+        graph.add_edge(v, label)
+    # The sphere is the cone's boundary, so its pairing has boundary scope.
+    involution = Involution("boundary", sq.involution.vertex_pairing, sq.involution.cell_pairing)
+    colouring = TwoColouring(sq.colouring.black | {pole}, sq.colouring.white)
+    return _doubled(builder.build(), involution, colouring, {**sq.labels, pole: label}, graph, "suspension")
 
 
 # ---- the level-cone lift of a sphere into a ball one dimension up ----
@@ -522,22 +503,25 @@ def mycielski_tower(n: int) -> SphereQuad:
 
 
 def complete_graph_pipeline(t: int, n: int) -> SphereQuad:
-    """A verified quadrangulation whose identified graph is complete on t
-    labels, living over dimension n."""
+    """A verified quadrangulation whose identified graph is complete on the
+    int labels 0..t-1, living over dimension n.
+
+    A base sphere is suspended up to dimension n: for t - n = 2 the
+    triangle's circle `odd_cycle_sphere(1)` (K_3 over dimension 1), and
+    otherwise the doubled `cylinder_complete((t - n) // 2)` (K_{t-n+3} over
+    dimension 3).  Each suspension adds one universal label."""
     if n < 1 or t < n + 2:
         raise BadParameters("needs t >= n + 2 and n >= 1")
     if (t - n) % 2:
         raise UnsupportedParameters("t and n must have the same parity")
     d = t - n
     if d == 2:
-        sq = odd_cycle_sphere(1)
-        for _ in range(n - 1):
-            sq = double_to_sphere(mycielski_lift(sq, 1))
-        return sq
-    if n < 3:
+        sq, base = odd_cycle_sphere(1), 1
+    elif n < 3:
         raise UnsupportedParameters(f"no construction for t - n = {d} below dimension 3")
-    sq = double_to_sphere(cylinder_complete(d // 2))
-    for _ in range(n - 3):
+    else:
+        sq, base = double_to_sphere(cylinder_complete(d // 2)), 3
+    for _ in range(n - base):
         sq = suspension(sq)
     return sq
 

@@ -126,6 +126,25 @@ def test_ball_check_triangle_disc():
     assert ball_check(HomologyCalculator(sb.build())).ok
 
 
+@pytest.mark.parametrize(
+    "triangles,code,detail",
+    [
+        # contractible, but its boundary is two circles
+        ([(0, 1, 6), (1, 2, 6), (0, 2, 6), (3, 4, 6), (4, 5, 6), (3, 5, 6)], "BoundaryNotSphere", "WrongHomology: betti (2, 2), expected (1, 1)"),
+        ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], "BadCofacetCount", "3 cofacets, expected 1 or 2"),
+    ],
+    ids=["cone-over-two-triangles", "three-triangles-on-an-edge"],
+)
+def test_ball_check_names_its_one_failure(triangles, code, detail):
+    sb = SimplicialBuilder()
+    for _ in range(max(map(max, triangles)) + 1):
+        sb.add_vertex()
+    for t in triangles:
+        sb.add_simplex(t)
+    rep = ball_check(HomologyCalculator(sb.build()))
+    assert [(v.code, v.detail) for v in rep.violations] == [(code, detail)]
+
+
 def test_boundary_operator_audit(octahedron, projective_plane):
     assert boundary_operator_audit(HomologyCalculator(octahedron)).ok
     assert boundary_operator_audit(HomologyCalculator(projective_plane)).ok

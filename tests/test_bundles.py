@@ -1,14 +1,18 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from projquad import (
+    Cell,
+    Complex,
     load_bundle,
     odd_cycle_sphere,
     quotient,
     schrijver_pipeline,
     sphere_quad_from_bundle,
     verify_bundle,
+    verify_sphere_quadrangulation,
     write_bundle,
 )
 from projquad.bundles import _is_schrijver_target
@@ -159,3 +163,20 @@ def test_a_bundle_without_homomorphism_removes_a_stale_one(tmp_path):
     assert {p.name for p in out.iterdir()} == EXPECTED_FILES
     report, _ = verify_bundle(load_bundle(out), n_walks=0)
     assert report.ok, report.failing()
+
+
+def test_a_cell_value_the_parser_refuses_is_never_written(tmp_path):
+    # The cell law and the audits compare ids with ==, so True and floats
+    # pass as the ints they equal; load_bundle would refuse the text that
+    # json writes for them, so write_bundle refuses them before any file.
+    sq = odd_cycle_sphere(1)
+    points = [(True,) if v == 1 else c.vertices for v, c in enumerate(sq.complex.cells_of(0))]
+    edges = [Cell(tuple(map(float, c.vertices)), c.facets) for c in sq.complex.cells_of(1)]
+    coords = [sq.complex.coords(v) for v in sq.complex.vertex_ids()]
+    complex = Complex([[Cell(vs, ()) for vs in points], edges], sq.complex.labels, coords)
+    assert complex.validate().ok
+    report, _ = verify_sphere_quadrangulation(complex, sq.involution, sq.colouring, labels=sq.labels, expected_graph=sq.graph)
+    assert report.ok
+    with pytest.raises(TypeError):
+        write_bundle(tmp_path / "b", replace(sq, complex=complex))
+    assert not (tmp_path / "b").exists()

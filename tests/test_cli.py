@@ -71,14 +71,30 @@ def test_build_suspend(tmp_path, capsys):
     assert json.loads(stdout)["chi"] == 6
 
 
+def test_build_suspend_of_a_tower_adds_a_universal_pole_label(tmp_path, capsys):
+    # The tower's labels are not all ints, so the poles' orbit is "pole-0".
+    tower = _build(tmp_path, capsys, SOURCES["tower-4"])
+    up = tmp_path / "up"
+    assert run(capsys, "build", "suspend", "--src", str(tower), "--out", str(up))[0] == 0
+    graph = graph_from_json(json.loads((up / "graph.json").read_text()))
+    below = graph_from_json(json.loads((tower / "graph.json").read_text()))
+    assert set(graph.vertices) == {*below.vertices, "pole-0"}
+    assert graph.neighbors("pole-0") == set(below.vertices)
+    assert run(capsys, "verify", str(up))[0] == 0
+    code, stdout, _ = run(capsys, "chi", str(up))
+    payload = json.loads(stdout)
+    assert (code, payload["chi"], payload["proof"]) == (0, 5, "topological")
+
+
 def test_build_schrijver_and_hom_check(tmp_path, capsys):
     out = tmp_path / "sg"
     code, _, _ = run(capsys, "build", "schrijver", "--n", "6", "--k", "2", "--out", str(out))
     assert code == 0
     assert (out / "homomorphism.json").exists()
-    code, stdout, _ = run(capsys, "hom-check", str(out))
-    assert code == 0
-    assert json.loads(stdout)["ok"] is True
+    for path in (out, out / "homomorphism.json"):
+        code, stdout, _ = run(capsys, "hom-check", str(path))
+        assert code == 0
+        assert json.loads(stdout)["ok"] is True
 
 
 def test_homology_command(tmp_path, capsys):
@@ -589,6 +605,14 @@ def _undecodable_bytes(obj):
     return b"\xff\xfe{"
 
 
+def _a_list_in_place_of_the_object(obj):
+    return json.dumps([obj]).encode()
+
+
+def _an_object_in_place_of_the_list(obj):
+    return json.dumps({"entries": obj}).encode()
+
+
 def _nest_100000_lists(obj):
     return b"[" * 100_000 + b"]" * 100_000
 
@@ -758,6 +782,9 @@ TAMPERS = [
     ("schrijver-6-2", "homomorphism.json", _give_a_target_label_another_size, "hom-check", 2, "HomomorphismTargetMismatch"),
     ("c5", "colouring.json", _colour_every_vertex_black, "verify", 2, "walk-parity"),
     ("c5", "report.json", _undecodable_bytes, "verify", 65, None),
+    ("c5", "graph.json", _a_list_in_place_of_the_object, "verify", 65, None),
+    ("c5", "graph.json", _a_list_in_place_of_the_object, "chi", 65, None),
+    ("c5", "report.json", _an_object_in_place_of_the_list, "verify", 65, None),
     ("c5", "report.json", _nest_100000_lists, "verify", 65, None),
     ("c5", "graph.json", _nest_a_label_900_lists_deep, "chi", 65, None),
     ("c5", "graph.json", _nest_an_orbit_rep_label_900_lists_deep, "verify", 65, None),
@@ -853,13 +880,14 @@ WRONGLY_SHAPED_FILES = [
     ("chi", _graph({"a": 1, "b": 2}, [["a", "b"]])),
     ("hom-check", {"source": _graph(["a"], []), "target": _graph(["b"], []), "pairs": ["ab"]}),
     ("hom-check", {"source": _graph(["a"], []), "target": _graph(["b", "c"], []), "pairs": [["a", "b"], ["a", "c"]]}),
+    ("hom-check", []),
 ]
 
 
 @pytest.mark.parametrize(
     "command,obj",
     WRONGLY_SHAPED_FILES,
-    ids=["edge-string", "vertices-string", "edge-object", "vertices-object", "pair-string", "source-mapped-twice"],
+    ids=["edge-string", "vertices-string", "edge-object", "vertices-object", "pair-string", "source-mapped-twice", "list"],
 )
 def test_a_wrongly_shaped_graph_or_homomorphism_file_exits_65(tmp_path, capsys, command, obj):
     path = tmp_path / "input.json"

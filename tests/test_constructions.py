@@ -161,10 +161,18 @@ def test_suspension_of_odd_cycle():
     assert HomologyCalculator(up.complex).all_betti() == (1, 0, 1)
 
 
+def test_suspending_twice_keeps_every_vertex_label_unique():
+    twice = suspension(suspension(odd_cycle_sphere(1)))
+    labels = [lab for lab in twice.complex.labels if lab is not None]
+    assert len(labels) == len(set(labels)) == twice.complex.n_vertices
+    assert twice.graph == complete_graph(5)
+
+
 def test_complete_pipeline_minimal_route():
-    sq = complete_graph_pipeline(4, 2)
-    assert sq.graph.n == 4 and sq.graph.m == 6
-    assert sq.complex.dim == 2
+    for t, n in ((4, 2), (6, 4)):
+        sq = complete_graph_pipeline(t, n)
+        assert sq.graph == complete_graph(t)  # on the int labels 0..t-1
+        assert sq.complex.dim == n
 
 
 def test_complete_pipeline_cylinder_route():
