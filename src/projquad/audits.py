@@ -29,6 +29,7 @@ from .validation import AuditCollector, AuditReport, ValidationReport, Violation
 
 UNIT_TOL = 1e-9
 _GRAPH_DIFFERS = "identified graph differs from the expected labelled graph"
+_NOT_TOTAL = "some vertex is uncoloured or some coloured id is not a vertex"
 
 
 # ---- homology-flavoured structural checks ----
@@ -441,11 +442,7 @@ def _audit(
     if complex_ok:
         judged = early if early is not None else validate_involution(complex, involution)
     involution_ok = judged is not None and audit.add("involution-valid", judged)
-    total = audit.add_flag(
-        "colouring-total",
-        colouring.covers(complex.vertex_ids()),
-        "some vertex is uncoloured or some coloured id is not a vertex",
-    )
+    total = audit.add_flag("colouring-total", colouring.covers(complex.vertex_ids()), _NOT_TOTAL)
     antipodal = (_antipodal_free if complex_ok else antipodal_free_cells)(complex, involution)
     audit.add("antipodal-free", antipodal)
     if complex_ok:
@@ -712,5 +709,9 @@ def verify_ball_quadrangulation(
 ) -> tuple[AuditReport, Optional[Graph]]:
     """Audit a coloured ball whose boundary carries a free involution, given
     as a boundary-scope `Involution`; returns the report and the identified
-    graph as `verify_sphere_quadrangulation` does."""
+    graph as `verify_sphere_quadrangulation` does.
+
+    No constructor calls it: a built ball gets only the checks its double
+    reads (see `constructions._finish_ball`), and the sphere audit of the
+    double judges the build."""
     return _audit(ball, involution, colouring, labels, expected_graph, True)

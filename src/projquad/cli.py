@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -90,7 +91,11 @@ def _complex_at(path_str: str):
     return complex_from_json(_read_json(path))
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser of the process.  `parse_args` makes a fresh namespace
+    on each call, and the handlers the parser holds look up the library
+    functions they call when they run, so one parser serves every `main`."""
     parser = _Parser(prog="projquad", description="Build and audit symmetric sphere quadrangulations.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

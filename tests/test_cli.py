@@ -15,6 +15,7 @@ from projquad import bundles, constructions
 from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
+from projquad.complexes import SimplicialBuilder
 from projquad.errors import ProjquadError
 from projquad.graphs import MAX_LABEL_DEPTH, graph_from_json
 
@@ -238,19 +239,6 @@ def test_every_command_and_build_kind_has_a_handler():
         ["verify", "chi", "homology", "hom-check", "export"]
         + ["odd-cycle", "cylinder", "suspend", "mycielski-lift", "complete", "schrijver"]
     )
-
-
-def test_a_failing_visibility_entry_names_its_violation(tmp_path, capsys, monkeypatch):
-    # With every ray blocked no ring face is visible from the origin, so the
-    # cylinder's `visibility-inner-boundary` entry fails with one violation.
-    monkeypatch.setattr(constructions, "_ray_blocked", lambda *args: True)
-    out = tmp_path / "cylinder-3"
-    code, stdout, err = run(capsys, "build", "cylinder", "--r", "3", "--out", str(out))
-    assert code == 2 and "Traceback" not in err
-    assert not out.exists()
-    (entry,) = [e for e in json.loads(stdout)["report"] if not e["ok"]]
-    assert entry["name"] == "visibility-inner-boundary" and "info" not in entry
-    assert [v["code"] for v in entry["violations"]] == ["visibility-inner-boundary"]
 
 
 COUNT_ARGS = [
@@ -713,6 +701,43 @@ def _build(tmp_path, capsys, builds):
     return out
 
 
+def _pair_each_cylinder_cell_with_a_neighbour_of_its_partner(monkeypatch):
+    id_of = SimplicialBuilder.id_of
+    monkeypatch.setattr(SimplicialBuilder, "id_of", lambda self, vertices: id_of(self, vertices) ^ 1)
+
+
+def _give_the_lift_vertex_0_its_partners_colour(monkeypatch):
+    colouring = constructions.TwoColouring
+    monkeypatch.setattr(constructions, "TwoColouring", lambda black, white: colouring(black ^ {0}, white ^ {0}))
+
+
+# A constructor bug, the build before it, and the one entry it fails.
+BROKEN_BUILDS = [
+    (_pair_each_cylinder_cell_with_a_neighbour_of_its_partner, [("cylinder", "--r", "3")], "involution-valid"),
+    (
+        _give_the_lift_vertex_0_its_partners_colour,
+        [("odd-cycle", "--k", "2"), ("mycielski-lift", "--r", "2")],
+        "colouring-antisymmetric",
+    ),
+]
+
+
+@pytest.mark.parametrize("bug,builds,failing", BROKEN_BUILDS, ids=["cylinder-pairing", "lift-colouring"])
+def test_a_constructor_bug_fails_its_build_with_a_named_entry(tmp_path, capsys, monkeypatch, bug, builds, failing):
+    # A built ball gets only the checks its double reads; a bug that breaks
+    # one of them exits 2 with the report, not with a traceback.
+    src = _build(tmp_path, capsys, builds[:-1])
+    bug(monkeypatch)
+    kind, *args = builds[-1]
+    out = tmp_path / "broken"
+    code, stdout, err = run(capsys, "build", kind, *(["--src", str(src)] if src else []), *args, "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert not out.exists()
+    payload = json.loads(stdout)
+    assert payload["ok"] is False
+    assert [e["name"] for e in payload["report"] if not e["ok"]] == [failing]
+
+
 # bundle, bundle file, change, command, exit code, audit entry (or for
 # homology and hom-check, violation code) that must fail; `chi` names the
 # failing audits on stderr and answers without the topological bound
@@ -917,6 +942,25 @@ def test_a_label_494_lists_deep_exits_65(tmp_path, capsys):
     code, stdout, err = _run_in_a_child("-m", "projquad.cli", "chi", str(out / "graph.json"))
     assert (code, stdout) == (65, "")
     assert err == f"input error: a vertex label nests more than {MAX_LABEL_DEPTH} lists\n"
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # A usage error, a verify and the same usage error again give, in one
+    # process, the exit codes and output of three fresh processes.
+    bundle = tmp_path / "c5"
+    assert run(capsys, "build", "odd-cycle", "--k", "2", "--out", str(bundle))[0] == 0
+    calls = (["build", "cylinder"], ["verify", str(bundle), "--walks", "10"], ["build", "cylinder"])
+    in_one = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        in_one.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_one] == [64, 0, 64]
+    assert in_one == [_run_in_a_child("-m", "projquad.cli", *argv) for argv in calls]
+    assert _build_parser() is _build_parser()
 
 
 # Runs the CLI on its arguments once it has capped its own address space

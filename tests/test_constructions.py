@@ -1,7 +1,6 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from projquad import (
     HomologyCalculator,
@@ -11,6 +10,7 @@ from projquad import (
     cycle_graph,
     cylinder_complete,
     double_to_sphere,
+    face_closure,
     mycielski_lift,
     mycielski_tower,
     mycielskian,
@@ -18,10 +18,10 @@ from projquad import (
     schrijver_graph,
     schrijver_pipeline,
     suspension,
+    verify_ball_quadrangulation,
     verify_homomorphism,
     verify_sphere_quadrangulation,
 )
-from projquad import constructions
 from projquad.errors import BadParameters, InputNotQuadrangulation, UnsupportedParameters
 from projquad.validation import AuditEntry, AuditReport
 
@@ -63,9 +63,6 @@ def test_cylinder_counts(r):
     assert ball.complex.n_cells(3) == (r + 3) * m
     assert ball.graph == complete_graph(m + 2)
     assert ball.report.ok
-    if r >= 2:
-        entry = ball.report.entry("visibility-inner-boundary")
-        assert entry is not None and entry.ok
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -206,6 +203,10 @@ def test_schrijver_pipeline_base_case():
     assert hom.target == schrijver_graph(5, 2)
 
 
+# The checks that `_double` reads, which a build runs on its ball.
+_BUILT_BALL_ENTRIES = ["complex-valid", "involution-valid", "colouring-total", "colouring-antisymmetric"]
+
+# The library ball audit, `verify_ball_quadrangulation`.
 _BALL_ENTRIES = [
     "complex-valid",
     "involution-valid",
@@ -223,8 +224,13 @@ _BALL_ENTRIES = [
 
 
 def test_ball_audit_entry_names():
-    assert [e.name for e in cylinder_complete(3).report.entries] == _BALL_ENTRIES + ["visibility-inner-boundary"]
-    assert [e.name for e in mycielski_lift(odd_cycle_sphere(2), 2).report.entries] == _BALL_ENTRIES
+    for ball in (cylinder_complete(3), mycielski_lift(odd_cycle_sphere(2), 2)):
+        assert [e.name for e in ball.report.entries] == _BUILT_BALL_ENTRIES
+        report, graph = verify_ball_quadrangulation(
+            ball.complex, ball.involution, ball.colouring, labels=ball.labels, expected_graph=ball.graph
+        )
+        assert [e.name for e in report.entries] == _BALL_ENTRIES
+        assert report.ok and graph == ball.graph
 
 
 def test_lift_ball_boundary_is_input():
@@ -237,8 +243,8 @@ def test_lift_ball_boundary_is_input():
 
 
 def _ray_blocked_oracle(point: tuple, triangles: list[tuple], own: int, tol: float = 1e-9) -> bool:
-    """The closure-based ray test that `constructions._ray_blocked` was
-    first written as; its scalar form must give the same verdicts."""
+    """Whether segment (origin, point) strictly crosses any listed triangle
+    other than triangle index `own` before reaching the point."""
     px, py, pz = point
     for idx, (a, b, c) in enumerate(triangles):
         if idx == own:
@@ -272,59 +278,33 @@ def _ray_blocked_oracle(point: tuple, triangles: list[tuple], own: int, tol: flo
     return False
 
 
-def test_ray_test_agrees_with_oracle_on_every_cylinder_call(monkeypatch):
-    calls = []
-    ray_blocked = constructions._ray_blocked
-
-    def recorded(point, triangles, own):
-        verdict = ray_blocked(point, triangles, own)
-        calls.append((point, triangles, own, verdict))
-        return verdict
-
-    monkeypatch.setattr(constructions, "_ray_blocked", recorded)
+def test_the_origin_sees_exactly_the_inner_boundary_of_the_ring_stack():
+    # The ring faces fully visible from the origin, sampled at the centroid
+    # and three interior points, are the faces the origin is coned over:
+    # {x_t, x_t+1, y_t+2r} and {x_t, y_t+2r-1, y_t+2r}.
+    weights = ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25), (0.25, 0.5, 0.25), (0.25, 0.25, 0.5))
     for r in (2, 3, 4, 5):
-        entry = next(e for e in cylinder_complete(r).report.entries if e.name == "visibility-inner-boundary")
-        assert entry.ok, r
-    assert len(calls) > 400 and any(verdict for *_, verdict in calls)
-    for point, triangles, own, verdict in calls:
-        assert verdict == _ray_blocked_oracle(point, triangles, own)
+        cx, m = cylinder_complete(r).complex, 2 * r + 1
+        at = {cx.label(v): v for v in cx.vertex_ids()}
 
+        def x(i):
+            return at[f"x{i % m}"]
 
-coordinates = st.floats(-2.0, 2.0)
-vectors = st.tuples(coordinates, coordinates, coordinates)
+        def y(i):
+            return at[f"y{i % m}"]
 
-
-@st.composite
-def near_degenerate_triangles(draw):
-    """A point P and a triangle (A, A+E, A+F) with F = alpha*E + beta*P +
-    eps*W, eps chosen so that det(-P, E, F) = -eps * P.(E x W) comes out
-    near +-1e-9, the tolerance below which the ray test skips a triangle.
-    A = s*P - u*E - v*F puts the crossing at (s, u, v), in or out of range."""
-    p, e, w = draw(vectors), draw(vectors), draw(vectors)
-    alpha, beta = draw(coordinates), draw(coordinates)
-    s, u, v = draw(st.floats(-0.2, 1.2)), draw(st.floats(-0.2, 1.2)), draw(st.floats(-0.2, 1.2))
-    target = draw(st.floats(0.25e-9, 4e-9)) * draw(st.sampled_from([-1, 1]))
-    cross = (e[1] * w[2] - e[2] * w[1], e[2] * w[0] - e[0] * w[2], e[0] * w[1] - e[1] * w[0])
-    base = -(p[0] * cross[0] + p[1] * cross[1] + p[2] * cross[2])
-    eps = target / base if abs(base) > 1e-3 else 0.0
-    f = tuple(alpha * e[t] + beta * p[t] + eps * w[t] for t in range(3))
-    a = tuple(s * p[t] - u * e[t] - v * f[t] for t in range(3))
-    b = tuple(a[t] + e[t] for t in range(3))
-    c = tuple(a[t] + f[t] for t in range(3))
-    return p, (a, b, c)
-
-
-@settings(deadline=None)
-@given(
-    vectors,
-    st.lists(st.tuples(vectors, vectors, vectors), max_size=6),
-    st.lists(near_degenerate_triangles(), max_size=4),
-    st.integers(-1, 10),
-)
-def test_ray_test_agrees_with_oracle_on_drawn_triangles(point, triangles, near, own):
-    # Near-degenerate triangles are tested against their own ray direction.
-    for p, triangle in near:
-        assert constructions._ray_blocked(p, [triangle], own) == _ray_blocked_oracle(p, [triangle], own)
-        assert constructions._ray_blocked(p, [triangle], -1) == _ray_blocked_oracle(p, [triangle], -1)
-    triangles = triangles + [t for _, t in near]
-    assert constructions._ray_blocked(point, triangles, own) == _ray_blocked_oracle(point, triangles, own)
+        # The ring cells are the tetrahedra that miss the origin.
+        rings = [(3, i) for i, c in enumerate(cx.cells_of(3)) if at["o"] not in c.vertices]
+        assert len(rings) == (r - 1) * m
+        faces = [cx.cell(2, f).vertices for f in sorted(face_closure(cx, rings)[2])]
+        triangles = [tuple(cx.coords(v) for v in vs) for vs in faces]
+        visible = set()
+        for own, (vs, (a, b, c)) in enumerate(zip(faces, triangles)):
+            points = [tuple(w[0] * a[t] + w[1] * b[t] + w[2] * c[t] for t in range(3)) for w in weights]
+            if not any(_ray_blocked_oracle(p, triangles, own) for p in points):
+                visible.add(frozenset(vs))
+        expected = set()
+        for t in range(m):
+            expected.add(frozenset((x(t), x(t + 1), y(t + 2 * r))))
+            expected.add(frozenset((x(t), y(t + 2 * r - 1), y(t + 2 * r))))
+        assert visible == expected, r

@@ -63,8 +63,8 @@ def test_a_traced_verify_times_the_involution_pass(tmp_path):
 
 def test_a_built_ball_is_judged_once_and_its_boundary_found_once(monkeypatch):
     # cylinder-3: `cylinder_complete` finds the boundary it pairs, and the
-    # involution check, `ball` and the doubling read the one the ball's
-    # complex keeps, so the closure is walked once.  The
+    # involution check and the doubling read the one the ball's complex
+    # keeps, so the closure is walked once.  The
     # involution is judged once on the ball and once on the doubled sphere;
     # doubling does not judge it again.
     walks = []
