@@ -7,13 +7,14 @@ from functools import cache
 from math import sqrt
 from typing import Iterable, Optional, Sequence
 
-from .complexes import Complex, boundary_cells
+from .complexes import Complex, boundary_cells, face_closure
 from .errors import LoopCreated, MissingCoordinates, NotAClosedWalk, NotOnUnitSphere
 from .graphs import Graph, box_membership
 from .homology import HomologyCalculator
 from .symmetry import (
     Involution,
     TwoColouring,
+    _NOT_TOTAL,
     _project,
     _quotient_refusal,
     antipodal_free_cells,
@@ -29,7 +30,6 @@ from .validation import AuditCollector, AuditReport, ValidationReport, Violation
 
 UNIT_TOL = 1e-9
 _GRAPH_DIFFERS = "identified graph differs from the expected labelled graph"
-_NOT_TOTAL = "some vertex is uncoloured or some coloured id is not a vertex"
 
 
 # ---- homology-flavoured structural checks ----
@@ -141,11 +141,7 @@ def quadrangulation_check(complex: Complex, edge_cells: frozenset[int]) -> Valid
     violations = []
     cell = complex.cell
     for d, i in complex.maximal_cells():
-        # The walk stops at the 1-cells: a 1-cell is its own 1-face, and a
-        # 0-cell has none.
-        one_faces = {i} if d >= 1 else set()
-        for k in range(d, 1, -1):
-            one_faces = {f for c in one_faces for f in cell(k, c).facets}
+        one_faces = face_closure(complex, [(d, i)]).get(1, ())
         pairs = {cell(1, e).vertices for e in one_faces if e in edge_cells}
         reason = _complete_bipartite_reason(cell(d, i).vertices, pairs)
         if reason == "no selected edges":
@@ -711,7 +707,7 @@ def verify_ball_quadrangulation(
     as a boundary-scope `Involution`; returns the report and the identified
     graph as `verify_sphere_quadrangulation` does.
 
-    No constructor calls it: a built ball gets only the checks its double
-    reads (see `constructions._finish_ball`), and the sphere audit of the
-    double judges the build."""
+    No constructor calls it: a built ball gets only the checks that
+    `symmetry.double` runs before gluing, and the sphere audit of the double
+    judges the build."""
     return _audit(ball, involution, colouring, labels, expected_graph, True)

@@ -144,7 +144,7 @@ def _labels_from_reps(bundle: Bundle) -> Optional[dict]:
         if not 0 <= rep < bundle.complex.n_vertices:
             return None
         labels[rep] = lab
-        partner = bundle.involution.vertex_or_none(rep)
+        partner = bundle.involution.vertex_pairing.get(rep)
         if partner is None:
             return None
         labels[partner] = lab
@@ -257,4 +257,4 @@ def sphere_quad_from_bundle(path: PathLike) -> SphereQuad:
     bundle = load_bundle(path)
     report, graph = verify_bundle(bundle, n_walks=0)
     labels = _labels_from_reps(bundle)
-    return _verified(SphereQuad, bundle.complex, bundle.involution, bundle.colouring, labels, graph, report, "stored bundle")
+    return _verified(bundle.complex, bundle.involution, bundle.colouring, labels, graph, report, "stored bundle")

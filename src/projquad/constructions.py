@@ -1,10 +1,10 @@
 """Verified builders: symmetric spheres, balls, cones, and their pipelines.
 
 Every constructor of a sphere runs the full sphere audit before returning,
-and every constructor raises VerificationFailed if anything fails.  A
-SphereQuad is therefore an audited sphere.  A BallQuad has passed only the
-checks that doubling reads (see `_finish_ball`): the theorem's hypotheses
-are about the sphere, its involution and its quotient, and the audit of the
+and raises VerificationFailed if anything fails.  A SphereQuad is therefore
+an audited sphere.  A BallQuad is checked when it is doubled, and only for
+what gluing reads (see `symmetry.double`): the theorem's hypotheses are
+about the sphere, its involution and its quotient, and the audit of the
 double judges every cell of the ball.  No constructor samples closed walks:
 `walk-parity` is run by `verify_sphere_quadrangulation(..., n_walks=N)`, as
 `projquad verify` runs it on a stored bundle.
@@ -17,7 +17,7 @@ from functools import cached_property
 from math import cos, pi, sin
 from typing import Iterable, Optional
 
-from .audits import _NOT_TOTAL, verify_sphere_quadrangulation
+from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, ComplexBuilder, SimplicialBuilder, boundary_cells, face_closure
 from .errors import (
     BadParameters,
@@ -34,13 +34,11 @@ from .homomorphisms import (
 from .symmetry import (
     Involution,
     TwoColouring,
-    _double,
     _project,
-    antisymmetric_on_pairs,
     bichromatic_edge_cells,
-    validate_involution,
+    double,
 )
-from .validation import AuditCollector, AuditReport
+from .validation import AuditReport
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class SphereQuad:
 @dataclass(frozen=True)
 class BallQuad:
     """A coloured complex, built as a ball, whose boundary carries a free
-    involution, checked for what `_double` reads (see `_finish_ball`).
+    involution; `double_to_sphere` checks what gluing reads.
 
     `graph` is the graph that the double is expected to identify, and the
     sphere audit of the double checks it as `graph-matches-expected`.
@@ -92,11 +90,9 @@ class BallQuad:
     colouring: TwoColouring
     labels: dict
     graph: Graph
-    report: AuditReport
 
 
 def _verified(
-    kind: type,
     complex: Complex,
     involution: Involution,
     colouring: TwoColouring,
@@ -104,13 +100,13 @@ def _verified(
     graph: Optional[Graph],
     report: AuditReport,
     what: str,
-) -> SphereQuad | BallQuad:
-    """The `kind` (SphereQuad or BallQuad) of a passing report and `graph`,
-    the one a sphere's audit identified or a ball's expected one; raises
-    VerificationFailed naming the failing audits otherwise."""
+) -> SphereQuad:
+    """The SphereQuad of a passing report and the graph its audit
+    identified; raises VerificationFailed naming the failing audits
+    otherwise."""
     if not report.ok:
         raise VerificationFailed(f"{what}: failing audits: {', '.join(report.failing())}", report)
-    return kind(complex, involution, colouring, labels, graph, report)
+    return SphereQuad(complex, involution, colouring, labels, graph, report)
 
 
 def _finish_sphere(
@@ -123,33 +119,7 @@ def _finish_sphere(
     what: str,
 ) -> SphereQuad:
     report, graph = verify_sphere_quadrangulation(complex, involution, colouring, labels=labels, expected_graph=expected_graph)
-    return _verified(SphereQuad, complex, involution, colouring, labels, graph, report, what)
-
-
-def _finish_ball(
-    complex: Complex,
-    involution: Involution,
-    colouring: TwoColouring,
-    labels: dict,
-    *,
-    expected_graph: Graph,
-    what: str,
-) -> BallQuad:
-    """The ball once the checks that `_double` reads have passed, gated as
-    `_audit` gates them: `complex-valid` (free on a built complex, which
-    carries its builder's verdict), `involution-valid` on the boundary-scope
-    involution, `colouring-total` and `colouring-antisymmetric`.
-
-    The ball gets no shape, parity or identification audit: the sphere audit
-    of its double judges every cell, and checks the identified graph against
-    `expected_graph`."""
-    audit = AuditCollector()
-    complex_ok = audit.add("complex-valid", complex.validate())
-    involution_ok = complex_ok and audit.add("involution-valid", validate_involution(complex, involution))
-    total = audit.add_flag("colouring-total", colouring.covers(complex.vertex_ids()), _NOT_TOTAL)
-    if involution_ok and total:
-        audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, involution))
-    return _verified(BallQuad, complex, involution, colouring, labels, expected_graph, audit.done(), what)
+    return _verified(complex, involution, colouring, labels, graph, report, what)
 
 
 # ---- the one-dimensional base construction ----
@@ -199,7 +169,7 @@ def cylinder_complete(r: int) -> BallQuad:
     bottom, a pole at the centre of each cap, and the origin inside; the
     lateral shell is an r-1 deep stack of tetrahedron rings, coned to the
     origin along its inner boundary.  Every r >= 1 gets the same checks
-    (see `_finish_ball`) and, once doubled, the same sphere audit.  The
+    when doubled (see `symmetry.double`) and the same sphere audit.  The
     coordinates place the ring faces that the origin is coned over in its
     line of sight; no audit entry or output rests on that.
     """
@@ -259,28 +229,19 @@ def cylinder_complete(r: int) -> BallQuad:
     labels[bottom_pole] = m
     labels[origin] = m + 1
 
-    return _finish_ball(
-        complex,
-        involution,
-        colouring,
-        labels,
-        expected_graph=complete_graph(m + 2),
-        what=f"cylinder r={r}",
-    )
+    return BallQuad(complex, involution, colouring, labels, complete_graph(m + 2))
 
 
 # ---- doubling a ball into a sphere ----
 
 def _doubled(ball: Complex, involution: Involution, colouring: TwoColouring, labels: dict, graph: Graph, what: str) -> SphereQuad:
-    """The double of a ball (`symmetry._double`), each mirrored vertex
-    labelled as its original, with the full sphere audit against `graph`.
-
-    The checks of `double` are not repeated: the boundary involution and the
-    colouring must be ones that `double` accepts."""
-    complex, doubled_involution, doubled_colouring = _double(ball, involution, colouring)
+    """The double of a ball (`symmetry.double`, which checks what gluing
+    reads), each mirrored vertex labelled as its original, with the full
+    sphere audit against `graph`."""
+    complex, doubled_involution, doubled_colouring = double(ball, involution, colouring)
     labels = dict(labels)
     for v in ball.vertex_ids():
-        w = doubled_involution.vertex(v)
+        w = doubled_involution.vertex_pairing[v]
         if w >= ball.n_vertices:
             labels[w] = labels[v]
     return _finish_sphere(
@@ -297,9 +258,8 @@ def double_to_sphere(ball: BallQuad) -> SphereQuad:
     """Glue a mirrored copy onto the ball and audit the sphere against the
     ball's expected graph.
 
-    The ball has passed `complex-valid`, `involution-valid` on the boundary
-    involution, `colouring-total` and `colouring-antisymmetric`, so `_doubled`
-    need not repeat the checks of `double`."""
+    Raises VerificationFailed when the ball fails a check that gluing reads
+    (see `symmetry.double`) or the sphere fails its audit."""
     return _doubled(ball.complex, ball.involution, ball.colouring, ball.labels, ball.graph, "doubled ball")
 
 
@@ -339,9 +299,10 @@ def suspension(sq: SphereQuad) -> SphereQuad:
 
     The cone's apex is black and sits at the origin when the sphere has
     coordinates, and the sphere's pairing is the cone's boundary involution.
-    `_doubled` then mirrors the apex into a white antipodal pole, lifts the
-    coordinates one dimension up and runs the sphere audit.  The cone itself
-    gets no ball audit: the audit of its double judges every cell."""
+    `_doubled` then checks what gluing reads, mirrors the apex into a white
+    antipodal pole, lifts the coordinates one dimension up and runs the
+    sphere audit.  The cone itself gets no ball audit: the audit of its
+    double judges every cell."""
     T = sq.complex
     builder = ComplexBuilder.from_complex(T)
     pole = builder.add_vertex("p", (0.0,) * len(T.coords(0)) if T.has_coords else None)
@@ -370,6 +331,10 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     the same round participate).  A final apex over the two innermost levels
     closes the ball.  Within each round the graph vertices are processed in
     label order.
+
+    Raises InputNotQuadrangulation when the sphere's report fails, or when
+    its labels and colouring do not give each vertex of its graph exactly
+    one white and one black vertex.
     """
     if r < 1:
         raise BadParameters("needs r >= 1")
@@ -391,6 +356,8 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     vertex_of: dict[tuple, int] = {}
     for v in T.vertex_ids():
         vertex_of[(sq.labels[v], level[v])] = v
+    if len(vertex_of) != T.n_vertices or vertex_of.keys() != {(g, lv) for g in order for lv in (r, r + 1)}:
+        raise InputNotQuadrangulation("the labels and colouring do not give each graph vertex one white and one black vertex")
 
     black = set(sq.colouring.black)
     white = set(sq.colouring.white)
@@ -440,14 +407,7 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     cell_pairing = {d: dict(m) for d, m in sq.involution.cell_pairing.items()}
     involution = Involution("boundary", dict(sq.involution.vertex_pairing), cell_pairing)
     colouring = TwoColouring(frozenset(black), frozenset(white))
-    return _finish_ball(
-        ball,
-        involution,
-        colouring,
-        new_labels,
-        expected_graph=mycielskian(graph, r),
-        what=f"level-cone lift r={r}",
-    )
+    return BallQuad(ball, involution, colouring, new_labels, mycielskian(graph, r))
 
 
 # ---- pipelines ----

@@ -61,14 +61,6 @@ class LoopCreated(ProjquadError):
     """A graph edge joins two identified vertices."""
 
 
-class BoundaryNotSymmetric(ProjquadError):
-    """The boundary involution does not map the boundary subcomplex to itself."""
-
-
-class ColouringNotBoundaryAntisymmetric(ProjquadError):
-    """Paired boundary vertices carry the same colour."""
-
-
 class MissingCoordinates(ProjquadError):
     """A geometric check needs vertex coordinates that are absent."""
 

@@ -9,18 +9,18 @@ from typing import Iterable, Optional
 from .complexes import Cell, Complex, VertexId, boundary_cells
 from .errors import (
     BadParameters,
-    BoundaryNotSymmetric,
-    ColouringNotBoundaryAntisymmetric,
     LoopCreated,
     LoopsWouldForm,
     NotFree,
     ParseError,
+    VerificationFailed,
 )
 from .graphs import Graph
-from .validation import ValidationReport, Violation
+from .validation import AuditCollector, ValidationReport, Violation
 
 BLACK = "black"
 WHITE = "white"
+_NOT_TOTAL = "some vertex is uncoloured or some coloured id is not a vertex"
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,6 @@ class Involution:
     def __post_init__(self) -> None:
         if self.scope not in ("full", "boundary"):
             raise BadParameters(f"unknown involution scope {self.scope!r}")
-
-    def vertex(self, v: VertexId) -> VertexId:
-        return self.vertex_pairing[v]
-
-    def vertex_or_none(self, v: VertexId) -> Optional[VertexId]:
-        return self.vertex_pairing.get(v)
-
-    def cell(self, d: int, i: int) -> int:
-        if d == 0:
-            return self.vertex_pairing[i]
-        return self.cell_pairing[d][i]
 
     def to_json(self) -> dict:
         pairs = sorted({(min(a, b), max(a, b)) for a, b in self.vertex_pairing.items()})
@@ -375,38 +364,14 @@ def double(
     at heights +1/-1 (the second copy mirrored through the origin), all
     radially normalized to the unit sphere.
 
-    Raises BadParameters unless the involution has boundary scope, the ball
-    passes `validate()` and the colouring colours exactly the ball's
-    vertices, BoundaryNotSymmetric when `validate_involution` rejects the
-    involution, and ColouringNotBoundaryAntisymmetric when a boundary pair
-    shares a colour.
-    """
-    if boundary_involution.scope != "boundary":
-        raise BadParameters("doubling needs a boundary-scope involution")
-    valid = ball.validate()
-    if not valid.ok:
-        first = valid.violations[0]
-        raise BadParameters(f"invalid ball: {first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
-    vp = boundary_involution.vertex_pairing
-    rep = validate_involution(ball, boundary_involution)
-    if not rep.ok:
-        first = rep.violations[0]
-        raise BoundaryNotSymmetric(f"{first.code} at dim {first.cell_dim} id {first.cell_id}: {first.detail}")
-    if not colouring.covers(ball.vertex_ids()):
-        raise BadParameters("colouring does not colour exactly the ball's vertices")
-    for v, w in vp.items():
-        if colouring.of(v) == colouring.of(w):
-            raise ColouringNotBoundaryAntisymmetric(f"boundary pair ({v}, {w}) share colour {colouring.of(v)}")
-    return _double(ball, boundary_involution, colouring)
-
-
-def _double(
-    ball: Complex,
-    boundary_involution: Involution,
-    colouring: TwoColouring,
-) -> tuple[Complex, Involution, TwoColouring]:
-    """`double` with no checks: the involution and the colouring must be
-    ones that `double` accepts.
+    Doubling reads four facts, judged first as named entries gated as
+    `audits._audit` gates them: `complex-valid` (free on a built complex,
+    which carries its builder's verdict), then `involution-valid` on the
+    boundary-scope involution, `colouring-total` and
+    `colouring-antisymmetric`.  Raises BadParameters unless the involution
+    has boundary scope, and VerificationFailed carrying the report when an
+    entry fails.  The ball gets no shape, parity or identification check:
+    the sphere audit of the double judges every cell.
 
     `mirror[d][i]` is the partner in the double of the ball's d-cell i: its
     boundary partner, or the id of its copy, numbered after the ball's
@@ -414,6 +379,17 @@ def _double(
     images of the original's, and the doubled involution is `mirror` made
     symmetric.
     """
+    if boundary_involution.scope != "boundary":
+        raise BadParameters("doubling needs a boundary-scope involution")
+    audit = AuditCollector()
+    complex_ok = audit.add("complex-valid", ball.validate())
+    involution_ok = complex_ok and audit.add("involution-valid", validate_involution(ball, boundary_involution))
+    total = audit.add_flag("colouring-total", colouring.covers(ball.vertex_ids()), _NOT_TOTAL)
+    if involution_ok and total:
+        audit.add("colouring-antisymmetric", antisymmetric_on_pairs(colouring, boundary_involution))
+    report = audit.done()
+    if not report.ok:
+        raise VerificationFailed(f"cannot double: failing audits: {', '.join(report.failing())}", report)
     vp = boundary_involution.vertex_pairing
     interior0 = [v for v in ball.vertex_ids() if v not in vp]
     mirror: list[dict[int, int]] = []

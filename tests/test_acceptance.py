@@ -542,6 +542,23 @@ def _flip(colouring: TwoColouring, vertices) -> TwoColouring:
     return TwoColouring(black=colouring.black ^ flipped, white=colouring.white ^ flipped)
 
 
+def _built_balls(monkeypatch) -> list:
+    """The 18 balls that the corpus builds glue, recorded as their
+    constructors make them."""
+    balls = []
+    made = constructions.BallQuad
+
+    def recording(*args):
+        balls.append(made(*args))
+        return balls[-1]
+
+    monkeypatch.setattr(constructions, "BallQuad", recording)
+    for build in BUILDS.values():
+        _run_build(build)
+    assert len(balls) == 18
+    return balls
+
+
 def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
     # `quadrangulation` is a lemma of colouring-proper, and
     # `quotient-quadrangulation` one when colouring-antisymmetric passes;
@@ -551,18 +568,7 @@ def test_quadrangulation_lemmas_agree_with_the_check(corpus, monkeypatch):
         compared = _quadrangulation_entries_match_the_check(sq.report, sq.complex, sq.involution, sq.colouring)
         assert compared == ["quadrangulation", "quotient-quadrangulation"], name
 
-    balls = []
-    original = constructions._finish_ball
-
-    def recording(*args, **kwargs):
-        ball = original(*args, **kwargs)
-        balls.append(ball)
-        return ball
-
-    monkeypatch.setattr(constructions, "_finish_ball", recording)
-    for build in BUILDS.values():
-        _run_build(build)
-    assert len(balls) == 18
+    balls = _built_balls(monkeypatch)
     for ball in balls:
         # A build checks only what doubling reads; the library ball audit
         # holds the lemma.
@@ -710,18 +716,7 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
         compared = _entries_match_their_checks(report, fresh, sq.involution, sq.colouring, sq.labels, graph)
         assert compared == ["complex-valid", "antipodal-free", "box-map"], name
 
-    balls = []
-    original = constructions._finish_ball
-
-    def recording(*args, **kwargs):
-        ball = original(*args, **kwargs)
-        balls.append(ball)
-        return ball
-
-    monkeypatch.setattr(constructions, "_finish_ball", recording)
-    for build in BUILDS.values():
-        _run_build(build)
-    assert len(balls) == 18
+    balls = _built_balls(monkeypatch)
     ball_failures = 0
     for k, ball in enumerate(balls):
         involution = ball.involution
@@ -872,21 +867,21 @@ def test_write_bundle_peaks_at_most_three_times_its_complex_json(tmp_path, corpu
 
 def test_builders_hand_over_the_report_a_full_validation_gives(monkeypatch):
     # Every ball of the corpus comes from ComplexBuilder.build, as do the
-    # odd-cycle spheres; the report each carries into its audit must be the
-    # one a fresh Complex over the same cells gets from validate().  A
-    # doubled sphere is made by Complex(...) and carries none.
-    handed: dict[str, list] = {"_finish_ball": [], "_finish_sphere": []}
-    for finish, seen in handed.items():
-        original = getattr(constructions, finish)
+    # odd-cycle spheres; the report each carries into its gluing or its
+    # audit must be the one a fresh Complex over the same cells gets from
+    # validate().  A doubled sphere is made by Complex(...) and carries none.
+    handed: dict[str, list] = {"double": [], "_finish_sphere": []}
+    for step, seen in handed.items():
+        original = getattr(constructions, step)
 
         def recording(complex, *args, original=original, seen=seen, **kwargs):
             seen.append((complex, complex._report))
             return original(complex, *args, **kwargs)
 
-        monkeypatch.setattr(constructions, finish, recording)
+        monkeypatch.setattr(constructions, step, recording)
     for build in BUILDS.values():
         _run_build(build)
-    balls, spheres = handed["_finish_ball"], handed["_finish_sphere"]
+    balls, spheres = handed["double"], handed["_finish_sphere"]
     assert len(balls) == 18
     assert all(report is not None for _, report in balls)
     assert [report is not None for _, report in spheres] == [complex.dim == 1 for complex, _ in spheres]

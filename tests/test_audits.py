@@ -97,7 +97,7 @@ def test_quotient_homology_without_its_hypotheses_is_the_betti_check(octahedron,
         for c in octahedron.cells_of(2):
             sb.add_simplex(tuple(v + shift for v in c.vertices))
     twice = sb.build()
-    vp = {v + shift: octahedron_involution.vertex(v) + shift for shift in (0, n) for v in range(n)}
+    vp = {v + shift: octahedron_involution.vertex_pairing[v] + shift for shift in (0, n) for v in range(n)}
     by_vertices = {d: {frozenset(c.vertices): i for i, c in enumerate(twice.cells_of(d))} for d in (1, 2)}
     cp = {d: {i: by_vertices[d][frozenset(map(vp.get, vs))] for vs, i in by_vertices[d].items()} for d in (1, 2)}
     black = frozenset(v + shift for shift in (0, n) for v in (0, 1, 2))

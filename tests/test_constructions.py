@@ -22,7 +22,7 @@ from projquad import (
     verify_homomorphism,
     verify_sphere_quadrangulation,
 )
-from projquad.errors import BadParameters, InputNotQuadrangulation, UnsupportedParameters
+from projquad.errors import BadParameters, InputNotQuadrangulation, UnsupportedParameters, VerificationFailed
 from projquad.validation import AuditEntry, AuditReport
 
 from conftest import mycielski_graph
@@ -62,7 +62,7 @@ def test_cylinder_counts(r):
     assert ball.complex.n_vertices == 2 * m + 3
     assert ball.complex.n_cells(3) == (r + 3) * m
     assert ball.graph == complete_graph(m + 2)
-    assert ball.report.ok
+    assert double_to_sphere(ball).graph == ball.graph
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -101,7 +101,7 @@ def test_lift_of_five_cycle_is_groetzsch_stage():
     assert [ball.complex.n_cells(d) for d in range(3)] == [16, 35, 20]
     assert ball.graph == mycielskian(cycle_graph(5), 2)
     assert sum((-1) ** d * ball.complex.n_cells(d) for d in range(3)) == 1  # Euler characteristic of a disc
-    assert ball.report.ok
+    assert double_to_sphere(ball).graph == ball.graph
 
 
 def test_lift_level_one_is_cone():
@@ -123,6 +123,16 @@ def test_lift_refuses_a_sphere_whose_report_fails():
     failing = AuditReport(base.report.entries + (AuditEntry("sphere", False),))
     with pytest.raises(InputNotQuadrangulation):
         mycielski_lift(replace(base, report=failing), 2)
+
+
+@pytest.mark.parametrize("v", [0, 1])
+def test_lift_refuses_a_colouring_that_gives_a_graph_vertex_two_vertices_of_one_colour(v):
+    # The report still passes, but vertex v and its partner share a colour,
+    # so the lift would find no vertex of the other colour for their label.
+    base = odd_cycle_sphere(2)
+    colouring = replace(base.colouring, black=base.colouring.black ^ {v}, white=base.colouring.white ^ {v})
+    with pytest.raises(InputNotQuadrangulation):
+        mycielski_lift(replace(base, colouring=colouring), 2)
 
 
 def test_tower_matches_reference_graphs():
@@ -156,6 +166,18 @@ def test_suspension_of_odd_cycle():
         g.add_edge(v, 3)
     assert up.graph == g
     assert HomologyCalculator(up.complex).all_betti() == (1, 0, 1)
+
+
+def test_suspension_refuses_a_sphere_whose_partners_are_swapped_at_the_gluing():
+    # Two vertex orbits exchange partners, so the cone's boundary pairing is
+    # no simplicial map: the gluing names it before any sphere is built.
+    sq = odd_cycle_sphere(2)
+    swapped = {**sq.involution.vertex_pairing, 0: 6, 6: 0, 1: 5, 5: 1}  # the orbits {0, 5} and {1, 6}
+    involution = replace(sq.involution, vertex_pairing=swapped)
+    with pytest.raises(VerificationFailed) as excinfo:
+        suspension(replace(sq, involution=involution))
+    assert excinfo.value.report.failing() == ["involution-valid"]
+    assert str(excinfo.value).startswith("cannot double:")
 
 
 def test_suspending_twice_keeps_every_vertex_label_unique():
@@ -203,7 +225,7 @@ def test_schrijver_pipeline_base_case():
     assert hom.target == schrijver_graph(5, 2)
 
 
-# The checks that `_double` reads, which a build runs on its ball.
+# The checks that `double` runs on a ball before gluing it.
 _BUILT_BALL_ENTRIES = ["complex-valid", "involution-valid", "colouring-total", "colouring-antisymmetric"]
 
 # The library ball audit, `verify_ball_quadrangulation`.
@@ -223,9 +245,20 @@ _BALL_ENTRIES = [
 ]
 
 
+def test_gluing_names_the_checks_it_reads():
+    # One boundary vertex of a lift's ball recoloured: doubling refuses it
+    # and its report holds the four checks, of which only antisymmetry fails.
+    ball = mycielski_lift(odd_cycle_sphere(2), 2)
+    colouring = replace(ball.colouring, black=ball.colouring.black ^ {0}, white=ball.colouring.white ^ {0})
+    with pytest.raises(VerificationFailed) as excinfo:
+        double_to_sphere(replace(ball, colouring=colouring))
+    report = excinfo.value.report
+    assert [e.name for e in report.entries] == _BUILT_BALL_ENTRIES
+    assert report.failing() == ["colouring-antisymmetric"]
+
+
 def test_ball_audit_entry_names():
     for ball in (cylinder_complete(3), mycielski_lift(odd_cycle_sphere(2), 2)):
-        assert [e.name for e in ball.report.entries] == _BUILT_BALL_ENTRIES
         report, graph = verify_ball_quadrangulation(
             ball.complex, ball.involution, ball.colouring, labels=ball.labels, expected_graph=ball.graph
         )

@@ -64,9 +64,8 @@ def test_a_traced_verify_times_the_involution_pass(tmp_path):
 def test_a_built_ball_is_judged_once_and_its_boundary_found_once(monkeypatch):
     # cylinder-3: `cylinder_complete` finds the boundary it pairs, and the
     # involution check and the doubling read the one the ball's complex
-    # keeps, so the closure is walked once.  The
-    # involution is judged once on the ball and once on the doubled sphere;
-    # doubling does not judge it again.
+    # keeps, so the closure is walked once.  The involution is judged once
+    # on the ball, by the one gluing routine, and once on the doubled sphere.
     walks = []
     walk = complexes.face_closure
 
@@ -80,7 +79,7 @@ def test_a_built_ball_is_judged_once_and_its_boundary_found_once(monkeypatch):
         double_to_sphere(ball)
     names = ("symmetry.validate_involution", "symmetry.double")
     calls = {name: tracer.spans.get(name, (0,))[0] for name in names}
-    assert calls == {"symmetry.validate_involution": 2, "symmetry.double": 0}
+    assert calls == {"symmetry.validate_involution": 2, "symmetry.double": 1}
     assert walks == [ball.complex]
     found = boundary_cells(ball.complex)
     assert boundary_cells(ball.complex) is found

@@ -24,12 +24,10 @@ from projquad import (
 )
 from projquad.errors import (
     BadParameters,
-    BoundaryNotSymmetric,
-    ColouringNotBoundaryAntisymmetric,
     LoopCreated,
     LoopsWouldForm,
     NotFree,
-    ProjquadError,
+    VerificationFailed,
 )
 from projquad.symmetry import (
     antipodal_free_cells,
@@ -58,8 +56,8 @@ def test_two_colouring_json_round_trip():
 
 def test_involution_accessors(octahedron_involution):
     inv = octahedron_involution
-    assert inv.vertex(0) == 3
-    assert inv.vertex_or_none(99) is None
+    assert inv.vertex_pairing[0] == 3
+    assert 99 not in inv.vertex_pairing
     assert inv.scope == "full"
     again = Involution.from_json(inv.to_json())
     assert again.vertex_pairing == inv.vertex_pairing
@@ -110,7 +108,7 @@ def test_octahedron_quotient_is_projective_plane(octahedron, octahedron_involuti
     assert q.validate().ok
     # projection maps both members of a pair to the same image
     for v in range(6):
-        assert projection[0][v] == projection[0][octahedron_involution.vertex(v)]
+        assert projection[0][v] == projection[0][octahedron_involution.vertex_pairing[v]]
 
 
 def test_quotient_requires_full_scope(octahedron, octahedron_involution):
@@ -210,24 +208,27 @@ _DANGLING_EDGE = Complex([[Cell((0,), ()), Cell((1,), ())], [Cell((0, 1), (0, 5)
 
 
 @pytest.mark.parametrize(
-    "ball, pairing, black, white, error",
+    "ball, pairing, black, white, failing",
     [
-        (None, ("full", {0: 2, 2: 0}), {0, 1}, {2}, BadParameters),
+        (None, ("full", {0: 2, 2: 0}), {0, 1}, {2}, None),
         # the interior vertex 1 is paired and the endpoint 2 is not
-        (None, ("boundary", {0: 1, 1: 0}), {0, 1}, {2}, BoundaryNotSymmetric),
-        (None, ("boundary", {0: 2, 2: 0}), {0}, {2}, BadParameters),
-        (None, ("boundary", {0: 2, 2: 0}), {0, 2}, {1}, ColouringNotBoundaryAntisymmetric),
-        (_DANGLING_EDGE, ("boundary", {0: 1, 1: 0}), {0}, {1}, BadParameters),
+        (None, ("boundary", {0: 1, 1: 0}), {0, 1}, {2}, ["involution-valid"]),
+        (None, ("boundary", {0: 2, 2: 0}), {0}, {2}, ["colouring-total"]),
+        (None, ("boundary", {0: 2, 2: 0}), {0, 2}, {1}, ["colouring-antisymmetric"]),
+        (_DANGLING_EDGE, ("boundary", {0: 1, 1: 0}), {0}, {1}, ["complex-valid"]),
     ],
     ids=["full-scope", "not-the-boundary", "colouring-not-total", "boundary-pair-one-colour", "facet-out-of-range"],
 )
-def test_double_refuses(interval_ball, ball, pairing, black, white, error):
-    # `ball` None stands for the interval ball
+def test_double_refuses(interval_ball, ball, pairing, black, white, failing):
+    # `ball` None stands for the interval ball; `failing` None for a refusal
+    # before any check, as BadParameters
     inv = Involution(*pairing, {})
     col = TwoColouring(black=frozenset(black), white=frozenset(white))
-    with pytest.raises(ProjquadError) as excinfo:
+    error = BadParameters if failing is None else VerificationFailed
+    with pytest.raises(error) as excinfo:
         double(ball or interval_ball, inv, col)
-    assert excinfo.type is error
+    if failing is not None:
+        assert excinfo.value.report.failing() == failing
 
 
 def test_double_normalizes_by_the_norm_summed_left_to_right():
