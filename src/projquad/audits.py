@@ -409,6 +409,10 @@ def _audit(
     involution and a total colouring.  The early involution check reads
     facet ids too; on a complex that fails complex-valid its report is
     dropped, like that of every other check that reads them.
+    `labels-on-orbits` judges the labels that the identification reads:
+    every vertex has one, both vertices of a pair have the same one, and no
+    two orbits share one (an unpaired vertex of a ball is its own orbit).
+    When it fails the audit stops there, before `graph-identification`.
 
     `antipodal-free` is judged on the 1-cells once complex-valid has passed:
     a lawful cell's 1-faces cover every pair of its vertices, so some cell
@@ -432,7 +436,7 @@ def _audit(
     audit = AuditCollector()
     early = validate_involution(complex, involution) if involution.scope == "full" else None
     if early is not None and early.ok:
-        complex._validate_by_pairs(involution.cell_pairing)
+        complex._validate_by_pairs(involution.pairing)
     complex_ok = audit.add("complex-valid", complex.validate())
     judged = None
     if complex_ok:
@@ -455,8 +459,14 @@ def _audit(
     parity_ok = audit.add("parity", parity_audit(complex, selected))
     audit.add("quadrangulation", _no_edges((v.cell_dim, v.cell_id) for v in proper.violations))
 
-    orbit_ok = all(labels.get(v) == labels.get(w) for v, w in involution.vertex_pairing.items())
-    audit.add_flag("labels-on-orbits", orbit_ok, "labels are not constant on antipodal pairs")
+    # Every vertex is labelled, and as many (orbit, label) pairs occur as
+    # orbits and as labels; an unpaired vertex is its own orbit.
+    vp = involution.vertex_pairing
+    named = {v: (min(v, vp.get(v, v)), labels[v]) for v in complex.vertex_ids() if v in labels}
+    pairs = set(named.values())
+    on_orbits = len(named) == complex.n_vertices and len(pairs) == len(dict(pairs)) == len({lab for _, lab in pairs})
+    if not audit.add_flag("labels-on-orbits", on_orbits, "some vertex is unlabelled, or labels are not one per antipodal orbit"):
+        return audit.done(), None
 
     try:
         identified, _ = identify_antipodes(associated_graph(complex, colouring), involution.vertex_pairing)
@@ -468,7 +478,7 @@ def _audit(
         audit.add_flag("graph-matches-expected", graph == expected_graph, _GRAPH_DIFFERS)
         return audit.done(), graph
 
-    if antipodal.ok and orbit_ok:
+    if antipodal.ok:
         monochromatic = ((v.cell_dim, v.cell_id) for v in proper.violations)
         audit.add("box-map", _box_map_violations(complex, colouring, graph, labels, monochromatic))
     else:
@@ -678,12 +688,11 @@ def verify_sphere_quadrangulation(
     is the full check and stays the test oracle.
 
     `box-map` is a lemma on the bichromatic maximal cells when
-    `antipodal-free` and `labels-on-orbits` pass (complex-valid,
-    involution-valid, colouring-total and the identification have passed
-    to get here).  Distinct orbits then have distinct labels, since the
-    identified graph took one label per orbit representative, so two
-    vertices of one cell with the same (label, colour) would be an
-    antipodal pair in the cell.  In a cell with both colours, a black u and
+    `antipodal-free` passes (complex-valid, involution-valid,
+    colouring-total, labels-on-orbits and the identification have passed
+    to get here).  Distinct orbits have distinct labels by
+    `labels-on-orbits`, so two vertices of one cell with the same (label,
+    colour) would be an antipodal pair in the cell.  In a cell with both colours, a black u and
     a white w span a 1-face, which is bichromatic and so an edge of the
     identified graph: A1 x A2 lies in E(G) with A1 and A2 non-empty, so
     each side lies in the other's common neighbourhood and the pair is a

@@ -13,7 +13,7 @@ from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import attrgetter, itemgetter, lt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadDimension,
@@ -288,10 +288,10 @@ class Complex:
 
     # ---- validation ----
 
-    def _violations(self, cell_pairing: Optional[dict[int, dict[int, int]]] = None) -> Iterator[Violation]:
+    def _violations(self, pairing: Optional[Callable[[int], dict[int, int]]] = None) -> Iterator[Violation]:
         """The label, 0-cell-count and cell-law violations, lazily.  The cell
-        law is judged on every cell, or, given a cell pairing, on every
-        0-cell and on the lower-id cell of each pair."""
+        law is judged on every cell, or, given the pairing of each layer, on
+        the lower-id cell of each pair."""
         seen_labels: dict[str, int] = {}
         for v, lab in enumerate(self._labels):
             if lab is not None:
@@ -305,8 +305,8 @@ class Complex:
         for d, layer in enumerate(self._cells):
             lower = self._cells[d - 1] if d else ()
             positions: Iterable[int] = range(len(layer))
-            if d and cell_pairing is not None:
-                positions = [i for i, j in cell_pairing.get(d, {}).items() if i < j]
+            if pairing is not None:
+                positions = [i for i, j in pairing(d).items() if i < j]
             for i in positions:
                 yield from _cell_violations(d, i, layer[i], n, lower)
 
@@ -320,21 +320,24 @@ class Complex:
             self._report = ValidationReport.collect(self._violations())
         return self._report
 
-    def _validate_by_pairs(self, cell_pairing: dict[int, dict[int, int]]) -> None:
+    def _validate_by_pairs(self, pairing: Callable[[int], dict[int, int]]) -> None:
         """Make the `validate()` report empty when `_violations` finds
-        nothing on every 0-cell and the lower-id cell of each pair, given the
-        cell pairing of a full-scope involution that `validate_involution`
-        passes on this complex; leave it unmade otherwise, so that
-        `validate()` judges every cell.
+        nothing on the lower-id cell of each pair, given `pairing(d)`, the
+        pairing of the d-cells, of a full-scope involution that
+        `validate_involution` passes on this complex; leave it unmade
+        otherwise, so that `validate()` judges every cell.
 
-        The pairing is a bijection on each layer, and the involution check
-        has found each partner's vertices to be the sorted image of the lower
-        cell's vertices and its facets, as a multiset, the image of the lower
-        cell's facets.  So a lawful lower cell has a lawful partner.
+        The involution check covers every layer, the 0-cells included: each
+        pairing is a bijection on its layer whose ids all name cells, and
+        each partner's vertices are the sorted image of the lower cell's
+        vertices and its facets, as a multiset, the image of the lower
+        cell's facets.  So a lawful lower cell has a lawful partner: a
+        0-cell on its own vertex i has a partner on vertex j, its own id,
+        and j is a vertex, since the 0-cells number as many as the vertices.
         """
         if self._report is not None:
             return
-        if next(self._violations(cell_pairing), None) is None:
+        if next(self._violations(pairing), None) is None:
             self._report = ValidationReport()
 
     # ---- equality (structural) ----

@@ -12,7 +12,7 @@ double judges every cell of the ball.  No constructor samples closed walks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import cos, pi, sin
 from typing import Iterable, Optional
@@ -139,11 +139,9 @@ def odd_cycle_sphere(k: int) -> SphereQuad:
     for i in range(2 * m):
         sb.add_simplex((i, (i + 1) % (2 * m)))
     complex = sb.build()
-    vp = {}
-    for i in range(2 * m):
-        vp[i] = (i + m) % (2 * m)
-    cp = {1: {i: (i + m) % (2 * m) for i in range(2 * m)}}
-    involution = Involution("full", vp, cp)
+    # Vertex i and edge i, from vertex i to i + 1, each map half a turn on.
+    flip = {i: (i + m) % (2 * m) for i in range(2 * m)}
+    involution = Involution("full", flip, {1: flip})
     colouring = TwoColouring(
         black=frozenset(i for i in range(2 * m) if i % 2 == 1),
         white=frozenset(i for i in range(2 * m) if i % 2 == 0),
@@ -313,7 +311,7 @@ def suspension(sq: SphereQuad) -> SphereQuad:
     for v in sq.graph.vertices:
         graph.add_edge(v, label)
     # The sphere is the cone's boundary, so its pairing has boundary scope.
-    involution = Involution("boundary", sq.involution.vertex_pairing, sq.involution.cell_pairing)
+    involution = replace(sq.involution, scope="boundary")
     colouring = TwoColouring(sq.colouring.black | {pole}, sq.colouring.white)
     return _doubled(builder.build(), involution, colouring, {**sq.labels, pole: label}, graph, "suspension")
 
@@ -404,8 +402,7 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
 
     ball = builder.build()
     # The input sphere is the ball's boundary, so its pairing has boundary scope.
-    cell_pairing = {d: dict(m) for d, m in sq.involution.cell_pairing.items()}
-    involution = Involution("boundary", dict(sq.involution.vertex_pairing), cell_pairing)
+    involution = replace(sq.involution, scope="boundary")
     colouring = TwoColouring(frozenset(black), frozenset(white))
     return BallQuad(ball, involution, colouring, new_labels, mycielskian(graph, r))
 

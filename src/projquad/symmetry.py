@@ -61,12 +61,14 @@ class TwoColouring:
 
 @dataclass(frozen=True)
 class Involution:
-    """A pairing of vertices and of cells, either on the whole complex or on
-    its boundary only.
+    """A pairing of the cells of each dimension, either on the whole complex
+    or on its boundary only.
 
-    `vertex_pairing` stores both directions of every pair; `cell_pairing`
-    does the same per dimension >= 1 (dimension 0 rides on the vertices,
-    since 0-cell ids equal vertex ids).
+    `pairing(d)` is the pairing of the d-cells, storing both directions of
+    every pair.  A 0-cell's id is its vertex's id, so the pairing of the
+    0-cells is `vertex_pairing`, and `cell_pairing` holds dimensions >= 1.
+    Every reader that walks the layers reads `pairing(d)` and judges,
+    codes and projects each layer, the 0-cells included, by one rule.
     """
 
     scope: str  # "full" | "boundary"
@@ -77,23 +79,18 @@ class Involution:
         if self.scope not in ("full", "boundary"):
             raise BadParameters(f"unknown involution scope {self.scope!r}")
 
+    def pairing(self, d: int) -> dict[int, int]:
+        """The pairing of the d-cells ({} for a dimension with no pairs)."""
+        return self.vertex_pairing if d == 0 else self.cell_pairing.get(d, {})
+
     def to_json(self) -> dict:
-        pairs = sorted({(min(a, b), max(a, b)) for a, b in self.vertex_pairing.items()})
-        cell_pairs = {}
-        for d in sorted(self.cell_pairing):
-            m = self.cell_pairing[d]
-            cell_pairs[str(d)] = [list(p) for p in sorted({(min(a, b), max(a, b)) for a, b in m.items()})]
-        return {"scope": self.scope, "vertex_pairs": [list(p) for p in pairs], "cell_pairs": cell_pairs}
+        cell_pairs = {str(d): _pairs_to_json(self.cell_pairing[d]) for d in sorted(self.cell_pairing)}
+        return {"scope": self.scope, "vertex_pairs": _pairs_to_json(self.vertex_pairing), "cell_pairs": cell_pairs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Involution":
         try:
-            vp: dict[int, int] = {}
-            for a, b in obj["vertex_pairs"]:
-                if type(a) is not int or type(b) is not int:
-                    raise ParseError(f"vertex pair ({a!r}, {b!r}) is not a pair of integers")
-                vp[a] = b
-                vp[b] = a
+            vp = _pairs_from_json(obj["vertex_pairs"], "vertex")
             cell_pairs = obj.get("cell_pairs", {})
             if not isinstance(cell_pairs, dict):
                 raise ParseError("cell_pairs must be an object keyed by dimension")
@@ -101,65 +98,65 @@ class Involution:
             for key, pairs in cell_pairs.items():
                 if key != str(int(key)):
                     raise ParseError(f"cell_pairs key {key!r} is not a dimension in canonical form")
-                m: dict[int, int] = {}
-                for a, b in pairs:
-                    if type(a) is not int or type(b) is not int:
-                        raise ParseError(f"cell pair ({a!r}, {b!r}) is not a pair of integers")
-                    m[a] = b
-                    m[b] = a
-                cp[int(key)] = m
+                cp[int(key)] = _pairs_from_json(pairs, "cell")
             return cls(str(obj["scope"]), vp, cp)
         except (KeyError, TypeError, ValueError, BadParameters) as exc:
             raise ParseError(f"malformed involution JSON: {exc}") from exc
 
 
+def _pairs_to_json(pairing: dict[int, int]) -> list[list[int]]:
+    """Each pair once, lower id first, in order."""
+    return [list(p) for p in sorted({(min(a, b), max(a, b)) for a, b in pairing.items()})]
+
+
+def _pairs_from_json(pairs: list, what: str) -> dict[int, int]:
+    """The pairing, both directions, of a JSON list of [a, b] integer pairs;
+    a later pair that reuses an id overwrites its entry."""
+    pairing: dict[int, int] = {}
+    for a, b in pairs:
+        if type(a) is not int or type(b) is not int:
+            raise ParseError(f"{what} pair ({a!r}, {b!r}) is not a pair of integers")
+        pairing[a] = b
+        pairing[b] = a
+    return pairing
+
+
 def validate_involution(complex: Complex, involution: Involution) -> ValidationReport:
     """Check that the pairing is a free simplicial involution on its scope.
 
-    For full scope every vertex and every cell must be paired; for boundary
-    scope the paired cells must be exactly `boundary_cells(complex)`, which
-    reads facet ids, so boundary scope needs a complex whose facet ids lie
-    in range (`_audit` and `double` judge it only once `validate()` passes).
-    In both cases every paired id must be in range, not fixed, and mapped
-    back by its partner.  The vertex and facet images are checked once per
-    pair, from its lower id: once both pairings are self-inverse, the image
-    of the higher cell is the lower cell.  Facets are compared as multisets,
-    so a partner with a repeated or extra facet id breaks the image rule.  A
-    pair that breaks the image rules is reported once, at its lower id.
-    Pairs are judged in any order: `ValidationReport.collect` sorts the
-    violations.
+    Every layer, the 0-cells included, is judged by one rule set on its
+    pairing `involution.pairing(d)`.  For full scope every cell must be
+    paired; for boundary scope the paired cells must be exactly
+    `boundary_cells(complex)`, which reads facet ids, so boundary scope
+    needs a complex whose facet ids lie in range (`_audit` and `double`
+    judge it only once `validate()` passes).  Every paired id must name a
+    cell of its layer, not be fixed, and be mapped back by its partner.
+    The vertex and facet images are checked once per pair, from its lower
+    id: once the pairings are self-inverse, the image of the higher cell is
+    the lower cell.  A 0-cell's vertex image is its partner's id, so a
+    0-cell that does not sit on its own vertex breaks the image rule, and a
+    0-cell has no facets.  Facets are compared as multisets, so a partner
+    with a repeated or extra facet id breaks the image rule.  A pair that
+    breaks the image rules is reported once, at its lower id.  Pairs are
+    judged in any order: `ValidationReport.collect` sorts the violations.
     """
     violations: list[Violation] = []
-    vp = involution.vertex_pairing
-    for v, w in sorted(vp.items()):
-        if v == w:
-            violations.append(Violation("FixedPoint", 0, v, "vertex paired with itself"))
-        elif vp.get(w) != v:
-            violations.append(Violation("NotInvolution", 0, v, f"{v} -> {w} -> {vp.get(w)}"))
-        if not (0 <= w < complex.n_vertices):
-            violations.append(Violation("UnknownVertex", 0, v, f"pair target {w} does not exist"))
     if involution.scope == "full":
         scope_cells = {d: set(range(complex.n_cells(d))) for d in range(complex.dim + 1)}
     else:
         scope_cells = boundary_cells(complex)
-    missing_vertices = scope_cells.get(0, set()) - set(vp)
-    for v in sorted(missing_vertices):
-        violations.append(Violation("UnpairedCell", 0, v, "scope vertex not paired"))
-    extra_vertices = set(vp) - scope_cells.get(0, set())
-    for v in sorted(extra_vertices):
-        violations.append(Violation("PairedOutsideScope", 0, v, "vertex outside scope is paired"))
+    # Dimension 0 is stored as `vertex_pairing`, so no cell pairs belong there.
     for d in sorted(set(involution.cell_pairing) - set(range(1, complex.dim + 1))):
         violations.append(Violation("PairedOutsideScope", d, None, f"cell pairs at dimension {d}, outside 1..{complex.dim}"))
-    for d in range(1, complex.dim + 1):
-        pairing = involution.cell_pairing.get(d, {})
+    vp = involution.pairing(0)
+    for d in range(complex.dim + 1):
+        pairing, lower, layer = involution.pairing(d), involution.pairing(d - 1), complex.cells_of(d)
         in_scope = scope_cells.get(d, set())
         for i in sorted(in_scope - set(pairing)):
             violations.append(Violation("UnpairedCell", d, i, "scope cell not paired"))
         for i in sorted(set(pairing) - in_scope):
             violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
-        layer = complex.cells_of(d)
         n_cells = len(layer)
-        lower = vp if d == 1 else involution.cell_pairing.get(d - 1, {})
         for i, j in pairing.items():
             if i == j:
                 violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
@@ -206,30 +203,17 @@ def _project(
     quotient does not embed).  `quotient`, `_audit` and `SphereQuad` share
     it.
     """
-    vp = involution.vertex_pairing
-    to_vertex: dict[int, int] = {}
-    vertex_reps: list[VertexId] = []
-    for v in complex.vertex_ids():
-        if v < vp[v]:
-            to_vertex[v] = to_vertex[vp[v]] = len(vertex_reps)
-            vertex_reps.append(v)
-    projection = {0: to_vertex}
-    layers: list[list[Cell]] = [[Cell((i,), ()) for i in range(len(vertex_reps))]]
-    vertex_of = to_vertex.__getitem__
-    for d in range(1, (complex.dim if top is None else top) + 1):
-        pairing, facet_of = involution.cell_pairing.get(d, {}), projection[d - 1].__getitem__
-        here: dict[int, int] = {}
-        layer: list[Cell] = []
-        for i, c in enumerate(complex.cells_of(d)):
-            j = pairing[i]
-            if i < j:
-                here[i] = here[j] = len(layer)
-                vertices = tuple(sorted(map(vertex_of, c.vertices)))
-                layer.append(Cell(vertices, tuple(map(facet_of, c.facets))))
-        projection[d] = here
-        layers.append(layer)
-    labels = complex.labels
-    return Complex(layers, [labels[v] for v in vertex_reps]), projection
+    projection: list[dict[int, int]] = []
+    layers: list[list[Cell]] = []
+    for d in range((complex.dim if top is None else top) + 1):
+        pairing, cells = involution.pairing(d), complex.cells_of(d)
+        lower = [i for i in range(len(cells)) if i < pairing[i]]
+        projection.append({i: k for k, r in enumerate(lower) for i in (r, pairing[r])})
+        # A 0-cell has no facets, so projection[-1] is never read.
+        vertex_of, facet_of = projection[0].__getitem__, projection[d - 1].__getitem__
+        layers.append([Cell(tuple(sorted(map(vertex_of, cells[i].vertices))), tuple(map(facet_of, cells[i].facets))) for i in lower])
+    reps = [i for i, j in sorted(involution.pairing(0).items()) if i < j]
+    return Complex(layers, [complex.labels[v] for v in reps]), dict(enumerate(projection))
 
 
 def antipodal_free_cells(complex: Complex, involution: Involution) -> ValidationReport:
@@ -390,12 +374,12 @@ def double(
     report = audit.done()
     if not report.ok:
         raise VerificationFailed(f"cannot double: failing audits: {', '.join(report.failing())}", report)
-    vp = boundary_involution.vertex_pairing
+    vp = boundary_involution.pairing(0)
     interior0 = [v for v in ball.vertex_ids() if v not in vp]
     mirror: list[dict[int, int]] = []
     layers: list[list[Cell]] = []
     for d in range(ball.dim + 1):
-        pairing = vp if d == 0 else boundary_involution.cell_pairing.get(d, {})
+        pairing = boundary_involution.pairing(d)
         partners: dict[int, int] = {}
         mirror.append(partners)
         # A 0-cell's one vertex is its own id, whose partner is stored before

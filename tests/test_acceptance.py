@@ -706,7 +706,7 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
     for name, item in corpus.items():
         sq = item.sq
         judged = complex_from_json(complex_to_json(sq.complex))
-        judged._validate_by_pairs(sq.involution.cell_pairing)
+        judged._validate_by_pairs(sq.involution.pairing)
         assert judged._report == ValidationReport(), name  # made from one cell per pair
         parsed = complex_from_json(complex_to_json(sq.complex))
         report, graph = verify_sphere_quadrangulation(

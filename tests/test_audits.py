@@ -12,6 +12,7 @@ from projquad import (
     ball_check,
     boundary_operator_audit,
     cycle_parity_vs_homology,
+    cylinder_complete,
     fineness_check,
     odd_cycle_sphere,
     parity_audit,
@@ -83,6 +84,45 @@ def test_quotient_entry_fails_on_an_antipodal_pair_in_a_cell(digon_sphere_bits):
     assert (last.name, last.ok) == ("quotient", False)
     assert [v.detail for v in last.violations] == ["LoopsWouldForm: 1-cell 0 contains an antipodal pair"]
     assert graph == Graph(["x"])
+
+
+# One change to c5's labels (i % 5 on vertex i) per way to break the contract.
+LABEL_TAMPERS = {
+    "an-orbit-unlabelled": lambda labels: [labels.pop(0), labels.pop(5)],
+    "two-orbits-one-label": lambda labels: labels.update({1: 0, 6: 0}),
+    "a-pair-labelled-apart": lambda labels: labels.update({5: 99}),
+}
+
+
+@pytest.mark.parametrize("change", LABEL_TAMPERS.values(), ids=list(LABEL_TAMPERS))
+def test_labels_off_the_orbits_fail_closed_before_the_identification(change):
+    # Every vertex has a label, one per antipodal orbit and one orbit per
+    # label; the identification reads them, so the audit stops here.
+    sq = odd_cycle_sphere(2)
+    labels = dict(sq.labels)
+    change(labels)
+    report, graph = verify_sphere_quadrangulation(
+        sq.complex, sq.involution, sq.colouring, labels=labels, expected_graph=sq.graph
+    )
+    assert report.failing() == ["labels-on-orbits"]
+    assert report.entries[-1].name == "labels-on-orbits"
+    assert graph is None
+
+
+def test_an_unpaired_ball_vertex_is_its_own_orbit():
+    # The cylinder's origin is unpaired; labelled as the poles, it would
+    # share a label with their orbit.
+    ball = cylinder_complete(1)
+    origin = ball.complex.n_vertices - 1
+    poles = ball.labels[origin - 1]
+    report, _ = verify_ball_quadrangulation(
+        ball.complex, ball.involution, ball.colouring, labels=ball.labels, expected_graph=ball.graph
+    )
+    assert report.ok
+    report, graph = verify_ball_quadrangulation(
+        ball.complex, ball.involution, ball.colouring, labels={**ball.labels, origin: poles}, expected_graph=ball.graph
+    )
+    assert (report.failing(), graph) == (["labels-on-orbits"], None)
 
 
 def test_quotient_homology_without_its_hypotheses_is_the_betti_check(octahedron, octahedron_involution):

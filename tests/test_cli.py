@@ -476,6 +476,16 @@ def _list_an_orbit_rep_label_twice(obj):
     obj["orbit_reps"].append([label, rep + 5])  # on c5, the rep's partner
 
 
+def _drop_the_last_orbit_rep(obj):
+    obj["orbit_reps"].pop()
+
+
+def _move_the_upper_0_cell_7_onto_vertex_8(obj):
+    # c5 pairs 0-cell 2 with 0-cell 7; complex-valid may judge the lower
+    # cell of each pair only because the involution check refuses this
+    next(c for c in obj["cells"] if (c["dim"], c["id"]) == (0, 7))["vertices"] = [8]
+
+
 def _true_as_coordinate(obj):
     obj["vertices"][0]["coords"][0] = True
 
@@ -773,6 +783,9 @@ TAMPERS = [
     ("c5", "graph.json", _true_as_orbit_rep, "verify", 65, None),
     ("c5", "graph.json", _list_an_orbit_rep_label_twice, "verify", 65, None),
     ("c5", "graph.json", _list_an_orbit_rep_label_twice, "chi", 65, None),
+    ("c5", "graph.json", _drop_the_last_orbit_rep, "verify", 2, "orbit-reps-cover"),
+    ("c5", "graph.json", _drop_the_last_orbit_rep, "chi", 0, "orbit-reps-cover"),
+    ("c5", "complex.json", _move_the_upper_0_cell_7_onto_vertex_8, "verify", 2, "complex-valid"),
     ("c5", "complex.json", _true_as_coordinate, "verify", 65, None),
     ("c5", "complex.json", _string_as_coordinate, "verify", 65, None),
     ("c5", "complex.json", _ragged_coordinates, "verify", 65, None),
@@ -865,6 +878,21 @@ def test_a_complex_with_its_cells_listed_in_reverse_verifies_as_before(tmp_path,
     untampered = run(capsys, "verify", str(out))
     _tamper(out / "complex.json", _reverse_the_cells)
     assert run(capsys, "verify", str(out)) == untampered
+
+
+def test_a_0_cell_off_its_vertex_fails_complex_valid_at_every_broken_cell(tmp_path, capsys):
+    # The upper 0-cell of a pair is judged through the image rule of the
+    # involution check, which fails here, so the complex is judged in full.
+    out = _build(tmp_path, capsys, SOURCES["c5"])
+    _tamper(out / "complex.json", _move_the_upper_0_cell_7_onto_vertex_8)
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 2
+    entry = next(e for e in json.loads(stdout)["report"] if e["name"] == "complex-valid")
+    assert [(v["code"], v["cell_dim"], v["cell_id"]) for v in entry["violations"]] == [
+        ("VertexCellMismatch", 0, 7),
+        ("FacetCoverageViolation", 1, 6),
+        ("FacetCoverageViolation", 1, 7),
+    ]
 
 
 # file, change, command given the file itself rather than its bundle

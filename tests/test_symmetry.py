@@ -19,6 +19,7 @@ from projquad import (
     face_closure,
     identify_antipodes,
     mycielski_tower,
+    odd_cycle_sphere,
     quotient,
     validate_involution,
 )
@@ -62,6 +63,10 @@ def test_involution_accessors(octahedron_involution):
     again = Involution.from_json(inv.to_json())
     assert again.vertex_pairing == inv.vertex_pairing
     assert again.cell_pairing == inv.cell_pairing
+    # the 0-cells' pairing is the vertex pairing, since a 0-cell's id is its vertex's
+    assert inv.pairing(0) is inv.vertex_pairing
+    assert inv.pairing(1) is inv.cell_pairing[1]
+    assert inv.pairing(3) == {}
 
 
 def test_validate_involution_accepts_octahedron(octahedron, octahedron_involution):
@@ -94,6 +99,41 @@ def test_validate_involution_counts_the_facets_of_an_upper_partner():
     cells[2][20] = Cell(upper.vertices, upper.facets + upper.facets[:1])
     report = validate_involution(Complex(cells, sq.complex.labels), sq.involution)
     assert [(v.code, v.cell_dim, v.cell_id) for v in report.violations] == [("NotSimplicial", 2, 0)]
+
+
+# One change to the pairing of one layer, per violation code it must raise.
+PAIRING_TAMPERS = {
+    "FixedPoint": lambda pairing: pairing.update({0: 0}),
+    "NotInvolution": lambda pairing: pairing.update({0: 6}),
+    "DanglingFacet": lambda pairing: pairing.update({0: 42, 42: 0}),
+    "UnpairedCell": lambda pairing: [pairing.pop(0), pairing.pop(5)],
+    "PairedOutsideScope": lambda pairing: pairing.update({42: 43, 43: 42}),
+}
+
+
+def _layer_violations(code: str, d: int) -> list[tuple[str, int]]:
+    """The (code, id) violations at dimension d of c5 with its d-cells'
+    pairing tampered for `code`; for NotSimplicial, the upper d-cell 7 of
+    the pair (2, 7) is given the contents of d-cell 8 instead."""
+    sq = odd_cycle_sphere(2)
+    pairings = [dict(sq.involution.pairing(e)) for e in (0, 1)]
+    layers = [list(sq.complex.cells_of(e)) for e in (0, 1)]
+    if code == "NotSimplicial":
+        layers[d][7] = layers[d][8]
+    else:
+        PAIRING_TAMPERS[code](pairings[d])
+    involution = Involution("full", pairings[0], {1: pairings[1]})
+    report = validate_involution(Complex(layers, sq.complex.labels), involution)
+    return [(v.code, v.cell_id) for v in report.violations if v.cell_dim == d]
+
+
+@pytest.mark.parametrize("code", [*PAIRING_TAMPERS, "NotSimplicial"])
+def test_one_rule_set_judges_the_pairing_of_the_vertices_and_of_the_edges(code):
+    # c5 maps vertex i and edge i alike, to i + 5 mod 10, so the same change
+    # to either layer must break the same rule at the same ids.
+    vertices, edges = _layer_violations(code, 0), _layer_violations(code, 1)
+    assert vertices == edges
+    assert code in [c for c, _ in vertices]
 
 
 def test_antipodal_free_cells(octahedron, octahedron_involution):
