@@ -389,19 +389,20 @@ def _audit(
     labelled graph, or None when the audit stopped before the
     identification.
 
-    `complex-valid` is `complex.validate()`.  On a complex from
-    `ComplexBuilder.build` that report was handed over by the builder
-    (see `build`): every cell passed the same cell law, `_cell_violations`,
-    when it was added, and labels and 0-cells are kept lawful as they are
-    added, so the builder's verdict is the report a full validation would
-    give.  Any other complex, such as a doubled sphere or a parsed one, is
-    judged on one cell of each antipodal pair when the involution has full
-    scope and `validate_involution` passes it first: the pairing carries a
-    lawful cell onto a lawful partner (see `Complex._validate_by_pairs`).
-    When that judgement fails, or the involution fails or has boundary
-    scope, the complex is validated in full.  The early involution report
-    is the `involution-valid` entry, which is still added only once
-    complex-valid has passed.
+    `complex-valid` is `complex.validate()`.  A built complex carries the
+    report a full validation would give, made when its cells were: from
+    `ComplexBuilder.build`, whose `add_cell` judges each cell by the cell
+    law, `_cell_violations`, and whose `add_cone` adds only lawful cones
+    over lawful cells (see `build`), or from `symmetry.double`, whose
+    mirrored copies of a lawful ball are lawful once its four checks pass
+    (see `double`).  Any other complex, such as a parsed one, is judged on
+    one cell of each antipodal pair when the involution has full scope and
+    `validate_involution` passes it first: the pairing carries a lawful
+    cell onto a lawful partner (see `Complex._validate_by_pairs`).  When
+    that judgement fails, or the involution fails or has boundary scope,
+    the complex is validated in full.  The early involution report is the
+    `involution-valid` entry, which is still added only once complex-valid
+    has passed; on a double it is the audit's own check, not a lemma.
 
     Every audit runs only once the audits whose data it reads have passed:
     the involution, the proper colouring and everything after the gate read

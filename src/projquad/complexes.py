@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BadDimension,
+    BadParameters,
     DanglingFacet,
     DuplicateVertexInCell,
     FacetCoverageError,
@@ -61,24 +62,26 @@ def _cell_violations(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: S
     count and the cells one dimension down; empty for a lawful cell.
 
     A d-cell has d+1 distinct, sorted, known vertices, the 0-cell at
-    position i sits on vertex i, and a d-cell with d >= 1 has d+1 distinct
-    existing facets whose vertex sets are exactly its d-subsets.
+    position i sits on vertex i and has no facets, and a d-cell with d >= 1
+    has d+1 distinct existing facets whose vertex sets are exactly its
+    d-subsets.
 
     An accept test runs first.  A 0-cell passes it when its vertices are
-    `(i,)` with 0 <= i < n_vertices.  A d-cell with d >= 1 passes it when
-    its d+1 vertices strictly increase inside [0, n_vertices), its d+1 facet
-    ids lie in range, and the sorted vertex tuples of its facets equal the
-    d+1 one-vertex deletions of its vertex tuple (`combinations(vs, d)`,
-    which lists them in sorted order).  Passing implies every rule: the
-    deletions are distinct, so the facets are too, and equal tuples are equal
-    vertex sets.  A cell that fails the test goes through `_rule_chain`,
-    which gives the verdict; a lawful cell can fail the test, say when a
-    cell below it lists its vertices unsorted.
+    `(i,)` with 0 <= i < n_vertices and its facets are `()`.  A d-cell with
+    d >= 1 passes it when its d+1 vertices strictly increase inside
+    [0, n_vertices), its d+1 facet ids lie in range, and the sorted vertex
+    tuples of its facets equal the d+1 one-vertex deletions of its vertex
+    tuple (`combinations(vs, d)`, which lists them in sorted order).
+    Passing implies every rule: the deletions are distinct, so the facets
+    are too, and equal tuples are equal vertex sets.  A cell that fails the
+    test goes through `_rule_chain`, which gives the verdict; a lawful cell
+    can fail the test, say when a cell below it lists its vertices
+    unsorted.
     """
     vs, fs = cell.vertices, cell.facets
     try:
         if d == 0:
-            if vs == (i,) and 0 <= i < n_vertices:
+            if vs == (i,) and fs == () and 0 <= i < n_vertices:
                 return ()
         elif (
             d > 0
@@ -116,6 +119,8 @@ def _rule_chain(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequen
     elif d == 0:
         if i != vs[0]:
             yield Violation("VertexCellMismatch", d, i, "0-cell id differs from vertex id")
+        if fs:
+            yield Violation("VertexArityMismatch", d, i, f"{len(fs)} facets")
     elif len(fs) != d + 1:
         yield Violation("VertexArityMismatch", d, i, f"{len(fs)} facets")
     elif len(set(fs)) != d + 1:
@@ -313,9 +318,10 @@ class Complex:
     def validate(self) -> ValidationReport:
         """Unique labels, one 0-cell per vertex, and the cell law on every
         cell.  The report is made once: a complex is immutable.  A complex
-        from `ComplexBuilder.build` starts with the builder's verdict, which
-        is this report (see `build`), and `_validate_by_pairs` can make it
-        from one cell of each antipodal pair."""
+        from `ComplexBuilder.build` or `symmetry.double` starts with the
+        verdict of the cells' making, which is this report (see there), and
+        `_validate_by_pairs` can make it from one cell of each antipodal
+        pair."""
         if self._report is None:
             self._report = ValidationReport.collect(self._violations())
         return self._report
@@ -364,8 +370,11 @@ class ComplexBuilder:
         self._coords: list[Optional[tuple[float, ...]]] = []
         self._cells: list[list[Cell]] = [[]]
         self._label_set: set[str] = set()
-        # Whether every cell so far has passed the cell law (see `build`).
+        # Whether every cell so far is lawful (see `build`).
         self._lawful = True
+        # Per vertex, the keys of the cells of dimension >= 1 on it, once
+        # `star` has made the index.
+        self._stars: Optional[list[list[CellKey]]] = None
 
     @classmethod
     def from_complex(cls, complex: Complex) -> "ComplexBuilder":
@@ -405,6 +414,8 @@ class ComplexBuilder:
         self._labels.append(label)
         self._coords.append(tuple(coords) if coords is not None else None)
         self._cells[0].append(Cell((v,), ()))
+        if self._stars is not None:
+            self._stars.append([])
         return v
 
     def add_cell(self, dim: int, vertices: Sequence[VertexId], facets: Sequence[int] = ()) -> int:
@@ -415,21 +426,101 @@ class ComplexBuilder:
         cell = Cell(tuple(sorted(vertices)), tuple(facets))
         for v in _cell_violations(dim, i, cell, self.n_vertices, lower):
             raise _BUILDER_ERRORS[v.code](f"{v.code} in new {dim}-cell: {v.detail}")
+        self._append(dim, [cell])
+        return i
+
+    def add_cone(
+        self, label: Optional[str], coords: Optional[Sequence[float]], cells: dict[int, Iterable[int]]
+    ) -> VertexId:
+        """Add a fresh apex vertex and the cone from it over `cells`, given
+        as {dim: ids} and closed under facets; returns the apex.
+
+        Dimensions are coned lowest first and each in id order.  The cone
+        over the 0-cell of vertex v is the 1-cell on v and the apex; the
+        cone over a d-cell with d >= 1 is the (d+1)-cell on its vertices and
+        the apex, whose facets are the cell and the cones over its facets.
+
+        No cone cell goes through the cell law, since the cone over a lawful
+        cell is lawful: the apex is the newest vertex, so it extends the
+        cell's sorted, distinct, known vertices to sorted, distinct, known
+        ones, and the cell with the cones over its d+1 facets realize the
+        d+2 one-vertex deletions, as the facets realize the cell's.  So a
+        lawful builder stays lawful, and an unlawful one still hands over no
+        verdict (see `build`).  Raises BadParameters and adds nothing when an
+        id names no cell or `cells` is not closed under facets.
+        """
+        apex = self.n_vertices
+        new: dict[int, list[Cell]] = {}
+        cone_of: dict[int, dict[int, int]] = {}
+        for d in sorted(cells):
+            ids = sorted(cells[d])
+            if not 0 <= d < len(self._cells) or ids and not (0 <= ids[0] and ids[-1] < len(self._cells[d])):
+                raise BadParameters(f"cone over {d}-cells that do not exist")
+            first = self.n_cells(d + 1)
+            cone_of[d] = {i: first + k for k, i in enumerate(ids)}
+            if d == 0:
+                new[1] = [Cell((v, apex), (v, apex)) for v in ids]
+                continue
+            below, layer = cone_of.get(d - 1, {}), self._cells[d]
+            try:
+                new[d + 1] = [Cell((*layer[i].vertices, apex), (i, *map(below.__getitem__, layer[i].facets))) for i in ids]
+            except KeyError as exc:
+                raise BadParameters(f"cone over {d}-cells whose facet {exc.args[0]} is not in the cone set") from None
+        self.add_vertex(label, coords)
+        for d, layer in new.items():
+            if layer:
+                self._append(d, layer)
+        return apex
+
+    def _append(self, dim: int, cells: list[Cell]) -> None:
+        """Append cells to layer `dim`, and to the star index when there is
+        one."""
         while len(self._cells) <= dim:
             self._cells.append([])
-        self._cells[dim].append(cell)
-        return i
+        layer = self._cells[dim]
+        if self._stars is not None:
+            self._index(dim, len(layer), cells)
+        layer.extend(cells)
+
+    def _index(self, dim: int, first: int, cells: Iterable[Cell]) -> None:
+        """Enter the d-cells numbered from `first` under their vertices."""
+        stars = self._stars
+        for i, cell in enumerate(cells, first):
+            key = (dim, i)
+            for v in cell.vertices:
+                stars[v].append(key)
+
+    def star(self, v: VertexId, within: set[VertexId]) -> list[CellKey]:
+        """The (dim, id) keys of the 0-cell of v, first, and of every other
+        cell on v whose vertices all lie in `within`.
+
+        The cells are found through a vertex-star index, which the first
+        call makes from the cells so far; later calls of `add_vertex`,
+        `add_cell` and `add_cone` extend it, so it lives as long as the
+        builder.  Raises BadParameters on a builder that is not lawful,
+        whose cells may name vertices that do not exist.
+        """
+        if self._stars is None:
+            if not self._lawful:
+                raise BadParameters("a star index needs a lawful builder")
+            self._stars = [[] for _ in range(self.n_vertices)]
+            for d in range(1, len(self._cells)):
+                self._index(d, 0, self._cells[d])
+        cells = self._cells
+        return [(0, v), *(key for key in self._stars[v] if within.issuperset(cells[key[0]][key[1]].vertices))]
 
     def build(self) -> Complex:
         """The complex, carrying an empty `validate()` report when every cell
-        has passed the cell law: from `from_complex` on a valid complex, or
-        a fresh builder, then `add_vertex` and `add_cell` only.
+        is lawful: from `from_complex` on a valid complex, or a fresh
+        builder, then `add_vertex`, `add_cell` and `add_cone` only.
 
         That report is what `validate()` would find.  Labels stay unique
-        (`fresh_label`), each vertex gets the 0-cell of its id, and
-        `add_cell` has judged each new cell with `_cell_violations` against
-        the vertex count and the layer below at the time.  Both only grow by
-        appending, so the verdict stands in the finished complex.
+        (`fresh_label`), each vertex gets the 0-cell of its id, `add_cell`
+        has judged each new cell with `_cell_violations` against the vertex
+        count and the layer below at the time, and `add_cone` adds only
+        cells that are lawful when its cone set is (see there).  All of
+        them only grow by appending, so the verdict stands in the finished
+        complex.
         """
         coords = self._coords if any(c is not None for c in self._coords) else None
         complex = Complex(self._cells, self._labels, coords)
@@ -553,11 +644,16 @@ def _layer_text(d: int, layer: Sequence[Cell]) -> str:
 def _cell_format(n_facets: int, n_vertices: int) -> str:
     """The canonical text of a cell in the cell list, led by its line break,
     with `%d` for its dim, facets, id and vertices in that order."""
+    facets, vertices = _ints_format(n_facets, "\n   "), _ints_format(n_vertices, "\n   ")
+    return '\n  {\n   "dim": %d,\n   "facets": ' + facets + ',\n   "id": %d,\n   "vertices": ' + vertices + "\n  }"
 
-    def ints(n: int) -> str:
-        return "[\n    " + ",\n    ".join(["%d"] * n) + "\n   ]" if n else "[]"
 
-    return '\n  {\n   "dim": %d,\n   "facets": ' + ints(n_facets) + ',\n   "id": %d,\n   "vertices": ' + ints(n_vertices) + "\n  }"
+@lru_cache(maxsize=None)
+def _ints_format(n: int, newline: str) -> str:
+    """The canonical text of a list of n ints whose enclosing line break is
+    `newline`, with `%d` for each int."""
+    inner = newline + " "
+    return "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]"
 
 
 def complex_from_json(obj: dict) -> Complex:
@@ -640,8 +736,14 @@ def _encode(o, newline: str) -> str:
         if not o:
             return "[]"
         inner = newline + " "
-        if {*map(type, o)} == {int}:
+        types = {*map(type, o)}
+        if types == {int}:
             items = map(int.__repr__, o)
+        elif types <= {list, tuple} and len({*map(len, o)}) == 1 and {*map(type, chain.from_iterable(o))} == {int}:
+            # Equal-length lists of ints, such as pair lists: one `%` each,
+            # since `%d` spells an int as json does.
+            fmt = _ints_format(len(o[0]), inner)
+            items = [fmt % tuple(x) for x in o]
         else:
             items = [_encode(x, inner) for x in o]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

@@ -4,8 +4,10 @@ Every constructor of a sphere runs the full sphere audit before returning,
 and raises VerificationFailed if anything fails.  A SphereQuad is therefore
 an audited sphere.  A BallQuad is checked when it is doubled, and only for
 what gluing reads (see `symmetry.double`): the theorem's hypotheses are
-about the sphere, its involution and its quotient, and the audit of the
-double judges every cell of the ball.  No constructor samples closed walks:
+about the sphere, its involution and its quotient, which the audit of the
+double judges.  Each cell is judged by the cell law once, when it is made:
+`complex-valid` of a built ball or sphere is the verdict it carries from
+its builder or from `double`.  No constructor samples closed walks:
 `walk-parity` is run by `verify_sphere_quadrangulation(..., n_walks=N)`, as
 `projquad verify` runs it on a stored bundle.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import cos, pi, sin
-from typing import Iterable, Optional
+from typing import Optional
 
 from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, ComplexBuilder, SimplicialBuilder, boundary_cells, face_closure
@@ -263,21 +265,6 @@ def double_to_sphere(ball: BallQuad) -> SphereQuad:
 
 # ---- suspension ----
 
-def _cone_over(builder: ComplexBuilder, apex: int, cone_set: dict[int, Iterable[int]]) -> None:
-    """Add the cone from `apex` over the listed cells, lowest dimension
-    first and each dimension in id order."""
-    cone_map: dict[tuple[int, int], int] = {}
-    for d in sorted(cone_set):
-        for i in sorted(cone_set[d]):
-            if d == 0:
-                new = builder.add_cell(1, (i, apex), (i, apex))
-            else:
-                cell = builder.cell(d, i)
-                facets = [i] + [cone_map[(d - 1, f)] for f in cell.facets]
-                new = builder.add_cell(d + 1, tuple(cell.vertices) + (apex,), facets)
-            cone_map[(d, i)] = new
-
-
 def _fresh_orbit_label(graph: Graph):
     ints = [v for v in graph.vertices if isinstance(v, int)]
     if len(ints) == len(graph.vertices):
@@ -295,16 +282,18 @@ def suspension(sq: SphereQuad) -> SphereQuad:
     over the sphere; the quotient graph gains a universal vertex under the
     next available label (`_fresh_orbit_label`).
 
-    The cone's apex is black and sits at the origin when the sphere has
-    coordinates, and the sphere's pairing is the cone's boundary involution.
-    `_doubled` then checks what gluing reads, mirrors the apex into a white
-    antipodal pole, lifts the coordinates one dimension up and runs the
-    sphere audit.  The cone itself gets no ball audit: the audit of its
-    double judges every cell."""
+    The cone (`ComplexBuilder.add_cone`) has a black apex at the origin
+    when the sphere has coordinates, and the sphere's pairing is its
+    boundary involution.  `_doubled` then checks what gluing reads, mirrors
+    the apex into a white antipodal pole, lifts the coordinates one
+    dimension up and runs the sphere audit.  The cone itself gets no ball
+    audit; it is lawful when the sphere is, and a sphere that breaks the
+    cell law leaves the cone without a verdict, so the gluing names it as
+    `complex-valid`."""
     T = sq.complex
     builder = ComplexBuilder.from_complex(T)
-    pole = builder.add_vertex("p", (0.0,) * len(T.coords(0)) if T.has_coords else None)
-    _cone_over(builder, pole, {d: range(T.n_cells(d)) for d in range(T.dim + 1)})
+    coords = (0.0,) * len(T.coords(0)) if T.has_coords else None
+    pole = builder.add_cone("p", coords, {d: range(T.n_cells(d)) for d in range(T.dim + 1)})
     label = _fresh_orbit_label(sq.graph)
     graph = sq.graph.copy()
     graph.add_vertex(label)
@@ -329,6 +318,11 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     the same round participate).  A final apex over the two innermost levels
     closes the ball.  Within each round the graph vertices are processed in
     label order.
+
+    Each star comes from the builder's vertex-star index
+    (`ComplexBuilder.star`), which every cone extends and which lives as
+    long as the lift's builder.  The cones go through `add_cone`, so the
+    ball carries its builder's verdict and no cell of it is judged again.
 
     Raises InputNotQuadrangulation when the sphere's report fails, or when
     its labels and colouring do not give each vertex of its graph exactly
@@ -365,21 +359,15 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     for i in range(r - 1, 0, -1):
         for g in order:
             vtop = vertex_of[(g, i + 2)]
-            star = [(0, vtop)]
-            for d in range(1, T.dim + 2):
-                for cid, c in enumerate(builder.cells_of(d)):
-                    if vtop in c.vertices and all(v in active for v in c.vertices):
-                        star.append((d, cid))
-            cone_set = face_closure(builder, star)
+            cone_set = face_closure(builder, builder.star(vtop, active))
             coords = None
             if has_coords:
                 scale = 1.0 - i / (r + 2)
                 coords = tuple(scale * t for t in pos[vtop])
-            vnew = builder.add_vertex(f"{g}^{i}", coords)
+            vnew = builder.add_cone(f"{g}^{i}", coords, cone_set)
             if has_coords:
                 pos[vnew] = coords
             (black if vtop in black else white).add(vnew)
-            _cone_over(builder, vnew, cone_set)
             active.add(vnew)
             active.discard(vtop)
             vertex_of[(g, i)] = vnew
@@ -395,9 +383,8 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
     z_coords = None
     if has_coords:
         z_coords = (0.0,) * len(pos[0])
-    z = builder.add_vertex("z", z_coords)
+    z = builder.add_cone("z", z_coords, face_closure(builder, core))
     (black if vertex_of[(order[0], 2)] in black else white).add(z)
-    _cone_over(builder, z, face_closure(builder, core))
     new_labels[z] = "z"
 
     ball = builder.build()

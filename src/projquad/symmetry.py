@@ -106,7 +106,7 @@ class Involution:
 
 def _pairs_to_json(pairing: dict[int, int]) -> list[list[int]]:
     """Each pair once, lower id first, in order."""
-    return [list(p) for p in sorted({(min(a, b), max(a, b)) for a, b in pairing.items()})]
+    return [list(p) for p in sorted({(a, b) if a < b else (b, a) for a, b in pairing.items()})]
 
 
 def _pairs_from_json(pairs: list, what: str) -> dict[int, int]:
@@ -355,13 +355,28 @@ def double(
     `colouring-antisymmetric`.  Raises BadParameters unless the involution
     has boundary scope, and VerificationFailed carrying the report when an
     entry fails.  The ball gets no shape, parity or identification check:
-    the sphere audit of the double judges every cell.
+    the sphere audit of the double makes them.
 
     `mirror[d][i]` is the partner in the double of the ball's d-cell i: its
     boundary partner, or the id of its copy, numbered after the ball's
     d-cells in the order of i.  A copy's vertices and facets are the mirror
     images of the original's, and the doubled involution is `mirror` made
     symmetric.
+
+    The double carries an empty `validate()` report, which is what a full
+    validation would find once the four entries pass.  Its labels are
+    unique (a copy's label gains stars until it is unused), and the 0-cell
+    copy of interior vertex v sits on the vertex `mirror[0][v]`, its own
+    id.  The ball's cells are lawful and keep their ids, and every layer
+    below only grows.  A copy is lawful by induction on d: `mirror[0]` is
+    injective, since the boundary pairing is a bijection of the boundary
+    vertices and the copies get fresh ids, so a copy has d+1 distinct,
+    sorted, known vertices; and the partner of each facet holds the image
+    of its vertices, a boundary partner by the involution check (the
+    boundary is closed under faces, so `mirror[0]` is the vertex pairing
+    on it) and a copy by construction.  So the d+1 distinct one-vertex
+    deletions of the original map to those of the copy.  `involution-valid`
+    of the double stays the sphere audit's own check.
     """
     if boundary_involution.scope != "boundary":
         raise BadParameters("doubling needs a boundary-scope involution")
@@ -432,5 +447,6 @@ def double(
     for partners in mirror:
         partners.update({j: i for i, j in partners.items()})
     doubled = Complex(layers, labels, coords)
+    doubled._report = ValidationReport()
     involution = Involution("full", mirror[0], dict(enumerate(mirror[1:], 1)))
     return doubled, involution, TwoColouring(frozenset(black), frozenset(white))

@@ -35,6 +35,20 @@ def has_triangle(graph: Graph) -> bool:
     return any(graph.neighbors(u) & graph.neighbors(w) for u, w in graph.edges())
 
 
+def _star_by_scan(builder: ComplexBuilder, vtop: int, active: set[int]) -> list[tuple[int, int]]:
+    """The (dim, id) keys of the 0-cell of vtop and of every cell on vtop
+    whose vertices are all active, in (dim, id) order, found by scanning
+    every cell of every dimension: the oracle of `ComplexBuilder.star`."""
+    star = [(0, vtop)]
+    d = 1
+    while builder.cells_of(d):
+        for cid, c in enumerate(builder.cells_of(d)):
+            if vtop in c.vertices and all(v in active for v in c.vertices):
+                star.append((d, cid))
+        d += 1
+    return star
+
+
 def facet_rows(complex: Complex, p: int) -> list[int]:
     """The rows of d_p, built here rather than by the library: row i is the
     mod-2 sum of the facets of p-cell i, as a bitmask over (p-1)-cell ids."""

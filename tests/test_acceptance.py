@@ -41,6 +41,7 @@ from projquad import (
     dump_complex,
     fineness_check,
     load_bundle,
+    mycielski_lift,
     mycielski_tower,
     odd_cycle_sphere,
     parity_audit,
@@ -63,7 +64,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import facet_rows, mycielski_graph, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
+from conftest import _star_by_scan, facet_rows, mycielski_graph, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -867,9 +868,9 @@ def test_write_bundle_peaks_at_most_three_times_its_complex_json(tmp_path, corpu
 
 def test_builders_hand_over_the_report_a_full_validation_gives(monkeypatch):
     # Every ball of the corpus comes from ComplexBuilder.build, as do the
-    # odd-cycle spheres; the report each carries into its gluing or its
-    # audit must be the one a fresh Complex over the same cells gets from
-    # validate().  A doubled sphere is made by Complex(...) and carries none.
+    # odd-cycle spheres, and every other sphere from symmetry.double; the
+    # report each carries into its gluing or its audit must be the one a
+    # fresh Complex over the same cells gets from validate().
     handed: dict[str, list] = {"double": [], "_finish_sphere": []}
     for step, seen in handed.items():
         original = getattr(constructions, step)
@@ -883,12 +884,58 @@ def test_builders_hand_over_the_report_a_full_validation_gives(monkeypatch):
         _run_build(build)
     balls, spheres = handed["double"], handed["_finish_sphere"]
     assert len(balls) == 18
-    assert all(report is not None for _, report in balls)
-    assert [report is not None for _, report in spheres] == [complex.dim == 1 for complex, _ in spheres]
     for complex, report in balls + spheres:
-        if report is not None:
-            cells = [complex.cells_of(d) for d in range(complex.dim + 1)]
-            assert report == Complex(cells, complex.labels).validate()
+        cells = [complex.cells_of(d) for d in range(complex.dim + 1)]
+        assert report is not None and report == Complex(cells, complex.labels).validate()
+
+
+def test_the_lift_finds_each_star_a_scan_finds(monkeypatch):
+    # Every round of every corpus lift, and of the r = 3 lifts of c5 and
+    # tower-4 (two rounds each, the second reading cones of the first),
+    # must find through the star index the cells a scan of every cell finds.
+    rounds: list[int] = []
+    star = ComplexBuilder.star
+
+    def scanned(builder, v, within):
+        found = star(builder, v, within)
+        assert sorted(found) == _star_by_scan(builder, v, within)
+        rounds.append(builder.n_vertices)
+        return found
+
+    monkeypatch.setattr(ComplexBuilder, "star", scanned)
+    for name, build in BUILDS.items():
+        if name.startswith(("tower", "schrijver")):
+            _run_build(build)
+    spheres = odd_cycle_sphere(2), mycielski_tower(4)
+    lifted = len(rounds)
+    assert lifted > 0
+    for sq in spheres:
+        mycielski_lift(sq, 3)
+    assert len(rounds) - lifted == 2 * (5 + 11)  # two rounds over each graph's vertices
+
+
+def test_builds_beyond_the_corpus_are_their_reference_bytes(tmp_path, capsys):
+    # Second lift rounds and suspension cones occur in no corpus build; these
+    # builds pin the sha256 of every file they write.
+    reference = json.loads((Path(__file__).parent / "pinned_builds.json").read_text(encoding="utf-8"))
+    c5, tower4 = str(tmp_path / "c5"), str(tmp_path / "tower-4")
+    builds = {
+        "c5": ["odd-cycle", "--k", "2"],
+        "tower-4": ["mycielski-lift", "--src", c5, "--r", "2"],
+        "c5-lift-3": ["mycielski-lift", "--src", c5, "--r", "3"],
+        "tower-4-lift-3": ["mycielski-lift", "--src", tower4, "--r", "3"],
+        "tower-4-suspend": ["suspend", "--src", tower4],
+        "complete-6-4": ["complete", "--t", "6", "--n", "4"],
+        "complete-7-3": ["complete", "--t", "7", "--n", "3"],
+        "cylinder-1": ["cylinder", "--r", "1"],
+    }
+    assert sorted(reference) == sorted(builds.keys() - {"c5", "tower-4"})
+    for name, argv in builds.items():
+        assert main(["build", *argv, "--out", str(tmp_path / name)]) == 0, name
+        capsys.readouterr()
+        if name in reference:
+            written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / name).iterdir()}
+            assert written == reference[name], name
 
 
 def test_criterion_8_deterministic_outputs(tmp_path_factory, corpus):

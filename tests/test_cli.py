@@ -486,6 +486,11 @@ def _move_the_upper_0_cell_7_onto_vertex_8(obj):
     next(c for c in obj["cells"] if (c["dim"], c["id"]) == (0, 7))["vertices"] = [8]
 
 
+def _give_0_cell_0_facet_3(obj):
+    # The cell law gives a 0-cell no facets
+    next(c for c in obj["cells"] if (c["dim"], c["id"]) == (0, 0))["facets"] = [3]
+
+
 def _true_as_coordinate(obj):
     obj["vertices"][0]["coords"][0] = True
 
@@ -786,6 +791,8 @@ TAMPERS = [
     ("c5", "graph.json", _drop_the_last_orbit_rep, "verify", 2, "orbit-reps-cover"),
     ("c5", "graph.json", _drop_the_last_orbit_rep, "chi", 0, "orbit-reps-cover"),
     ("c5", "complex.json", _move_the_upper_0_cell_7_onto_vertex_8, "verify", 2, "complex-valid"),
+    ("c5", "complex.json", _give_0_cell_0_facet_3, "verify", 2, "complex-valid"),
+    ("c5", "complex.json", _give_0_cell_0_facet_3, "homology", 2, "VertexArityMismatch"),
     ("c5", "complex.json", _true_as_coordinate, "verify", 65, None),
     ("c5", "complex.json", _string_as_coordinate, "verify", 65, None),
     ("c5", "complex.json", _ragged_coordinates, "verify", 65, None),

@@ -19,7 +19,9 @@ from projquad import (
     face_closure,
     verify_sphere_quadrangulation,
 )
+from projquad.validation import ValidationReport
 from projquad.errors import (
+    BadParameters,
     DanglingFacet,
     DuplicateVertexInCell,
     FacetCoverageError,
@@ -216,7 +218,10 @@ def test_from_complex_over_a_broken_cell_hands_over_no_report(octahedron, octahe
     last = layers[2][-1]
     layers[2][-1] = Cell(last.vertices, (last.facets[0],) * 3)
     broken = Complex(layers, octahedron.labels)
-    built = ComplexBuilder.from_complex(broken).build()
+    builder = ComplexBuilder.from_complex(broken)
+    with pytest.raises(BadParameters):  # its cells may name vertices that do not exist
+        builder.star(0, set())
+    built = builder.build()
     assert built._report is None
     colouring = TwoColouring(frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     labels = {v: v % 3 for v in range(6)}
@@ -227,6 +232,30 @@ def test_from_complex_over_a_broken_cell_hands_over_no_report(octahedron, octahe
     assert not entry.ok
     assert [v.code for v in entry.violations] == ["DuplicateFacet"]
     assert ComplexBuilder.from_complex(octahedron).build()._report == octahedron.validate()
+
+
+def test_the_cone_over_a_sphere_is_a_lawful_ball(octahedron):
+    b = ComplexBuilder.from_complex(octahedron)
+    apex = b.add_cone("o", (0.0, 0.0, 0.0), {d: range(octahedron.n_cells(d)) for d in range(3)})
+    cone = b.build()
+    assert apex == 6 and cone.coords(apex) == (0.0, 0.0, 0.0)
+    assert [cone.n_cells(d) for d in range(4)] == [7, 12 + 6, 8 + 12, 8]
+    # The cone over 2-cell 0 lists that cell, then the cones over its facets.
+    facets = octahedron.cell(2, 0).facets
+    assert cone.cell(3, 0) == Cell((*octahedron.cell(2, 0).vertices, apex), (0, *(8 + f for f in facets)))
+    assert cone._report == Complex([cone.cells_of(d) for d in range(4)], cone.labels).validate() == ValidationReport()
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [{2: [0]}, {0: [0], 1: [0]}, {0: [6]}, {0: [-1]}, {3: []}, {-1: []}],
+    ids=["no-faces", "a-facet-missing", "a-vertex-past-the-end", "a-negative-vertex", "a-dimension-past-the-top", "a-negative-dimension"],
+)
+def test_a_refused_cone_adds_nothing(octahedron, cells):
+    b = ComplexBuilder.from_complex(octahedron)
+    with pytest.raises(BadParameters):
+        b.add_cone("o", None, cells)
+    assert b.build() == octahedron
 
 
 def test_from_complex_on_a_complex_without_layers_can_add_a_vertex():

@@ -3,6 +3,8 @@ from dataclasses import replace
 import pytest
 
 from projquad import (
+    Cell,
+    Complex,
     HomologyCalculator,
     boundary_cells,
     complete_graph,
@@ -177,6 +179,32 @@ def test_suspension_refuses_a_sphere_whose_partners_are_swapped_at_the_gluing():
     with pytest.raises(VerificationFailed) as excinfo:
         suspension(replace(sq, involution=involution))
     assert excinfo.value.report.failing() == ["involution-valid"]
+    assert str(excinfo.value).startswith("cannot double:")
+
+
+def _give_0_cell_0_facet_3(complex):
+    cells = [list(complex.cells_of(d)) for d in range(complex.dim + 1)]
+    cells[0][0] = Cell((0,), (3,))
+    return cells
+
+
+def _give_edge_0_the_facets_of_edge_1(complex):
+    cells = [list(complex.cells_of(d)) for d in range(complex.dim + 1)]
+    cells[1][0] = Cell(cells[1][0].vertices, cells[1][1].facets)
+    return cells
+
+
+@pytest.mark.parametrize("tamper", [_give_0_cell_0_facet_3, _give_edge_0_the_facets_of_edge_1])
+def test_suspending_a_sphere_with_an_invalid_complex_fails_complex_valid(tamper):
+    # The cone of a suspension goes through no cell law, and the double
+    # carries the ball's verdict; neither may turn an unlawful sphere into a
+    # lawful-looking one.
+    sq = odd_cycle_sphere(2)
+    complex = Complex(tamper(sq.complex), sq.complex.labels, [sq.complex.coords(v) for v in sq.complex.vertex_ids()])
+    assert not complex.validate().ok
+    with pytest.raises(VerificationFailed) as excinfo:
+        suspension(replace(sq, complex=complex))
+    assert excinfo.value.report.failing() == ["complex-valid"]
     assert str(excinfo.value).startswith("cannot double:")
 
 

@@ -3,6 +3,7 @@
 import json
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from projquad import (
@@ -20,6 +21,7 @@ from projquad import (
     complex_to_json,
     dump_canonical,
     dump_complex,
+    face_closure,
     graph_from_json,
     graph_to_json,
     mycielskian,
@@ -31,7 +33,7 @@ from projquad.symmetry import Involution, antipodal_free_cells
 from projquad.errors import ProjquadError
 from projquad.graphs import label_key
 
-from conftest import facet_rows, has_triangle
+from conftest import _star_by_scan, facet_rows, has_triangle
 
 
 def naive_rank(rows: list[int], cols: int) -> int:
@@ -295,12 +297,36 @@ json_scalars = st.one_of(
     st.sampled_from([-0.0, 1e-300, 1e300, 5e-324, float("nan"), float("inf"), -float("inf")]),
     json_strings,
 )
+
+
+class IntSubclass(int):
+    """An int that is not of type int, which json's encoder refuses."""
+
+
+@st.composite
+def int_rows(draw):
+    """A list of equal-length lists or tuples of ints, as a pair list is,
+    perhaps with one row of another length, or one value that is a bool or
+    an int subclass."""
+    n = draw(st.integers(0, 3))
+    row = st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(row, row.map(tuple)), max_size=4))
+    change = draw(st.sampled_from(["none", "none", "length", "odd value"]))
+    if rows and change == "length":
+        rows.insert(draw(st.integers(0, len(rows))), [0] * draw(st.integers(0, 3)))
+    elif rows and n and change == "odd value":
+        k, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+        rows[k] = [*rows[k][:j], draw(st.sampled_from([True, False, IntSubclass(3)])), *rows[k][j + 1 :]]
+    return rows
+
+
 json_values = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(st.integers(-(2**70), 2**70), max_size=5),
+        int_rows(),
         st.dictionaries(json_strings, children, max_size=4),
     ),
     max_leaves=20,
@@ -316,14 +342,23 @@ def deeply_nested(draw):
     return value
 
 
+def _holds_an_int_subclass(value) -> bool:
+    if isinstance(value, dict):
+        return any(map(_holds_an_int_subclass, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_an_int_subclass, value))
+    return type(value) is IntSubclass
+
+
 @settings(deadline=None)
-@given(st.one_of(json_values, deeply_nested()))
+@given(st.one_of(json_values, deeply_nested(), int_rows()))
 def test_dump_canonical_is_the_json_module_text(value):
-    assert dump_canonical(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
-
-
-class IntSubclass(int):
-    """An int that is not of type int, which json's encoder refuses."""
+    # dump_canonical refuses an int subclass, which json writes as an int.
+    if _holds_an_int_subclass(value):
+        with pytest.raises(TypeError):
+            dump_canonical(value)
+    else:
+        assert dump_canonical(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
 
 
 cell_ints = st.one_of(st.integers(-2, 7), st.integers(-(2**80), 2**80))
@@ -375,34 +410,66 @@ def test_dump_complex_is_the_reference_text(complex):
 
 
 @st.composite
-def built_complexes(draw):
-    """A builder's complex, from a fresh builder or from `from_complex` on a
-    complex that may break the cell law, after random `add_vertex` and
-    `add_cell` calls (a call the builder refuses adds nothing)."""
+def builders(draw):
+    """A builder, fresh or from `from_complex` on a complex that may break
+    the cell law, after random `add_vertex`, `add_cell` and `add_cone`
+    calls (a call the builder refuses adds nothing), with its source.  A
+    cone is over the face closure of a few cells, or over a set drawn
+    freely.  A lawful builder may make its star index before the calls,
+    which then extend it."""
     source = draw(st.one_of(st.none(), random_complexes(max_dim=3), raw_complexes()))
     b = ComplexBuilder() if source is None else ComplexBuilder.from_complex(source)
+    if b.n_vertices and (source is None or source.validate().ok) and draw(st.booleans()):
+        b.star(0, set())
     for _ in range(draw(st.integers(0, 4))):
         b.add_vertex(draw(st.one_of(st.none(), st.sampled_from(["w0", "w1", "x"]))))
     for _ in range(draw(st.integers(0, 10))):
         dim = draw(st.integers(1, 3))
-        vertices = draw(st.lists(st.integers(-1, b.n_vertices), max_size=4))
-        facets = draw(st.lists(st.integers(-1, b.n_cells(dim - 1)), max_size=4))
+        if draw(st.integers(0, 3)):
+            vertices = draw(st.lists(st.integers(-1, b.n_vertices), max_size=4))
+            facets = draw(st.lists(st.integers(-1, b.n_cells(dim - 1)), max_size=4))
+            try:
+                b.add_cell(dim, vertices, facets)
+            except ProjquadError:
+                pass
+            continue
+        d = dim - 1
+        ids = draw(st.lists(st.integers(-1, b.n_cells(d)), max_size=3))
+        cells: dict = {d: ids, **draw(st.dictionaries(st.integers(-1, 3), st.lists(st.integers(-1, 4), max_size=3), max_size=2))}
+        if draw(st.booleans()):
+            try:
+                cells = face_closure(b, [(d, i) for i in ids])
+            except (IndexError, TypeError):  # a cell or facet id that names no cell
+                pass
         try:
-            b.add_cell(dim, vertices, facets)
+            b.add_cone(draw(st.one_of(st.none(), st.just("w0"))), None, cells)
         except ProjquadError:
             pass
-    return source, b.build()
+    return source, b
 
 
 @settings(deadline=None, max_examples=200)
-@given(built_complexes())
+@given(builders())
 def test_a_builder_hands_over_the_report_a_full_validation_gives(built):
-    source, complex = built
+    source, builder = built
+    complex = builder.build()
     handed = complex._report
     fresh = Complex([complex.cells_of(d) for d in range(complex.dim + 1)], complex.labels).validate()
     assert (handed is not None) == (source is None or source.validate().ok)
     assert handed is None or handed == fresh
     assert complex.validate() == fresh
+
+
+@settings(deadline=None, max_examples=100)
+@given(builders(), st.data())
+def test_the_star_index_finds_the_stars_a_scan_finds(built, data):
+    source, builder = built
+    if not (source is None or source.validate().ok):
+        return
+    within = data.draw(st.sets(st.integers(0, builder.n_vertices)))
+    for v in range(builder.n_vertices):
+        for among in (within, set(range(builder.n_vertices))):
+            assert sorted(builder.star(v, among)) == _star_by_scan(builder, v, among)
 
 
 @st.composite
