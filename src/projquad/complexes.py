@@ -7,9 +7,10 @@ immutable once built, so its `validate()` report is kept once made.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
 from operator import attrgetter, itemgetter, lt
@@ -644,16 +645,17 @@ def _layer_text(d: int, layer: Sequence[Cell]) -> str:
 def _cell_format(n_facets: int, n_vertices: int) -> str:
     """The canonical text of a cell in the cell list, led by its line break,
     with `%d` for its dim, facets, id and vertices in that order."""
-    facets, vertices = _ints_format(n_facets, "\n   "), _ints_format(n_vertices, "\n   ")
+    facets, vertices = _list_format(n_facets, "\n   "), _list_format(n_vertices, "\n   ")
     return '\n  {\n   "dim": %d,\n   "facets": ' + facets + ',\n   "id": %d,\n   "vertices": ' + vertices + "\n  }"
 
 
 @lru_cache(maxsize=None)
-def _ints_format(n: int, newline: str) -> str:
-    """The canonical text of a list of n ints whose enclosing line break is
-    `newline`, with `%d` for each int."""
+def _list_format(n: int, newline: str, spec: str = "%d") -> str:
+    """The canonical text of a list of n items whose enclosing line break is
+    `newline`, with `spec` for each item: `%d` for an int, or `%s` for the
+    text of an item encoded under the list's inner line break."""
     inner = newline + " "
-    return "[" + inner + ("," + inner).join(["%d"] * n) + newline + "]" if n else "[]"
+    return "[" + inner + ("," + inner).join([spec] * n) + newline + "]" if n else "[]"
 
 
 def complex_from_json(obj: dict) -> Complex:
@@ -718,6 +720,14 @@ def dump_canonical(obj) -> str:
     join `dump_complex` gives this function's text of `complex_to_json(c)`
     without the dicts (for cells of int ids) and is tested against it.
 
+    A list of equal-length lists, such as a pair list or an edge list, is
+    one `%` on a format made for the whole list: `%d` for each int when
+    every item is an int, and `%s` for each item's text otherwise.  In the
+    `%s` case each distinct item is encoded once, through a table that
+    lives for that one list and is keyed by the item's `marshal` bytes,
+    which tell apart values that compare equal but are written apart (1,
+    1.0 and True; an int and an int subclass, which marshal refuses).
+
     Values must be of type str, int, float, bool, None, list, tuple or dict
     (subclasses are not accepted) and dict keys must be str; anything else
     raises TypeError.  Floats keep json's `NaN` and `±Infinity`.  Cycles are
@@ -736,17 +746,33 @@ def _encode(o, newline: str) -> str:
         if not o:
             return "[]"
         inner = newline + " "
+        sep = "," + inner
         types = {*map(type, o)}
         if types == {int}:
             items = map(int.__repr__, o)
-        elif types <= {list, tuple} and len({*map(len, o)}) == 1 and {*map(type, chain.from_iterable(o))} == {int}:
-            # Equal-length lists of ints, such as pair lists: one `%` each,
-            # since `%d` spells an int as json does.
-            fmt = _ints_format(len(o[0]), inner)
-            items = [fmt % tuple(x) for x in o]
+        elif types <= {list, tuple} and len({*map(len, o)}) == 1:
+            # Equal-length rows, such as pair lists and edge lists: one `%`
+            # for the whole list.  `%d` spells an int as json does; any
+            # other item is `%s` of its own text.
+            cells = tuple(chain.from_iterable(o))
+            if {*map(type, cells)} == {int}:
+                row = _list_format(len(o[0]), inner)
+            else:
+                # Each distinct item, such as a label of an edge list, is
+                # encoded once per list.  marshal writes only values of the
+                # exact types (it refuses a subclass), so equal bytes are
+                # equal values of the same types, which have the same text.
+                row_inner = inner + " "
+                try:
+                    keys = [*map(marshal.dumps, cells, repeat(2))]
+                except ValueError:  # an item _encode refuses, or one nested too deeply
+                    keys = range(len(cells))
+                texts = {k: _encode(x, row_inner) for k, x in dict(zip(keys, cells)).items()}
+                row, cells = _list_format(len(o[0]), inner, "%s"), tuple(map(texts.__getitem__, keys))
+            return ("[" + inner + sep.join([row] * len(o)) + newline + "]") % cells
         else:
             items = [_encode(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return "[" + inner + sep.join(items) + newline + "]"
     if t is dict:
         if not o:
             return "{}"

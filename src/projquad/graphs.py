@@ -6,7 +6,8 @@ total order across the three types so listings stay deterministic.
 
 from __future__ import annotations
 
-from itertools import combinations
+from bisect import bisect_right
+from itertools import combinations, repeat
 from typing import Callable, Dict, Iterable, Iterator, Union
 
 from .errors import BadParameters, ParseError, UnknownVertex
@@ -83,12 +84,20 @@ class Graph:
         return frozenset(self._adj[v])
 
     def edges(self) -> tuple[tuple[Label, Label], ...]:
-        key = {v: label_key(v) for v in self._adj}
-        seen = set()
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                seen.add((u, v) if key[u] < key[v] else (v, u))
-        return tuple(sorted(seen, key=lambda e: (key[e[0]], key[e[1]])))
+        """Each edge once, as (u, v) with u before v in `label_key` order,
+        sorted by u and then by v in that order.
+
+        `label_key` is a total order on distinct labels, so each vertex gets
+        its integer rank in it, and the nested key tuples are compared only
+        by the one sort of the vertices: each vertex's later neighbours are
+        its sorted neighbour ranks above its own, cut off by `bisect`."""
+        order = self.sorted_vertices()
+        rank = {v: i for i, v in enumerate(order)}
+        out: list[tuple[Label, Label]] = []
+        for i, u in enumerate(order):
+            ranks = sorted(map(rank.__getitem__, self._adj[u]))
+            out.extend(zip(repeat(u), map(order.__getitem__, ranks[bisect_right(ranks, i) :])))
+        return tuple(out)
 
     def sorted_vertices(self) -> tuple[Label, ...]:
         return tuple(sorted(self._adj, key=label_key))
@@ -256,6 +265,11 @@ def _label_inside(obj, depth: int) -> Label:
 
 
 def graph_to_json(graph: Graph) -> dict:
+    """`{"vertices": [...], "edges": [[u, v], ...]}`: each label's JSON
+    value in vertex order, and each edge of `Graph.edges` as a pair of
+    them.  Every label value is a fresh object, so no two entries share a
+    list; `dump_canonical` encodes each distinct label of the edge list
+    once."""
     return {
         "vertices": [_label_to_json(v) for v in graph.vertices],
         "edges": [[_label_to_json(u), _label_to_json(v)] for u, v in graph.edges()],

@@ -105,8 +105,10 @@ class Involution:
 
 
 def _pairs_to_json(pairing: dict[int, int]) -> list[list[int]]:
-    """Each pair once, lower id first, in order."""
-    return [list(p) for p in sorted({(a, b) if a < b else (b, a) for a, b in pairing.items()})]
+    """Each pair once, lower id first, in order.  The pairs are made unique
+    by a dict, not a set, so the sort meets them in the pairing's own order,
+    which for a built involution is mostly sorted already."""
+    return [*map(list, sorted({((a, b) if a < b else (b, a)): None for a, b in pairing.items()}))]
 
 
 def _pairs_from_json(pairs: list, what: str) -> dict[int, int]:

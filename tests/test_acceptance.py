@@ -914,9 +914,26 @@ def test_the_lift_finds_each_star_a_scan_finds(monkeypatch):
     assert len(rounds) - lifted == 2 * (5 + 11)  # two rounds over each graph's vertices
 
 
+# `chi` of the tower-4 suspension, whose labels are tuples, "z" and
+# "pole-0": the text json writes for this object is its reference stdout.
+TOWER_4_SUSPEND_CHI = {
+    "chi": 5,
+    "clique": ["pole-0", "z", [0, 1]],
+    "colouring": [
+        ["pole-0", 0], ["z", 1], [[0, 1], 2], [[0, 2], 2], [[1, 1], 3], [[1, 2], 1],
+        [[2, 1], 2], [[2, 2], 2], [[3, 1], 3], [[3, 2], 3], [[4, 1], 4], [[4, 2], 1],
+    ],
+    "exhausted": False,
+    "nodes": 0,
+    "proof": "topological",
+}
+
+
 def test_builds_beyond_the_corpus_are_their_reference_bytes(tmp_path, capsys):
-    # Second lift rounds and suspension cones occur in no corpus build; these
-    # builds pin the sha256 of every file they write.
+    # Second lift rounds and suspension cones occur in no corpus build, and
+    # the Schrijver builds beyond the corpus write label-heavy graph and
+    # homomorphism files; these builds pin the sha256 of every file they
+    # write, and the suspension pins its `chi` stdout.
     reference = json.loads((Path(__file__).parent / "pinned_builds.json").read_text(encoding="utf-8"))
     c5, tower4 = str(tmp_path / "c5"), str(tmp_path / "tower-4")
     builds = {
@@ -928,6 +945,8 @@ def test_builds_beyond_the_corpus_are_their_reference_bytes(tmp_path, capsys):
         "complete-6-4": ["complete", "--t", "6", "--n", "4"],
         "complete-7-3": ["complete", "--t", "7", "--n", "3"],
         "cylinder-1": ["cylinder", "--r", "1"],
+        "schrijver-7-3": ["schrijver", "--n", "7", "--k", "3"],
+        "schrijver-10-4": ["schrijver", "--n", "10", "--k", "4"],
     }
     assert sorted(reference) == sorted(builds.keys() - {"c5", "tower-4"})
     for name, argv in builds.items():
@@ -936,6 +955,8 @@ def test_builds_beyond_the_corpus_are_their_reference_bytes(tmp_path, capsys):
         if name in reference:
             written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / name).iterdir()}
             assert written == reference[name], name
+    assert main(["chi", str(tmp_path / "tower-4-suspend")]) == 0
+    assert capsys.readouterr().out == json.dumps(TOWER_4_SUSPEND_CHI, sort_keys=True, indent=1) + "\n"
 
 
 def test_criterion_8_deterministic_outputs(tmp_path_factory, corpus):
