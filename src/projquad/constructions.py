@@ -234,33 +234,20 @@ def cylinder_complete(r: int) -> BallQuad:
 
 # ---- doubling a ball into a sphere ----
 
-def _doubled(ball: Complex, involution: Involution, colouring: TwoColouring, labels: dict, graph: Graph, what: str) -> SphereQuad:
-    """The double of a ball (`symmetry.double`, which checks what gluing
-    reads), each mirrored vertex labelled as its original, with the full
-    sphere audit against `graph`."""
-    complex, doubled_involution, doubled_colouring = double(ball, involution, colouring)
-    labels = dict(labels)
-    for v in ball.vertex_ids():
-        w = doubled_involution.vertex_pairing[v]
-        if w >= ball.n_vertices:
-            labels[w] = labels[v]
-    return _finish_sphere(
-        complex,
-        doubled_involution,
-        doubled_colouring,
-        labels,
-        expected_graph=graph,
-        what=what,
-    )
-
-
 def double_to_sphere(ball: BallQuad) -> SphereQuad:
-    """Glue a mirrored copy onto the ball and audit the sphere against the
+    """Glue a mirrored copy onto the ball (`symmetry.double`), label each
+    mirrored vertex as its original, and audit the sphere against the
     ball's expected graph.
 
     Raises VerificationFailed when the ball fails a check that gluing reads
     (see `symmetry.double`) or the sphere fails its audit."""
-    return _doubled(ball.complex, ball.involution, ball.colouring, ball.labels, ball.graph, "doubled ball")
+    complex, involution, colouring = double(ball.complex, ball.involution, ball.colouring)
+    labels = dict(ball.labels)
+    for v in ball.complex.vertex_ids():
+        w = involution.vertex_pairing[v]
+        if w >= ball.complex.n_vertices:
+            labels[w] = labels[v]
+    return _finish_sphere(complex, involution, colouring, labels, expected_graph=ball.graph, what="doubled ball")
 
 
 # ---- suspension ----
@@ -284,8 +271,8 @@ def suspension(sq: SphereQuad) -> SphereQuad:
 
     The cone (`ComplexBuilder.add_cone`) has a black apex at the origin
     when the sphere has coordinates, and the sphere's pairing is its
-    boundary involution.  `_doubled` then checks what gluing reads, mirrors
-    the apex into a white antipodal pole, lifts the coordinates one
+    boundary involution.  `double_to_sphere` then checks what gluing reads,
+    mirrors the apex into a white antipodal pole, lifts the coordinates one
     dimension up and runs the sphere audit.  The cone itself gets no ball
     audit; it is lawful when the sphere is, and a sphere that breaks the
     cell law leaves the cone without a verdict, so the gluing names it as
@@ -302,7 +289,7 @@ def suspension(sq: SphereQuad) -> SphereQuad:
     # The sphere is the cone's boundary, so its pairing has boundary scope.
     involution = replace(sq.involution, scope="boundary")
     colouring = TwoColouring(sq.colouring.black | {pole}, sq.colouring.white)
-    return _doubled(builder.build(), involution, colouring, {**sq.labels, pole: label}, graph, "suspension")
+    return double_to_sphere(BallQuad(builder.build(), involution, colouring, {**sq.labels, pole: label}, graph))
 
 
 # ---- the level-cone lift of a sphere into a ball one dimension up ----

@@ -172,6 +172,29 @@ def two_disjoint_copies(complex, involution, colouring):
     return twice, pair, TwoColouring(black=frozenset(black), white=frozenset(white))
 
 
+def cube_over_k4():
+    """The cube graph Q3 as a 1-dimensional complex: the ids 0..7, an edge
+    between ids at Hamming distance 1, the involution v -> v ^ 7, the
+    even-weight ids black, and the orbit of v labelled min(v, v ^ 7).  It is
+    a double cover of K4 with extra H_1 (b_1 = 5): every entry up to
+    `colouring-antisymmetric` passes, and so does `boundary-operator`, while
+    `sphere` and `quotient-homology` fail.  Returns the complex, the
+    involution, the colouring and the labels."""
+    sb = SimplicialBuilder()
+    for _ in range(8):
+        sb.add_vertex()
+    for v in range(8):
+        for bit in (1, 2, 4):
+            if v < v ^ bit:
+                sb.add_simplex((v, v ^ bit))
+    complex = sb.build()
+    flip = {v: v ^ 7 for v in range(8)}
+    edges = {i: sb.id_of(flip[v] for v in complex.cell(1, i).vertices) for i in range(complex.n_cells(1))}
+    even = frozenset(v for v in range(8) if bin(v).count("1") % 2 == 0)
+    colouring = TwoColouring(black=even, white=frozenset(range(8)) - even)
+    return complex, Involution("full", flip, {1: edges}), colouring, {v: min(v, v ^ 7) for v in range(8)}
+
+
 def projected_quotient(complex, involution, colouring):
     """The quotient, the projection and the selected quotient 1-cells, as
     `quotient` projects them: the audit returns only the identified graph,

@@ -64,7 +64,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import _star_by_scan, facet_rows, mycielski_graph, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
+from conftest import _star_by_scan, cube_over_k4, facet_rows, mycielski_graph, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -494,6 +494,22 @@ def test_walk_parity_fails_on_inconsistent_walks(corpus):
             assert walk_parity_is_its_recount(
                 report, sq.complex, sq.involution, colouring, n_walks=100, seed=0
             ), (name, flipped)
+
+
+def test_walk_parity_without_the_sphere_is_solved_on_the_quotient():
+    # Q3 over K4 is antisymmetrically coloured and its boundary operator
+    # holds, but it is no sphere: the walk lemma does not apply, the walks
+    # are solved on K4, whose H_1 is Z2^3, and some are inconsistent.
+    complex, involution, colouring, labels = cube_over_k4()
+    report, graph = verify_sphere_quadrangulation(
+        complex, involution, colouring, labels=labels, expected_graph=complete_graph(4), n_walks=100, seed=0
+    )
+    assert graph == complete_graph(4)
+    assert report.entry("colouring-antisymmetric").ok and report.entry("boundary-operator").ok
+    assert report.failing() == ["sphere", "quotient-homology", "walk-parity"]
+    assert {v.code for v in report.entry("sphere").violations} == {"BadCofacetCount"}
+    assert report.entry("walk-parity").info == {"sampled": 100}
+    assert walk_parity_is_its_recount(report, complex, involution, colouring, n_walks=100, seed=0)
 
 
 def test_quotient_parity_without_antisymmetry_is_the_parity_check(corpus):

@@ -5,6 +5,7 @@ import pytest
 from projquad import (
     Cell,
     Complex,
+    Graph,
     HomologyCalculator,
     boundary_cells,
     complete_graph,
@@ -180,6 +181,16 @@ def test_suspension_refuses_a_sphere_whose_partners_are_swapped_at_the_gluing():
         suspension(replace(sq, involution=involution))
     assert excinfo.value.report.failing() == ["involution-valid"]
     assert str(excinfo.value).startswith("cannot double:")
+
+
+def test_a_suspension_whose_double_fails_its_audit_names_the_doubled_ball():
+    # A graph short of one edge glues, but the double's identified graph is
+    # not the expected one: `double_to_sphere` names the failing audit.
+    sq = odd_cycle_sphere(2)
+    with pytest.raises(VerificationFailed) as excinfo:
+        suspension(replace(sq, graph=Graph(sq.graph.vertices, sq.graph.edges()[1:])))
+    assert excinfo.value.report.failing() == ["graph-matches-expected"]
+    assert str(excinfo.value) == "doubled ball: failing audits: graph-matches-expected"
 
 
 def _give_0_cell_0_facet_3(complex):
