@@ -19,6 +19,15 @@ MAX_LABEL_DEPTH = 64
 
 def label_key(label: Label):
     """Sort key usable across int/str/tuple labels (tuples recurse)."""
+    # The exact types first; the isinstance chain keys their subclasses and
+    # refuses bool, an int subclass.
+    cls = type(label)
+    if cls is int:
+        return (0, label)
+    if cls is str:
+        return (1, label)
+    if cls is tuple:
+        return (2, tuple(map(label_key, label)))
     if isinstance(label, bool):
         raise BadParameters("bool is not a vertex label")
     if isinstance(label, int):

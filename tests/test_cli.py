@@ -1,9 +1,11 @@
 import argparse
+import gc
 import json
 import os
 import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import projquad
-from projquad import bundles, constructions
+from projquad import bundles, cli, constructions
 from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
@@ -996,6 +998,119 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     assert [code for code, _, _ in in_one] == [64, 0, 64]
     assert in_one == [_run_in_a_child("-m", "projquad.cli", *argv) for argv in calls]
     assert _build_parser() is _build_parser()
+
+
+# One row of TAMPERS for each exit code the table pins: 0, 2 (the walk
+# solver's path) and 65 (a label nested past the depth limit).
+ACYCLIC_TAMPERS = [
+    row for row in TAMPERS if row[2] in (_reverse_the_cells, _colour_every_vertex_black, _nest_a_label_900_lists_deep)
+]
+
+
+def _exits_and_cyclic_garbage(capsys, argvs) -> list:
+    """Run `main` on each argv with the collector off; returns the exit code
+    of each and the number of unreachable objects it left behind.  Nothing
+    but `main` runs between two full collections."""
+    seen = []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in argvs:
+            code = main(argv)
+            seen.append((code, gc.collect()))
+    finally:
+        if collecting:
+            gc.enable()
+    capsys.readouterr()
+    return seen
+
+
+def test_no_command_leaves_cyclic_garbage(tmp_path, capsys):
+    # `main` pauses the cyclic collector while a command runs. That holds no
+    # memory only while reference counting frees all a command makes, so with
+    # the collector off, a full collection after each command finds nothing.
+    _build_parser()  # argparse's formatter makes cycles once, as the parser is built
+    dirs = {name: tmp_path / name for name in ("c5", "tower-4", "cylinder-3", "schrijver-6-2")}
+    argvs = [
+        ["build", "odd-cycle", "--k", "2", "--out", str(dirs["c5"])],
+        ["build", "mycielski-lift", "--src", str(dirs["c5"]), "--r", "2", "--out", str(dirs["tower-4"])],
+        ["build", "cylinder", "--r", "3", "--out", str(dirs["cylinder-3"])],
+        ["build", "schrijver", "--n", "6", "--k", "2", "--out", str(dirs["schrijver-6-2"])],
+    ]
+    for out in map(str, dirs.values()):
+        argvs += [["verify", out, "--walks", "100"], ["chi", out], ["homology", out], ["hom-check", out]]
+        argvs.append(["export", out, "--format", "dimacs"])
+    seen = _exits_and_cyclic_garbage(capsys, argvs)
+    assert [code for code, _ in seen[:4]] == [0, 0, 0, 0]
+    tampered = []
+    for bundle, fname, change, command, _, _ in ACYCLIC_TAMPERS:
+        out = tmp_path / f"{command}-{change.__name__.lstrip('_')}"
+        shutil.copytree(dirs[bundle], out)
+        _tamper(out / fname, change)
+        tampered.append([command, str(out)])
+    seen_tampered = _exits_and_cyclic_garbage(capsys, tampered)
+    assert [code for code, _ in seen_tampered] == [row[4] for row in ACYCLIC_TAMPERS]
+    left = {" ".join(argv): n for argv, (_, n) in zip(argvs + tampered, seen + seen_tampered) if n}
+    assert left == {}
+
+
+def _exit_of(argv):
+    """`main`'s exit code, also when it raises SystemExit; the name of a
+    KeyboardInterrupt that escapes it."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+    except KeyboardInterrupt:
+        return "KeyboardInterrupt"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting):
+    c5 = _build(tmp_path, capsys, SOURCES["c5"])
+    failing, malformed, taken = tmp_path / "failing", tmp_path / "malformed", tmp_path / "taken"
+    shutil.copytree(c5, failing)
+    _tamper(failing / "colouring.json", _colour_every_vertex_black)
+    shutil.copytree(c5, malformed)
+    _tamper(malformed / "colouring.json", _colour_a_vertex_twice)
+    taken.write_text("")
+
+    running = []  # the collector's state as each patched builder runs
+
+    def out_of_memory(*args):
+        running.append(gc.isenabled())
+        raise MemoryError
+
+    def interrupted(*args):
+        running.append(gc.isenabled())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "complete_graph_pipeline", out_of_memory)
+    monkeypatch.setattr(cli, "schrijver_pipeline", interrupted)
+    # argv, and the exit code or the exception that leaves main
+    cases = [
+        (["verify", str(c5)], 0),
+        (["verify", str(failing)], 2),
+        (["build", "cylinder", "--r", "0", "--out", str(tmp_path / "r0")], 64),
+        (["build", "cylinder"], 64),  # argparse's SystemExit
+        (["verify", str(malformed)], 65),
+        (["chi", str(c5 / "graph.json"), "--max-nodes", "0"], 70),
+        (["build", "complete", "--t", "3", "--n", "1", "--out", str(tmp_path / "k3")], 71),
+        (["build", "odd-cycle", "--k", "2", "--out", str(taken)], 73),
+        (["build", "schrijver", "--n", "6", "--k", "2", "--out", str(tmp_path / "sg")], "KeyboardInterrupt"),
+    ]
+    seen = []
+    was = gc.isenabled()
+    try:
+        for argv, _ in cases:
+            (gc.enable if collecting else gc.disable)()
+            seen.append((_exit_of(argv), gc.isenabled()))
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [(code, collecting) for _, code in cases]
+    assert running == [False, False]  # a command runs with the collector paused
 
 
 # Runs the CLI on its arguments once it has capped its own address space

@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -145,6 +146,22 @@ def test_label_key_orders_mixed_types():
     labels = ["z", 3, (1, 2), 0, ("a", 1)]
     ordered = sorted(labels, key=label_key)
     assert set(ordered[:2]) == {0, 3}
+
+
+def test_label_key_keys_a_subclass_as_its_base_type_and_refuses_bool():
+    class Id(int):
+        pass
+
+    class Name(str):
+        pass
+
+    Pair = namedtuple("Pair", "a b")
+    assert label_key(Id(3)) == label_key(3) == (0, 3)
+    assert label_key(Name("a")) == label_key("a") == (1, "a")
+    assert label_key(Pair(Id(1), ("x", 2))) == label_key((1, ("x", 2))) == (2, ((0, 1), (2, ((1, "x"), (0, 2)))))
+    for label in (True, (1, False), Pair(0, True), 1.5, [1], None):
+        with pytest.raises(BadParameters):
+            label_key(label)
 
 
 def test_graph_json_round_trip():
