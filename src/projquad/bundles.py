@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 from typing import Optional, Union
 
@@ -19,8 +18,8 @@ from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, _complex_texts, complex_from_json, dump_canonical
 from .constructions import SphereQuad, _verified
 from .errors import ParseError
-from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key, schrijver_graph
-from .homomorphisms import Homomorphism, homomorphism_from_json, homomorphism_to_json, verify_homomorphism
+from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key
+from .homomorphisms import Homomorphism, homomorphism_entries, homomorphism_from_json, homomorphism_to_json
 from .symmetry import Involution, TwoColouring
 from .validation import AuditEntry, AuditReport, Violation
 
@@ -180,46 +179,6 @@ def _report_consistent(stored: list, rerun: AuditReport) -> AuditEntry:
     return AuditEntry("report-consistent", False, (Violation(code="StoredReportMismatch", detail=detail),))
 
 
-def _is_schrijver_target(target: Graph, dim: int) -> bool:
-    """Whether a stored homomorphism's target is SG(n, k), the stable Kneser
-    graph that a Schrijver sphere of dimension `dim` = n - 2k maps into.  k
-    is the one length of the target's labels, which must be tuples of ints
-    with k >= 1.  The vertex count n/(n-k) * C(n-k, k) is compared before
-    SG(n, k) is built, so a tampered target cannot make the check build a
-    graph larger than itself."""
-    sizes = {len(v) if isinstance(v, tuple) and all(type(x) is int for x in v) else 0 for v in target.vertices}
-    k = sizes.pop() if len(sizes) == 1 else 0
-    n = dim + 2 * k
-    return (
-        k >= 1
-        and dim >= 0
-        and target.n == comb(n - k, k) + comb(n - k - 1, k - 1)
-        and target == schrijver_graph(n, k)
-    )
-
-
-def homomorphism_entries(bundle: Bundle) -> tuple[AuditEntry, ...]:
-    """The entries that judge a bundle's stored homomorphism, none without
-    one: `homomorphism-valid` (it is a homomorphism),
-    `homomorphism-source-matches` (its source is the stored graph) and
-    `homomorphism-target-matches` (its target is SG(dim + 2k, k), see
-    `_is_schrijver_target`).  `verify_bundle` and `hom-check` on a bundle
-    directory both read them."""
-    hom = bundle.homomorphism
-    if hom is None:
-        return ()
-    hom_report = verify_homomorphism(hom)
-    same = hom.source == bundle.graph
-    mismatch = Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json")
-    sg = _is_schrijver_target(hom.target, bundle.complex.dim)
-    not_sg = Violation(code="HomomorphismTargetMismatch", detail="target is not SG(dim + 2k, k), k its label length")
-    return (
-        AuditEntry("homomorphism-valid", hom_report.ok, hom_report.violations),
-        AuditEntry("homomorphism-source-matches", same, () if same else (mismatch,)),
-        AuditEntry("homomorphism-target-matches", sg, () if sg else (not_sg,)),
-    )
-
-
 def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple[AuditReport, Optional[Graph]]:
     """The one verdict on a stored bundle, read by `verify`, `chi` and
     `sphere_quad_from_bundle`.
@@ -227,7 +186,7 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
     Runs `verify_sphere_quadrangulation` with the labels of the stored orbit
     representatives and the stored graph as the expected graph, then
     `report-consistent` (see `_report_consistent`) and, for a stored
-    homomorphism, the `homomorphism_entries`.
+    homomorphism, its `homomorphisms.homomorphism_entries`.
     Returns the report and the identified graph, as the sphere audit returns
     them; when the representatives miss an orbit, one failing
     `orbit-reps-cover` entry and None.
@@ -245,7 +204,9 @@ def verify_bundle(bundle: Bundle, *, seed: int = 0, n_walks: int = 100) -> tuple
         seed=seed,
     )
     consistent = _report_consistent(bundle.report, report)
-    return AuditReport((*report.entries, consistent, *homomorphism_entries(bundle))), graph
+    hom = bundle.homomorphism
+    hom_entries = () if hom is None else homomorphism_entries(hom, bundle.graph, bundle.complex.dim)
+    return AuditReport((*report.entries, consistent, *hom_entries)), graph
 
 
 def sphere_quad_from_bundle(path: PathLike) -> SphereQuad:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .audits import boundary_operator_audit
-from .bundles import _read_json, homomorphism_entries, load_bundle, sphere_quad_from_bundle, verify_bundle, write_bundle
+from .bundles import _read_json, load_bundle, sphere_quad_from_bundle, verify_bundle, write_bundle
 from .coloring import chromatic_number
 from .complexes import complex_from_json, dump_canonical
 from .constructions import (
@@ -36,9 +36,9 @@ from .errors import (
     ProjquadError,
     VerificationFailed,
 )
-from .graphs import _label_to_json, graph_from_json, label_key, to_dimacs
+from .graphs import _label_to_json, graph_from_json, to_dimacs
 from .homology import HomologyCalculator
-from .homomorphisms import homomorphism_from_json, verify_homomorphism
+from .homomorphisms import homomorphism_entries, homomorphism_from_json, verify_homomorphism
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
@@ -214,9 +214,7 @@ def _run_chi(args: argparse.Namespace) -> int:
         sys.stderr.write("budget exhausted before the search finished\n")
         _emit({"exhausted": False, "lower": e.lower, "upper": e.upper, "nodes": e.nodes})
         return BUDGET_EXIT
-    colouring = [
-        [_label_to_json(v), result.colouring[v]] for v in sorted(result.colouring, key=label_key)
-    ]
+    colouring = [[_label_to_json(v), c] for v, c in result.colouring.items()]
     _emit(
         {
             "chi": result.chi,
@@ -253,7 +251,7 @@ def _run_hom_check(args: argparse.Namespace) -> int:
         bundle = load_bundle(path)
         if bundle.homomorphism is None:
             raise ParseError(f"{path} holds no homomorphism.json")
-        entries = homomorphism_entries(bundle)
+        entries = homomorphism_entries(bundle.homomorphism, bundle.graph, bundle.complex.dim)
         ok, violations = all(e.ok for e in entries), [v.to_json() for e in entries for v in e.violations]
     else:
         report = verify_homomorphism(homomorphism_from_json(_read_json(path)))
@@ -298,8 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return PARSE_EXIT
     except VerificationFailed as e:
         sys.stderr.write(f"verification failed: {e}\n")
-        if e.report is not None:
-            _emit({"ok": False, "report": e.report.to_json()})
+        _emit({"ok": False, "report": e.report.to_json()})
         return VIOLATION_EXIT
     except (BadParameters, BadDimension) as e:
         sys.stderr.write(f"bad parameters: {e}\n")

@@ -18,6 +18,7 @@ class ChiResult:
     for one colour fewer (rather than by a lower bound matching).  `proof`
     names the lower bound that meets `chi`: "clique" when the clique does,
     else "topological" when the topological bound does, else "exhaustive".
+    `colouring` lists the vertices in label order (`Graph.sorted_vertices`).
     """
 
     chi: int

@@ -28,11 +28,7 @@ from .errors import (
     VerificationFailed,
 )
 from .graphs import Graph, complete_graph, cycle_graph, label_key, mycielskian
-from .homomorphisms import (
-    Homomorphism,
-    iterated_schrijver_homomorphism,
-    verify_homomorphism,
-)
+from .homomorphisms import Homomorphism, homomorphism_entries, iterated_schrijver_homomorphism
 from .symmetry import (
     Involution,
     TwoColouring,
@@ -361,16 +357,13 @@ def mycielski_lift(sq: SphereQuad, r: int) -> BallQuad:
             level[vnew] = i
             new_labels[vnew] = (g, i)
 
+    # A cell on the two innermost levels is in the star of each of its vertices.
     inner = {v for v, lv in level.items() if lv in (1, 2)}
-    core = []
-    for d in range(T.dim + 2):
-        for cid, c in enumerate(builder.cells_of(d)):
-            if all(v in inner for v in c.vertices):
-                core.append((d, cid))
+    core = face_closure(builder, [key for v in sorted(inner) for key in builder.star(v, inner)])
     z_coords = None
     if has_coords:
         z_coords = (0.0,) * len(pos[0])
-    z = builder.add_cone("z", z_coords, face_closure(builder, core))
+    z = builder.add_cone("z", z_coords, core)
     (black if vertex_of[(order[0], 2)] in black else white).add(z)
     new_labels[z] = "z"
 
@@ -421,16 +414,18 @@ def complete_graph_pipeline(t: int, n: int) -> SphereQuad:
 
 def schrijver_pipeline(n: int, k: int) -> tuple[SphereQuad, Homomorphism]:
     """The lift tower over the (2k+1)-cycle together with a verified
-    homomorphism from its identified graph into the stable k-subsets of [n]."""
+    homomorphism from its identified graph into the stable k-subsets of [n].
+
+    The homomorphism is judged by `homomorphism_entries`, the entries that
+    `verify` reads from the stored bundle; raises VerificationFailed with
+    their report when one fails."""
     if not (k >= 1 and n >= 2 * k + 1):
         raise BadParameters("needs n >= 2k + 1 and k >= 1")
     sq = odd_cycle_sphere(k)
     for _ in range(2 * k + 2, n + 1):
         sq = double_to_sphere(mycielski_lift(sq, k))
     hom = iterated_schrijver_homomorphism(n, k)
-    report = verify_homomorphism(hom)
+    report = AuditReport(homomorphism_entries(hom, sq.graph, sq.complex.dim))
     if not report.ok:
-        raise VerificationFailed("homomorphism verification failed", None)
-    if hom.source != sq.graph:
-        raise VerificationFailed("homomorphism source differs from the identified graph", None)
+        raise VerificationFailed(f"homomorphism: failing audits: {', '.join(report.failing())}", report)
     return sq, hom

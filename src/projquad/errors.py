@@ -80,9 +80,10 @@ class InputNotQuadrangulation(ProjquadError):
 
 
 class VerificationFailed(ProjquadError):
-    """A construction output failed one of its mandatory audits."""
+    """A construction output failed one of its mandatory audits; `report`
+    is always the AuditReport in which those audits fail."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Dict
 
 from .errors import BadParameters, ParseError
@@ -17,7 +18,7 @@ from .graphs import (
     mycielskian,
     schrijver_graph,
 )
-from .validation import ValidationReport, Violation
+from .validation import AuditEntry, ValidationReport, Violation
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,44 @@ def verify_homomorphism(hom: Homomorphism) -> ValidationReport:
         elif not hom.target.has_edge(fu, fv):
             violations.append(Violation("EdgeNotPreserved", detail=f"({u!r}, {v!r}) -> ({fu!r}, {fv!r}) not an edge"))
     return ValidationReport.collect(violations)
+
+
+def _is_schrijver_target(target: Graph, dim: int) -> bool:
+    """Whether a homomorphism's target is SG(n, k), the stable Kneser graph
+    that a Schrijver sphere of dimension `dim` = n - 2k maps into.  k is the
+    one length of the target's labels, which must be tuples of ints with
+    k >= 1.  The vertex count n/(n-k) * C(n-k, k) is compared before
+    SG(n, k) is built, so a tampered target cannot make the check build a
+    graph larger than itself."""
+    sizes = {len(v) if isinstance(v, tuple) and all(type(x) is int for x in v) else 0 for v in target.vertices}
+    k = sizes.pop() if len(sizes) == 1 else 0
+    n = dim + 2 * k
+    return (
+        k >= 1
+        and dim >= 0
+        and target.n == comb(n - k, k) + comb(n - k - 1, k - 1)
+        and target == schrijver_graph(n, k)
+    )
+
+
+def homomorphism_entries(hom: Homomorphism, graph: Graph, dim: int) -> tuple[AuditEntry, ...]:
+    """The one verdict on a Schrijver homomorphism from `graph`, the
+    identified graph of a sphere of dimension `dim`:
+    `homomorphism-valid` (it is a homomorphism),
+    `homomorphism-source-matches` (its source is `graph`) and
+    `homomorphism-target-matches` (its target is SG(dim + 2k, k), see
+    `_is_schrijver_target`).  `build schrijver`, `verify` and `hom-check` on
+    a bundle directory all read these entries."""
+    hom_report = verify_homomorphism(hom)
+    same = hom.source == graph
+    mismatch = Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json")
+    sg = _is_schrijver_target(hom.target, dim)
+    not_sg = Violation(code="HomomorphismTargetMismatch", detail="target is not SG(dim + 2k, k), k its label length")
+    return (
+        AuditEntry("homomorphism-valid", hom_report.ok, hom_report.violations),
+        AuditEntry("homomorphism-source-matches", same, () if same else (mismatch,)),
+        AuditEntry("homomorphism-target-matches", sg, () if sg else (not_sg,)),
+    )
 
 
 def compose_homomorphisms(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:

@@ -512,6 +512,24 @@ def test_walk_parity_without_the_sphere_is_solved_on_the_quotient():
     assert walk_parity_is_its_recount(report, complex, involution, colouring, n_walks=100, seed=0)
 
 
+def test_the_walk_lemma_on_the_zero_sphere_samples_no_walk():
+    # S^0: each point is a monochromatic maximal cell, so colouring-proper
+    # fails, and the quotient, one point, has no 1-cell to walk on. With or
+    # without the lemma's `dim >= 1` gate, no walk is sampled.
+    builder = ComplexBuilder()
+    for _ in range(2):
+        builder.add_vertex()
+    colouring = TwoColouring(black=frozenset({0}), white=frozenset({1}))
+    report, graph = verify_sphere_quadrangulation(
+        builder.build(), Involution("full", {0: 1, 1: 0}), colouring,
+        labels={0: 0, 1: 0}, expected_graph=Graph([0]), n_walks=5, seed=0,
+    )
+    assert graph == Graph([0])
+    assert report.entry("sphere").ok and not report.entry("colouring-proper").ok
+    walk = report.entry("walk-parity")
+    assert not walk.ok and walk.info == {"sampled": 0}
+
+
 def test_quotient_parity_without_antisymmetry_is_the_parity_check(corpus):
     # One flipped vertex breaks colouring-antisymmetric, so `quotient-parity`
     # is no lemma: the entry is `parity_audit` on the projected quotient.
@@ -908,7 +926,8 @@ def test_builders_hand_over_the_report_a_full_validation_gives(monkeypatch):
 def test_the_lift_finds_each_star_a_scan_finds(monkeypatch):
     # Every round of every corpus lift, and of the r = 3 lifts of c5 and
     # tower-4 (two rounds each, the second reading cones of the first),
-    # must find through the star index the cells a scan of every cell finds.
+    # and the inner core under the last cone, must find through the star
+    # index the cells a scan of every cell finds.
     rounds: list[int] = []
     star = ComplexBuilder.star
 
@@ -927,7 +946,9 @@ def test_the_lift_finds_each_star_a_scan_finds(monkeypatch):
     assert lifted > 0
     for sq in spheres:
         mycielski_lift(sq, 3)
-    assert len(rounds) - lifted == 2 * (5 + 11)  # two rounds over each graph's vertices
+    # Two rounds over each graph's vertices, then one star for each of the
+    # core's 2 * |order| vertices.
+    assert len(rounds) - lifted == 4 * (5 + 11)
 
 
 # `chi` of the tower-4 suspension, whose labels are tuples, "z" and

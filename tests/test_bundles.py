@@ -15,7 +15,7 @@ from projquad import (
     verify_sphere_quadrangulation,
     write_bundle,
 )
-from projquad.bundles import _is_schrijver_target
+from projquad.homomorphisms import _is_schrijver_target
 from projquad.errors import ParseError, VerificationFailed
 from projquad.graphs import Graph, schrijver_graph
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,8 @@ from projquad import (
     verify_homomorphism,
     verify_sphere_quadrangulation,
 )
+from projquad import constructions
+from projquad.cli import main
 from projquad.errors import BadParameters, InputNotQuadrangulation, UnsupportedParameters, VerificationFailed
 from projquad.validation import AuditEntry, AuditReport
 
@@ -262,6 +265,49 @@ def test_schrijver_pipeline_base_case():
     sq, hom = schrijver_pipeline(5, 2)
     assert sq.graph == cycle_graph(5)
     assert hom.target == schrijver_graph(5, 2)
+
+
+def _with_an_isolated_target_vertex(hom):
+    # (1, 2) is no stable 2-subset of [6], so the target is SG(6, 2) and one more vertex.
+    target = Graph((*hom.target.vertices, (1, 2)), hom.target.edges())
+    return replace(hom, target=target)
+
+
+def _with_a_source_short_of_an_edge(hom):
+    return replace(hom, source=Graph(hom.source.vertices, hom.source.edges()[1:]))
+
+
+_HOM_TAMPERS = {
+    "target-plus-a-vertex": (_with_an_isolated_target_vertex, "homomorphism-target-matches"),
+    "source-short-of-an-edge": (_with_a_source_short_of_an_edge, "homomorphism-source-matches"),
+}
+
+
+def _tamper_the_schrijver_homomorphism(monkeypatch, tamper):
+    original = constructions.iterated_schrijver_homomorphism
+    monkeypatch.setattr(constructions, "iterated_schrijver_homomorphism", lambda n, k: tamper(original(n, k)))
+
+
+@pytest.mark.parametrize("case", _HOM_TAMPERS)
+def test_schrijver_pipeline_judges_its_homomorphism_by_the_verify_entries(monkeypatch, case):
+    # Each tamper is still a homomorphism; only the entry it breaks fails.
+    tamper, failing = _HOM_TAMPERS[case]
+    _tamper_the_schrijver_homomorphism(monkeypatch, tamper)
+    with pytest.raises(VerificationFailed) as excinfo:
+        schrijver_pipeline(6, 2)
+    assert excinfo.value.report.failing() == [failing]
+
+
+@pytest.mark.parametrize("case", _HOM_TAMPERS)
+def test_a_failing_schrijver_build_prints_its_report_and_writes_nothing(tmp_path, capsys, monkeypatch, case):
+    tamper, failing = _HOM_TAMPERS[case]
+    _tamper_the_schrijver_homomorphism(monkeypatch, tamper)
+    out = tmp_path / "sg"
+    assert main(["build", "schrijver", "--n", "6", "--k", "2", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert [e["name"] for e in payload["report"] if not e["ok"]] == [failing]
+    assert not out.exists()
 
 
 # The checks that `double` runs on a ball before gluing it.
