@@ -402,7 +402,17 @@ def _audit(
     that judgement fails, or the involution fails or has boundary scope,
     the complex is validated in full.  The early involution report is the
     `involution-valid` entry, which is still added only once complex-valid
-    has passed; on a double it is the audit's own check, not a lemma.
+    has passed.
+
+    `involution-valid` is a lemma on a double: when `complex` and
+    `involution` are the very objects that `symmetry.double` returned, the
+    complex records that involution (`_paired_by`), and the entry passes
+    without a check.  `double` runs the boundary-scope check before it
+    glues; the boundary pairs are those it passed, and each copy pair holds
+    by construction, with a fresh id, the sorted vertex images and the
+    facet images in order, so every rule of the full-scope check holds (see
+    `double`).  Any other involution, parsed, built by hand or a
+    `dataclasses.replace` copy, gets `validate_involution` in full.
 
     Every audit runs only once the audits whose data it reads have passed:
     the involution, the proper colouring and everything after the gate read
@@ -431,13 +441,26 @@ def _audit(
     cells, and `NotCompleteBipartite` cannot occur; `quadrangulation_check`
     is the check it replaces and stays its test oracle.
 
+    `parity` is a lemma too: the audit reaches it only once complex-valid
+    and colouring-total have passed.  A lawful 2-cell has three distinct
+    vertices, and its three facets are the 1-cells on its three vertex
+    pairs.  The colouring is total and black and white are disjoint, so the
+    three vertices split 3-0 or 2-1 between the colours, and the
+    bichromatic facets number 0 or 2.  The entry is therefore empty;
+    `parity_audit` is the check it replaces, stays its test oracle, and is
+    the fall-back of `quotient-parity`.
+
     The sphere's lemmas after the identification are proved in the
     docstring of `verify_sphere_quadrangulation`.
     """
     audit = AuditCollector()
-    early = validate_involution(complex, involution) if involution.scope == "full" else None
-    if early is not None and early.ok:
-        complex._validate_by_pairs(involution.pairing)
+    early: Optional[ValidationReport] = None
+    if complex._paired_by is involution:
+        early = ValidationReport()
+    elif involution.scope == "full":
+        early = validate_involution(complex, involution)
+        if early.ok:
+            complex._validate_by_pairs(involution.pairing)
     complex_ok = audit.add("complex-valid", complex.validate())
     judged = None
     if complex_ok:
@@ -456,8 +479,7 @@ def _audit(
     calc = HomologyCalculator(complex)
     operator_ok = audit.add("boundary-operator", boundary_operator_audit(calc))
     shape_ok = audit.add("ball", ball_check(calc)) if ball else audit.add("sphere", sphere_check(calc))
-    selected = bichromatic_edge_cells(complex, colouring)
-    parity_ok = audit.add("parity", parity_audit(complex, selected))
+    audit.add("parity", ValidationReport())
     audit.add("quadrangulation", _no_edges((v.cell_dim, v.cell_id) for v in proper.violations))
 
     # Every vertex is labelled, and as many (orbit, label) pairs occur as
@@ -494,12 +516,13 @@ def _audit(
 
     def projected(top: Optional[int] = None) -> tuple[Complex, dict[int, dict[int, int]], frozenset[int]]:
         """The quotient, the projection and the selected quotient 1-cells,
-        the images of the `selected` sphere 1-cells, projected up to
+        the images of the bichromatic sphere 1-cells, projected up to
         dimension `top` (all of it when None) on the first call that needs
         them; a full projection serves every later call."""
         key = None if None in projections else top
         if key not in projections:
             q, projection = _project(complex, involution, key)
+            selected = bichromatic_edge_cells(complex, colouring)
             projections[key] = q, projection, frozenset(projection[1][e] for e in selected)
         return projections[key]
 
@@ -515,7 +538,7 @@ def _audit(
         qb = quotient_calculator().all_betti()
         audit.add_flag("quotient-homology", qb == (1,) * (n + 1), f"betti {qb}, expected {(1,) * (n + 1)}")
     audit.add("identification-commutes", ValidationReport())
-    if parity_ok and antisymmetric:
+    if antisymmetric:
         audit.add("quotient-parity", ValidationReport())
     else:
         q, _, selected_q = projected()
@@ -625,17 +648,17 @@ def verify_sphere_quadrangulation(
     Without those hypotheses the Betti numbers of the projected quotient
     give the entry, and they stay its test oracle.
 
-    `quotient-parity` is a lemma once `parity` and
-    `colouring-antisymmetric` have passed.  A quotient 2-cell's facets are
-    the projections of the facets of its lift c, the lower cell of its
-    pair, and a quotient 1-cell is selected when one of its two lifts is
-    bichromatic.  The colouring is total and antisymmetric, and the
-    involution maps each 1-cell onto a 1-cell on the partners of its ends,
-    so a 1-cell and its partner are bichromatic together: a projected facet
-    is selected exactly when the facet is.  The quotient 2-cell therefore
-    has as many selected facets as c, an even number since `parity`
-    passed.  Without those hypotheses `parity_audit` on the projected
-    quotient gives the entry, and it stays the test oracle.
+    `quotient-parity` is a lemma once `colouring-antisymmetric` has passed
+    (`parity`, a lemma itself, passes wherever the audit reaches it; see
+    `_audit`).  A quotient 2-cell's facets are the projections of the
+    facets of its lift c, the lower cell of its pair, and a quotient 1-cell
+    is selected when one of its two lifts is bichromatic.  The colouring is
+    total and antisymmetric, and the involution maps each 1-cell onto a
+    1-cell on the partners of its ends, so a 1-cell and its partner are
+    bichromatic together: a projected facet is selected exactly when the
+    facet is.  The quotient 2-cell therefore has as many selected facets as
+    c, an even number by `parity`.  Without antisymmetry `parity_audit` on
+    the projected quotient gives the entry, and it stays the test oracle.
 
     `quotient-quadrangulation` is a lemma too when `colouring-antisymmetric`
     passes.  The projection is injective on each cell and maps maximal cells

@@ -205,6 +205,9 @@ class Complex:
         self._boundary: Optional[dict[int, frozenset[int]]] = None
         self._cofacet_counts: dict[int, tuple[int, ...]] = {}
         self._report: Optional[ValidationReport] = None
+        # The full-scope involution that `symmetry.double` returned with this
+        # complex, which `validate_involution` would pass (see `double`).
+        self._paired_by: object = None
 
     # ---- basic accessors ----
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations, repeat
-from typing import Callable, Dict, Iterable, Iterator, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Union
 
 from .errors import BadParameters, ParseError, UnknownVertex
 
@@ -46,6 +46,9 @@ class Graph:
     def __init__(self, vertices: Iterable[Label] = (), edges: Iterable[tuple[Label, Label]] = ()) -> None:
         self._adj: Dict[Label, set[Label]] = {}
         self._m = 0
+        # `edges()` as last listed; `add_vertex` and `add_edge` drop it
+        # whenever they change the graph.
+        self._edges: Optional[tuple[tuple[Label, Label], ...]] = None
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -55,6 +58,7 @@ class Graph:
         label_key(v)
         if v not in self._adj:
             self._adj[v] = set()
+            self._edges = None
 
     def add_edge(self, u: Label, v: Label) -> None:
         if u == v:
@@ -66,6 +70,7 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._m += 1
+            self._edges = None
 
     # ---- accessors ----
 
@@ -99,14 +104,17 @@ class Graph:
         `label_key` is a total order on distinct labels, so each vertex gets
         its integer rank in it, and the nested key tuples are compared only
         by the one sort of the vertices: each vertex's later neighbours are
-        its sorted neighbour ranks above its own, cut off by `bisect`."""
-        order = self.sorted_vertices()
-        rank = {v: i for i, v in enumerate(order)}
-        out: list[tuple[Label, Label]] = []
-        for i, u in enumerate(order):
-            ranks = sorted(map(rank.__getitem__, self._adj[u]))
-            out.extend(zip(repeat(u), map(order.__getitem__, ranks[bisect_right(ranks, i) :])))
-        return tuple(out)
+        its sorted neighbour ranks above its own, cut off by `bisect`.  The
+        tuple is kept until the graph changes."""
+        if self._edges is None:
+            order = self.sorted_vertices()
+            rank = {v: i for i, v in enumerate(order)}
+            out: list[tuple[Label, Label]] = []
+            for i, u in enumerate(order):
+                ranks = sorted(map(rank.__getitem__, self._adj[u]))
+                out.extend(zip(repeat(u), map(order.__getitem__, ranks[bisect_right(ranks, i) :])))
+            self._edges = tuple(out)
+        return self._edges
 
     def sorted_vertices(self) -> tuple[Label, ...]:
         return tuple(sorted(self._adj, key=label_key))

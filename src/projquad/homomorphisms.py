@@ -72,17 +72,22 @@ def _is_schrijver_target(target: Graph, dim: int) -> bool:
     )
 
 
+_SOURCE_DIFFERS = "source graph differs from the sphere's graph (graph.json in a bundle)"
+
+
 def homomorphism_entries(hom: Homomorphism, graph: Graph, dim: int) -> tuple[AuditEntry, ...]:
-    """The one verdict on a Schrijver homomorphism from `graph`, the
-    identified graph of a sphere of dimension `dim`:
+    """The one verdict on a Schrijver homomorphism from `graph`, the graph
+    of a sphere of dimension `dim`:
     `homomorphism-valid` (it is a homomorphism),
     `homomorphism-source-matches` (its source is `graph`) and
     `homomorphism-target-matches` (its target is SG(dim + 2k, k), see
-    `_is_schrijver_target`).  `build schrijver`, `verify` and `hom-check` on
-    a bundle directory all read these entries."""
+    `_is_schrijver_target`).  `build schrijver` reads these entries with
+    the identified graph, and `verify` and `hom-check` on a bundle
+    directory with the stored graph.json; the source violation's detail
+    names both."""
     hom_report = verify_homomorphism(hom)
     same = hom.source == graph
-    mismatch = Violation(code="HomomorphismSourceMismatch", detail="source graph differs from graph.json")
+    mismatch = Violation(code="HomomorphismSourceMismatch", detail=_SOURCE_DIFFERS)
     sg = _is_schrijver_target(hom.target, dim)
     not_sg = Violation(code="HomomorphismTargetMismatch", detail="target is not SG(dim + 2k, k), k its label length")
     return (

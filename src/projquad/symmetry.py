@@ -377,8 +377,29 @@ def double(
     of its vertices, a boundary partner by the involution check (the
     boundary is closed under faces, so `mirror[0]` is the vertex pairing
     on it) and a copy by construction.  So the d+1 distinct one-vertex
-    deletions of the original map to those of the copy.  `involution-valid`
-    of the double stays the sphere audit's own check.
+    deletions of the original map to those of the copy.
+
+    The double also records, as `_paired_by`, the returned involution,
+    which `validate_involution` passes at full scope on it; `audits._audit`
+    takes `involution-valid` from that record for this exact pair of
+    objects, and judges any other involution, an equal copy included, in
+    full.  Like `_report`, the record rests on neither object changing
+    once `double` returns.  Every rule holds, layer by layer.  The pairing
+    of the d-cells is `mirror[d]` made symmetric, and `cell_pairing` has
+    dimensions 1 to dim only.  Boundary pairs: the boundary-scope check has passed, so they pair
+    exactly `boundary_cells(ball)`, name cells of the layer, fix none and
+    are self-inverse; a boundary cell's vertices and facets are boundary
+    cells, where `mirror[0]` and `mirror[d-1]` are the boundary pairings,
+    so that check has also compared the partner's vertices with the sorted
+    vertex image and its facets with the facet image, as multisets.  Copy
+    pairs: every other ball cell i is paired with its copy, a fresh id after
+    the ball's layer, so no cell is unpaired, none is fixed, every id names
+    a cell, and making `mirror[d]` symmetric adds the copy's entry without
+    overwriting a boundary pair; the copy's vertices are the sorted images
+    under `mirror[0]` of i's, and its facets the images under `mirror[d-1]`
+    of i's, in order.  The symmetric `mirror[0]` agrees with the unmade one
+    on the ball's vertices, so both images are those the full check forms
+    from the lower id, i.
     """
     if boundary_involution.scope != "boundary":
         raise BadParameters("doubling needs a boundary-scope involution")
@@ -449,6 +470,7 @@ def double(
     for partners in mirror:
         partners.update({j: i for i, j in partners.items()})
     doubled = Complex(layers, labels, coords)
-    doubled._report = ValidationReport()
     involution = Involution("full", mirror[0], dict(enumerate(mirror[1:], 1)))
+    doubled._report = ValidationReport()
+    doubled._paired_by = involution
     return doubled, involution, TwoColouring(frozenset(black), frozenset(white))

@@ -214,6 +214,14 @@ def quotient_spans_the_identified_graph(labels, graph, q, projection, selected) 
     return spanned.relabel(label_of) == graph
 
 
+def parity_lemma_holds(report, complex, colouring) -> bool:
+    """The check that the `parity` lemma replaced: wherever the audit
+    reached `parity`, the entry passes and so does `parity_audit` on the
+    bichromatic 1-cells; true when the audit stopped before the entry."""
+    entry = report.entry("parity")
+    return entry is None or (entry.ok and parity_audit(complex, bichromatic_edge_cells(complex, colouring)).ok)
+
+
 def quotient_lemmas_hold(report, labels, graph, complex, involution, colouring) -> bool:
     """Each quotient lemma against the check it replaces, on the quotient
     that `projected_quotient` gives, for the audited labels and the graph

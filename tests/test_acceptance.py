@@ -32,6 +32,7 @@ from projquad import (
     boundary_squares_to_zero,
     chromatic_number,
     complete_graph,
+    complete_graph_pipeline,
     complex_from_json,
     complex_to_json,
     cycle_parity_vs_homology,
@@ -51,6 +52,8 @@ from projquad import (
     schrijver_graph,
     schrijver_homomorphism,
     schrijver_pipeline,
+    suspension,
+    validate_involution,
     verify_bundle,
     verify_homomorphism,
     verify_ball_quadrangulation,
@@ -64,7 +67,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import _star_by_scan, cube_over_k4, facet_rows, mycielski_graph, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
+from conftest import _star_by_scan, cube_over_k4, facet_rows, mycielski_graph, parity_lemma_holds, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -402,7 +405,9 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
     # `quotient-valid` follows from complex-valid, involution-valid and
     # antipodal-free; the validation it replaces must accept the quotient.
     # `identification-commutes` follows once the quotient exists; the
-    # comparison it replaces must hold.
+    # comparison it replaces must hold.  `parity` follows from complex-valid
+    # and colouring-total, on the built sphere and on its stored bundle;
+    # `parity_audit` must accept the selection.
     base = tmp_path_factory.mktemp("lemma")
     for name, item in corpus.items():
         bundle = load_bundle(write_bundle(base / name, item.sq, homomorphism=item.hom))
@@ -410,6 +415,8 @@ def test_quotient_valid_lemma_agrees_with_validate(tmp_path_factory, corpus, dig
         assert report.entry("quotient-valid").ok and report.entry("identification-commutes").ok, name
         sphere = (bundle.complex, bundle.involution, bundle.colouring)
         assert quotient_lemmas_hold(report, item.sq.labels, graph, *sphere), name
+        assert parity_lemma_holds(item.sq.report, item.sq.complex, item.sq.colouring), name
+        assert parity_lemma_holds(report, bundle.complex, bundle.colouring), name
     # Both edges of the digon hold its antipodal pair, and an all-black
     # colouring selects no edge, so it passes the identification and only
     # the antipodal-free gate keeps its quotient from the lemma.
@@ -788,6 +795,7 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
             )
             fresh = complex_from_json(cx)
             assert quotient_lemmas_hold(report, sq.labels, graph, fresh, involution, colouring), (name, kind)
+            assert parity_lemma_holds(report, fresh, colouring), (name, kind)
             compared = _entries_match_their_checks(report, fresh, involution, colouring, sq.labels, graph)
             for entry in compared:
                 seen[entry, report.entry(entry).ok] += 1
@@ -921,6 +929,32 @@ def test_builders_hand_over_the_report_a_full_validation_gives(monkeypatch):
     for complex, report in balls + spheres:
         cells = [complex.cells_of(d) for d in range(complex.dim + 1)]
         assert report is not None and report == Complex(cells, complex.labels).validate()
+
+
+def test_every_double_is_paired_by_the_involution_it_records(monkeypatch):
+    # The sphere audit takes `involution-valid` of a double from the record
+    # `double` leaves on it; for every double that the corpus, the
+    # cylinders r = 1..5, suspensions and the complete-graph pipelines make,
+    # the full-scope check must pass the recorded involution.
+    doubles = []
+    glue = constructions.double
+
+    def recording(*args):
+        doubles.append(glue(*args))
+        return doubles[-1]
+
+    monkeypatch.setattr(constructions, "double", recording)
+    for build in BUILDS.values():
+        _run_build(build)
+    for r in range(1, 6):
+        double_to_sphere(cylinder_complete(r))
+    suspension(mycielski_tower(4))
+    for t, n in ((4, 2), (6, 4), (7, 3), (8, 4)):
+        complete_graph_pipeline(t, n)
+    assert len(doubles) == 18 + 5 + 2 + 1 + 3 + 1 + 2
+    for complex, involution, _ in doubles:
+        assert complex._paired_by is involution
+        assert involution.scope == "full" and validate_involution(complex, involution).ok
 
 
 def test_the_lift_finds_each_star_a_scan_finds(monkeypatch):

@@ -21,7 +21,7 @@ from projquad.complexes import SimplicialBuilder
 from projquad.errors import ProjquadError
 from projquad.graphs import MAX_LABEL_DEPTH, graph_from_json
 
-from conftest import quotient_lemmas_hold, walk_parity_is_its_recount
+from conftest import parity_lemma_holds, quotient_lemmas_hold, walk_parity_is_its_recount
 
 
 def run(capsys, *argv):
@@ -1255,8 +1255,9 @@ def _mutate(obj, path, rng: random.Random) -> str:
 
 
 def _lemmas_hold(bundle_dir, n_walks: int, seed: int = 0) -> bool:
-    """`quotient_lemmas_hold` and `walk_parity_is_its_recount` on the verdict
-    of the stored bundle, with `n_walks` walks drawn from `seed`."""
+    """`parity_lemma_holds`, `quotient_lemmas_hold` and
+    `walk_parity_is_its_recount` on the verdict of the stored bundle, with
+    `n_walks` walks drawn from `seed`."""
     try:
         bundle = load_bundle(bundle_dir)
         report, graph = verify_bundle(bundle, seed=seed, n_walks=n_walks)
@@ -1264,8 +1265,10 @@ def _lemmas_hold(bundle_dir, n_walks: int, seed: int = 0) -> bool:
         return True
     sphere = (bundle.complex, bundle.involution, bundle.colouring)
     labels = bundles._labels_from_reps(bundle)
-    return quotient_lemmas_hold(report, labels, graph, *sphere) and walk_parity_is_its_recount(
-        report, *sphere, n_walks=n_walks, seed=seed
+    return (
+        parity_lemma_holds(report, bundle.complex, bundle.colouring)
+        and quotient_lemmas_hold(report, labels, graph, *sphere)
+        and walk_parity_is_its_recount(report, *sphere, n_walks=n_walks, seed=seed)
     )
 
 

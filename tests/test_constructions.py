@@ -296,6 +296,11 @@ def test_schrijver_pipeline_judges_its_homomorphism_by_the_verify_entries(monkey
     with pytest.raises(VerificationFailed) as excinfo:
         schrijver_pipeline(6, 2)
     assert excinfo.value.report.failing() == [failing]
+    if failing == "homomorphism-source-matches":
+        # The source is compared with the identified graph here, and with
+        # the stored graph.json in `verify`; the detail is true of both.
+        [violation] = excinfo.value.report.entry(failing).violations
+        assert violation.detail == "source graph differs from the sphere's graph (graph.json in a bundle)"
 
 
 @pytest.mark.parametrize("case", _HOM_TAMPERS)

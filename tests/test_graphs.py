@@ -45,6 +45,22 @@ def test_graph_equality_and_relabel():
     assert Graph([0, 1, 2], [(0, 1)]) != Graph([0, 1, 2], [(1, 2)])
 
 
+def test_edges_are_listed_afresh_once_the_graph_changes():
+    # `edges()` keeps its tuple until add_vertex or add_edge changes the
+    # graph, so an edge added after a call shows up in the next one.
+    g = Graph([2, "b", 1], [(2, 1)])
+    listed = g.edges()
+    assert listed == ((1, 2),) and g.edges() is listed
+    g.add_edge(1, 2)  # already there: nothing changes
+    assert g.edges() is listed
+    g.add_edge("b", 1)
+    assert g.edges() == ((1, 2), (1, "b"))
+    g.add_vertex((0,))
+    g.add_edge((0,), 2)
+    assert g.edges() == ((1, 2), (1, "b"), (2, (0,)))
+    assert g.copy().edges() == g.edges()
+
+
 def test_kneser_and_schrijver():
     petersen = kneser_graph(5, 2)
     assert petersen.n == 10 and petersen.m == 15

@@ -8,17 +8,22 @@ function fails here and names the target.
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from projquad import (
+    Involution,
     boundary_cells,
     bundles,
+    complex_from_json,
+    complex_to_json,
     complexes,
     cylinder_complete,
     double_to_sphere,
     load_bundle,
     mycielski_tower,
     odd_cycle_sphere,
+    verify_sphere_quadrangulation,
     write_bundle,
 )
 
@@ -64,8 +69,9 @@ def test_a_traced_verify_times_the_involution_pass(tmp_path):
 def test_a_built_ball_is_judged_once_and_its_boundary_found_once(monkeypatch):
     # cylinder-3: `cylinder_complete` finds the boundary it pairs, and the
     # involution check and the doubling read the one the ball's complex
-    # keeps, so the closure is walked once.  The involution is judged once
-    # on the ball, by the one gluing routine, and once on the doubled sphere.
+    # keeps, so the closure is walked once.  The involution is judged once,
+    # on the ball, by the one gluing routine: the doubled sphere's audit
+    # takes `involution-valid` from the record that `double` leaves on it.
     walks = []
     walk = complexes.face_closure
 
@@ -79,12 +85,41 @@ def test_a_built_ball_is_judged_once_and_its_boundary_found_once(monkeypatch):
         double_to_sphere(ball)
     names = ("symmetry.validate_involution", "symmetry.double")
     calls = {name: tracer.spans.get(name, (0,))[0] for name in names}
-    assert calls == {"symmetry.validate_involution": 2, "symmetry.double": 1}
+    assert calls == {"symmetry.validate_involution": 1, "symmetry.double": 1}
     assert walks == [ball.complex]
     found = boundary_cells(ball.complex)
     assert boundary_cells(ball.complex) is found
     assert all(type(ids) is frozenset for ids in found.values())
     assert len(walks) == 1
+
+
+def test_only_the_involution_a_double_records_skips_the_full_check():
+    # cylinder-1's double carries the involution `double` returned with it.
+    # The audit takes `involution-valid` of that very pair from the record;
+    # a `replace` copy, a parsed or a hand-built involution, and the
+    # recorded one on a parsed copy of the complex, are each checked in full.
+    sq = double_to_sphere(cylinder_complete(1))
+    complex, involution = sq.complex, sq.involution
+    pairings = {d: dict(involution.pairing(d)) for d in range(1, complex.dim + 1)}
+    swapped = dict(involution.vertex_pairing)
+    (a, b), (c, d) = sorted((v, w) for v, w in swapped.items() if v < w)[:2]
+    swapped.update({a: d, d: a, c: b, b: c})
+    cases = {
+        "recorded": (complex, involution, 0, True),
+        "replaced": (complex, replace(involution), 1, True),
+        "parsed": (complex, Involution.from_json(involution.to_json()), 1, True),
+        "hand-built": (complex, Involution("full", dict(involution.vertex_pairing), pairings), 1, True),
+        "parsed complex": (complex_from_json(complex_to_json(complex)), involution, 1, True),
+        "re-paired copy": (complex, replace(involution, vertex_pairing=swapped), 1, False),
+    }
+    for case, (audited, paired, calls, ok) in cases.items():
+        with _load_spans().Tracer().installed() as tracer:
+            report, _ = verify_sphere_quadrangulation(
+                audited, paired, sq.colouring, labels=sq.labels, expected_graph=sq.graph
+            )
+        assert tracer.spans.get("symmetry.validate_involution", (0,))[0] == calls, case
+        assert report.entry("involution-valid").ok is ok, case
+        assert report.ok is ok, case
 
 
 def test_a_stored_bundle_is_judged_without_box_membership_tests(tmp_path):
