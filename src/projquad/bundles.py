@@ -18,7 +18,7 @@ from .audits import verify_sphere_quadrangulation
 from .complexes import Complex, _complex_texts, complex_from_json, dump_canonical
 from .constructions import SphereQuad, _verified
 from .errors import ParseError
-from .graphs import Graph, _label_from_json, _label_to_json, graph_from_json, graph_to_json, label_key
+from .graphs import Graph, _graph_from_json, _label_reader, _label_to_json, graph_to_json, label_key
 from .homomorphisms import Homomorphism, homomorphism_entries, homomorphism_from_json, homomorphism_to_json
 from .symmetry import Involution, TwoColouring
 from .validation import AuditEntry, AuditReport, Violation
@@ -113,7 +113,8 @@ def load_bundle(path: PathLike) -> Bundle:
     graph_obj = _read_json(root / "graph.json")
     if not isinstance(graph_obj, dict):
         raise ParseError("graph.json must be an object")
-    graph = graph_from_json(graph_obj)
+    read = _label_reader()
+    graph = _graph_from_json(graph_obj, read)
     reps_raw = graph_obj.get("orbit_reps", [])
     if not isinstance(reps_raw, list):
         raise ParseError("orbit_reps must be a list of [label, vertex] pairs")
@@ -121,7 +122,7 @@ def load_bundle(path: PathLike) -> Bundle:
     for pair in reps_raw:
         if not (isinstance(pair, list) and len(pair) == 2 and type(pair[1]) is int):
             raise ParseError("orbit_reps must be a list of [label, vertex] pairs")
-        label = _label_from_json(pair[0])
+        label = read(pair[0])
         if label in orbit_reps:
             raise ParseError("orbit_reps lists a label twice")
         orbit_reps[label] = pair[1]

@@ -10,10 +10,10 @@ from __future__ import annotations
 import marshal
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, eq, gt, itemgetter, le, lt, not_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -56,6 +56,7 @@ class Cell:
 
 
 _SET_FIELDS = tuple(Cell.__dict__[name].__set__ for name in ("vertices", "facets"))
+_VERTICES, _FACETS = attrgetter("vertices"), attrgetter("facets")
 
 
 def _cell_violations(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> tuple[Violation, ...]:
@@ -99,6 +100,43 @@ def _cell_violations(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: S
     except TypeError:
         pass  # values that do not compare: the chain judges them, or raises as it always has
     return tuple(_rule_chain(d, i, cell, n_vertices, lower_cells))
+
+
+def _unaccepted(d: int, positions: Sequence[int], layer: Sequence[Cell], n_vertices: int, lower_cells: Sequence[Cell]) -> Iterable[int]:
+    """The positions, in order, of the d-cells in `layer` that a pass over
+    the layer's columns does not accept, and that `_cell_violations` must
+    therefore still judge.
+
+    The pass accepts a 0-cell whose vertices are `(i,)` for its position i
+    in [0, n_vertices) and whose facets are `()`, and a d-cell with d >= 1
+    whose d+1 vertices strictly increase inside [0, n_vertices) and whose
+    facet k lies on the deletion of vertex d-k.  That is the order of
+    `combinations(vs, d)`, which `SimplicialBuilder`, `add_cone` and the
+    originals of `symmetry.double` write.  An accepted cell passes
+    `_cell_violations`' accept test, so judging only the rest finds what
+    judging every position finds, in the same order.
+
+    For d >= 1 the pass declines, and every position is judged, unless
+    every cell has d+1 vertices and d+1 facets, every id is of type int and
+    every facet id is in range: only then do the columns line up, the
+    comparisons not raise, and a facet id serve as an index.
+    """
+    cells = [*map(layer.__getitem__, positions)]
+    vertices, facets = [*map(_VERTICES, cells)], [*map(_FACETS, cells)]
+    if d == 0:
+        tests = [map(eq, vertices, zip(positions)), map(eq, facets, repeat(())), map(range(n_vertices).__contains__, positions)]
+        return compress(positions, map(not_, map(all, zip(*tests))))
+    w = d + 1
+    flat_vertices, flat_facets = [*chain.from_iterable(vertices)], [*chain.from_iterable(facets)]
+    widths, types = {*map(len, vertices), *map(len, facets)}, {*map(type, flat_vertices), *map(type, flat_facets)}
+    if widths - {w} or types - {int} or flat_facets and not (0 <= min(flat_facets) and max(flat_facets) < len(lower_cells)):
+        return positions
+    columns = [flat_vertices[k::w] for k in range(w)]
+    below = [*map(_VERTICES, lower_cells)].__getitem__
+    tests = [map(le, repeat(0), columns[0]), map(gt, repeat(n_vertices), columns[-1]), *map(map, repeat(lt), columns, columns[1:])]
+    for k in range(w):  # facet k against the deletion of vertex d-k
+        tests.append(map(eq, map(below, flat_facets[k::w]), zip(*columns[: d - k], *columns[d - k + 1 :])))
+    return compress(positions, map(not_, map(all, zip(*tests))))
 
 
 def _rule_chain(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
@@ -313,10 +351,10 @@ class Complex:
         n = self.n_vertices
         for d, layer in enumerate(self._cells):
             lower = self._cells[d - 1] if d else ()
-            positions: Iterable[int] = range(len(layer))
+            positions: Sequence[int] = range(len(layer))
             if pairing is not None:
                 positions = [i for i, j in pairing(d).items() if i < j]
-            for i in positions:
+            for i in _unaccepted(d, positions, layer, n, lower):
                 yield from _cell_violations(d, i, layer[i], n, lower)
 
     def validate(self) -> ValidationReport:

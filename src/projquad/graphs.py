@@ -6,6 +6,7 @@ total order across the three types so listings stay deterministic.
 
 from __future__ import annotations
 
+import marshal
 from bisect import bisect_right
 from itertools import combinations, repeat
 from typing import Callable, Dict, Iterable, Iterator, Optional, Union
@@ -262,16 +263,40 @@ def _label_to_json(label: Label):
     return label
 
 
-def _label_from_json(obj) -> Label:
-    """The label a JSON value stands for: an int, a string, or a list of
-    labels read as a tuple.  ParseError for any other value, and for a label
-    that nests more than `MAX_LABEL_DEPTH` lists: the limit sits far below
-    the recursion limit, so a label that parses can be written back."""
-    return _label_inside(obj, 0)
+def _label_reader() -> Callable[[object], Label]:
+    """A reader of the labels of one file: the label a JSON value stands
+    for, an int, a string, or a list of labels read as a tuple.  ParseError
+    for any other value, and for a label that nests more than
+    `MAX_LABEL_DEPTH` lists: the limit sits far below the recursion limit,
+    so a label that parses can be written back.
+
+    Each distinct list label is decoded once, through a memo keyed by its
+    `marshal` bytes.  Version 2 writes no back-references, so equal labels
+    get equal bytes.  marshal writes only values of the exact types, so
+    equal bytes are equal values of the same types, and values that compare
+    equal but read apart (1, 1.0 and true) get distinct keys.  A value that
+    marshal refuses is decoded afresh, and one that fails to decode enters
+    no memo."""
+    memo: dict[bytes, Label] = {}
+
+    def read(obj) -> Label:
+        if type(obj) is not list:
+            return _label_inside(obj, 0)
+        try:
+            key = marshal.dumps(obj, 2)
+        except ValueError:
+            return _label_inside(obj, 0)
+        label = memo.get(key)
+        if label is None:
+            label = memo[key] = _label_inside(obj, 0)
+        return label
+
+    return read
 
 
 def _label_inside(obj, depth: int) -> Label:
-    """`_label_from_json` of a value that sits inside `depth` lists."""
+    """The label of a value that sits inside `depth` lists (see
+    `_label_reader`)."""
     if isinstance(obj, list):
         if depth == MAX_LABEL_DEPTH:
             raise ParseError(f"a vertex label nests more than {MAX_LABEL_DEPTH} lists")
@@ -299,24 +324,31 @@ def _json_array(obj, what: str) -> list:
     return obj
 
 
-def _label_pairs(obj, what: str) -> Iterator[tuple[Label, Label]]:
-    """The label pairs of a JSON array of two-label arrays, in order;
-    ParseError at the first item that is not one."""
+def _label_pairs(obj, what: str, read: Callable[[object], Label]) -> Iterator[tuple[Label, Label]]:
+    """The label pairs, each label read by `read`, of a JSON array of
+    two-label arrays, in order; ParseError at the first item that is not
+    one."""
     for item in _json_array(obj, what + "s"):
         if not (isinstance(item, list) and len(item) == 2):
             raise ParseError(f"a {what} must be an array of two labels")
-        yield _label_from_json(item[0]), _label_from_json(item[1])
+        yield read(item[0]), read(item[1])
 
 
 def graph_from_json(obj: dict) -> Graph:
     """The graph a JSON object lists; ParseError unless `vertices` lists
     each vertex once and `edges` joins two listed vertices per edge."""
+    return _graph_from_json(obj, _label_reader())
+
+
+def _graph_from_json(obj: dict, read: Callable[[object], Label]) -> Graph:
+    """`graph_from_json`, reading labels with `read`, which the rest of the
+    file may share."""
     try:
-        vertices = [_label_from_json(v) for v in _json_array(obj["vertices"], "graph vertices")]
+        vertices = [*map(read, _json_array(obj["vertices"], "graph vertices"))]
         g = Graph(vertices)
         if g.n != len(vertices):
             raise ParseError("graph JSON lists a vertex twice")
-        for u, v in _label_pairs(obj["edges"], "graph edge"):
+        for u, v in _label_pairs(obj["edges"], "graph edge", read):
             g.add_edge(u, v)
         return g
     except ParseError:

@@ -10,10 +10,11 @@ from .errors import BadParameters, ParseError
 from .graphs import (
     Graph,
     Label,
+    _graph_from_json,
     _label_pairs,
+    _label_reader,
     _label_to_json,
     cycle_graph,
-    graph_from_json,
     graph_to_json,
     mycielskian,
     schrijver_graph,
@@ -190,11 +191,14 @@ def homomorphism_to_json(hom: Homomorphism) -> dict:
 
 
 def homomorphism_from_json(obj: dict) -> Homomorphism:
+    """The homomorphism a JSON object lists; the source, the target and the
+    pairs share one `_label_reader`, so each distinct label is decoded once."""
+    read = _label_reader()
     try:
-        source = graph_from_json(obj["source"])
-        target = graph_from_json(obj["target"])
+        source = _graph_from_json(obj["source"], read)
+        target = _graph_from_json(obj["target"], read)
         mapping = {}
-        for src, dst in _label_pairs(obj["pairs"], "homomorphism pair"):
+        for src, dst in _label_pairs(obj["pairs"], "homomorphism pair", read):
             if src in mapping:
                 raise ParseError(f"homomorphism pairs map the source label {src!r} twice")
             mapping[src] = dst

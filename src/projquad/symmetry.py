@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from math import sqrt
-from typing import Iterable, Optional
+from operator import eq, lt, not_
+from typing import Iterable, Optional, Sequence
 
-from .complexes import Cell, Complex, VertexId, boundary_cells
+from .complexes import _FACETS, _VERTICES, Cell, Complex, VertexId, boundary_cells
 from .errors import (
     BadParameters,
     LoopCreated,
@@ -141,6 +143,11 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
     with a repeated or extra facet id breaks the image rule.  A pair that
     breaks the image rules is reported once, at its lower id.  Pairs are
     judged in any order: `ValidationReport.collect` sorts the violations.
+
+    The loop below is the one per-pair body.  On a full-scope layer whose
+    paired ids are exactly its cells, it judges only the pairs that a pass
+    over the layer's columns leaves in doubt (see `_pairs_in_doubt`); every
+    other pair passes it.  Otherwise it judges every pair.
     """
     violations: list[Violation] = []
     if involution.scope == "full":
@@ -156,10 +163,14 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
         in_scope = scope_cells.get(d, set())
         for i in sorted(in_scope - set(pairing)):
             violations.append(Violation("UnpairedCell", d, i, "scope cell not paired"))
-        for i in sorted(set(pairing) - in_scope):
+        outside = sorted(set(pairing) - in_scope)
+        for i in outside:
             violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
         n_cells = len(layer)
-        for i, j in pairing.items():
+        pairs: Iterable[tuple[int, int]] = pairing.items()
+        if involution.scope == "full" and len(pairing) == n_cells and not outside:
+            pairs = _pairs_in_doubt(d, pairing, layer, lower, vp)
+        for i, j in pairs:
             if i == j:
                 violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
                 continue
@@ -188,6 +199,45 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
             if facet_image != sorted(dst.facets):
                 violations.append(Violation("NotSimplicial", d, i, "facet images do not match pair's facets"))
     return ValidationReport.collect(violations)
+
+
+def _pairs_in_doubt(d: int, pairing: dict, layer: Sequence[Cell], lower: dict, vp: dict) -> Iterable[tuple[int, int]]:
+    """The pairs (i, j), i < j, of the d-cells that the per-pair body of
+    `validate_involution` must still judge, given a full-scope pairing whose
+    ids are exactly the layer's.
+
+    A pass over the layer's columns first checks that the pairing is a
+    fixed-point-free involution: each lower id i, one below its partner j,
+    is mapped back by j, and the lower ids are half the keys.  The partners
+    are then distinct keys and none is a lower id (j > i = pairing[j]), so
+    they are the other half.  The pass then takes each lower cell's vertex
+    image, in order, and facet image, in order, and clears the pair when
+    they equal the vertices and facets of j and the vertex image strictly
+    increases.  Such a pair passes the body: the image is its own sorted
+    form, and equal tuples are equal multisets.  The pass declines, and
+    every pair goes to the body, when the pairing is not such an
+    involution, some vertex or facet of a lower cell is unpaired (a missing
+    key), a lower cell's vertex or facet count is not that of a d-cell, or
+    an id does not compare or index.
+    """
+    try:
+        lows = [i for i, j in pairing.items() if i < j]
+        highs = [*map(pairing.__getitem__, lows)]
+        if 2 * len(lows) != len(pairing) or [*map(pairing.__getitem__, highs)] != lows:
+            return pairing.items()
+        src, dst = [*map(layer.__getitem__, lows)], [*map(layer.__getitem__, highs)]
+        src_vertices, src_facets = [*map(_VERTICES, src)], [*map(_FACETS, src)]
+        w, n_facets = d + 1, d + 1 if d else 0
+        if {*map(len, src_vertices)} - {w} or {*map(len, src_facets)} - {n_facets}:
+            return pairing.items()
+        images = [*map(vp.__getitem__, chain.from_iterable(src_vertices))]
+        facet_images = [*map(lower.__getitem__, chain.from_iterable(src_facets))]
+        columns = [images[k::w] for k in range(w)]
+        rows = zip(*[iter(facet_images)] * n_facets) if d else repeat(())
+        tests = [map(eq, zip(*columns), map(_VERTICES, dst)), map(eq, rows, map(_FACETS, dst)), *map(map, repeat(lt), columns, columns[1:])]
+        return [*compress(zip(lows, highs), map(not_, map(all, zip(*tests))))]
+    except (KeyError, TypeError):
+        return pairing.items()
 
 
 def _project(

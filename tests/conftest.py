@@ -17,7 +17,8 @@ from projquad import (
     quotient,
     sample_closed_walks,
 )
-from projquad.validation import Violation
+from projquad.complexes import boundary_cells
+from projquad.validation import ValidationReport, Violation
 
 
 def mycielski_graph(n: int) -> Graph:
@@ -47,6 +48,56 @@ def _star_by_scan(builder: ComplexBuilder, vtop: int, active: set[int]) -> list[
                 star.append((d, cid))
         d += 1
     return star
+
+
+def validate_involution_by_pairs(complex: Complex, involution: Involution) -> ValidationReport:
+    """`validate_involution` as one loop over every pair of every layer,
+    with no pass over the columns first: the oracle of that pass."""
+    violations: list[Violation] = []
+    if involution.scope == "full":
+        scope_cells = {d: set(range(complex.n_cells(d))) for d in range(complex.dim + 1)}
+    else:
+        scope_cells = boundary_cells(complex)
+    for d in sorted(set(involution.cell_pairing) - set(range(1, complex.dim + 1))):
+        violations.append(Violation("PairedOutsideScope", d, None, f"cell pairs at dimension {d}, outside 1..{complex.dim}"))
+    vp = involution.pairing(0)
+    for d in range(complex.dim + 1):
+        pairing, lower, layer = involution.pairing(d), involution.pairing(d - 1), complex.cells_of(d)
+        in_scope = scope_cells.get(d, set())
+        for i in sorted(in_scope - set(pairing)):
+            violations.append(Violation("UnpairedCell", d, i, "scope cell not paired"))
+        for i in sorted(set(pairing) - in_scope):
+            violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
+        n_cells = len(layer)
+        for i, j in pairing.items():
+            if i == j:
+                violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
+                continue
+            if pairing.get(j) != i:
+                violations.append(Violation("NotInvolution", d, i, f"{i} -> {j} -> {pairing.get(j)}"))
+                continue
+            if not (0 <= i < n_cells and 0 <= j < n_cells):
+                violations.append(Violation("DanglingFacet", d, i, f"pair {i} -> {j} names a cell that does not exist"))
+                continue
+            if i > j:
+                continue
+            src, dst = layer[i], layer[j]
+            try:
+                image = tuple(sorted(map(vp.__getitem__, src.vertices)))
+            except KeyError as exc:
+                violations.append(Violation("NotSimplicial", d, i, f"vertex {exc.args[0]} of cell is unpaired"))
+                continue
+            if image != dst.vertices:
+                violations.append(Violation("NotSimplicial", d, i, f"vertex image {image} != {dst.vertices}"))
+                continue
+            try:
+                facet_image = sorted(map(lower.__getitem__, src.facets))
+            except KeyError as exc:
+                violations.append(Violation("NotSimplicial", d, i, f"facet {exc.args[0]} is unpaired"))
+                continue
+            if facet_image != sorted(dst.facets):
+                violations.append(Violation("NotSimplicial", d, i, "facet images do not match pair's facets"))
+    return ValidationReport.collect(violations)
 
 
 def facet_rows(complex: Complex, p: int) -> list[int]:

@@ -62,12 +62,13 @@ from projquad import (
     write_bundle,
 )
 from projquad import audits, constructions, homology, symmetry
+from projquad.complexes import _cell_violations
 from projquad.symmetry import Involution, antipodal_free_cells
 from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import _star_by_scan, cube_over_k4, facet_rows, mycielski_graph, parity_lemma_holds, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, walk_parity_is_its_recount
+from conftest import _star_by_scan, cube_over_k4, facet_rows, mycielski_graph, parity_lemma_holds, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, validate_involution_by_pairs, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -800,6 +801,25 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
             for entry in compared:
                 seen[entry, report.entry(entry).ok] += 1
     assert all(seen.values()), seen
+
+
+def test_stored_corpus_spheres_are_judged_as_cell_by_cell(corpus):
+    # A parsed sphere is judged a layer at a time: the column passes must
+    # find what the per-cell judges find on every cell and every pair.
+    for name, item in corpus.items():
+        sq = item.sq
+        parsed = complex_from_json(complex_to_json(sq.complex))
+        involution = Involution.from_json(sq.involution.to_json())
+        report = validate_involution(parsed, involution)
+        assert report.ok and report == validate_involution_by_pairs(parsed, involution), name
+        layers = [parsed.cells_of(d) for d in range(parsed.dim + 1)]
+        every_cell = [
+            v
+            for d, layer in enumerate(layers)
+            for i, cell in enumerate(layer)
+            for v in _cell_violations(d, i, cell, parsed.n_vertices, layers[d - 1] if d else ())
+        ]
+        assert every_cell == [] and parsed.validate() == ValidationReport(), name
 
 
 def test_homology_ranks_match_numpy_oracle(corpus):

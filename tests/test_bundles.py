@@ -7,6 +7,7 @@ from projquad import (
     Cell,
     Complex,
     load_bundle,
+    mycielski_tower,
     odd_cycle_sphere,
     quotient,
     schrijver_pipeline,
@@ -15,6 +16,7 @@ from projquad import (
     verify_sphere_quadrangulation,
     write_bundle,
 )
+from projquad import graphs
 from projquad.homomorphisms import _is_schrijver_target
 from projquad.errors import ParseError, VerificationFailed
 from projquad.graphs import Graph, schrijver_graph
@@ -180,3 +182,32 @@ def test_a_cell_value_the_parser_refuses_is_never_written(tmp_path):
     with pytest.raises(TypeError):
         write_bundle(tmp_path / "b", replace(sq, complex=complex))
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("build", [lambda: (mycielski_tower(5), None), lambda: schrijver_pipeline(7, 2)], ids=["tower-5", "schrijver-7-2"])
+def test_load_bundle_decodes_each_distinct_list_label_once_per_file(tmp_path, monkeypatch, build):
+    # graph.json's vertices, edges and orbit representatives share one
+    # memo, and homomorphism.json's source, target and pairs another.
+    sq, hom = build()
+    out = write_bundle(tmp_path / "b", sq, homomorphism=hom)
+    decoded = []
+    inside = graphs._label_inside
+
+    def counted(obj, depth):
+        if depth == 0 and isinstance(obj, list):
+            decoded.append(json.dumps(obj))
+        return inside(obj, depth)
+
+    monkeypatch.setattr(graphs, "_label_inside", counted)
+    load_bundle(out)
+
+    def graph_labels(obj: dict) -> list:
+        return [*obj["vertices"], *(x for edge in obj["edges"] for x in edge)]
+
+    graph_obj = json.loads((out / "graph.json").read_text())
+    files = [graph_labels(graph_obj) + [label for label, _ in graph_obj["orbit_reps"]]]
+    if hom is not None:
+        hom_obj = json.loads((out / "homomorphism.json").read_text())
+        files.append(graph_labels(hom_obj["source"]) + graph_labels(hom_obj["target"]) + [x for pair in hom_obj["pairs"] for x in pair])
+    expected = [text for labels in files for text in {json.dumps(x) for x in labels if isinstance(x, list)}]
+    assert decoded and sorted(decoded) == sorted(expected)

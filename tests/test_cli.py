@@ -20,8 +20,9 @@ from projquad.coloring import chromatic_number
 from projquad.complexes import SimplicialBuilder
 from projquad.errors import ProjquadError
 from projquad.graphs import MAX_LABEL_DEPTH, graph_from_json
+from projquad.symmetry import validate_involution
 
-from conftest import parity_lemma_holds, quotient_lemmas_hold, walk_parity_is_its_recount
+from conftest import parity_lemma_holds, quotient_lemmas_hold, validate_involution_by_pairs, walk_parity_is_its_recount
 
 
 def run(capsys, *argv):
@@ -547,6 +548,25 @@ def _repeat_a_facet_of_an_upper_partner(obj):
     cell["facets"].append(cell["facets"][0])
 
 
+def _tower_4_2_cell(obj, i: int) -> dict:
+    # tower-4 pairs its top cells, the 2-cells, i with i + 20 for i < 20
+    return next(c for c in obj["cells"] if (c["dim"], c["id"]) == (2, i))
+
+
+def _reverse_the_facets_of_lower_2_cell_0(obj):
+    # the cell law and the involution check read facets as a set
+    _tower_4_2_cell(obj, 0)["facets"].reverse()
+
+
+def _reverse_the_facets_of_upper_2_cell_20(obj):
+    _tower_4_2_cell(obj, 20)["facets"].reverse()
+
+
+def _reverse_the_vertices_of_upper_2_cell_20(obj):
+    # still the image of 2-cell 0's vertices, but not sorted
+    _tower_4_2_cell(obj, 20)["vertices"].reverse()
+
+
 def _one_cells(obj):
     return [c for c in obj["cells"] if c["dim"] == 1]
 
@@ -813,6 +833,12 @@ TAMPERS = [
     ("tower-4", "involution.json", _edge_paired_with_missing_edge, "chi", 0, "involution-valid"),
     ("tower-4", "complex.json", _repeat_a_facet_of_an_upper_partner, "verify", 2, "complex-valid"),
     ("tower-4", "complex.json", _repeat_a_facet_of_an_upper_partner, "chi", 0, "complex-valid"),
+    ("tower-4", "complex.json", _reverse_the_facets_of_lower_2_cell_0, "verify", 0, None),
+    ("tower-4", "complex.json", _reverse_the_facets_of_lower_2_cell_0, "chi", 0, None),
+    ("tower-4", "complex.json", _reverse_the_facets_of_upper_2_cell_20, "verify", 0, None),
+    ("tower-4", "complex.json", _reverse_the_facets_of_upper_2_cell_20, "chi", 0, None),
+    ("tower-4", "complex.json", _reverse_the_vertices_of_upper_2_cell_20, "verify", 2, "complex-valid"),
+    ("tower-4", "complex.json", _reverse_the_vertices_of_upper_2_cell_20, "chi", 0, "complex-valid"),
     ("c5", "involution.json", _pair_the_ends_of_an_edge, "verify", 2, "antipodal-free"),
     ("c5", "involution.json", _pair_the_ends_of_an_edge, "chi", 0, "antipodal-free"),
     ("schrijver-6-2", "homomorphism.json", _delete_an_unused_target_edge, "verify", 2, "homomorphism-target-matches"),
@@ -887,6 +913,46 @@ def test_a_complex_with_its_cells_listed_in_reverse_verifies_as_before(tmp_path,
     untampered = run(capsys, "verify", str(out))
     _tamper(out / "complex.json", _reverse_the_cells)
     assert run(capsys, "verify", str(out)) == untampered
+
+
+@pytest.mark.parametrize("change", [_reverse_the_facets_of_lower_2_cell_0, _reverse_the_facets_of_upper_2_cell_20])
+def test_a_top_cell_with_its_facets_reversed_verifies_as_before(tmp_path, capsys, change):
+    # The column passes want facets in deletion order; a cell that lists
+    # them otherwise goes to the per-cell judges, which read them as a set.
+    out = _build(tmp_path, capsys, SOURCES["tower-4"])
+    untampered = [run(capsys, command, str(out)) for command in ("verify", "chi")]
+    _tamper(out / "complex.json", change)
+    assert [run(capsys, command, str(out)) for command in ("verify", "chi")] == untampered
+
+
+def test_an_upper_partner_with_its_vertices_reversed_fails_the_cell_law(tmp_path, capsys):
+    # The involution's column pass wants the sorted image; the per-pair body
+    # sorts it, finds it differs from the unsorted partner and refuses the
+    # involution, so the complex is judged cell by cell.
+    out = _build(tmp_path, capsys, SOURCES["tower-4"])
+    _tamper(out / "complex.json", _reverse_the_vertices_of_upper_2_cell_20)
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 2
+    assert [e["name"] for e in json.loads(stdout)["report"] if not e["ok"]] == ["complex-valid", "report-consistent"]
+    code, _, err = run(capsys, "chi", str(out))
+    assert code == 0 and "no topological bound: failing audits: complex-valid, report-consistent" in err
+
+
+def test_the_involution_pass_judges_every_tampered_bundle_as_the_per_pair_loop(tmp_path, capsys):
+    built: dict = {}
+    for bundle, fname, change, *_ in dict.fromkeys(row[:3] for row in TAMPERS):
+        if bundle not in built:
+            (tmp_path / bundle).mkdir()
+            built[bundle] = _build(tmp_path / bundle, capsys, SOURCES[bundle])
+        out = tmp_path / f"{bundle}-{fname}-{change.__name__}"
+        shutil.copytree(built[bundle], out)
+        _tamper(out / fname, change)
+        try:
+            stored = load_bundle(out)
+        except ProjquadError:
+            continue
+        judged = validate_involution(stored.complex, stored.involution)
+        assert judged == validate_involution_by_pairs(stored.complex, stored.involution), (bundle, change.__name__)
 
 
 def test_a_0_cell_off_its_vertex_fails_complex_valid_at_every_broken_cell(tmp_path, capsys):

@@ -17,8 +17,10 @@ from projquad import (
     schrijver_graph,
     to_dimacs,
 )
-from projquad.errors import BadParameters
-from projquad.graphs import common_neighbours, label_key
+from projquad import graphs, homomorphisms
+from projquad.errors import BadParameters, ParseError
+from projquad.graphs import MAX_LABEL_DEPTH, common_neighbours, label_key
+from projquad.homomorphisms import homomorphism_from_json
 
 from conftest import has_triangle, mycielski_graph
 
@@ -184,6 +186,69 @@ def test_graph_json_round_trip():
     g = mycielskian(cycle_graph(5), 2)
     obj = json.loads(json.dumps(graph_to_json(g)))
     assert graph_from_json(obj) == g
+
+
+def _nested(depth: int) -> list:
+    """An empty list nested in lists, `depth` lists in all."""
+    label: list = []
+    for _ in range(depth - 1):
+        label = [label]
+    return label
+
+
+def _graph_with_label(label) -> dict:
+    """A graph JSON whose vertex [1] is followed in the edges by `label`."""
+    return {"vertices": [[1], [2], 3], "edges": [[[1], [2]], [[1], 3], [label, [2]]]}
+
+
+# Graph JSONs on which the label memo must read what decoding each
+# occurrence afresh reads: the same graph, or a ParseError of the same text.
+MEMO_CASES = {
+    "true after an equal 1": _graph_with_label([True]),
+    "1.0 after an equal 1": _graph_with_label([1.0]),
+    "a label at the depth limit": {"vertices": [_nested(MAX_LABEL_DEPTH), 0], "edges": [[_nested(MAX_LABEL_DEPTH), 0]] * 2},
+    "a label past the depth limit": {"vertices": [0, 1], "edges": [[0, 1], [_nested(MAX_LABEL_DEPTH + 1), 0]]},
+    "a label 900 lists deep": {"vertices": [_nested(900), 0], "edges": []},
+}
+
+
+def _read(parse, obj):
+    try:
+        return parse(obj)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _per_occurrence():
+    return lambda obj: graphs._label_inside(obj, 0)
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_the_label_memo_reads_what_each_occurrence_reads(monkeypatch, case):
+    graph_obj = MEMO_CASES[case]
+    hom_obj = {"source": graph_obj, "target": graph_obj, "pairs": [[v, v] for v in graph_obj["vertices"]]}
+    memo = [_read(graph_from_json, graph_obj), _read(homomorphism_from_json, hom_obj)]
+    monkeypatch.setattr(graphs, "_label_reader", _per_occurrence)
+    monkeypatch.setattr(homomorphisms, "_label_reader", _per_occurrence)
+    fresh = [_read(graph_from_json, graph_obj), _read(homomorphism_from_json, hom_obj)]
+    assert memo == fresh
+    assert isinstance(memo[0], Graph) == (case == "a label at the depth limit")
+
+
+def test_a_repeated_deep_label_is_decoded_once(monkeypatch):
+    calls = []
+    inside = graphs._label_inside
+
+    def counted(obj, depth):
+        calls.append(depth)
+        return inside(obj, depth)
+
+    monkeypatch.setattr(graphs, "_label_inside", counted)
+    deep = _nested(MAX_LABEL_DEPTH)
+    graph = graph_from_json({"vertices": [deep, 0, 1, 2], "edges": [[deep, 0], [1, deep], [deep, 2]]})
+    assert graph.m == 3
+    # one call per list level of the deep label, then one per int occurrence
+    assert len(calls) == MAX_LABEL_DEPTH + 6
 
 
 def test_dimacs_output():

@@ -1,7 +1,7 @@
 """Randomized invariants checked with hypothesis."""
 
 import json
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +31,7 @@ from projquad.audits import _antipodal_free
 from projquad.complexes import _cell_violations, _rule_chain
 from projquad.symmetry import Involution, antipodal_free_cells
 from projquad.errors import ProjquadError
+from projquad.validation import ValidationReport, Violation
 from projquad.graphs import label_key
 
 from conftest import _star_by_scan, facet_rows, has_triangle
@@ -568,3 +569,117 @@ def test_the_accept_test_agrees_with_the_rule_chain(judged):
     # nothing; whatever it passes on must get the chain's full verdict.
     d, i, cell, n, lower = judged
     assert _cell_violations(d, i, cell, n, lower) == tuple(_rule_chain(d, i, cell, n, lower))
+
+
+# One change to a cell of a lawful complex, each a way its layer's columns
+# can stop lining up with the cell law, or a cell can leave the order that
+# the column pass accepts.
+LAYER_CHANGES = ("permute facets", "unsort vertices", "widen", "narrow", "alias", "dangle", "bool", "float", "replace facet", "rename vertex")
+
+
+@st.composite
+def judged_layers(draw):
+    """The layers of a complex on n vertices near the cell law, with a
+    pairing of each layer's ids.  The complex starts lawful, from
+    `SimplicialBuilder`, which writes each facet k on the deletion of vertex
+    d-k; then up to three of its cells each take one of `LAYER_CHANGES`:
+    facets permuted, vertices unsorted, a vertex or facet added or dropped
+    (mixed widths), a facet id made negative so that as an index it names
+    the same cell (alias), one past either end (dangle), an id 0 or 1
+    written as a bool, an id written as a float, or a facet replaced.  Or
+    a vertex is renamed in every cell on it, to another vertex, a negative
+    id or n, so that the facets still line up.  The vertex count may fall
+    one short of the 0-cells."""
+    n = draw(st.integers(2, 6))
+    b = SimplicialBuilder()
+    for _ in range(n):
+        b.add_vertex()
+    for simplex in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4), max_size=6)):
+        b.add_simplex(sorted(simplex))
+    built = b.build()
+    layers = [list(built.cells_of(d)) for d in range(built.dim + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(0, len(layers) - 1))
+        i = draw(st.integers(0, len(layers[d]) - 1))
+        vs, fs = list(layers[d][i].vertices), list(layers[d][i].facets)
+        n_lower = len(layers[d - 1]) if d else 0
+        change = draw(st.sampled_from(LAYER_CHANGES))
+        ids = vs if not fs or draw(st.booleans()) else fs
+        k = draw(st.integers(0, len(ids) - 1)) if ids else 0
+        if change == "permute facets":
+            fs = draw(st.permutations(fs))
+        elif change == "unsort vertices":
+            vs = draw(st.permutations(vs))
+        elif change == "widen":
+            ids.append(draw(st.integers(-1, max(n, n_lower))))
+        elif change == "narrow" and ids:
+            ids.pop(k)
+        elif change == "alias" and fs:
+            fs[k % len(fs)] -= n_lower
+        elif change == "dangle" and fs:
+            fs[k % len(fs)] = draw(st.sampled_from([n_lower, -1 - n_lower]))
+        elif change == "bool" and ids:
+            ids[k] = bool(ids[k]) if ids[k] in (0, 1) else True
+        elif change == "float" and ids:
+            ids[k] = float(ids[k])
+        elif change == "replace facet" and fs and n_lower:
+            fs[k % len(fs)] = draw(st.integers(0, n_lower - 1))
+        layers[d][i] = Cell(tuple(vs), tuple(fs))
+        if change == "rename vertex":
+            v, w = draw(st.integers(0, n - 1)), draw(st.sampled_from([-1, n, *range(n)]))
+            layers = [[Cell(tuple(w if u == v else u for u in c.vertices), c.facets) for c in layer] for layer in layers]
+    pairings = []
+    for layer in layers:
+        order = draw(st.permutations(range(len(layer))))
+        n_pairs = draw(st.integers(0, len(layer) // 2))
+        pairing: dict[int, int] = {}
+        for a, c in zip(order[: 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
+            pairing.update({a: c, c: a})
+        pairings.append(pairing)
+    return n - draw(st.integers(0, 1)), layers, pairings
+
+
+def _outcome(judge):
+    """What a judge returns, or the type and text of what it raises."""
+    try:
+        return judge()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=600)
+@given(judged_layers())
+def test_layers_are_judged_as_cell_by_cell(judged):
+    # The column pass may only skip cells that `_cell_violations` passes:
+    # validation by layers, of every cell or of the lower cell of each pair,
+    # must find what that judge finds, in the same order, and raise where it
+    # raises.
+    n, layers, pairings = judged
+    layers = [*map(tuple, layers)]  # as a Complex stores them, so that an index error reads alike
+
+    def judged_at(positions):
+        for d, layer in enumerate(layers):
+            for i in positions(d, layer):
+                yield from _cell_violations(d, i, layer[i], n, layers[d - 1] if d else ())
+
+    def every_cell(d, layer):
+        return range(len(layer))
+
+    def lower_of_pairs(d, layer):
+        return [i for i, j in pairings[d].items() if i < j]
+
+    short = [Violation("VertexCellMismatch", 0, None, "0-cells do not match vertex set")] if len(layers[0]) > n else []
+    cells = _outcome(lambda: short + list(judged_at(every_cell)))
+    complex = Complex(layers, [None] * n)
+    assert _outcome(lambda: list(complex._violations())) == cells
+    assert _outcome(complex.validate) == (cells if isinstance(cells, tuple) else ValidationReport.collect(cells))
+    pairs = _outcome(lambda: short + list(judged_at(lower_of_pairs)))
+    assert _outcome(lambda: list(complex._violations(pairings.__getitem__))) == pairs
+    # `_validate_by_pairs` stops at the first violation of a lower cell
+    first = _outcome(lambda: next(chain(short, judged_at(lower_of_pairs)), None))
+    paired = Complex(layers, [None] * n)
+    made = _outcome(lambda: paired._validate_by_pairs(pairings.__getitem__))
+    if isinstance(first, tuple):
+        assert made == first
+    else:
+        assert made is None and paired._report == (None if first else ValidationReport())

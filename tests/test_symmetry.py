@@ -1,6 +1,8 @@
+from functools import lru_cache
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projquad import (
     BLACK,
@@ -15,9 +17,12 @@ from projquad import (
     boundary_cells,
     complete_graph,
     cycle_graph,
+    cylinder_complete,
     double,
+    double_to_sphere,
     face_closure,
     identify_antipodes,
+    mycielski_lift,
     mycielski_tower,
     odd_cycle_sphere,
     quotient,
@@ -36,6 +41,8 @@ from projquad.symmetry import (
     bichromatic_edge_cells,
     proper_on_maximal,
 )
+
+from conftest import validate_involution_by_pairs
 
 
 def test_two_colouring_basics():
@@ -317,3 +324,99 @@ def test_double_octahedron_hemisphere(octahedron, octahedron_involution):
     assert validate_involution(doubled, full_inv).ok
     q, _ = quotient(doubled, full_inv)
     assert HomologyCalculator(q).all_betti() == (1, 1, 1)
+
+
+@lru_cache(maxsize=None)
+def _tower_4():
+    return mycielski_tower(4)
+
+
+# One change to tower-4's pairing or cells at a drawn pair (i, j), i < j, of
+# a drawn dimension d.
+INVOLUTION_MUTATIONS = (
+    "none",
+    "fixed point",
+    "non-involution",
+    "dangling partner",
+    "unpaired vertex",
+    "missing key",
+    "permuted partner facets",
+    "unsorted partner vertices",
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(INVOLUTION_MUTATIONS), st.data())
+def test_the_involution_pass_judges_as_the_per_pair_loop(kind, data):
+    # The column pass may only clear pairs that the per-pair body passes,
+    # and must leave the body every pair when it declines.
+    sq = _tower_4()
+    dim = sq.complex.dim
+    d = data.draw(st.integers(1 if kind == "unsorted partner vertices" else 0, dim))
+    layers = [list(sq.complex.cells_of(e)) for e in range(dim + 1)]
+    pairings = [dict(sq.involution.pairing(e)) for e in range(dim + 1)]
+    pairing, layer = pairings[d], layers[d]
+    i, j = data.draw(st.sampled_from(sorted((a, b) for a, b in pairing.items() if a < b)))
+    if kind == "fixed point":  # one end, or both, so that the rest stays an involution
+        pairing.update({i: i, j: j} if data.draw(st.booleans()) else {i: i})
+    elif kind == "non-involution":
+        pairing[i] = data.draw(st.sampled_from(sorted(set(pairing) - {i, j})))
+    elif kind == "dangling partner":
+        far = len(layer) + data.draw(st.integers(0, 3))
+        pairing.update({i: far, far: i})
+    elif kind == "unpaired vertex":
+        v = data.draw(st.sampled_from(layer[i].vertices))
+        del pairings[0][pairings[0].pop(v)]
+    elif kind == "missing key":
+        del pairing[data.draw(st.sampled_from((i, j)))]
+    elif kind == "permuted partner facets":
+        layer[j] = Cell(layer[j].vertices, tuple(data.draw(st.permutations(layer[j].facets))))
+    elif kind == "unsorted partner vertices":
+        # the partner lists the image of i's vertices in i's order, unsorted
+        vertices = layer[i].vertices
+        image = tuple(pairings[0][v] for v in vertices)
+        if image == tuple(sorted(image)):
+            vertices, image = vertices[::-1], image[::-1]
+        layer[i], layer[j] = Cell(vertices, layer[i].facets), Cell(image, layer[j].facets)
+    complex = Complex(layers, sq.complex.labels)
+    involution = Involution("full", pairings[0], dict(enumerate(pairings[1:], 1)))
+    report = validate_involution(complex, involution)
+    assert report == validate_involution_by_pairs(complex, involution)
+    if kind in ("none", "permuted partner facets"):
+        assert report.ok
+    elif kind == "unsorted partner vertices":
+        assert ("NotSimplicial", d, i) in [(v.code, v.cell_dim, v.cell_id) for v in report.violations]
+    else:
+        assert not report.ok
+
+
+def test_the_involution_pass_judges_balls_and_boundary_scope_as_the_per_pair_loop():
+    # Boundary scope gets no column pass: the ball's own boundary pairing
+    # passes, and a double's full pairing read at boundary scope pairs
+    # cells outside the (empty) boundary of a sphere.
+    for ball in (cylinder_complete(3), mycielski_lift(odd_cycle_sphere(2), 2)):
+        assert validate_involution(ball.complex, ball.involution).ok
+        assert validate_involution(ball.complex, ball.involution) == validate_involution_by_pairs(ball.complex, ball.involution)
+        sq = double_to_sphere(ball)
+        boundary = Involution("boundary", sq.involution.vertex_pairing, sq.involution.cell_pairing)
+        report = validate_involution(sq.complex, boundary)
+        assert not report.ok and report == validate_involution_by_pairs(sq.complex, boundary)
+
+
+def _verdict(judge, *args):
+    """A judge's report, or the type of what it raises."""
+    try:
+        return judge(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("partner", ["x", 5.0])
+def test_a_partner_that_does_not_compare_or_index_is_judged_as_by_the_per_pair_loop(partner):
+    # c5 pairs edge 0 with edge 5: a str partner does not compare with an
+    # id, and a float one finds key 5 but does not index the layer.
+    sq = odd_cycle_sphere(2)
+    involution = Involution("full", sq.involution.vertex_pairing, {1: {**sq.involution.pairing(1), 0: partner}})
+    expected = _verdict(validate_involution_by_pairs, sq.complex, involution)
+    assert _verdict(validate_involution, sq.complex, involution) == expected
+    assert expected is TypeError if partner == 5.0 else not expected.ok
