@@ -392,8 +392,9 @@ def _audit(
     `complex-valid` is `complex.validate()`.  A built complex carries the
     report a full validation would give, made when its cells were: from
     `ComplexBuilder.build`, whose `add_cell` judges each cell by the cell
-    law, `_cell_violations`, and whose `add_cone` adds only lawful cones
-    over lawful cells (see `build`), or from `symmetry.double`, whose
+    law's `_rule_chain`, and whose `add_cone` and
+    `SimplicialBuilder.add_simplex` add only cells that are lawful by
+    construction (see `build`), or from `symmetry.double`, whose
     mirrored copies of a lawful ball are lawful once its four checks pass
     (see `double`).  Any other complex, such as a parsed one, is judged on
     one cell of each antipodal pair when the involution has full scope and

@@ -59,90 +59,62 @@ _SET_FIELDS = tuple(Cell.__dict__[name].__set__ for name in ("vertices", "facets
 _VERTICES, _FACETS = attrgetter("vertices"), attrgetter("facets")
 
 
-def _cell_violations(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> tuple[Violation, ...]:
-    """How the d-cell at position i breaks the cell law, given the vertex
-    count and the cells one dimension down; empty for a lawful cell.
-
-    A d-cell has d+1 distinct, sorted, known vertices, the 0-cell at
-    position i sits on vertex i and has no facets, and a d-cell with d >= 1
-    has d+1 distinct existing facets whose vertex sets are exactly its
-    d-subsets.
-
-    An accept test runs first.  A 0-cell passes it when its vertices are
-    `(i,)` with 0 <= i < n_vertices and its facets are `()`.  A d-cell with
-    d >= 1 passes it when its d+1 vertices strictly increase inside
-    [0, n_vertices), its d+1 facet ids lie in range, and the sorted vertex
-    tuples of its facets equal the d+1 one-vertex deletions of its vertex
-    tuple (`combinations(vs, d)`, which lists them in sorted order).
-    Passing implies every rule: the deletions are distinct, so the facets
-    are too, and equal tuples are equal vertex sets.  A cell that fails the
-    test goes through `_rule_chain`, which gives the verdict; a lawful cell
-    can fail the test, say when a cell below it lists its vertices
-    unsorted.
-    """
-    vs, fs = cell.vertices, cell.facets
-    try:
-        if d == 0:
-            if vs == (i,) and fs == () and 0 <= i < n_vertices:
-                return ()
-        elif (
-            d > 0
-            and len(vs) == d + 1
-            and len(fs) == d + 1
-            and 0 <= vs[0]
-            and vs[-1] < n_vertices
-            and all(map(lt, vs, vs[1:]))
-            and 0 <= min(fs)
-            and max(fs) < len(lower_cells)
-            and sorted([lower_cells[f].vertices for f in fs]) == list(combinations(vs, d))
-        ):
-            return ()
-    except TypeError:
-        pass  # values that do not compare: the chain judges them, or raises as it always has
-    return tuple(_rule_chain(d, i, cell, n_vertices, lower_cells))
-
-
-def _unaccepted(d: int, positions: Sequence[int], layer: Sequence[Cell], n_vertices: int, lower_cells: Sequence[Cell]) -> Iterable[int]:
+def _unaccepted(d: int, positions: Sequence[int], layer: Sequence[Cell], n_vertices: int, lower_cells: Sequence[Cell]) -> Sequence[int]:
     """The positions, in order, of the d-cells in `layer` that a pass over
-    the layer's columns does not accept, and that `_cell_violations` must
+    the layer's columns does not accept, and that `_rule_chain` must
     therefore still judge.
 
     The pass accepts a 0-cell whose vertices are `(i,)` for its position i
     in [0, n_vertices) and whose facets are `()`, and a d-cell with d >= 1
     whose d+1 vertices strictly increase inside [0, n_vertices) and whose
-    facet k lies on the deletion of vertex d-k.  That is the order of
-    `combinations(vs, d)`, which `SimplicialBuilder`, `add_cone` and the
-    originals of `symmetry.double` write.  An accepted cell passes
-    `_cell_violations`' accept test, so judging only the rest finds what
-    judging every position finds, in the same order.
+    facet k, an index in range, lies on the deletion of vertex d-k.  That is
+    the order of `combinations(vs, d)`, which `SimplicialBuilder`, `add_cone`
+    and the originals of `symmetry.double` write.  An accepted cell breaks
+    no rule of `_rule_chain`: its vertices are distinct, sorted and known,
+    its facets, the d+1 distinct deletions, are distinct and in range, and
+    equal tuples are equal vertex sets.  So judging only the rest finds
+    what judging every position finds, in the same order.  Ids are compared
+    by value, as `_rule_chain` compares them.
 
     For d >= 1 the pass declines, and every position is judged, unless
-    every cell has d+1 vertices and d+1 facets, every id is of type int and
-    every facet id is in range: only then do the columns line up, the
-    comparisons not raise, and a facet id serve as an index.
+    every cell has d+1 vertices and d+1 facets, so that the columns line
+    up; it also declines when an id does not compare or a facet id does not
+    index (a TypeError), since `_rule_chain` then gives the verdict or
+    raises.  Its maps are lazy, so the result list is made inside the
+    `try`.
     """
     cells = [*map(layer.__getitem__, positions)]
     vertices, facets = [*map(_VERTICES, cells)], [*map(_FACETS, cells)]
     if d == 0:
         tests = [map(eq, vertices, zip(positions)), map(eq, facets, repeat(())), map(range(n_vertices).__contains__, positions)]
-        return compress(positions, map(not_, map(all, zip(*tests))))
+        return [*compress(positions, map(not_, map(all, zip(*tests))))]
     w = d + 1
     flat_vertices, flat_facets = [*chain.from_iterable(vertices)], [*chain.from_iterable(facets)]
-    widths, types = {*map(len, vertices), *map(len, facets)}, {*map(type, flat_vertices), *map(type, flat_facets)}
-    if widths - {w} or types - {int} or flat_facets and not (0 <= min(flat_facets) and max(flat_facets) < len(lower_cells)):
+    try:
+        if {*map(len, vertices), *map(len, facets)} - {w} or flat_facets and not (0 <= min(flat_facets) and max(flat_facets) < len(lower_cells)):
+            return positions
+        columns = [flat_vertices[k::w] for k in range(w)]
+        below = [*map(_VERTICES, lower_cells)].__getitem__
+        tests = [map(le, repeat(0), columns[0]), map(gt, repeat(n_vertices), columns[-1]), *map(map, repeat(lt), columns, columns[1:])]
+        for k in range(w):  # facet k against the deletion of vertex d-k
+            tests.append(map(eq, map(below, flat_facets[k::w]), zip(*columns[: d - k], *columns[d - k + 1 :])))
+        return [*compress(positions, map(not_, map(all, zip(*tests))))]
+    except TypeError:
         return positions
-    columns = [flat_vertices[k::w] for k in range(w)]
-    below = [*map(_VERTICES, lower_cells)].__getitem__
-    tests = [map(le, repeat(0), columns[0]), map(gt, repeat(n_vertices), columns[-1]), *map(map, repeat(lt), columns, columns[1:])]
-    for k in range(w):  # facet k against the deletion of vertex d-k
-        tests.append(map(eq, map(below, flat_facets[k::w]), zip(*columns[: d - k], *columns[d - k + 1 :])))
-    return compress(positions, map(not_, map(all, zip(*tests))))
 
 
 def _rule_chain(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
-    """The cell law rule by rule, as `_cell_violations` reports it for a
-    cell that fails the accept test.  Only an unsorted vertex tuple lets the
-    later rules be checked too."""
+    """How the d-cell at position i breaks the cell law, given the vertex
+    count and the cells one dimension down, rule by rule; nothing for a
+    lawful cell.
+
+    A d-cell has d+1 distinct, sorted, known vertices, the 0-cell at
+    position i sits on vertex i and has no facets, and a d-cell with d >= 1
+    has d+1 distinct existing facets whose vertex sets are exactly its
+    d-subsets.  Only an unsorted vertex tuple lets the later rules be
+    checked too.  `Complex._violations` runs it on the cells that
+    `_unaccepted` declines, and `ComplexBuilder.add_cell` on each new cell.
+    """
     vs, fs = cell.vertices, cell.facets
     if len(vs) != d + 1:
         yield Violation("VertexArityMismatch", d, i, f"{len(vs)} vertices")
@@ -338,7 +310,8 @@ class Complex:
     def _violations(self, pairing: Optional[Callable[[int], dict[int, int]]] = None) -> Iterator[Violation]:
         """The label, 0-cell-count and cell-law violations, lazily.  The cell
         law is judged on every cell, or, given the pairing of each layer, on
-        the lower-id cell of each pair."""
+        the lower-id cell of each pair: `_rule_chain` judges those that
+        `_unaccepted`'s pass over the layer's columns declines."""
         seen_labels: dict[str, int] = {}
         for v, lab in enumerate(self._labels):
             if lab is not None:
@@ -355,7 +328,7 @@ class Complex:
             if pairing is not None:
                 positions = [i for i, j in pairing(d).items() if i < j]
             for i in _unaccepted(d, positions, layer, n, lower):
-                yield from _cell_violations(d, i, layer[i], n, lower)
+                yield from _rule_chain(d, i, layer[i], n, lower)
 
     def validate(self) -> ValidationReport:
         """Unique labels, one 0-cell per vertex, and the cell law on every
@@ -466,7 +439,7 @@ class ComplexBuilder:
         lower = self._cells[dim - 1] if dim <= len(self._cells) else []
         i = self.n_cells(dim)
         cell = Cell(tuple(sorted(vertices)), tuple(facets))
-        for v in _cell_violations(dim, i, cell, self.n_vertices, lower):
+        for v in _rule_chain(dim, i, cell, self.n_vertices, lower):
             raise _BUILDER_ERRORS[v.code](f"{v.code} in new {dim}-cell: {v.detail}")
         self._append(dim, [cell])
         return i
@@ -554,13 +527,14 @@ class ComplexBuilder:
     def build(self) -> Complex:
         """The complex, carrying an empty `validate()` report when every cell
         is lawful: from `from_complex` on a valid complex, or a fresh
-        builder, then `add_vertex`, `add_cell` and `add_cone` only.
+        builder, then `add_vertex`, `add_cell`, `add_cone` and
+        `SimplicialBuilder.add_simplex` only.
 
         That report is what `validate()` would find.  Labels stay unique
         (`fresh_label`), each vertex gets the 0-cell of its id, `add_cell`
-        has judged each new cell with `_cell_violations` against the vertex
-        count and the layer below at the time, and `add_cone` adds only
-        cells that are lawful when its cone set is (see there).  All of
+        has judged each new cell with `_rule_chain` against the vertex count
+        and the layer below at the time, and `add_cone` and `add_simplex`
+        add only cells that are lawful by construction (see there).  All of
         them only grow by appending, so the verdict stands in the finished
         complex.
         """
@@ -589,6 +563,19 @@ class SimplicialBuilder:
         return v
 
     def add_simplex(self, vertices: Sequence[int]) -> tuple[int, int]:
+        """The (dim, id) of the cell on these vertices, added first, with
+        its faces, when no cell on them was.  Every facet, a vertex's 0-cell
+        included, is found in or added to the vertex-set index, in the order
+        of `combinations`.  Raises DuplicateVertexInCell for a repeated
+        vertex, and UnknownVertex at the first vertex that this builder's
+        `add_vertex` did not add, keeping the faces added before it.
+
+        No new cell goes through the cell law, since each is lawful by
+        construction, as `add_cone`'s are: its vertices are sorted, distinct
+        and known, since only `add_vertex` indexes a 0-cell, and its facet k
+        is the indexed cell on the deletion of vertex d-k, so the d+1
+        facets are distinct and realize the one-vertex deletions.
+        """
         verts = tuple(sorted(set(vertices)))
         if len(verts) != len(tuple(vertices)):
             raise DuplicateVertexInCell(str(tuple(vertices)))
@@ -597,12 +584,10 @@ class SimplicialBuilder:
             return self._by_vertices[key]
         dim = len(verts) - 1
         if dim == 0:
-            raise UnknownVertex("vertices must be added with add_vertex first")
-        facet_ids = []
-        for sub in combinations(verts, dim):
-            d, i = self.add_simplex(sub) if len(sub) > 1 else (0, sub[0])
-            facet_ids.append(i)
-        cell_id = self.builder.add_cell(dim, verts, facet_ids)
+            raise UnknownVertex(f"vertex {verts[0]!r} was not added with add_vertex")
+        facets = tuple(self.add_simplex(sub)[1] for sub in combinations(verts, dim))
+        cell_id = self.builder.n_cells(dim)
+        self.builder._append(dim, [Cell(verts, facets)])
         self._by_vertices[key] = (dim, cell_id)
         return (dim, cell_id)
 

@@ -144,10 +144,11 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
     breaks the image rules is reported once, at its lower id.  Pairs are
     judged in any order: `ValidationReport.collect` sorts the violations.
 
-    The loop below is the one per-pair body.  On a full-scope layer whose
-    paired ids are exactly its cells, it judges only the pairs that a pass
-    over the layer's columns leaves in doubt (see `_pairs_in_doubt`); every
-    other pair passes it.  Otherwise it judges every pair.
+    The loop below is the one per-pair body.  On a layer whose paired ids
+    all lie in its scope, and so name cells of the layer, at either scope,
+    it judges only the pairs that a pass over the layer's columns leaves in
+    doubt (see `_pairs_in_doubt`); every other pair passes it.  Otherwise
+    it judges every pair.
     """
     violations: list[Violation] = []
     if involution.scope == "full":
@@ -167,9 +168,7 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
         for i in outside:
             violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
         n_cells = len(layer)
-        pairs: Iterable[tuple[int, int]] = pairing.items()
-        if involution.scope == "full" and len(pairing) == n_cells and not outside:
-            pairs = _pairs_in_doubt(d, pairing, layer, lower, vp)
+        pairs = pairing.items() if outside else _pairs_in_doubt(d, pairing, layer, lower, vp)
         for i, j in pairs:
             if i == j:
                 violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
@@ -203,18 +202,20 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
 
 def _pairs_in_doubt(d: int, pairing: dict, layer: Sequence[Cell], lower: dict, vp: dict) -> Iterable[tuple[int, int]]:
     """The pairs (i, j), i < j, of the d-cells that the per-pair body of
-    `validate_involution` must still judge, given a full-scope pairing whose
-    ids are exactly the layer's.
+    `validate_involution` must still judge, given a pairing, of either
+    scope, whose ids all name cells of the layer.  It may leave cells
+    unpaired: the body reports those apart from the pairs.
 
     A pass over the layer's columns first checks that the pairing is a
     fixed-point-free involution: each lower id i, one below its partner j,
     is mapped back by j, and the lower ids are half the keys.  The partners
     are then distinct keys and none is a lower id (j > i = pairing[j]), so
-    they are the other half.  The pass then takes each lower cell's vertex
-    image, in order, and facet image, in order, and clears the pair when
-    they equal the vertices and facets of j and the vertex image strictly
-    increases.  Such a pair passes the body: the image is its own sorted
-    form, and equal tuples are equal multisets.  The pass declines, and
+    they are the other half, and every pair passes the body's fixed-point,
+    involution and existence rules.  The pass then takes each lower cell's
+    vertex image, in order, and facet image, in order, and clears the pair
+    when they equal the vertices and facets of j and the vertex image
+    strictly increases.  Such a pair passes the body: the image is its own
+    sorted form, and equal tuples are equal multisets.  The pass declines, and
     every pair goes to the body, when the pairing is not such an
     involution, some vertex or facet of a lower cell is unpaired (a missing
     key), a lower cell's vertex or facet count is not that of a d-cell, or

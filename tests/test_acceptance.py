@@ -62,7 +62,7 @@ from projquad import (
     write_bundle,
 )
 from projquad import audits, constructions, homology, symmetry
-from projquad.complexes import _cell_violations
+from projquad.complexes import _rule_chain
 from projquad.symmetry import Involution, antipodal_free_cells
 from projquad.validation import ValidationReport
 from projquad.cli import main
@@ -805,7 +805,8 @@ def test_three_audit_lemmas_agree_with_their_checks(corpus, monkeypatch):
 
 def test_stored_corpus_spheres_are_judged_as_cell_by_cell(corpus):
     # A parsed sphere is judged a layer at a time: the column passes must
-    # find what the per-cell judges find on every cell and every pair.
+    # find what the per-cell and per-pair judges find on every cell and
+    # every pair.
     for name, item in corpus.items():
         sq = item.sq
         parsed = complex_from_json(complex_to_json(sq.complex))
@@ -817,7 +818,7 @@ def test_stored_corpus_spheres_are_judged_as_cell_by_cell(corpus):
             v
             for d, layer in enumerate(layers)
             for i, cell in enumerate(layer)
-            for v in _cell_violations(d, i, cell, parsed.n_vertices, layers[d - 1] if d else ())
+            for v in _rule_chain(d, i, cell, parsed.n_vertices, layers[d - 1] if d else ())
         ]
         assert every_cell == [] and parsed.validate() == ValidationReport(), name
 

@@ -918,7 +918,8 @@ def test_a_complex_with_its_cells_listed_in_reverse_verifies_as_before(tmp_path,
 @pytest.mark.parametrize("change", [_reverse_the_facets_of_lower_2_cell_0, _reverse_the_facets_of_upper_2_cell_20])
 def test_a_top_cell_with_its_facets_reversed_verifies_as_before(tmp_path, capsys, change):
     # The column passes want facets in deletion order; a cell that lists
-    # them otherwise goes to the per-cell judges, which read them as a set.
+    # them otherwise goes to the cell law's rule chain and the involution's
+    # per-pair body, which read them as a set.
     out = _build(tmp_path, capsys, SOURCES["tower-4"])
     untampered = [run(capsys, command, str(out)) for command in ("verify", "chi")]
     _tamper(out / "complex.json", change)

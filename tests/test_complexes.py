@@ -120,8 +120,8 @@ def test_validate_refuses_two_vertex_cells_on_one_vertex():
 
 
 def test_the_cell_law_accepts_a_cell_over_an_unsorted_facet():
-    # The edge lists its vertices unsorted, so the triangle above it fails
-    # the one-comparison accept test; the rule chain still finds it lawful.
+    # The edge lists its vertices unsorted, so the column pass declines the
+    # triangle above it; the rule chain still finds the triangle lawful.
     v = [Cell((i,), ()) for i in range(3)]
     edges = [Cell((1, 0), (0, 1)), Cell((1, 2), (1, 2)), Cell((0, 2), (0, 2))]
     report = Complex([v, edges, [Cell((0, 1, 2), (0, 1, 2))]], [None] * 3).validate()
@@ -159,6 +159,27 @@ def test_simplicial_builder_closure_and_reuse():
     # adding a face of an existing simplex must not duplicate anything
     sb.add_simplex((0, 1, 2))
     assert sb.builder.n_cells(2) == 4
+
+
+@pytest.mark.parametrize("unknown", [-1, 4, 9])
+def test_simplicial_builder_refuses_an_unknown_vertex_and_keeps_a_lawful_prefix(unknown):
+    # The tetrahedron's faces come in `combinations` order: when the unknown
+    # vertex sorts last, the triangle (0, 1, 2) and its faces are added
+    # before the edge (0, unknown) raises; when it sorts first, nothing is.
+    # Vertex 3 is one that only the wrapped ComplexBuilder added.
+    sb = SimplicialBuilder()
+    for _ in range(3):
+        sb.add_vertex()
+    sb.builder.add_vertex()
+    with pytest.raises(UnknownVertex, match=f"vertex {unknown} was not added with add_vertex"):
+        sb.add_simplex((0, 1, 2, unknown))
+    with pytest.raises(UnknownVertex, match="vertex 3 was not added with add_vertex"):
+        sb.add_simplex((0, 3))
+    built = sb.build()
+    assert built.validate().ok
+    assert complex_from_json(complex_to_json(built)).validate().ok
+    kept = [built.n_cells(d) for d in range(built.dim + 1)]
+    assert kept == ([4] if unknown < 0 else [4, 3, 1])
 
 
 def test_simplicial_builder_id_of():

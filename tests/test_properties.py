@@ -28,9 +28,9 @@ from projquad import (
     rank_gf2,
 )
 from projquad.audits import _antipodal_free
-from projquad.complexes import _cell_violations, _rule_chain
+from projquad.complexes import _rule_chain
 from projquad.symmetry import Involution, antipodal_free_cells
-from projquad.errors import ProjquadError
+from projquad.errors import DuplicateVertexInCell, ProjquadError, UnknownVertex
 from projquad.validation import ValidationReport, Violation
 from projquad.graphs import label_key
 
@@ -495,6 +495,24 @@ def test_a_builder_hands_over_the_report_a_full_validation_gives(built):
 
 
 @settings(deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.lists(st.lists(st.integers(-1, 7), min_size=1, max_size=5), max_size=8))
+def test_a_simplicial_builder_hands_over_the_report_a_full_validation_gives(n, simplices):
+    # add_simplex appends its cells unjudged, as lawful by construction; a
+    # simplex it refuses keeps the faces it added before the refusal.
+    sb = SimplicialBuilder()
+    for _ in range(n):
+        sb.add_vertex()
+    for simplex in simplices:
+        try:
+            sb.add_simplex(simplex)
+        except (DuplicateVertexInCell, UnknownVertex):
+            pass
+    complex = sb.build()
+    fresh = Complex([complex.cells_of(d) for d in range(complex.dim + 1)], complex.labels).validate()
+    assert complex._report == fresh == ValidationReport()
+
+
+@settings(deadline=None, max_examples=100)
 @given(builders(), st.data())
 def test_the_star_index_finds_the_stars_a_scan_finds(built, data):
     source, builder = built
@@ -504,71 +522,6 @@ def test_the_star_index_finds_the_stars_a_scan_finds(built, data):
     for v in range(builder.n_vertices):
         for among in (within, set(range(builder.n_vertices))):
             assert sorted(builder.star(v, among)) == _star_by_scan(builder, v, among)
-
-
-@st.composite
-def judged_cells(draw):
-    """A cell with its dimension and position, a vertex count and the layer
-    below the cell, near the cell law.  The cell's vertices may repeat, run
-    unsorted, negative or out of range.  The layer holds the cell's
-    d-subsets, each perhaps listed unsorted, next to stray cells and a
-    parallel copy.  The facet list names those subsets, with at most one
-    change: a facet repeated, replaced, moved to its parallel copy, dropped
-    or added, an empty list, or an id that dangles or runs negative.  A
-    0-cell may sit on another vertex than its position, or at a negative or
-    too large position."""
-    d = draw(st.integers(0, 4))
-    kind = draw(st.sampled_from(["lawful", "sorted", "any"]))
-    n = draw(st.integers(d + 1, 7) if kind == "lawful" else st.integers(0, 6))
-    ints = st.integers(-2, n + 1)
-    if d == 0:
-        i = draw(ints)
-        vs = draw(st.one_of(st.just((i,)), st.lists(ints, max_size=2).map(tuple)))
-        return 0, i, Cell(vs, draw(st.lists(ints, max_size=2).map(tuple))), n, ()
-    if kind == "lawful":
-        vs = sorted(draw(st.lists(st.integers(0, n - 1), min_size=d + 1, max_size=d + 1, unique=True)))
-    elif kind == "sorted":  # perhaps repeated or out of range
-        vs = sorted(draw(st.lists(ints, min_size=d + 1, max_size=d + 1)))
-    else:
-        vs = draw(st.lists(ints, min_size=d - 1, max_size=d + 2))
-    vs = tuple(vs)
-    lower = [tuple(draw(st.permutations(sub))) if draw(st.integers(0, 5)) == 0 else sub for sub in combinations(vs, d)]
-    lower += draw(st.lists(st.lists(ints, min_size=d, max_size=d).map(tuple), max_size=2))
-    if lower and draw(st.booleans()):
-        lower.append(draw(st.sampled_from(lower)))
-    order = draw(st.permutations(range(len(lower))))
-    layer = tuple(Cell(lower[j], ()) for j in order)
-    facets = [order.index(j) for j in range(min(len(vs), len(lower)))]
-    change = draw(st.sampled_from(["none", "repeat", "replace", "parallel", "drop", "add", "clear", "alias", "dangle"]))
-    if facets and change != "none":
-        k = draw(st.integers(0, len(facets) - 1))
-        twins = [t for t, c in enumerate(layer) if c.vertices == layer[facets[k]].vertices and t != facets[k]]
-        if change == "repeat":
-            facets[k] = draw(st.sampled_from(facets))
-        elif change == "replace":
-            facets[k] = draw(st.integers(0, len(layer) - 1))
-        elif change == "parallel" and twins:
-            facets[k] = twins[0]
-        elif change == "drop":
-            facets.pop(k)
-        elif change == "add":
-            facets.append(draw(st.integers(-1, len(layer))))
-        elif change == "clear":
-            facets.clear()
-        elif change == "alias":  # names the same cell when used as an index
-            facets[k] -= len(layer)
-        elif change == "dangle":
-            facets[k] = draw(st.sampled_from([len(layer), -1]))
-    return d, draw(ints), Cell(vs, tuple(draw(st.permutations(facets)))), n, layer
-
-
-@settings(deadline=None, max_examples=800)
-@given(judged_cells())
-def test_the_accept_test_agrees_with_the_rule_chain(judged):
-    # The one-comparison accept test may only skip the rules when they find
-    # nothing; whatever it passes on must get the chain's full verdict.
-    d, i, cell, n, lower = judged
-    assert _cell_violations(d, i, cell, n, lower) == tuple(_rule_chain(d, i, cell, n, lower))
 
 
 # One change to a cell of a lawful complex, each a way its layer's columns
@@ -650,7 +603,7 @@ def _outcome(judge):
 @settings(deadline=None, max_examples=600)
 @given(judged_layers())
 def test_layers_are_judged_as_cell_by_cell(judged):
-    # The column pass may only skip cells that `_cell_violations` passes:
+    # The column pass may only skip cells that `_rule_chain` passes:
     # validation by layers, of every cell or of the lower cell of each pair,
     # must find what that judge finds, in the same order, and raise where it
     # raises.
@@ -660,7 +613,7 @@ def test_layers_are_judged_as_cell_by_cell(judged):
     def judged_at(positions):
         for d, layer in enumerate(layers):
             for i in positions(d, layer):
-                yield from _cell_violations(d, i, layer[i], n, layers[d - 1] if d else ())
+                yield from _rule_chain(d, i, layer[i], n, layers[d - 1] if d else ())
 
     def every_cell(d, layer):
         return range(len(layer))

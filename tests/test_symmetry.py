@@ -327,12 +327,21 @@ def test_double_octahedron_hemisphere(octahedron, octahedron_involution):
 
 
 @lru_cache(maxsize=None)
-def _tower_4():
-    return mycielski_tower(4)
+def _paired(source):
+    """A complex with its involution: tower-4 at full scope, or at boundary
+    scope the cylinder-3 ball or the ball of the lift that doubles to
+    tower-4."""
+    if source == "tower-4":
+        made = mycielski_tower(4)
+    elif source == "cylinder-3 ball":
+        made = cylinder_complete(3)
+    else:
+        made = mycielski_lift(odd_cycle_sphere(2), 2)
+    return made.complex, made.involution
 
 
-# One change to tower-4's pairing or cells at a drawn pair (i, j), i < j, of
-# a drawn dimension d.
+# One change to a pairing or to cells at a drawn pair (i, j), i < j, of a
+# drawn dimension d.
 INVOLUTION_MUTATIONS = (
     "none",
     "fixed point",
@@ -345,16 +354,17 @@ INVOLUTION_MUTATIONS = (
 )
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.sampled_from(INVOLUTION_MUTATIONS), st.data())
-def test_the_involution_pass_judges_as_the_per_pair_loop(kind, data):
+@settings(deadline=None, max_examples=450)
+@given(st.sampled_from(("tower-4", "cylinder-3 ball", "tower-4 lift")), st.sampled_from(INVOLUTION_MUTATIONS), st.data())
+def test_the_involution_pass_judges_as_the_per_pair_loop(source, kind, data):
     # The column pass may only clear pairs that the per-pair body passes,
-    # and must leave the body every pair when it declines.
-    sq = _tower_4()
-    dim = sq.complex.dim
-    d = data.draw(st.integers(1 if kind == "unsorted partner vertices" else 0, dim))
-    layers = [list(sq.complex.cells_of(e)) for e in range(dim + 1)]
-    pairings = [dict(sq.involution.pairing(e)) for e in range(dim + 1)]
+    # and must leave the body every pair when it declines, at full scope
+    # and at boundary scope, where the top layer has no pairs.
+    original, paired = _paired(source)
+    dim = original.dim
+    pairings = [dict(paired.pairing(e)) for e in range(dim + 1)]
+    d = data.draw(st.sampled_from([e for e in range(1 if kind == "unsorted partner vertices" else 0, dim + 1) if pairings[e]]))
+    layers = [list(original.cells_of(e)) for e in range(dim + 1)]
     pairing, layer = pairings[d], layers[d]
     i, j = data.draw(st.sampled_from(sorted((a, b) for a, b in pairing.items() if a < b)))
     if kind == "fixed point":  # one end, or both, so that the rest stays an involution
@@ -378,8 +388,8 @@ def test_the_involution_pass_judges_as_the_per_pair_loop(kind, data):
         if image == tuple(sorted(image)):
             vertices, image = vertices[::-1], image[::-1]
         layer[i], layer[j] = Cell(vertices, layer[i].facets), Cell(image, layer[j].facets)
-    complex = Complex(layers, sq.complex.labels)
-    involution = Involution("full", pairings[0], dict(enumerate(pairings[1:], 1)))
+    complex = Complex(layers, original.labels)
+    involution = Involution(paired.scope, pairings[0], dict(enumerate(pairings[1:], 1)))
     report = validate_involution(complex, involution)
     assert report == validate_involution_by_pairs(complex, involution)
     if kind in ("none", "permuted partner facets"):
@@ -391,9 +401,10 @@ def test_the_involution_pass_judges_as_the_per_pair_loop(kind, data):
 
 
 def test_the_involution_pass_judges_balls_and_boundary_scope_as_the_per_pair_loop():
-    # Boundary scope gets no column pass: the ball's own boundary pairing
-    # passes, and a double's full pairing read at boundary scope pairs
-    # cells outside the (empty) boundary of a sphere.
+    # The column pass runs at boundary scope too: the ball's own boundary
+    # pairing passes it, and a double's full pairing read at boundary scope
+    # pairs cells outside the (empty) boundary of a sphere, so every pair of
+    # those layers goes to the per-pair body.
     for ball in (cylinder_complete(3), mycielski_lift(odd_cycle_sphere(2), 2)):
         assert validate_involution(ball.complex, ball.involution).ok
         assert validate_involution(ball.complex, ball.involution) == validate_involution_by_pairs(ball.complex, ball.involution)
