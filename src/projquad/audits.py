@@ -158,8 +158,8 @@ def parity_audit(complex: Complex, edge_cells: frozenset[int]) -> ValidationRepo
     since parallel 1-cells in a quotient share a vertex pair.
     """
     violations = []
-    for i, c in enumerate(complex.cells_of(2) if complex.dim >= 2 else ()):
-        k = sum(1 for f in c.facets if f in edge_cells)
+    for i, facets in enumerate(complex.facets_of(2) if complex.dim >= 2 else ()):
+        k = sum(1 for f in facets if f in edge_cells)
         if k % 2:
             violations.append(Violation("OddSelection", 2, i, f"{k} of 3 edges selected"))
     return ValidationReport.collect(violations)
@@ -244,8 +244,9 @@ def sample_closed_walks(
     rng = random.Random(seed)
     max_len = 4 * complex.n_vertices + 8
     incident: dict[int, list[tuple[int, int]]] = {}
+    edges = complex.vertices_of(1) if complex.dim >= 1 else ()
     for e in sorted(edge_cells):
-        u, v = complex.cell(1, e).vertices
+        u, v = edges[e]
         incident.setdefault(u, []).append((e, v))
         incident.setdefault(v, []).append((e, u))
     starts = sorted(incident)
@@ -300,7 +301,7 @@ def _box_map_violations(
     """The cell rule of `verify_z2_map_to_box` on the given (dim, id) cells."""
     violations = []
     for d, i in cells:
-        vertices = complex.cell(d, i).vertices
+        vertices = complex.vertices_of(d)[i]
         if len({(labels[v], colouring.of(v)) for v in vertices}) != len(vertices):
             violations.append(Violation("NotSimplicialMap", d, i, "vertices collide in the image"))
             continue
@@ -362,9 +363,9 @@ def _antipodal_free(complex: Complex, involution: Involution) -> ValidationRepor
     gives it.
     """
     vp = involution.vertex_pairing
-    for c in complex.cells_of(1) if complex.dim >= 1 else ():
-        u, w = c.vertices
-        if vp.get(u) in c.vertices or vp.get(w) in c.vertices:
+    for vertices in complex.vertices_of(1) if complex.dim >= 1 else ():
+        u, w = vertices
+        if vp.get(u) in vertices or vp.get(w) in vertices:
             return antipodal_free_cells(complex, involution)
     return ValidationReport()
 
@@ -450,6 +451,14 @@ def _audit(
     bichromatic facets number 0 or 2.  The entry is therefore empty;
     `parity_audit` is the check it replaces, stays its test oracle, and is
     the fall-back of `quotient-parity`.
+
+    `boundary-operator` reads the verdicts d_{p-1} o d_p = 0 of the
+    complex's one `HomologyCalculator`, the ones its clearing guard reads.
+    The calculator is made once complex-valid has passed, so the
+    `validate()` report is in hand, and wherever the (p-2)-cells have
+    distinct vertex tuples the verdict is the calculator's cell-law lemma
+    (see `HomologyCalculator`) with no parity pass; elsewhere, as where
+    parallel cells meet, the parity pass on the facet rows gives it.
 
     The sphere's lemmas after the identification are proved in the
     docstring of `verify_sphere_quadrangulation`.

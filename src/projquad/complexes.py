@@ -59,10 +59,10 @@ _SET_FIELDS = tuple(Cell.__dict__[name].__set__ for name in ("vertices", "facets
 _VERTICES, _FACETS = attrgetter("vertices"), attrgetter("facets")
 
 
-def _unaccepted(d: int, positions: Sequence[int], layer: Sequence[Cell], n_vertices: int, lower_cells: Sequence[Cell]) -> Sequence[int]:
-    """The positions, in order, of the d-cells in `layer` that a pass over
-    the layer's columns does not accept, and that `_rule_chain` must
-    therefore still judge.
+def _unaccepted(d: int, positions: Sequence[int], vertices: Sequence[tuple], facets: Sequence[tuple], n_vertices: int, lower_vertices: Sequence[tuple]) -> Sequence[int]:
+    """The positions, in order, of the d-cells, given by the layer's vertex
+    and facet columns, that a pass over those columns does not accept, and
+    that `_rule_chain` must therefore still judge.
 
     The pass accepts a 0-cell whose vertices are `(i,)` for its position i
     in [0, n_vertices) and whose facets are `()`, and a d-cell with d >= 1
@@ -83,18 +83,18 @@ def _unaccepted(d: int, positions: Sequence[int], layer: Sequence[Cell], n_verti
     raises.  Its maps are lazy, so the result list is made inside the
     `try`.
     """
-    cells = [*map(layer.__getitem__, positions)]
-    vertices, facets = [*map(_VERTICES, cells)], [*map(_FACETS, cells)]
+    if type(positions) is not range:
+        vertices, facets = [*map(vertices.__getitem__, positions)], [*map(facets.__getitem__, positions)]
     if d == 0:
         tests = [map(eq, vertices, zip(positions)), map(eq, facets, repeat(())), map(range(n_vertices).__contains__, positions)]
         return [*compress(positions, map(not_, map(all, zip(*tests))))]
     w = d + 1
     flat_vertices, flat_facets = [*chain.from_iterable(vertices)], [*chain.from_iterable(facets)]
     try:
-        if {*map(len, vertices), *map(len, facets)} - {w} or flat_facets and not (0 <= min(flat_facets) and max(flat_facets) < len(lower_cells)):
+        if {*map(len, vertices), *map(len, facets)} - {w} or flat_facets and not (0 <= min(flat_facets) and max(flat_facets) < len(lower_vertices)):
             return positions
         columns = [flat_vertices[k::w] for k in range(w)]
-        below = [*map(_VERTICES, lower_cells)].__getitem__
+        below = lower_vertices.__getitem__
         tests = [map(le, repeat(0), columns[0]), map(gt, repeat(n_vertices), columns[-1]), *map(map, repeat(lt), columns, columns[1:])]
         for k in range(w):  # facet k against the deletion of vertex d-k
             tests.append(map(eq, map(below, flat_facets[k::w]), zip(*columns[: d - k], *columns[d - k + 1 :])))
@@ -103,10 +103,11 @@ def _unaccepted(d: int, positions: Sequence[int], layer: Sequence[Cell], n_verti
         return positions
 
 
-def _rule_chain(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequence[Cell]) -> Iterator[Violation]:
-    """How the d-cell at position i breaks the cell law, given the vertex
-    count and the cells one dimension down, rule by rule; nothing for a
-    lawful cell.
+def _rule_chain(d: int, i: int, vs: tuple, fs: tuple, n_vertices: int, below: Callable[[int], tuple], n_below: int) -> Iterator[Violation]:
+    """How the d-cell at position i, on vertices `vs` with facets `fs`,
+    breaks the cell law, given the vertex count, the vertices `below(f)` of
+    the (d-1)-cell f and the number `n_below` of (d-1)-cells, rule by rule;
+    nothing for a lawful cell.
 
     A d-cell has d+1 distinct, sorted, known vertices, the 0-cell at
     position i sits on vertex i and has no facets, and a d-cell with d >= 1
@@ -115,7 +116,6 @@ def _rule_chain(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequen
     checked too.  `Complex._violations` runs it on the cells that
     `_unaccepted` declines, and `ComplexBuilder.add_cell` on each new cell.
     """
-    vs, fs = cell.vertices, cell.facets
     if len(vs) != d + 1:
         yield Violation("VertexArityMismatch", d, i, f"{len(vs)} vertices")
         return
@@ -136,11 +136,11 @@ def _rule_chain(d: int, i: int, cell: Cell, n_vertices: int, lower_cells: Sequen
         yield Violation("VertexArityMismatch", d, i, f"{len(fs)} facets")
     elif len(set(fs)) != d + 1:
         yield Violation("DuplicateFacet", d, i, str(fs))
-    elif min(fs) < 0 or max(fs) >= len(lower_cells):
+    elif min(fs) < 0 or max(fs) >= n_below:
         yield Violation("DanglingFacet", d, i, str(fs))
     else:
         # d+1 distinct d-subsets of a (d+1)-set are all of its d-subsets.
-        got = {frozenset(lower_cells[f].vertices) for f in fs}
+        got = {frozenset(below(f)) for f in fs}
         if len(got) != d + 1 or any(len(s) != d or not s <= vset for s in got):
             yield Violation("FacetCoverageViolation", d, i, "facets do not realize the p-subsets")
 
@@ -194,10 +194,16 @@ def boundary_cells(complex: Complex) -> dict[int, frozenset[int]]:
 class Complex:
     """Immutable generalized simplicial complex.
 
-    `cells_of(d)` returns the d-cells; the d-cell at position i of that
-    layer is the d-cell of id i, so ids are dense per dimension.  On a
-    complex that passes `validate()`, the 0-cell at position v sits on
-    vertex v.
+    Each layer of d-cells is kept as two columns: `vertices_of(d)`, a tuple
+    of the cells' vertex tuples, and `facets_of(d)`, a tuple of their facet
+    tuples; the d-cell at position i of a layer is the d-cell of id i, so
+    ids are dense per dimension.  On a complex that passes `validate()`, the
+    0-cell at position v sits on vertex v.  A complex made from `Cell`
+    layers (the builders, `double`) keeps those cells and takes its columns
+    from them once.  One made from columns (`complex_from_json`,
+    `symmetry._project`, through the private `_columns`) makes its `Cell`s
+    only on the first call of `cells_of` or `cell`; the audits of a stored
+    sphere read the columns alone.
     """
 
     def __init__(
@@ -205,8 +211,15 @@ class Complex:
         cells: Sequence[Sequence[Cell]],
         labels: Sequence[Optional[str]],
         coords: Optional[Sequence[Optional[tuple[float, ...]]]] = None,
+        *,
+        _columns: Optional[tuple[Sequence[Sequence[tuple]], Sequence[Sequence[tuple]]]] = None,
     ) -> None:
-        self._cells: tuple[tuple[Cell, ...], ...] = tuple(tuple(layer) for layer in cells)
+        self._cells: Optional[tuple[tuple[Cell, ...], ...]] = None
+        if _columns is None:
+            self._cells = tuple(tuple(layer) for layer in cells)
+            _columns = [map(_VERTICES, layer) for layer in self._cells], [map(_FACETS, layer) for layer in self._cells]
+        self._vertices: tuple[tuple[tuple, ...], ...] = tuple(map(tuple, _columns[0]))
+        self._facets: tuple[tuple[tuple, ...], ...] = tuple(map(tuple, _columns[1]))
         self._labels: tuple[Optional[str], ...] = tuple(labels)
         self._coords: Optional[tuple[Optional[tuple[float, ...]], ...]] = (
             tuple(tuple(c) if c is not None else None for c in coords) if coords is not None else None
@@ -223,20 +236,32 @@ class Complex:
 
     @property
     def dim(self) -> int:
-        return len(self._cells) - 1
+        return len(self._vertices) - 1
 
     @property
     def n_vertices(self) -> int:
         return len(self._labels)
 
     def n_cells(self, d: int) -> int:
-        return len(self._cells[d]) if 0 <= d <= self.dim else 0
+        return len(self._vertices[d]) if 0 <= d <= self.dim else 0
+
+    def vertices_of(self, d: int) -> tuple[tuple[VertexId, ...], ...]:
+        """The vertex tuple of each d-cell, in id order."""
+        return self._vertices[d]
+
+    def facets_of(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """The facet tuple of each d-cell, in id order."""
+        return self._facets[d]
 
     def cells_of(self, d: int) -> tuple[Cell, ...]:
+        """The d-cells; a complex made from columns makes every layer's
+        `Cell`s on the first call (see the class docstring)."""
+        if self._cells is None:
+            self._cells = tuple(tuple(map(Cell, *layer)) for layer in zip(self._vertices, self._facets))
         return self._cells[d]
 
     def cell(self, d: int, i: int) -> Cell:
-        return self._cells[d][i]
+        return self.cells_of(d)[i]
 
     def label(self, v: VertexId) -> Optional[str]:
         return self._labels[v]
@@ -261,10 +286,8 @@ class Complex:
         """For each d-cell, the number of (d+1)-cells having it as a facet."""
         if d not in self._cofacet_counts:
             counts = [0] * self.n_cells(d)
-            if d + 1 <= self.dim:
-                for cell in self._cells[d + 1]:
-                    for f in cell.facets:
-                        counts[f] += 1
+            for f in chain.from_iterable(self._facets[d + 1] if d + 1 <= self.dim else ()):
+                counts[f] += 1
             self._cofacet_counts[d] = tuple(counts)
         return self._cofacet_counts[d]
 
@@ -274,7 +297,7 @@ class Complex:
             keys: list[CellKey] = []
             for d in range(self.dim + 1):
                 counts = self.cofacet_counts(d)
-                keys.extend((d, i) for i, k in enumerate(counts) if k == 0)
+                keys.extend(zip(repeat(d), compress(range(len(counts)), map(not_, counts))))
             self._maximal = tuple(keys)
         return self._maximal
 
@@ -298,9 +321,8 @@ class Complex:
         for d in range(top + 1):
             layer: list[Cell] = []
             for old in sorted(id_map[d]):
-                c = self._cells[d][old]
-                verts = tuple(sorted(vert_map[v] for v in c.vertices))
-                facets = tuple(id_map[d - 1][f] for f in c.facets) if d > 0 else ()
+                verts = tuple(sorted(vert_map[v] for v in self._vertices[d][old]))
+                facets = tuple(id_map[d - 1][f] for f in self._facets[d][old]) if d > 0 else ()
                 layer.append(Cell(verts, facets))
             new_cells.append(layer)
         return Complex(new_cells, labels, coords), id_map
@@ -322,13 +344,13 @@ class Complex:
         if self.n_cells(0) != self.n_vertices:
             yield Violation("VertexCellMismatch", 0, None, "0-cells do not match vertex set")
         n = self.n_vertices
-        for d, layer in enumerate(self._cells):
-            lower = self._cells[d - 1] if d else ()
-            positions: Sequence[int] = range(len(layer))
+        for d, (vertices, facets) in enumerate(zip(self._vertices, self._facets)):
+            lower = self._vertices[d - 1] if d else ()
+            positions: Sequence[int] = range(len(vertices))
             if pairing is not None:
                 positions = [i for i, j in pairing(d).items() if i < j]
-            for i in _unaccepted(d, positions, layer, n, lower):
-                yield from _rule_chain(d, i, layer[i], n, lower)
+            for i in _unaccepted(d, positions, vertices, facets, n, lower):
+                yield from _rule_chain(d, i, vertices[i], facets[i], n, lower.__getitem__, len(lower))
 
     def validate(self) -> ValidationReport:
         """Unique labels, one 0-cell per vertex, and the cell law on every
@@ -367,13 +389,14 @@ class Complex:
         if not isinstance(other, Complex):
             return NotImplemented
         return (
-            self._cells == other._cells
+            self._vertices == other._vertices
+            and self._facets == other._facets
             and self._labels == other._labels
             and self._coords == other._coords
         )
 
     def __repr__(self) -> str:
-        counts = ",".join(str(len(layer)) for layer in self._cells)
+        counts = ",".join(str(len(layer)) for layer in self._vertices)
         return f"Complex(dim={self.dim}, cells=[{counts}])"
 
 
@@ -439,7 +462,7 @@ class ComplexBuilder:
         lower = self._cells[dim - 1] if dim <= len(self._cells) else []
         i = self.n_cells(dim)
         cell = Cell(tuple(sorted(vertices)), tuple(facets))
-        for v in _rule_chain(dim, i, cell, self.n_vertices, lower):
+        for v in _rule_chain(dim, i, cell.vertices, cell.facets, self.n_vertices, lambda f: lower[f].vertices, len(lower)):
             raise _BUILDER_ERRORS[v.code](f"{v.code} in new {dim}-cell: {v.detail}")
         self._append(dim, [cell])
         return i
@@ -647,24 +670,22 @@ def _complex_texts(complex: Complex) -> list[str]:
         if complex.n_cells(d):
             if len(pieces) > 1:
                 pieces.append(",")
-            pieces.append(_layer_text(d, complex.cells_of(d)))
+            pieces.append(_layer_text(d, complex.vertices_of(d), complex.facets_of(d)))
     pieces.append(("\n ]," if len(pieces) > 1 else "],") + head[1:])
     return pieces
 
 
-def _layer_text(d: int, layer: Sequence[Cell]) -> str:
-    """The canonical texts of the d-cells in `layer`, joined by commas, each
-    led by its line break.  Each cell's id is its position, and each cell is
-    one `%` on the format of its (facet count, vertex count) shape, since
-    `%d` spells an int as json does.  A layer with a vertex or facet id not
-    of type int raises TypeError: `complex_from_json` would refuse the
-    text that json writes for it (a bool, a float or None), and `%d` would
-    spell it as an int."""
-    vertices = chain.from_iterable(map(attrgetter("vertices"), layer))
-    facets = chain.from_iterable(map(attrgetter("facets"), layer))
-    if {*map(type, vertices), *map(type, facets)} - {int}:
+def _layer_text(d: int, vertices: Sequence[tuple], facets: Sequence[tuple]) -> str:
+    """The canonical texts of the d-cells of the given vertex and facet
+    columns, joined by commas, each led by its line break.  Each cell's id
+    is its position, and each cell is one `%` on the format of its (facet
+    count, vertex count) shape, since `%d` spells an int as json does.  A
+    layer with a vertex or facet id not of type int raises TypeError:
+    `complex_from_json` would refuse the text that json writes for it (a
+    bool, a float or None), and `%d` would spell it as an int."""
+    if {*map(type, chain.from_iterable(vertices)), *map(type, chain.from_iterable(facets))} - {int}:
         raise TypeError(f"{d}-cell vertices and facets must be of type int")
-    return ",".join(_cell_format(len(c.facets), len(c.vertices)) % (d, *c.facets, i, *c.vertices) for i, c in enumerate(layer))
+    return ",".join(_cell_format(len(fs), len(vs)) % (d, *fs, i, *vs) for i, (vs, fs) in enumerate(zip(vertices, facets)))
 
 
 @lru_cache(maxsize=None)
@@ -716,7 +737,7 @@ def complex_from_json(obj: dict) -> Complex:
         top = max(layers, default=0)
         if dim > top:
             raise ParseError(f"stated dimension {dim} is above the highest cell dimension {top}")
-        cells: list[list[Cell]] = []
+        columns: tuple[list[list[tuple]], list[list[tuple]]] = ([], [])
         for d in range(dim + 1):
             layer = layers.get(d, [])
             ids = [e["id"] for e in layer]
@@ -730,8 +751,9 @@ def complex_from_json(obj: dict) -> Complex:
             facets = [tuple(e.get("facets", ())) for e in layer]
             if {*map(type, chain.from_iterable(vertices)), *map(type, chain.from_iterable(facets))} - {int}:
                 raise ParseError(f"{d}-cell vertices and facets must be integers")
-            cells.append(list(map(Cell, vertices, facets)))
-        return Complex(cells, labels, coords)
+            columns[0].append(vertices)
+            columns[1].append(facets)
+        return Complex((), labels, coords, _columns=columns)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -8,7 +8,7 @@ from math import sqrt
 from operator import eq, lt, not_
 from typing import Iterable, Optional, Sequence
 
-from .complexes import _FACETS, _VERTICES, Cell, Complex, VertexId, boundary_cells
+from .complexes import Cell, Complex, VertexId, boundary_cells
 from .errors import (
     BadParameters,
     LoopCreated,
@@ -144,6 +144,11 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
     breaks the image rules is reported once, at its lower id.  Pairs are
     judged in any order: `ValidationReport.collect` sorts the violations.
 
+    At full scope a pairing whose keys are n ints from 0 to n-1, n the
+    layer's cell count, pairs exactly the layer's cells, so no cell is
+    unpaired or outside the scope (`_keys_are_range`); any other pairing is
+    compared with the scope as sets.
+
     The loop below is the one per-pair body.  On a layer whose paired ids
     all lie in its scope, and so name cells of the layer, at either scope,
     it judges only the pairs that a pass over the layer's columns leaves in
@@ -151,24 +156,25 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
     it judges every pair.
     """
     violations: list[Violation] = []
-    if involution.scope == "full":
-        scope_cells = {d: set(range(complex.n_cells(d))) for d in range(complex.dim + 1)}
-    else:
-        scope_cells = boundary_cells(complex)
+    full = involution.scope == "full"
+    scope_cells = None if full else boundary_cells(complex)
     # Dimension 0 is stored as `vertex_pairing`, so no cell pairs belong there.
     for d in sorted(set(involution.cell_pairing) - set(range(1, complex.dim + 1))):
         violations.append(Violation("PairedOutsideScope", d, None, f"cell pairs at dimension {d}, outside 1..{complex.dim}"))
     vp = involution.pairing(0)
     for d in range(complex.dim + 1):
-        pairing, lower, layer = involution.pairing(d), involution.pairing(d - 1), complex.cells_of(d)
-        in_scope = scope_cells.get(d, set())
-        for i in sorted(in_scope - set(pairing)):
-            violations.append(Violation("UnpairedCell", d, i, "scope cell not paired"))
-        outside = sorted(set(pairing) - in_scope)
-        for i in outside:
-            violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
-        n_cells = len(layer)
-        pairs = pairing.items() if outside else _pairs_in_doubt(d, pairing, layer, lower, vp)
+        pairing, lower = involution.pairing(d), involution.pairing(d - 1)
+        vertices, facets = complex.vertices_of(d), complex.facets_of(d)
+        n_cells = len(vertices)
+        outside: list = []
+        if not (full and _keys_are_range(pairing, n_cells)):
+            in_scope = set(range(n_cells)) if full else scope_cells.get(d, set())
+            for i in sorted(in_scope - set(pairing)):
+                violations.append(Violation("UnpairedCell", d, i, "scope cell not paired"))
+            outside = sorted(set(pairing) - in_scope)
+            for i in outside:
+                violations.append(Violation("PairedOutsideScope", d, i, "cell outside scope is paired"))
+        pairs = pairing.items() if outside else _pairs_in_doubt(d, pairing, vertices, facets, lower, vp)
         for i, j in pairs:
             if i == j:
                 violations.append(Violation("FixedPoint", d, i, "cell paired with itself"))
@@ -181,26 +187,33 @@ def validate_involution(complex: Complex, involution: Involution) -> ValidationR
                 continue
             if i > j:
                 continue
-            src, dst = layer[i], layer[j]
             try:
-                image = tuple(sorted(map(vp.__getitem__, src.vertices)))
+                image = tuple(sorted(map(vp.__getitem__, vertices[i])))
             except KeyError as exc:
                 violations.append(Violation("NotSimplicial", d, i, f"vertex {exc.args[0]} of cell is unpaired"))
                 continue
-            if image != dst.vertices:
-                violations.append(Violation("NotSimplicial", d, i, f"vertex image {image} != {dst.vertices}"))
+            if image != vertices[j]:
+                violations.append(Violation("NotSimplicial", d, i, f"vertex image {image} != {vertices[j]}"))
                 continue
             try:
-                facet_image = sorted(map(lower.__getitem__, src.facets))
+                facet_image = sorted(map(lower.__getitem__, facets[i]))
             except KeyError as exc:
                 violations.append(Violation("NotSimplicial", d, i, f"facet {exc.args[0]} is unpaired"))
                 continue
-            if facet_image != sorted(dst.facets):
+            if facet_image != sorted(facets[j]):
                 violations.append(Violation("NotSimplicial", d, i, "facet images do not match pair's facets"))
     return ValidationReport.collect(violations)
 
 
-def _pairs_in_doubt(d: int, pairing: dict, layer: Sequence[Cell], lower: dict, vp: dict) -> Iterable[tuple[int, int]]:
+def _keys_are_range(pairing: dict, n: int) -> bool:
+    """Whether the keys of `pairing` are exactly 0..n-1: n distinct keys of
+    type int whose least is 0 and greatest n-1.  Keys of any other type,
+    bool and float included, are left to the set path of
+    `validate_involution`, which compares them by value."""
+    return len(pairing) == n and (not n or {*map(type, pairing)} == {int} and min(pairing) == 0 and max(pairing) == n - 1)
+
+
+def _pairs_in_doubt(d: int, pairing: dict, vertices: Sequence[tuple], facets: Sequence[tuple], lower: dict, vp: dict) -> Iterable[tuple[int, int]]:
     """The pairs (i, j), i < j, of the d-cells that the per-pair body of
     `validate_involution` must still judge, given a pairing, of either
     scope, whose ids all name cells of the layer.  It may leave cells
@@ -226,8 +239,7 @@ def _pairs_in_doubt(d: int, pairing: dict, layer: Sequence[Cell], lower: dict, v
         highs = [*map(pairing.__getitem__, lows)]
         if 2 * len(lows) != len(pairing) or [*map(pairing.__getitem__, highs)] != lows:
             return pairing.items()
-        src, dst = [*map(layer.__getitem__, lows)], [*map(layer.__getitem__, highs)]
-        src_vertices, src_facets = [*map(_VERTICES, src)], [*map(_FACETS, src)]
+        src_vertices, src_facets = [*map(vertices.__getitem__, lows)], [*map(facets.__getitem__, lows)]
         w, n_facets = d + 1, d + 1 if d else 0
         if {*map(len, src_vertices)} - {w} or {*map(len, src_facets)} - {n_facets}:
             return pairing.items()
@@ -235,7 +247,7 @@ def _pairs_in_doubt(d: int, pairing: dict, layer: Sequence[Cell], lower: dict, v
         facet_images = [*map(lower.__getitem__, chain.from_iterable(src_facets))]
         columns = [images[k::w] for k in range(w)]
         rows = zip(*[iter(facet_images)] * n_facets) if d else repeat(())
-        tests = [map(eq, zip(*columns), map(_VERTICES, dst)), map(eq, rows, map(_FACETS, dst)), *map(map, repeat(lt), columns, columns[1:])]
+        tests = [map(eq, zip(*columns), map(vertices.__getitem__, highs)), map(eq, rows, map(facets.__getitem__, highs)), *map(map, repeat(lt), columns, columns[1:])]
         return [*compress(zip(lows, highs), map(not_, map(all, zip(*tests))))]
     except (KeyError, TypeError):
         return pairing.items()
@@ -257,16 +269,17 @@ def _project(
     it.
     """
     projection: list[dict[int, int]] = []
-    layers: list[list[Cell]] = []
+    columns: tuple[list[list[tuple]], list[list[tuple]]] = ([], [])
     for d in range((complex.dim if top is None else top) + 1):
-        pairing, cells = involution.pairing(d), complex.cells_of(d)
-        lower = [i for i in range(len(cells)) if i < pairing[i]]
+        pairing, vertices, facets = involution.pairing(d), complex.vertices_of(d), complex.facets_of(d)
+        lower = [i for i in range(len(vertices)) if i < pairing[i]]
         projection.append({i: k for k, r in enumerate(lower) for i in (r, pairing[r])})
         # A 0-cell has no facets, so projection[-1] is never read.
         vertex_of, facet_of = projection[0].__getitem__, projection[d - 1].__getitem__
-        layers.append([Cell(tuple(sorted(map(vertex_of, cells[i].vertices))), tuple(map(facet_of, cells[i].facets))) for i in lower])
+        columns[0].append([tuple(sorted(map(vertex_of, vertices[i]))) for i in lower])
+        columns[1].append([tuple(map(facet_of, facets[i])) for i in lower])
     reps = [i for i, j in sorted(involution.pairing(0).items()) if i < j]
-    return Complex(layers, [complex.labels[v] for v in reps]), dict(enumerate(projection))
+    return Complex((), [complex.labels[v] for v in reps], _columns=columns), dict(enumerate(projection))
 
 
 def antipodal_free_cells(complex: Complex, involution: Involution) -> ValidationReport:
@@ -274,10 +287,10 @@ def antipodal_free_cells(complex: Complex, involution: Involution) -> Validation
     violations = []
     vp = involution.vertex_pairing
     for d in range(1, complex.dim + 1):
-        for i, c in enumerate(complex.cells_of(d)):
-            vs = set(c.vertices)
-            if any(vp.get(v) in vs for v in c.vertices):
-                violations.append(Violation("AntipodalPairInCell", d, i, str(c.vertices)))
+        for i, vertices in enumerate(complex.vertices_of(d)):
+            vs = set(vertices)
+            if any(vp.get(v) in vs for v in vertices):
+                violations.append(Violation("AntipodalPairInCell", d, i, str(vertices)))
     return ValidationReport.collect(violations)
 
 
@@ -285,7 +298,7 @@ def proper_on_maximal(complex: Complex, colouring: TwoColouring) -> ValidationRe
     """Every maximal cell must see both colours."""
     violations = []
     for d, i in complex.maximal_cells():
-        vs = complex.cell(d, i).vertices
+        vs = complex.vertices_of(d)[i]
         if colouring.black.isdisjoint(vs) or colouring.white.isdisjoint(vs):
             violations.append(Violation("MonochromaticCell", d, i, str(vs)))
     return ValidationReport.collect(violations)
@@ -303,8 +316,7 @@ def antisymmetric_on_pairs(colouring: TwoColouring, involution: Involution) -> V
 def bichromatic_edge_cells(complex: Complex, colouring: TwoColouring) -> frozenset[int]:
     """Ids of the 1-cells whose endpoints have different colours."""
     out = set()
-    for i, c in enumerate(complex.cells_of(1) if complex.dim >= 1 else ()):
-        u, v = c.vertices
+    for i, (u, v) in enumerate(complex.vertices_of(1) if complex.dim >= 1 else ()):
         if colouring.of(u) != colouring.of(v):
             out.add(i)
     return frozenset(out)
@@ -313,8 +325,9 @@ def bichromatic_edge_cells(complex: Complex, colouring: TwoColouring) -> frozens
 def associated_graph(complex: Complex, colouring: TwoColouring) -> Graph:
     """Simple graph on the vertex ids whose edges are the bichromatic 1-cells."""
     g = Graph(range(complex.n_vertices))
+    edges = complex.vertices_of(1) if complex.dim >= 1 else ()
     for cid in sorted(bichromatic_edge_cells(complex, colouring)):
-        u, v = complex.cell(1, cid).vertices
+        u, v = edges[cid]
         g.add_edge(u, v)
     return g
 

@@ -112,6 +112,29 @@ def facet_rows(complex: Complex, p: int) -> list[int]:
     return rows
 
 
+def numpy_rank_gf2(dense) -> int:
+    """The rank over GF(2) of a 0/1 numpy matrix, by numpy row operations:
+    the oracle of `rank_gf2` and of the homology ranks."""
+    import numpy as np
+
+    a = dense.copy()
+    rank = 0
+    rows, cols = a.shape
+    for col in range(cols):
+        hits = np.nonzero(a[rank:, col])[0]
+        if hits.size == 0:
+            continue
+        pivot = rank + int(hits[0])
+        a[[rank, pivot]] = a[[pivot, rank]]
+        mask = a[:, col].astype(bool)
+        mask[rank] = False
+        a[mask] ^= a[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
 @pytest.fixture
 def octahedron() -> Complex:
     """Boundary of the octahedron: vertices +-e_i, antipodes (0,3), (1,4), (2,5)."""

@@ -68,7 +68,7 @@ from projquad.validation import ValidationReport
 from projquad.cli import main
 from projquad.graphs import _label_to_json, label_key
 
-from conftest import _star_by_scan, cube_over_k4, facet_rows, mycielski_graph, parity_lemma_holds, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, validate_involution_by_pairs, walk_parity_is_its_recount
+from conftest import _star_by_scan, cube_over_k4, facet_rows, mycielski_graph, numpy_rank_gf2, parity_lemma_holds, projected_quotient, quotient_lemmas_hold, two_disjoint_copies, validate_involution_by_pairs, walk_parity_is_its_recount
 
 SCHRIJVER_PAIRS = ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3))
 
@@ -327,25 +327,6 @@ def test_box_map_on_maximal_cells_agrees_with_every_cell(corpus):
             assert ok == (case == "as built"), f"{name}, {case}"
 
 
-def _numpy_rank_gf2(dense: np.ndarray) -> int:
-    a = dense.copy()
-    rank = 0
-    rows, cols = a.shape
-    for col in range(cols):
-        hits = np.nonzero(a[rank:, col])[0]
-        if hits.size == 0:
-            continue
-        pivot = rank + int(hits[0])
-        a[[rank, pivot]] = a[[pivot, rank]]
-        mask = a[:, col].astype(bool)
-        mask[rank] = False
-        a[mask] ^= a[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
     start = time.perf_counter()
     assert HomologyCalculator(projective_plane).all_betti() == (1, 1, 1)
@@ -368,7 +349,7 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
             int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
             for row in dense
         ]
-        assert rank_gf2(packed) == _numpy_rank_gf2(dense)
+        assert rank_gf2(packed) == numpy_rank_gf2(dense)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion took {elapsed:.2f}s"
     print(f"betti spot checks, d o d = 0 corpus-wide, 200 rank oracles in {elapsed:.2f}s")
@@ -376,23 +357,26 @@ def test_criterion_6_homology_backbone(octahedron, projective_plane, corpus):
 
 def test_each_boundary_composite_is_checked_once_per_complex(corpus, monkeypatch):
     # The boundary-operator audit and the sphere's clearing guard share one
-    # verdict per p.  A passing sphere's walks are judged by the walk lemma,
-    # so no quotient calculator is built; on two disjoint copies `sphere`
-    # fails, and the quotient's one calculator, shared by `quotient-homology`
-    # and the walk solves, checks its own composites.
+    # verdict per p.  A sphere whose `validate()` report passes and whose
+    # cells have distinct vertex tuples gets every verdict from the
+    # cell-law lemma, with no parity pass.  A passing sphere's walks are
+    # judged by the walk lemma, so no quotient calculator is built; on two
+    # disjoint copies `sphere` fails, and the quotient's one calculator,
+    # shared by `quotient-homology` and the walk solves, has no verdict in
+    # hand and runs the parity pass on its own composites, once each.
     checked = []
     squares_to_zero = homology._squares_to_zero
 
-    def counted(cells, facet_masks):
-        checked.append(len(cells[0].vertices) - 1)
-        return squares_to_zero(cells, facet_masks)
+    def counted(facet_lists, facet_masks):
+        checked.append(len(facet_lists[0]) - 1)
+        return squares_to_zero(facet_lists, facet_masks)
 
     monkeypatch.setattr(homology, "_squares_to_zero", counted)
     sq = corpus["cylinder-3"].sq
     twice = two_disjoint_copies(sq.complex, sq.involution, sq.colouring)
     cases = {
-        "as built": ((sq.complex, sq.involution, sq.colouring), sq.labels, [2, 3]),
-        "two copies": (twice, {v: min(v, w) for v, w in twice[1].vertex_pairing.items()}, [2, 2, 3, 3]),
+        "as built": ((sq.complex, sq.involution, sq.colouring), sq.labels, []),
+        "two copies": (twice, {v: min(v, w) for v, w in twice[1].vertex_pairing.items()}, [2, 3]),
     }
     for case, (sphere, labels, expected) in cases.items():
         checked.clear()
@@ -818,7 +802,7 @@ def test_stored_corpus_spheres_are_judged_as_cell_by_cell(corpus):
             v
             for d, layer in enumerate(layers)
             for i, cell in enumerate(layer)
-            for v in _rule_chain(d, i, cell, parsed.n_vertices, layers[d - 1] if d else ())
+            for v in _rule_chain(d, i, cell.vertices, cell.facets, parsed.n_vertices, lambda f: layers[d - 1][f].vertices, len(layers[d - 1]) if d else 0)
         ]
         assert every_cell == [] and parsed.validate() == ValidationReport(), name
 
@@ -835,7 +819,7 @@ def test_homology_ranks_match_numpy_oracle(corpus):
                     for i, cell in enumerate(cx.cells_of(p)):
                         for f in cell.facets:
                             dense[i, f] ^= 1
-                    expected = _numpy_rank_gf2(dense)
+                    expected = numpy_rank_gf2(dense)
                 assert calc.rank(p) == expected, (name, cx.dim, p)
 
 

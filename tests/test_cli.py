@@ -17,7 +17,7 @@ from projquad import bundles, cli, constructions
 from projquad.bundles import load_bundle, verify_bundle
 from projquad.cli import _build_parser, main
 from projquad.coloring import chromatic_number
-from projquad.complexes import SimplicialBuilder
+from projquad.complexes import Cell, SimplicialBuilder
 from projquad.errors import ProjquadError
 from projquad.graphs import MAX_LABEL_DEPTH, graph_from_json
 from projquad.symmetry import validate_involution
@@ -1193,11 +1193,36 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def test_verify_and_chi_of_a_stored_sphere_make_no_cell(tmp_path, capsys, monkeypatch):
+    # A parsed complex is its vertex and facet columns, and every pass that
+    # `verify` and `chi` run reads them, so no `Cell` is made.
+    spheres = {
+        "tower-5": _build(tmp_path / "tower-5", capsys, [*SOURCES["tower-4"], ("mycielski-lift", "--r", "2")]),
+        "schrijver-7-2": _build(tmp_path / "schrijver-7-2", capsys, [("schrijver", "--n", "7", "--k", "2")]),
+    }
+    made = []
+    init = Cell.__init__
+
+    def counted(self, vertices, facets):
+        made.append(None)
+        init(self, vertices, facets)
+
+    monkeypatch.setattr(Cell, "__init__", counted)
+    for name, out in spheres.items():
+        for argv in (["verify", str(out), "--walks", "100"], ["chi", str(out)]):
+            made.clear()
+            assert run(capsys, *argv)[0] == 0, (name, argv[0])
+            assert made == [], (name, argv[0])
+    assert run(capsys, "homology", str(out / "complex.json"))[0] == 0 and made == []
+    load_bundle(out).complex.cells_of(0)
+    assert made  # the count sees the Cells a parsed complex makes when asked
+
+
 def test_running_out_of_memory_exits_71(tmp_path):
     pytest.importorskip("resource")
     if not Path("/proc/self/status").exists():
         pytest.skip("needs /proc/self/status to size the child")
-    argv = ["build", "schrijver", "--n", "10", "--k", "3", "--out", str(tmp_path / "sg")]
+    argv = ["build", "schrijver", "--n", "11", "--k", "3", "--out", str(tmp_path / "sg")]
     code, stdout, err = _run_in_a_child("-c", _CAPPED_CLI, *argv)
     assert (code, stdout, err) == (71, "", "out of memory\n")
 

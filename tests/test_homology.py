@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from projquad import (
+    Cell,
+    Complex,
     ComplexBuilder,
     HomologyCalculator,
     SimplicialBuilder,
@@ -13,10 +17,11 @@ from projquad import (
     rank_gf2,
 )
 from projquad.cli import main
-from projquad.complexes import complex_to_json
+from projquad import homology
+from projquad.complexes import complex_from_json, complex_to_json
 from projquad.errors import BadDimension, NotACycle
 
-from conftest import facet_rows
+from conftest import facet_rows, numpy_rank_gf2
 
 
 def test_betti_octahedron(octahedron):
@@ -81,6 +86,91 @@ def test_ranks_without_a_chain_complex_are_the_plain_ranks(tmp_path, capsys):
     for argv in ([], ["--dim", "1"]):
         assert main(["homology", str(path), *argv]) == 2
         assert json.loads(capsys.readouterr().out) == refusal
+
+
+@st.composite
+def lawful_complexes(draw):
+    """A lawful complex: random simplices with their faces, then parallel
+    copies of cells by `add_cell`, dimension by dimension, each over a
+    copied facet when one exists.  A copy of a d-cell lies on its vertices,
+    and each of its facets is the cell's facet there or a copy of it, so
+    d o d fails where two faces of a 3-cell name parallel edges."""
+    n = draw(st.integers(2, 6))
+    sb = SimplicialBuilder()
+    for _ in range(n):
+        sb.add_vertex()
+    for simplex in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4), max_size=6)):
+        sb.add_simplex(sorted(simplex))
+    b = sb.builder
+    for d in range(1, 4):
+        for _ in range(draw(st.integers(0, 2)) if b.n_cells(d) else 0):
+            lower = b.cells_of(d - 1)
+            twins = [[j for j, c in enumerate(lower) if c.vertices == cell.vertices] for cell in lower]
+            # A cell over a copied facet, when there is one.
+            over_copies = [i for i, c in enumerate(b.cells_of(d)) if any(len(twins[f]) > 1 for f in c.facets)]
+            cell = b.cell(d, draw(st.sampled_from(over_copies or range(b.n_cells(d)))))
+            b.add_cell(d, cell.vertices, [draw(st.sampled_from(twins[f])) for f in cell.facets])
+    return b.build()
+
+
+@settings(deadline=None, max_examples=150)
+@given(lawful_complexes())
+@example(_tetrahedron_with_split_edge())
+def test_boundary_verdicts_and_ranks_agree_with_the_parity_pass_and_numpy(cx):
+    # A verdict taken from the cell law (the report in hand, distinct
+    # (p-2)-cells) or from the parity pass must be the parity pass's, and
+    # the ranks, on rows made only where clearing keeps them, numpy's.  The
+    # built complex carries its builder's verdict, the parsed one gets it
+    # from `validate()`, and the parsed one without a verdict takes the
+    # parity pass at every p.
+    assert cx.validate().ok
+    parsed, unjudged = (complex_from_json(complex_to_json(cx)) for _ in range(2))
+    assert parsed.validate().ok and unjudged._report is None
+    expected_zero = [boundary_squares_to_zero(cx, p) for p in range(cx.dim + 2)]
+    expected_ranks = [0]
+    for p in range(1, cx.dim + 1):
+        dense = np.zeros((cx.n_cells(p), cx.n_cells(p - 1)), dtype=np.uint8)
+        for i, facets in enumerate(cx.facets_of(p)):
+            dense[i, list(facets)] ^= 1
+        expected_ranks.append(numpy_rank_gf2(dense))
+    for complex in (cx, parsed, unjudged):
+        calc = HomologyCalculator(complex)
+        assert [calc.squares_to_zero(p) for p in range(cx.dim + 2)] == expected_zero
+        assert [calc.rank(p) for p in range(cx.dim + 1)] == expected_ranks
+    assert unjudged._report is None
+
+
+def test_the_parity_pass_runs_only_without_the_cell_law_lemma(monkeypatch):
+    # The split-edge complex is lawful, and its 1-cells are parallel, so
+    # only d_2 o d_3 needs the parity pass; with no verdict in hand every
+    # composite does.
+    passes = []
+    squares_to_zero = homology._squares_to_zero
+
+    def counted(facet_lists, facet_masks):
+        passes.append(len(facet_lists[0]) - 1)
+        return squares_to_zero(facet_lists, facet_masks)
+
+    monkeypatch.setattr(homology, "_squares_to_zero", counted)
+    cx = _tetrahedron_with_split_edge()
+    for complex, expected in ((cx, [3]), (complex_from_json(complex_to_json(cx)), [3, 2])):
+        passes.clear()
+        calc = HomologyCalculator(complex)
+        assert [calc.squares_to_zero(p) for p in (2, 3)] == [True, False]
+        assert passes == expected
+
+
+def test_an_unlawful_complex_gets_the_parity_pass():
+    # The 2-cell on (0, 1, 2) names the edge on (0, 3), so d_1 o d_2 != 0;
+    # its vertex tuples are distinct, but it breaks the cell law, so no
+    # verdict of the law stands for the parity pass, judged or not.
+    vertices = [Cell((v,), ()) for v in range(4)]
+    edges = [Cell((0, 1), (0, 1)), Cell((1, 2), (1, 2)), Cell((0, 3), (0, 3))]
+    for judged in (False, True):
+        cx = Complex([vertices, edges, [Cell((0, 1, 2), (0, 1, 2))]], [None] * 4)
+        if judged:
+            assert not cx.validate().ok
+        assert not HomologyCalculator(cx).squares_to_zero(2)
 
 
 def _mask(ids):

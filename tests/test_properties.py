@@ -4,7 +4,7 @@ import json
 from itertools import chain, combinations, product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from projquad import (
     Cell,
@@ -18,6 +18,7 @@ from projquad import (
     boundary_squares_to_zero,
     chromatic_number,
     common_neighbours,
+    complex_from_json,
     complex_to_json,
     dump_canonical,
     dump_complex,
@@ -29,8 +30,8 @@ from projquad import (
 )
 from projquad.audits import _antipodal_free
 from projquad.complexes import _rule_chain
-from projquad.symmetry import Involution, antipodal_free_cells
-from projquad.errors import DuplicateVertexInCell, ProjquadError, UnknownVertex
+from projquad.symmetry import Involution, _project, antipodal_free_cells
+from projquad.errors import DuplicateVertexInCell, ParseError, ProjquadError, UnknownVertex
 from projquad.validation import ValidationReport, Violation
 from projquad.graphs import label_key
 
@@ -612,8 +613,9 @@ def test_layers_are_judged_as_cell_by_cell(judged):
 
     def judged_at(positions):
         for d, layer in enumerate(layers):
+            lower = layers[d - 1] if d else ()
             for i in positions(d, layer):
-                yield from _rule_chain(d, i, layer[i], n, layers[d - 1] if d else ())
+                yield from _rule_chain(d, i, layer[i].vertices, layer[i].facets, n, lambda f: lower[f].vertices, len(lower))
 
     def every_cell(d, layer):
         return range(len(layer))
@@ -636,3 +638,32 @@ def test_layers_are_judged_as_cell_by_cell(judged):
         assert made == first
     else:
         assert made is None and paired._report == (None if first else ValidationReport())
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(judged_layers(), random_complexes(max_dim=3).map(lambda c: (c.n_vertices, [*map(c.cells_of, range(c.dim + 1))], None))), st.data())
+def test_a_parsed_complex_is_the_complex_of_cells_it_was_written_from(made, data):
+    # `complex_from_json` keeps each layer as its vertex and facet columns
+    # and makes no Cell until `cells_of` asks.  Judged, projected and read
+    # through every accessor, it is the complex of Cells it was written
+    # from, lawful or not, with ragged layers and dangling ids.
+    n, layers, pairings = made
+    if pairings is None:  # a lawful complex, each layer paired in id order as far as it goes
+        pairings = [{i ^ 1: i for i in range(len(layer) - len(layer) % 2)} for layer in layers]
+    built = Complex(layers, [None] * n)
+    try:
+        parsed = complex_from_json(complex_to_json(built))
+    except ParseError:  # a bool or float id, or an empty top layer
+        assume(False)
+    involution = Involution("full", pairings[0], dict(enumerate(pairings[1:], 1)))
+    for judge in (Complex.validate, Complex.maximal_cells, lambda c: [*map(c.cofacet_counts, range(c.dim + 1))]):
+        assert _outcome(lambda: judge(parsed)) == _outcome(lambda: judge(built))
+    top = data.draw(st.sampled_from([None, *range(built.dim + 1)]))
+    assert _outcome(lambda: _project(parsed, involution, top)) == _outcome(lambda: _project(built, involution, top))
+    assert parsed._cells is None
+    assert parsed == built and built == parsed
+    for d, layer in enumerate(layers):
+        assert parsed.vertices_of(d) == built.vertices_of(d) == tuple(c.vertices for c in layer)
+        assert parsed.facets_of(d) == built.facets_of(d) == tuple(c.facets for c in layer)
+        assert parsed.cells_of(d) == built.cells_of(d) == tuple(layer)
+        assert [parsed.cell(d, i) for i in range(len(layer))] == list(layer)

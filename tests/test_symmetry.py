@@ -36,6 +36,7 @@ from projquad.errors import (
     VerificationFailed,
 )
 from projquad.symmetry import (
+    _keys_are_range,
     antipodal_free_cells,
     antisymmetric_on_pairs,
     bichromatic_edge_cells,
@@ -431,3 +432,32 @@ def test_a_partner_that_does_not_compare_or_index_is_judged_as_by_the_per_pair_l
     expected = _verdict(validate_involution_by_pairs, sq.complex, involution)
     assert _verdict(validate_involution, sq.complex, involution) == expected
     assert expected is TypeError if partner == 5.0 else not expected.ok
+
+
+@pytest.mark.parametrize("change", ["none", "missing key", "extra key", "True key", "1.0 key", "0.5 key", "-1 key", "n key"])
+def test_a_full_scope_pairing_of_every_cell_is_read_from_its_extreme_keys(change):
+    # A pairing whose keys are n ints from 0 to n-1 pairs exactly the n
+    # cells, and no set of the layer's ids is made; any other pairing, with
+    # a key missing or extra, or with a bool or float key, takes the set
+    # path, which compares keys by value, as the per-pair loop does.  A key
+    # 0.5 in place of 1 leaves the length and the extreme keys as they were,
+    # a key -1 the length and the greatest key, and a key n the length and
+    # the least key.
+    complex, paired = _paired("tower-4")
+    for d in range(complex.dim + 1):
+        pairings = [dict(paired.pairing(e)) for e in range(complex.dim + 1)]
+        pairing, n = pairings[d], complex.n_cells(d)
+        if change == "missing key":
+            del pairing[n - 1]
+        elif change == "extra key":
+            pairing[n] = 0
+        elif change != "none":
+            pairing[{"True key": True, "1.0 key": 1.0, "0.5 key": 0.5, "-1 key": -1, "n key": n}[change]] = pairing.pop(1)
+        assert _keys_are_range(pairing, n) == (change == "none")
+        involution = Involution("full", pairings[0], dict(enumerate(pairings[1:], 1)))
+        expected = _verdict(validate_involution_by_pairs, complex, involution)
+        assert _verdict(validate_involution, complex, involution) == expected
+        if change in ("missing key", "extra key", "0.5 key", "-1 key", "n key"):
+            assert not expected.ok
+        elif change != "1.0 key":  # a float id does not index a layer
+            assert expected.ok
